@@ -1,7 +1,7 @@
 //! `perf`: wall-clock harness for the reference pipeline.
 //!
 //! ```text
-//! perf [--scale F] [--repeat N] [--matrix] [--out FILE] [--sweep-out FILE]
+//! perf [--scale F] [--repeat N] [--matrix] [--sweep-out FILE]
 //! perf --obs [--scale F] [--repeat N] [--max-overhead F] [--gate-retries N]
 //!      [--obs-out FILE]
 //! perf --replay [--scale F] [--repeat N] [--replay-out FILE]
@@ -56,35 +56,26 @@
 //! to `--gate-retries` extra times first, which CI uses to absorb
 //! scheduler noise on shared runners.
 //!
-//! Otherwise, two measurements, two reports:
+//! Otherwise, the **sweep** report (`BENCH_sweep.json`): the
+//! single-pass [`cache_sim::SweepCache`] against the per-cache
+//! [`cache_sim::CacheBank`] on the paper's five-configuration sweep.
+//! Each cell's run-compressed reference stream is captured once with
+//! [`Experiment::capture_runs`], then replayed into each cache component
+//! directly, so the timing isolates the simulators from the (identical)
+//! workload-driver cost. By default one cell (espresso/FirstFit); with
+//! `--matrix`, all five paper programs × (FirstFit, BSD, QuickFit), one
+//! aggregated JSON with per-cell refs/sec.
 //!
-//! 1. **Pipeline** (`BENCH_pipeline.json`): the fixed heavy
-//!    configuration — full paper cache sweep plus the stack-distance
-//!    pager — once per [`PipelineMode`], best of `--repeat`, with a
-//!    per-sink cost breakdown.
-//! 2. **Sweep** (`BENCH_sweep.json`): the single-pass
-//!    [`cache_sim::SweepCache`] against the per-cache
-//!    [`cache_sim::CacheBank`] on the paper's five-configuration sweep.
-//!    Each cell's run-compressed reference stream is captured once with
-//!    [`Experiment::capture_runs`], then replayed into each cache
-//!    component directly, so the timing isolates the simulators from
-//!    the (identical) workload-driver cost. By default one cell
-//!    (espresso/FirstFit); with `--matrix`, all five paper programs ×
-//!    (FirstFit, BSD, QuickFit), one aggregated JSON with per-cell
-//!    refs/sec.
-//!
-//! Every comparison checks the two paths produced bit-identical
-//! [`RunResult`]s; any divergence makes the process exit non-zero, which
-//! is what CI's release-mode smoke job keys on.
+//! Every comparison checks the two paths produced bit-identical results;
+//! any divergence makes the process exit non-zero, which is what CI's
+//! release-mode smoke job keys on.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use alloc_locality::{
-    default_threads, AllocChoice, Experiment, PipelineMode, RunResult, SimOptions,
-};
+use alloc_locality::{AllocChoice, Experiment, RunResult, SimOptions};
 use allocators::{reference, AllocStats, Allocator, AllocatorKind};
 use bench::{interleaved_best_of, run_gated, time_closure, timing, GateOutcome, Timing};
 use cache_sim::reference::ReferenceSweepCache;
@@ -97,29 +88,6 @@ use sim_mem::{
 };
 use vm_sim::StackSim;
 use workloads::{AppEvent, Program, Scale};
-
-/// The pipeline harness's JSON report (`BENCH_pipeline.json`).
-#[derive(Debug, Clone, Serialize)]
-struct PipelineReport {
-    program: String,
-    allocator: String,
-    scale: f64,
-    /// Word-granular data references the workload produced.
-    data_refs: u64,
-    /// Reference records (a multi-word access is one record).
-    records: u64,
-    /// Hardware threads the sharded mode had available.
-    hardware_threads: usize,
-    repeats: u32,
-    inline: Timing,
-    sharded: Timing,
-    /// `inline.secs / sharded.secs`.
-    speedup: f64,
-    /// Whether the two modes produced bit-identical results.
-    identical_results: bool,
-    /// Each sink run alone against the same workload, inline.
-    per_sink: Vec<Timing>,
-}
 
 /// One (program, allocator) cell of the bank-vs-sweep comparison.
 #[derive(Debug, Clone, Serialize)]
@@ -247,7 +215,6 @@ struct Args {
     alloc: bool,
     max_overhead: f64,
     gate_retries: u32,
-    out: PathBuf,
     sweep_out: PathBuf,
     obs_out: PathBuf,
     replay_out: PathBuf,
@@ -265,7 +232,6 @@ fn parse_args() -> Result<Args, String> {
     let mut replay = false;
     let mut max_overhead = 0.02;
     let mut gate_retries = 0;
-    let mut out = PathBuf::from("BENCH_pipeline.json");
     let mut sweep_out = PathBuf::from("BENCH_sweep.json");
     let mut obs_out = PathBuf::from("BENCH_obs.json");
     let mut replay_out = PathBuf::from("BENCH_replay.json");
@@ -327,9 +293,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = args.next().ok_or("--gate-retries needs a value")?;
                 gate_retries = v.parse().map_err(|e| format!("bad retry count {v}: {e}"))?;
             }
-            "--out" => {
-                out = PathBuf::from(args.next().ok_or("--out needs a path")?);
-            }
             "--sweep-out" => {
                 sweep_out = PathBuf::from(args.next().ok_or("--sweep-out needs a path")?);
             }
@@ -337,8 +300,7 @@ fn parse_args() -> Result<Args, String> {
                 obs_out = PathBuf::from(args.next().ok_or("--obs-out needs a path")?);
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: perf [--scale F] [--repeat N] [--matrix] [--out FILE] [--sweep-out FILE]\n\
+                return Err("usage: perf [--scale F] [--repeat N] [--matrix] [--sweep-out FILE]\n\
                      \x20      perf --obs [--scale F] [--repeat N] [--max-overhead F]\n\
                      \x20           [--gate-retries N] [--obs-out FILE]\n\
                      \x20      perf --replay [--scale F] [--repeat N] [--replay-out FILE]\n\
@@ -368,8 +330,7 @@ fn parse_args() -> Result<Args, String> {
                      or histograms diverge (checked once, never retried) or the slowest\n\
                      lane's speedup falls below --min-speedup (re-measured up to\n\
                      --gate-retries extra times first)"
-                        .into(),
-                );
+                    .into());
             }
             other => return Err(format!("unknown argument {other:?}; try --help")),
         }
@@ -384,7 +345,6 @@ fn parse_args() -> Result<Args, String> {
         alloc,
         max_overhead,
         gate_retries,
-        out,
         sweep_out,
         obs_out,
         replay_out,
@@ -395,8 +355,8 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// The fixed heavy workload of the pipeline report: espresso under
-/// FIRSTFIT (the paper's most metadata-hungry pairing).
+/// The fixed heavy workload of the sinks and obs reports: espresso
+/// under FIRSTFIT (the paper's most metadata-hungry pairing).
 fn experiment(scale: f64, opts: SimOptions) -> Experiment {
     cell_experiment(Program::Espresso, AllocatorKind::FirstFit, scale, opts)
 }
@@ -429,75 +389,6 @@ fn identical(a: &RunResult, b: &RunResult) -> bool {
         && a.frag_curve == b.frag_curve
         && a.heap_high_water == b.heap_high_water
         && a.alloc_stats == b.alloc_stats
-}
-
-/// The pipeline report: inline vs. sharded delivery of the full heavy
-/// configuration (cache sweep + pager), plus each sink timed alone.
-fn pipeline_report(args: &Args) -> Result<PipelineReport, String> {
-    let base = SimOptions {
-        cache_configs: CacheConfig::paper_sweep(),
-        paging: true,
-        ..SimOptions::default()
-    };
-
-    eprintln!(
-        "# pipeline perf: espresso/FirstFit, {} cache configs + pager, scale {}, best of {}",
-        base.cache_configs.len(),
-        args.scale,
-        args.repeat
-    );
-
-    let inline_exp = experiment(args.scale, base.clone()).pipeline(PipelineMode::Inline);
-    let (inline_result, inline_secs) = time_run(&inline_exp, args.repeat)?;
-    let refs = inline_result.data_refs();
-    eprintln!("inline:  {inline_secs:.3}s  ({:.1} Mrefs/s)", refs as f64 / inline_secs / 1e6);
-
-    let sharded_exp = experiment(args.scale, base.clone()).pipeline(PipelineMode::Sharded);
-    let (sharded_result, sharded_secs) = time_run(&sharded_exp, args.repeat)?;
-    eprintln!("sharded: {sharded_secs:.3}s  ({:.1} Mrefs/s)", refs as f64 / sharded_secs / 1e6);
-
-    let same = identical(&inline_result, &sharded_result);
-    if !same {
-        eprintln!("WARNING: sharded result differs from inline result");
-    }
-
-    // Cost of each sink alone: the workload replayed inline with exactly
-    // one consumer attached.
-    let mut per_sink = Vec::new();
-    for cfg in &base.cache_configs {
-        let opts = SimOptions { cache_configs: vec![*cfg], paging: false, ..base.clone() };
-        let (_, secs) = time_run(&experiment(args.scale, opts), args.repeat)?;
-        per_sink.push(timing(&format!("cache-{}K", cfg.size / 1024), secs, refs));
-    }
-    {
-        let opts = SimOptions { cache_configs: vec![], paging: true, ..base.clone() };
-        let (_, secs) = time_run(&experiment(args.scale, opts), args.repeat)?;
-        per_sink.push(timing("pager", secs, refs));
-    }
-    {
-        // The driver itself: allocator + workload replay, no sinks.
-        let opts = SimOptions { cache_configs: vec![], paging: false, ..base.clone() };
-        let (_, secs) = time_run(&experiment(args.scale, opts), args.repeat)?;
-        per_sink.push(timing("driver-only", secs, refs));
-    }
-    for t in &per_sink {
-        eprintln!("  {:<12} {:.3}s", t.label, t.secs);
-    }
-
-    Ok(PipelineReport {
-        program: inline_result.program.clone(),
-        allocator: inline_result.allocator.clone(),
-        scale: args.scale,
-        data_refs: refs,
-        records: inline_result.trace.total_refs(),
-        hardware_threads: default_threads(),
-        repeats: args.repeat,
-        inline: timing("inline", inline_secs, refs),
-        sharded: timing("sharded", sharded_secs, refs),
-        speedup: inline_secs / sharded_secs.max(1e-9),
-        identical_results: same,
-        per_sink,
-    })
 }
 
 /// The allocators of the `--matrix` sweep: the sequential fit the paper
@@ -1262,8 +1153,9 @@ fn obs_report(args: &Args, gate_attempt: u32) -> Result<ObsReport, String> {
     })?;
     eprintln!("null recorder:   {null_secs:.3}s");
 
-    let ((mem_result, metrics), mem_secs) =
-        time_closure(args.repeat, || exp.run_instrumented().map_err(|e| e.to_string()))?;
+    let (mem_report, mem_secs) =
+        time_closure(args.repeat, || exp.report().map_err(|e| e.to_string()))?;
+    let (mem_result, metrics) = (mem_report.result, mem_report.metrics);
     eprintln!("memory recorder: {mem_secs:.3}s");
 
     let same = identical(&base_result, &null_result) && identical(&base_result, &mem_result);
@@ -1431,13 +1323,6 @@ fn run() -> Result<(), String> {
         return Ok(());
     }
 
-    let pipeline = pipeline_report(&args)?;
-    eprintln!(
-        "pipeline speedup: {:.2}x (identical results: {})",
-        pipeline.speedup, pipeline.identical_results
-    );
-    write_json(&args.out, &pipeline)?;
-
     let sweep = sweep_report(&args)?;
     eprintln!(
         "sweep speedup: {:.2}x aggregate, {:.2}x min cell (identical results: {})",
@@ -1445,9 +1330,6 @@ fn run() -> Result<(), String> {
     );
     write_json(&args.sweep_out, &sweep)?;
 
-    if !pipeline.identical_results {
-        return Err("sharded pipeline diverged from inline".into());
-    }
     if !sweep.identical_results {
         return Err("single-pass sweep diverged from the per-cache bank".into());
     }

@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! repro [--scale F] [--threads N] [--json DIR] [--metrics FILE]
-//!       [--stream-cache DIR] [--stream-cache-bytes N]
-//!       [--channel-depth N] [--verbose] [TARGET ...]
+//!       [--trace FILE] [--stream-cache DIR] [--stream-cache-bytes N]
+//!       [--verbose] [TARGET ...]
 //!
 //! TARGETS: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8
 //!          table1 table2 table3 table4 table5 table6 all
@@ -33,9 +33,7 @@ use alloc_locality::experiments::{
     conflict_analysis, exec_time_figure, fig1, future_work_table, miss_curves, paging_figure,
     table1, table2, table6, time_table, two_level_study, victim_study,
 };
-use alloc_locality::{
-    run_parallel_instrumented, run_parallel_traced, AllocChoice, Experiment, RunReport, SimOptions,
-};
+use alloc_locality::{run_many, AllocChoice, Experiment, RunReport, SimOptions};
 use bench::MatrixCache;
 use cache_sim::CacheConfig;
 use serde::Serialize;
@@ -67,7 +65,6 @@ struct Args {
     threads: usize,
     stream_cache: Option<PathBuf>,
     stream_cache_bytes: Option<u64>,
-    channel_depth: Option<usize>,
     json_dir: Option<PathBuf>,
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
@@ -83,7 +80,6 @@ fn parse_args() -> Result<Args, String> {
     let mut trace = None;
     let mut stream_cache = None;
     let mut stream_cache_bytes = None;
-    let mut channel_depth = None;
     let mut verbose = false;
     let mut targets = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -123,14 +119,6 @@ fn parse_args() -> Result<Args, String> {
                     v.parse().map_err(|e| format!("bad stream cache bound {v}: {e}"))?;
                 stream_cache_bytes = Some(bytes);
             }
-            "--channel-depth" => {
-                let v = args.next().ok_or("--channel-depth needs a value")?;
-                let depth: usize = v.parse().map_err(|e| format!("bad channel depth {v}: {e}"))?;
-                if depth == 0 {
-                    return Err("channel depth must be at least 1".into());
-                }
-                channel_depth = Some(depth);
-            }
             "--verbose" | "-v" => verbose = true,
             "--help" | "-h" => {
                 return Err(format!(
@@ -141,7 +129,6 @@ fn parse_args() -> Result<Args, String> {
                      --trace FILE writes one alloc-locality.trace v1 line per 5x5 cell\n\
                      --stream-cache DIR replays captured reference streams across invocations\n\
                      --stream-cache-bytes N bounds the stream cache, evicting oldest-written\n\
-                     --channel-depth N sets the sharded pipeline's per-worker queue (default 8)\n\
                      --verbose narrates sweep progress per completed cell\n\
                      targets: {} all",
                     ALL_TARGETS.join(" ")
@@ -164,7 +151,6 @@ fn parse_args() -> Result<Args, String> {
         threads,
         stream_cache,
         stream_cache_bytes,
-        channel_depth,
         json_dir,
         metrics,
         trace,
@@ -175,13 +161,11 @@ fn parse_args() -> Result<Args, String> {
 
 /// The paper's 5×5 job list under the invocation's shared options.
 fn sweep_jobs(args: &Args) -> Vec<Experiment> {
-    let defaults = SimOptions::default();
     let opts = SimOptions {
         scale: Scale(args.scale),
         stream_cache: args.stream_cache.clone(),
         stream_cache_bytes: args.stream_cache_bytes,
-        channel_depth: args.channel_depth.unwrap_or(defaults.channel_depth),
-        ..defaults
+        ..SimOptions::default()
     };
     Program::FIVE
         .iter()
@@ -224,7 +208,7 @@ fn emit_instrumented(args: &Args) -> Result<(), String> {
     let total = jobs.len();
     let start = std::time::Instant::now();
     let verbose = args.verbose;
-    let progress = move |done: usize, r: &alloc_locality::RunResult| {
+    let progress = move |done: usize, r: &RunReport| {
         if verbose {
             eprintln!(
                 "[{done}/{total}] {}/{} done ({:.1}s elapsed)",
@@ -236,10 +220,17 @@ fn emit_instrumented(args: &Args) -> Result<(), String> {
     };
     if let Some(trace_path) = &args.trace {
         eprintln!("# traced {total}-cell sweep at scale {}", args.scale);
-        let triples = run_parallel_traced(jobs, args.threads, progress)
+        let traced = |exp: &Experiment| {
+            let mut tracer = obs::Tracer::new();
+            let (result, metrics) = exp.run_traced_with(&mut tracer)?;
+            let trace_id = format!("{}/{}", result.program, result.allocator);
+            let (_, trace) = tracer.finish(trace_id);
+            Ok((RunReport::new(result, metrics), trace))
+        };
+        let pairs = run_many(jobs, args.threads, traced, |done, (r, _)| progress(done, r))
             .map_err(|e| format!("traced sweep: {e}"))?;
         let mut trace_lines = String::new();
-        for (_, _, trace) in &triples {
+        for (_, trace) in &pairs {
             trace.validate().map_err(|e| format!("{}: invalid trace: {e}", trace.trace_id))?;
             trace_lines.push_str(&trace.to_json_line());
             trace_lines.push('\n');
@@ -248,22 +239,16 @@ fn emit_instrumented(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("write {}: {e}", trace_path.display()))?;
         eprintln!("[wrote {} ({total} traces)]", trace_path.display());
         if let Some(metrics_path) = &args.metrics {
-            let count = write_reports(
-                metrics_path,
-                triples.into_iter().map(|(result, metrics, _)| RunReport::new(result, metrics)),
-            )?;
+            let count = write_reports(metrics_path, pairs.into_iter().map(|(report, _)| report))?;
             eprintln!("[wrote {} ({count} reports)]", metrics_path.display());
         }
         return Ok(());
     }
     let path = args.metrics.as_ref().expect("emit_instrumented needs --metrics or --trace");
     eprintln!("# instrumented {total}-cell sweep at scale {}", args.scale);
-    let pairs = run_parallel_instrumented(jobs, args.threads, progress)
+    let reports = run_many(jobs, args.threads, Experiment::report, progress)
         .map_err(|e| format!("instrumented sweep: {e}"))?;
-    let count = write_reports(
-        path,
-        pairs.into_iter().map(|(result, metrics)| RunReport::new(result, metrics)),
-    )?;
+    let count = write_reports(path, reports.into_iter())?;
     eprintln!("[wrote {} ({count} reports)]", path.display());
     Ok(())
 }
@@ -290,8 +275,7 @@ fn run() -> Result<(), String> {
     let mut cache = MatrixCache::with_threads(args.scale, args.threads)
         .verbose(args.verbose)
         .stream_cache(args.stream_cache.clone())
-        .stream_cache_bytes(args.stream_cache_bytes)
-        .channel_depth(args.channel_depth);
+        .stream_cache_bytes(args.stream_cache_bytes);
     let k16 = CacheConfig::direct_mapped(16 * 1024, 32);
     let k64 = CacheConfig::direct_mapped(64 * 1024, 32);
     eprintln!(

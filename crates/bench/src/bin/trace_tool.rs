@@ -1,9 +1,9 @@
 //! `trace-tool`: record, inspect, and replay reference traces.
 //!
 //! ```text
-//! trace-tool record <program> <allocator> <out.trace> [--scale F]
-//! trace-tool info <trace>
-//! trace-tool replay <trace> [--cache-kb N]... [--paging] [--three-c] [--victim N]
+//! trace-tool record <program> <allocator> <out.alsc> [--scale F]
+//! trace-tool info <out.alsc>
+//! trace-tool replay <out.alsc> [--cache-kb N]... [--paging] [--three-c] [--victim N]
 //! trace-tool export <program> <out.txt> [--scale F]
 //! trace-tool run-app <events.txt> <allocator>
 //! trace-tool chrome <trace.jsonl> <out.json>
@@ -11,9 +11,10 @@
 //! ```
 //!
 //! Three trace kinds exist: binary **reference** traces (`record`/
-//! `info`/`replay`, ALTR format — what the simulators consume), text
-//! **application** traces (`export`/`run-app`, the `workloads::import`
-//! format — what the allocators consume), and hierarchical **span**
+//! `info`/`replay`, the stream cache's checksummed ALSC format — what
+//! the simulators consume), text **application** traces (`export`/
+//! `run-app`, the `workloads::import` format — what the allocators
+//! consume), and hierarchical **span**
 //! traces (`chrome`, `alloc-locality.trace` v1 JSONL from
 //! `repro --trace` or `GET /jobs/{id}/trace` — what `chrome://tracing`
 //! and Perfetto open after conversion). `promlint` checks a Prometheus
@@ -24,18 +25,26 @@
 //! PIXIE-trace-file workflow the paper's execution-driven setup
 //! replaced); `replay` drives any simulator configuration from the
 //! frozen stream, so allocator runs can be archived and re-analyzed
-//! without re-simulating the allocator.
+//! without re-simulating the allocator. A file that fails to write or
+//! to decode — wrong magic or key, truncation, a checksum mismatch —
+//! is reported in one line and exits 1.
 
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
-use alloc_locality::{AllocChoice, Experiment, SimOptions};
+use alloc_locality::{AllocChoice, Experiment};
 use allocators::AllocatorKind;
 use cache_sim::{CacheBank, CacheConfig, ThreeCAnalyzer, VictimCache};
-use sim_mem::{AccessSink, CountingSink, MemRef};
+use sim_mem::{decode_stream, encode_stream, AccessSink, CountingSink, DecodedStream};
 use vm_sim::StackSim;
 use workloads::{Program, Scale};
+
+/// The ALSC content key of every `record`ed file. The engine keys its
+/// stream cache by run identity; a recording is keyed by tool instead,
+/// with an empty sidecar, so `info` and `replay` accept any recording
+/// and nothing else.
+const RECORDING_KEY: u64 = u64::from_le_bytes(*b"trc-tool");
 
 fn parse_program(name: &str) -> Option<Program> {
     match name {
@@ -65,7 +74,7 @@ fn parse_allocator(name: &str) -> Option<AllocChoice> {
 
 fn record(args: &[String]) -> Result<(), String> {
     let [program, allocator, out, rest @ ..] = args else {
-        return Err("usage: trace-tool record <program> <allocator> <out.trace> [--scale F]".into());
+        return Err("usage: trace-tool record <program> <allocator> <out.alsc> [--scale F]".into());
     };
     let mut scale = 0.005;
     let mut it = rest.iter();
@@ -83,43 +92,41 @@ fn record(args: &[String]) -> Result<(), String> {
     }
     let program = parse_program(program).ok_or(format!("unknown program {program}"))?;
     let choice = parse_allocator(allocator).ok_or(format!("unknown allocator {allocator}"))?;
-    let result = Experiment::new(program, choice)
-        .options(SimOptions {
-            cache_configs: vec![],
-            paging: false,
-            scale: Scale(scale),
-            record_trace: Some(out.into()),
-            ..SimOptions::default()
-        })
-        .run()
+    let runs = Experiment::new(program, choice)
+        .scale(Scale(scale))
+        .capture_runs()
         .map_err(|e| e.to_string())?;
+    std::fs::write(out, encode_stream(RECORDING_KEY, &[], &runs))
+        .map_err(|e| format!("{out}: {e}"))?;
+    let mut counting = CountingSink::new();
+    counting.record_runs(&runs);
+    let s = counting.stats();
     eprintln!(
         "recorded {} references ({} app, {} metadata) to {out}",
-        result.trace.total_refs(),
-        result.trace.app_refs(),
-        result.trace.meta_refs(),
+        s.total_refs(),
+        s.app_refs(),
+        s.meta_refs(),
     );
     Ok(())
 }
 
-fn open_trace(path: &str) -> Result<trace::TraceReader<BufReader<File>>, String> {
-    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    trace::TraceReader::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
+/// Reads and fully validates a `record`ed file.
+fn read_recording(path: &str) -> Result<DecodedStream, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    decode_stream(&bytes, RECORDING_KEY).map_err(|e| format!("{path}: {e}"))
 }
 
 fn info(args: &[String]) -> Result<(), String> {
-    let [path] = args else { return Err("usage: trace-tool info <trace>".into()) };
+    let [path] = args else { return Err("usage: trace-tool info <trace.alsc>".into()) };
+    let stream = read_recording(path)?;
     let mut counting = CountingSink::new();
-    let mut reader = open_trace(path)?;
-    let mut n = 0u64;
-    for r in reader.by_ref() {
-        counting.record(r.map_err(|e| e.to_string())?);
-        n += 1;
-    }
-    let bytes = std::fs::metadata(path).map_err(|e| e.to_string())?.len();
+    counting.record_runs(&stream.runs);
+    let bytes = std::fs::metadata(path).map_err(|e| format!("{path}: {e}"))?.len();
     let s = counting.stats();
+    let n = s.total_refs();
     println!(
-        "trace {path}: {n} references, {bytes} bytes ({:.2} B/ref)",
+        "trace {path}: {n} references in {} runs, {bytes} bytes ({:.2} B/ref)",
+        stream.runs.len(),
         bytes as f64 / n.max(1) as f64
     );
     println!(
@@ -141,7 +148,7 @@ fn info(args: &[String]) -> Result<(), String> {
 
 fn replay(args: &[String]) -> Result<(), String> {
     let [path, rest @ ..] = args else {
-        return Err("usage: trace-tool replay <trace> [--cache-kb N]... [--paging] [--three-c] [--victim N]".into());
+        return Err("usage: trace-tool replay <trace.alsc> [--cache-kb N]... [--paging] [--three-c] [--victim N]".into());
     };
     let mut cache_kbs: Vec<u32> = Vec::new();
     let mut paging = false;
@@ -169,30 +176,24 @@ fn replay(args: &[String]) -> Result<(), String> {
     if cache_kbs.is_empty() {
         cache_kbs = vec![16, 64];
     }
-    let configs: Vec<CacheConfig> =
-        cache_kbs.iter().map(|&kb| CacheConfig::direct_mapped(kb * 1024, 32)).collect();
-    let mut bank = CacheBank::new(configs.iter().copied());
-    let mut pager = paging.then(StackSim::paper);
-    let mut analyzer = three_c.then(|| ThreeCAnalyzer::new(configs[0]));
-    let mut vcache = victim.map(|n| VictimCache::new(configs[0], n));
-
-    let mut reader = open_trace(path)?;
-    let mut n = 0u64;
-    for r in reader.by_ref() {
-        let r: MemRef = r.map_err(|e| e.to_string())?;
-        bank.record(r);
-        if let Some(p) = &mut pager {
-            p.record(r);
-        }
-        if let Some(a) = &mut analyzer {
-            a.access(r);
-        }
-        if let Some(v) = &mut vcache {
-            v.access(r);
-        }
-        n += 1;
+    if victim == Some(0) {
+        return Err("--victim needs at least one entry".into());
     }
-    println!("replayed {n} references from {path}");
+    let mut configs = Vec::with_capacity(cache_kbs.len());
+    for kb in cache_kbs {
+        match kb.checked_mul(1024) {
+            Some(size) if size.is_power_of_two() => {
+                configs.push(CacheConfig::direct_mapped(size, 32));
+            }
+            _ => return Err(format!("--cache-kb {kb}: not a power-of-two size in KB")),
+        }
+    }
+    let stream = read_recording(path)?;
+    let mut bank = CacheBank::new(configs.iter().copied());
+    bank.record_runs(&stream.runs);
+    let mut counting = CountingSink::new();
+    counting.record_runs(&stream.runs);
+    println!("replayed {} references from {path}", counting.stats().total_refs());
     for (cfg, stats) in bank.results() {
         println!(
             "  {cfg}: {:.3}% miss rate ({} misses, {} cold)",
@@ -201,16 +202,20 @@ fn replay(args: &[String]) -> Result<(), String> {
             stats.cold_misses
         );
     }
-    if let Some(p) = pager {
-        let curve = p.curve();
+    if paging {
+        let mut pager = StackSim::paper();
+        pager.record_runs(&stream.runs);
+        let curve = pager.curve();
         println!(
             "  paging: {} distinct pages; working set {} KB",
-            p.distinct_pages(),
+            pager.distinct_pages(),
             curve.working_set_frames() * 4
         );
     }
-    if let Some(a) = analyzer {
-        let c = a.classify();
+    if three_c {
+        let mut analyzer = ThreeCAnalyzer::new(configs[0]);
+        analyzer.record_runs(&stream.runs);
+        let c = analyzer.classify();
         println!(
             "  3C @ {}: compulsory {} / capacity {} / conflict {} ({:.0}% of replacement misses are conflicts)",
             configs[0],
@@ -220,13 +225,14 @@ fn replay(args: &[String]) -> Result<(), String> {
             c.conflict_fraction() * 100.0
         );
     }
-    if let Some(v) = vcache {
+    if let Some(entries) = victim {
+        let mut vcache = VictimCache::new(configs[0], entries);
+        vcache.record_runs(&stream.runs);
         println!(
-            "  victim({}) @ {}: effective miss rate {:.3}%, rescue rate {:.0}%",
-            victim.unwrap_or(0),
+            "  victim({entries}) @ {}: effective miss rate {:.3}%, rescue rate {:.0}%",
             configs[0],
-            v.stats().miss_rate() * 100.0,
-            v.stats().rescue_rate() * 100.0
+            vcache.stats().miss_rate() * 100.0,
+            vcache.stats().rescue_rate() * 100.0
         );
     }
     Ok(())

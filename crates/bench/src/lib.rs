@@ -7,8 +7,7 @@
 use std::time::Instant;
 
 use alloc_locality::{
-    default_threads, run_parallel_progress, run_parallel_with, AllocChoice, EngineError,
-    Experiment, Matrix, SimOptions,
+    default_threads, run_many, AllocChoice, EngineError, Experiment, Matrix, SimOptions,
 };
 use cache_sim::CacheConfig;
 use serde::Serialize;
@@ -17,8 +16,8 @@ use workloads::{Program, Scale};
 /// One timed mode, lane side, or lone sink of a perf harness.
 #[derive(Debug, Clone, Serialize)]
 pub struct Timing {
-    /// What ran: a mode ("inline", "sharded"), a lane side ("current",
-    /// "reference"), or a sink label.
+    /// What ran: a lane side ("current", "reference"), a recorder
+    /// setting, or a sink label.
     pub label: String,
     /// Best wall-clock seconds over the repeats.
     pub secs: f64,
@@ -147,7 +146,6 @@ pub struct MatrixCache {
     verbose: bool,
     stream_cache: Option<std::path::PathBuf>,
     stream_cache_bytes: Option<u64>,
-    channel_depth: Option<usize>,
 }
 
 impl MatrixCache {
@@ -184,40 +182,31 @@ impl MatrixCache {
         self
     }
 
-    /// Overrides the sharded pipeline's per-worker channel depth
-    /// (`repro --channel-depth`; `None` keeps the engine default).
-    pub fn channel_depth(mut self, depth: Option<usize>) -> Self {
-        self.channel_depth = depth;
-        self
-    }
-
     fn opts(&self) -> SimOptions {
-        let defaults = SimOptions::default();
         SimOptions {
             scale: Scale(self.scale),
             stream_cache: self.stream_cache.clone(),
             stream_cache_bytes: self.stream_cache_bytes,
-            channel_depth: self.channel_depth.unwrap_or(defaults.channel_depth),
-            ..defaults
+            ..SimOptions::default()
         }
     }
 
     /// Runs `jobs` on this cache's worker pool, narrating completions
     /// when verbose.
     fn run_jobs(&self, jobs: Vec<Experiment>) -> Result<Matrix, EngineError> {
-        if !self.verbose {
-            return run_parallel_with(jobs, self.threads);
-        }
         let total = jobs.len();
         let start = std::time::Instant::now();
-        run_parallel_progress(jobs, self.threads, move |done, r| {
-            eprintln!(
-                "[{done}/{total}] {}/{} done ({:.1}s elapsed)",
-                r.program,
-                r.allocator,
-                start.elapsed().as_secs_f64()
-            );
-        })
+        let runs = run_many(jobs, self.threads, Experiment::run, |done, r| {
+            if self.verbose {
+                eprintln!(
+                    "[{done}/{total}] {}/{} done ({:.1}s elapsed)",
+                    r.program,
+                    r.allocator,
+                    start.elapsed().as_secs_f64()
+                );
+            }
+        })?;
+        Ok(Matrix { runs })
     }
 
     /// The programs × choices cross product as a job list.

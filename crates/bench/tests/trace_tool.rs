@@ -1,0 +1,152 @@
+//! `trace-tool` end to end: `record` writes one experiment's reference
+//! stream as an ALSC file, `info` and `replay` read it back with the
+//! counts and miss rates the engine measures for the same run, and an
+//! unwritable, truncated or bit-flipped file or an impossible cache
+//! geometry is a one-line error with exit code 1 — never a panic, and
+//! never a replay of the wrong stream.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use alloc_locality::{AllocChoice, Experiment};
+use allocators::AllocatorKind;
+use cache_sim::CacheConfig;
+use workloads::{Program, Scale};
+
+/// The recorded workload: make under BSD at this scale.
+const SCALE: &str = "0.001";
+
+fn trace_tool(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_trace-tool")).args(args).output().expect("trace-tool runs")
+}
+
+fn engine_run(caches: Vec<CacheConfig>, paging: bool) -> alloc_locality::RunResult {
+    Experiment::new(Program::Make, AllocChoice::Paper(AllocatorKind::Bsd))
+        .scale(Scale(SCALE.parse().expect("scale")))
+        .caches(caches)
+        .paging(paging)
+        .run()
+        .expect("engine run")
+}
+
+/// A fresh per-test scratch directory.
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("trace-tool-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+fn utf8(path: &Path) -> &str {
+    path.to_str().expect("temp paths are UTF-8")
+}
+
+fn record(out: &Path) -> Output {
+    trace_tool(&["record", "make", "bsd", utf8(out), "--scale", SCALE])
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+/// Asserts exit code 1 with a one-line message on stderr and nothing
+/// on stdout.
+fn assert_fails_in_one_line(out: &Output, what: &str) {
+    let err = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{what}: exit status; stderr: {err}");
+    assert_eq!(err.lines().count(), 1, "{what}: expected one line, got {err:?}");
+    assert!(!err.contains("panicked"), "{what}: {err}");
+    assert!(out.stdout.is_empty(), "{what}: printed {:?}", text(&out.stdout));
+}
+
+#[test]
+fn info_reports_the_engine_reference_counts() {
+    let dir = scratch("info");
+    let path = dir.join("make-bsd.alsc");
+    let recorded = record(&path);
+    assert!(recorded.status.success(), "record: {}", text(&recorded.stderr));
+
+    let s = engine_run(vec![], false).trace;
+    let out = trace_tool(&["info", utf8(&path)]);
+    assert!(out.status.success(), "info: {}", text(&out.stderr));
+    let info = text(&out.stdout);
+    assert!(info.contains(&format!(": {} references in ", s.total_refs())), "{info}");
+    let app = format!(
+        "  app:  {} refs ({} reads, {} writes), {} words",
+        s.app_refs(),
+        s.app_reads,
+        s.app_writes,
+        s.app_words
+    );
+    let meta = format!(
+        "  meta: {} refs ({} reads, {} writes), {} words",
+        s.meta_refs(),
+        s.meta_reads,
+        s.meta_writes,
+        s.meta_words
+    );
+    assert!(info.lines().any(|l| l == app), "expected {app:?} in {info}");
+    assert!(info.lines().any(|l| l == meta), "expected {meta:?} in {info}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replay_prints_the_engine_miss_rate() {
+    let dir = scratch("replay");
+    let path = dir.join("make-bsd.alsc");
+    let recorded = record(&path);
+    assert!(recorded.status.success(), "record: {}", text(&recorded.stderr));
+
+    let k16 = CacheConfig::direct_mapped(16 * 1024, 32);
+    let run = engine_run(vec![k16], true);
+    let stats = run.cache_stats(k16).expect("16K simulated");
+    let out = trace_tool(&["replay", utf8(&path), "--cache-kb", "16", "--paging"]);
+    assert!(out.status.success(), "replay: {}", text(&out.stderr));
+    let replay = text(&out.stdout);
+    let expected = [
+        format!("replayed {} references from {}", run.trace.total_refs(), path.display()),
+        format!(
+            "  {k16}: {:.3}% miss rate ({} misses, {} cold)",
+            stats.miss_rate() * 100.0,
+            stats.misses(),
+            stats.cold_misses
+        ),
+    ];
+    for line in expected {
+        assert!(replay.lines().any(|l| l == line), "expected {line:?} in {replay}");
+    }
+    let curve = run.fault_curve.expect("paging simulated");
+    let working_set = format!("working set {} KB", curve.working_set_frames() * 4);
+    assert!(replay.contains(&working_set), "expected {working_set:?} in {replay}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bad_paths_files_and_flags_fail_in_one_line() {
+    let dir = scratch("damage");
+    let unwritable = dir.join("no-such-dir").join("t.alsc");
+    assert_fails_in_one_line(&record(&unwritable), "record to an unwritable path");
+
+    let path = dir.join("t.alsc");
+    let recorded = record(&path);
+    assert!(recorded.status.success(), "record: {}", text(&recorded.stderr));
+    let bytes = std::fs::read(&path).expect("read recording");
+    let truncated = dir.join("truncated.alsc");
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).expect("write truncated copy");
+    let mut flipped_bytes = bytes.clone();
+    flipped_bytes[bytes.len() / 2] ^= 0x01;
+    let flipped = dir.join("flipped.alsc");
+    std::fs::write(&flipped, &flipped_bytes).expect("write flipped copy");
+
+    for (file, what) in [(&truncated, "a truncated file"), (&flipped, "a one-bit flip")] {
+        for cmd in ["info", "replay"] {
+            let out = trace_tool(&[cmd, utf8(file)]);
+            assert_fails_in_one_line(&out, &format!("{cmd} on {what}"));
+        }
+    }
+    for flags in [["--cache-kb", "3"], ["--cache-kb", "4194304"], ["--victim", "0"]] {
+        let out = trace_tool(&[&["replay", utf8(&path)][..], &flags[..]].concat());
+        assert_fails_in_one_line(&out, &format!("replay {}", flags.join(" ")));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -17,8 +17,7 @@ use cache_sim::{
     TwoLevelStats, VictimCache, VictimStats,
 };
 use obs::{MemoryRecorder, Recorder, Stopwatch};
-use std::sync::mpsc::{SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 use sim_mem::stream::{
@@ -42,59 +41,21 @@ pub const DEFAULT_SCALE: Scale = Scale(0.02);
 /// the synthesized allocator.
 pub const PROFILE_SAMPLES: u64 = 20_000;
 
-/// How one run delivers its reference stream to the measurement sinks.
-///
-/// Every consumer of the stream — each simulated cache, the pager, the
-/// extension analyzers, the trace writer — is independent of the others,
-/// so the same batched stream can be replayed into them serially or
-/// concurrently. Both modes produce **bit-identical** [`RunResult`]s;
-/// the only difference is wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PipelineMode {
-    /// Every sink consumes each batch on the driving thread, in turn.
-    /// The default: no thread overhead, right for sweeps that already
-    /// parallelize across (program, allocator) runs.
-    #[default]
-    Inline,
-    /// Sinks are sharded across worker threads fed by bounded channels
-    /// of shared reference batches. Right for a single heavy run — a
-    /// full cache bank plus pager — on an otherwise idle machine.
-    Sharded,
-}
-
-/// How the cache configurations of a run are simulated.
-///
-/// Both paths produce **bit-identical** [`RunResult::cache`] entries;
-/// the sweep is simply one walk over the stream instead of one per
-/// configuration (see [`cache_sim::SweepCache`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CacheEngine {
-    /// Single-pass [`SweepCache`] when the configurations share the
-    /// sweep structure (all direct-mapped, one block size — the paper's
-    /// setup); falls back to per-cache simulation otherwise.
-    #[default]
-    Sweep,
-    /// One independent [`Cache`] per configuration, unconditionally.
-    /// Kept as the reference implementation the sweep is benchmarked
-    /// and equivalence-tested against.
-    PerCache,
-}
-
 /// Simulation options for one run.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// Cache configurations simulated in one pass (empty to skip).
+    /// Cache configurations simulated in one pass (empty to skip). When
+    /// they share the sweep structure (all direct-mapped, one block size
+    /// — the paper's setup) one [`SweepCache`] simulates them all in a
+    /// single walk; otherwise each gets its own [`Cache`]. Both paths
+    /// produce bit-identical statistics.
     pub cache_configs: Vec<CacheConfig>,
-    /// How those configurations are simulated (see [`CacheEngine`]).
-    pub cache_engine: CacheEngine,
     /// Whether to run the LRU stack-distance pager.
     pub paging: bool,
     /// Workload scale.
     pub scale: Scale,
     /// Simulated heap ceiling in bytes.
     pub heap_limit: u64,
-    /// Record the full reference stream to this file (ALTR format).
-    pub record_trace: Option<std::path::PathBuf>,
     /// Attach a victim buffer of this many entries to the first cache
     /// configuration (Jouppi's conflict-miss remedy; extension study).
     pub victim_entries: Option<usize>,
@@ -109,8 +70,6 @@ pub struct SimOptions {
     /// requested from the OS over time, the paper's space-efficiency
     /// story as a curve.
     pub frag_sample_every: u64,
-    /// How the reference stream reaches the sinks (see [`PipelineMode`]).
-    pub pipeline: PipelineMode,
     /// Persistent stream-cache directory. When set, a run first looks
     /// for its captured reference stream (keyed by the run's *driver
     /// identity* — program, allocator, scale, seed) under this
@@ -125,31 +84,21 @@ pub struct SimOptions {
     /// directory fits (the entry just written is spared). `None` =
     /// unbounded, the historical behavior.
     pub stream_cache_bytes: Option<u64>,
-    /// Batches in flight per sharded-pipeline worker channel before the
-    /// producer blocks (clamped to at least 1). The default keeps the
-    /// historical depth; raising it trades memory for producer slack on
-    /// many-core hosts, and `pipeline.send_stalls` in the run metrics
-    /// shows whether it is the bottleneck.
-    pub channel_depth: usize,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             cache_configs: CacheConfig::paper_sweep(),
-            cache_engine: CacheEngine::default(),
             paging: true,
             scale: DEFAULT_SCALE,
             heap_limit: sim_mem::heap::DEFAULT_LIMIT,
-            record_trace: None,
             victim_entries: None,
             three_c: false,
             two_level: false,
             frag_sample_every: 0,
-            pipeline: PipelineMode::Inline,
             stream_cache: None,
             stream_cache_bytes: None,
-            channel_depth: BATCH_CHANNEL_DEPTH,
         }
     }
 }
@@ -288,8 +237,9 @@ pub type FragSample = (u64, u64, u64);
 /// Everything measured by one (program, allocator) run.
 ///
 /// `PartialEq` is part of the contract: the engine's delivery paths
-/// (pipeline modes, cache engines, metrics on/off) are equivalence-
-/// tested by comparing whole results for bit-identity.
+/// (sweep or per-cache simulation, generated or replayed streams,
+/// metrics on/off) are equivalence-tested by comparing whole results
+/// for bit-identity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// Program label ("espresso", "GS", ...).
@@ -432,29 +382,18 @@ impl StackWalker {
     }
 }
 
-/// Default batches in flight per worker channel before the producer
-/// blocks ([`SimOptions::channel_depth`] overrides it per run).
-///
-/// A few batches of slack per consumer absorb scheduling jitter; a
-/// deeper queue only grows memory without speeding up a pipeline whose
-/// throughput is set by its slowest consumer.
-pub const BATCH_CHANNEL_DEPTH: usize = 8;
-
 /// One independent consumer of the reference stream.
 ///
 /// Every measurement the engine takes is a fold over the stream that
-/// shares no state with its peers, so each can be boxed into a shard and
-/// placed on whichever thread the [`PipelineMode`] dictates. Shards are
-/// kept in a canonical order (caches in configuration order, then pager,
-/// tracer, victim, three-C, two-level) so results can be reassembled
-/// identically however the shards were distributed.
+/// shares no state with its peers. Shards are kept in a canonical order
+/// (caches in configuration order, then pager, victim, three-C,
+/// two-level), the order results are reassembled in.
 enum SinkShard {
     /// All cache configurations in one single-pass sweep (one shard).
     Sweep(SweepCache),
     /// One cache configuration simulated independently.
     Cache(Cache),
     Pager(Box<StackSim>),
-    Tracer(trace::TraceWriter<std::io::BufWriter<std::fs::File>>),
     Victim(VictimCache),
     ThreeC(ThreeCAnalyzer),
     TwoLevel(TwoLevelCache),
@@ -462,14 +401,13 @@ enum SinkShard {
 
 impl SinkShard {
     /// Stable metric label for this shard kind; per-shard consume time
-    /// is accumulated under `span:<label>` (so the sweep engine and the
-    /// per-cache engine are directly comparable per run).
+    /// is accumulated under `span:<label>` (so the sweep path and the
+    /// per-cache path are directly comparable per run).
     fn label(&self) -> &'static str {
         match self {
             SinkShard::Sweep(_) => "sink.sweep",
             SinkShard::Cache(_) => "sink.cache",
             SinkShard::Pager(_) => "sink.pager",
-            SinkShard::Tracer(_) => "sink.tracer",
             SinkShard::Victim(_) => "sink.victim",
             SinkShard::ThreeC(_) => "sink.three_c",
             SinkShard::TwoLevel(_) => "sink.two_level",
@@ -495,7 +433,6 @@ impl AccessSink for SinkShard {
             SinkShard::Sweep(s) => s.record(r),
             SinkShard::Cache(s) => s.record(r),
             SinkShard::Pager(s) => s.record(r),
-            SinkShard::Tracer(s) => s.record(r),
             SinkShard::Victim(s) => s.record(r),
             SinkShard::ThreeC(s) => s.record(r),
             SinkShard::TwoLevel(s) => s.record(r),
@@ -507,7 +444,6 @@ impl AccessSink for SinkShard {
             SinkShard::Sweep(s) => s.record_batch(batch),
             SinkShard::Cache(s) => s.record_batch(batch),
             SinkShard::Pager(s) => s.record_batch(batch),
-            SinkShard::Tracer(s) => s.record_batch(batch),
             SinkShard::Victim(s) => s.record_batch(batch),
             SinkShard::ThreeC(s) => s.record_batch(batch),
             SinkShard::TwoLevel(s) => s.record_batch(batch),
@@ -519,7 +455,6 @@ impl AccessSink for SinkShard {
             SinkShard::Sweep(s) => s.record_runs(runs),
             SinkShard::Cache(s) => s.record_runs(runs),
             SinkShard::Pager(s) => s.record_runs(runs),
-            SinkShard::Tracer(s) => s.record_runs(runs),
             SinkShard::Victim(s) => s.record_runs(runs),
             SinkShard::ThreeC(s) => s.record_runs(runs),
             SinkShard::TwoLevel(s) => s.record_runs(runs),
@@ -527,8 +462,8 @@ impl AccessSink for SinkShard {
     }
 }
 
-/// [`PipelineMode::Inline`]: the counting sink and every shard consume
-/// each batch on the calling thread.
+/// The run's sink set: the counting sink and every shard consume each
+/// batch in turn on the driving thread.
 struct InlineSink {
     counting: CountingSink,
     shards: Vec<SinkShard>,
@@ -574,50 +509,6 @@ impl AccessSink for InlineSink {
                     shard.record_runs(runs);
                     *spent += sw.elapsed_ns();
                 }
-            }
-        }
-    }
-}
-
-/// [`PipelineMode::Sharded`]: run-compressed batches are wrapped in an
-/// [`Arc`] and broadcast to one bounded channel per worker (SPMC by
-/// cloning the `Arc`, not the data) — the compression also shrinks what
-/// crosses the channels. The cheap counting fold stays on the producer
-/// thread. Dropping the sink closes every channel, which is how workers
-/// learn the stream ended — on both the success and the error path.
-struct BroadcastSink {
-    counting: CountingSink,
-    senders: Vec<SyncSender<Arc<Vec<RefRun>>>>,
-    /// Sends that found a worker's channel full and had to block —
-    /// the pipeline's backpressure signal (`pipeline.send_stalls`).
-    /// Counted on the producer thread; delivery order and blocking
-    /// behaviour are identical to a plain `send`.
-    send_stalls: u64,
-}
-
-impl AccessSink for BroadcastSink {
-    fn record(&mut self, r: MemRef) {
-        self.record_runs(&[RefRun::once(r)]);
-    }
-
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        let runs: Vec<RefRun> = batch.iter().map(|&r| RefRun::once(r)).collect();
-        self.record_runs(&runs);
-    }
-
-    fn record_runs(&mut self, runs: &[RefRun]) {
-        self.counting.record_runs(runs);
-        let runs = Arc::new(runs.to_vec());
-        for tx in &self.senders {
-            // A send only fails if a worker panicked; the panic itself
-            // resurfaces when the worker is joined.
-            match tx.try_send(Arc::clone(&runs)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(batch)) => {
-                    self.send_stalls += 1;
-                    let _ = tx.send(batch);
-                }
-                Err(TrySendError::Disconnected(_)) => {}
             }
         }
     }
@@ -730,9 +621,9 @@ impl Recorder for TeeRecorder<'_> {
 /// (workload, allocator, scale, heap limit, fragmentation sampling), so
 /// these fields are valid for any run that hits the same key. The
 /// metrics snapshot additionally depends on the *sink* configuration —
-/// which sinks existed, which pipeline delivered to them — so it carries
-/// the populating run's [`Experiment::options_fingerprint`] and is only
-/// reused when the fingerprints match.
+/// which sinks existed — so it carries the populating run's
+/// [`Experiment::options_fingerprint`] and is only reused when the
+/// fingerprints match.
 #[derive(Serialize, Deserialize)]
 struct StreamSidecar {
     /// [`Experiment::options_fingerprint`] of the populating run.
@@ -767,7 +658,7 @@ struct FinalizedShards {
     two_level: Option<TwoLevelStats>,
 }
 
-/// Drains every shard into its result slot (and closes the trace file).
+/// Drains every shard into its result slot.
 fn finalize_shards(shards: Vec<SinkShard>) -> FinalizedShards {
     let mut out = FinalizedShards {
         cache: Vec::new(),
@@ -781,9 +672,6 @@ fn finalize_shards(shards: Vec<SinkShard>) -> FinalizedShards {
             SinkShard::Sweep(s) => out.cache.extend(s.results()),
             SinkShard::Cache(c) => out.cache.push((c.config(), *c.stats())),
             SinkShard::Pager(p) => out.fault_curve = Some(p.curve()),
-            SinkShard::Tracer(t) => {
-                t.finish().expect("finalize trace file");
-            }
             SinkShard::Victim(v) => out.victim = Some(*v.stats()),
             SinkShard::ThreeC(a) => out.three_c = Some(a.classify()),
             SinkShard::TwoLevel(t) => out.two_level = Some(t.stats()),
@@ -794,9 +682,9 @@ fn finalize_shards(shards: Vec<SinkShard>) -> FinalizedShards {
 
 /// What [`Experiment::run_inner`] hands back: the result, plus — on a
 /// warm instrumented replay — the populating run's frozen metrics,
-/// which [`Experiment::run_instrumented`] returns in place of the live
-/// recorder's snapshot so replayed reports are byte-identical to
-/// generated ones.
+/// which [`Experiment::report`] and [`Experiment::run_traced_with`]
+/// return in place of the live recorder's snapshot so replayed reports
+/// are byte-identical to generated ones.
 struct RunOutcome {
     result: RunResult,
     replay_metrics: Option<obs::MetricsSnapshot>,
@@ -946,18 +834,6 @@ impl Experiment {
         self
     }
 
-    /// Selects how the reference stream reaches the sinks.
-    pub fn pipeline(mut self, mode: PipelineMode) -> Self {
-        self.opts.pipeline = mode;
-        self
-    }
-
-    /// Selects how the cache configurations are simulated.
-    pub fn cache_engine(mut self, engine: CacheEngine) -> Self {
-        self.opts.cache_engine = engine;
-        self
-    }
-
     /// Enables the persistent stream cache under `dir` (see
     /// [`SimOptions::stream_cache`]).
     pub fn stream_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
@@ -972,24 +848,13 @@ impl Experiment {
         self
     }
 
-    /// Sets the sharded pipeline's per-worker channel depth (see
-    /// [`SimOptions::channel_depth`]).
-    pub fn channel_depth(mut self, depth: usize) -> Self {
-        self.opts.channel_depth = depth;
-        self
-    }
-
     /// Builds the run's sinks in canonical order (see [`SinkShard`]):
-    /// caches first — one sweep shard, or per-cache shards in
-    /// configuration order — then pager, tracer, victim, three-C,
-    /// two-level.
+    /// caches first — one sweep shard when [`SweepCache::try_new`]
+    /// accepts the geometry, per-cache shards in configuration order
+    /// otherwise — then pager, victim, three-C, two-level.
     fn build_shards(&self) -> Vec<SinkShard> {
         let mut shards: Vec<SinkShard> = Vec::new();
-        let sweep = match self.opts.cache_engine {
-            CacheEngine::Sweep => SweepCache::try_new(self.opts.cache_configs.iter().copied()),
-            CacheEngine::PerCache => None,
-        };
-        match sweep {
+        match SweepCache::try_new(self.opts.cache_configs.iter().copied()) {
             Some(sweep) => shards.push(SinkShard::Sweep(sweep)),
             None => shards.extend(
                 self.opts.cache_configs.iter().map(|&cfg| SinkShard::Cache(Cache::new(cfg))),
@@ -997,11 +862,6 @@ impl Experiment {
         }
         if self.opts.paging {
             shards.push(SinkShard::Pager(Box::new(StackSim::paper())));
-        }
-        if let Some(path) = &self.opts.record_trace {
-            let file = std::fs::File::create(path)
-                .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
-            shards.push(SinkShard::Tracer(trace::TraceWriter::new(std::io::BufWriter::new(file))));
         }
         let first_cache = self.opts.cache_configs.first().copied();
         if let Some(entries) = self.opts.victim_entries {
@@ -1035,9 +895,9 @@ impl Experiment {
     }
 
     /// The workload loop: builds the allocator, replays every event
-    /// through a batching [`MemCtx`] over `sink`, and flushes. Both
-    /// pipeline modes share this — the mode only decides what `sink`
-    /// does with each batch.
+    /// through a batching [`MemCtx`] over `sink`, and flushes. Generated
+    /// runs, populating runs and [`Experiment::capture_runs`] share
+    /// this; only `sink` differs.
     fn drive(
         &self,
         heap: &mut HeapImage,
@@ -1112,86 +972,6 @@ impl Experiment {
         Ok((frag_curve, *allocator.stats()))
     }
 
-    /// Drives the run with every shard on its own worker (round-robin
-    /// grouped when there are more shards than hardware threads), then
-    /// hands the shards back in canonical order.
-    #[allow(clippy::type_complexity)]
-    fn run_sharded(
-        &self,
-        heap: &mut HeapImage,
-        instrs: &mut InstrCounter,
-        counting: CountingSink,
-        shards: Vec<SinkShard>,
-        mut recorder: Option<&mut dyn Recorder>,
-    ) -> Result<(Vec<FragSample>, AllocStats, Vec<SinkShard>, CountingSink), EngineError> {
-        if shards.is_empty() {
-            // Only the counting fold is active: nothing to fan out.
-            let mut sink = InlineSink::new(counting, shards, false);
-            let (frag_curve, alloc_stats) =
-                self.drive(heap, instrs, &mut sink, Self::reborrow(&mut recorder))?;
-            return Ok((frag_curve, alloc_stats, sink.shards, sink.counting));
-        }
-        // Workers only read the clock when a recorder will consume the
-        // busy times, so the uninstrumented pipeline is unchanged.
-        let timed = recorder.is_some();
-        let workers = shards.len().min(default_threads().max(1));
-        let mut groups: Vec<Vec<(usize, SinkShard)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (position, shard) in shards.into_iter().enumerate() {
-            groups[position % workers].push((position, shard));
-        }
-        std::thread::scope(|s| {
-            let mut senders = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for mut group in groups {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<Arc<Vec<RefRun>>>(
-                    self.opts.channel_depth.max(1),
-                );
-                senders.push(tx);
-                handles.push(s.spawn(move || {
-                    let mut busy_ns = 0u64;
-                    while let Ok(runs) = rx.recv() {
-                        if timed {
-                            let sw = Stopwatch::start();
-                            for (_, shard) in &mut group {
-                                shard.record_runs(&runs);
-                            }
-                            busy_ns += sw.elapsed_ns();
-                        } else {
-                            for (_, shard) in &mut group {
-                                shard.record_runs(&runs);
-                            }
-                        }
-                    }
-                    (group, busy_ns)
-                }));
-            }
-            let mut sink = BroadcastSink { counting, senders, send_stalls: 0 };
-            let driven = self.drive(heap, instrs, &mut sink, Self::reborrow(&mut recorder));
-            // Drop the senders: each channel closes, each worker drains
-            // its queue and returns its shards — on error paths too.
-            let BroadcastSink { counting, senders, send_stalls } = sink;
-            drop(senders);
-            let mut tagged: Vec<(usize, SinkShard)> = Vec::new();
-            let mut busy_times = Vec::with_capacity(workers);
-            for handle in handles {
-                let (group, busy_ns) = handle.join().expect("pipeline worker panicked");
-                tagged.extend(group);
-                busy_times.push(busy_ns);
-            }
-            if let Some(rec) = recorder {
-                rec.add("pipeline.send_stalls", send_stalls);
-                rec.add("pipeline.workers", busy_times.len() as u64);
-                for busy_ns in busy_times {
-                    rec.span_ns("pipeline.worker_busy", busy_ns);
-                }
-            }
-            tagged.sort_by_key(|&(position, _)| position);
-            let shards = tagged.into_iter().map(|(_, shard)| shard).collect();
-            let (frag_curve, alloc_stats) = driven?;
-            Ok((frag_curve, alloc_stats, shards, counting))
-        })
-    }
-
     /// Drives the workload once and returns its run-compressed reference
     /// stream — the exact sequence of [`RefRun`]s every sink shard of
     /// this run would consume. Component benchmarks and equivalence
@@ -1233,50 +1013,15 @@ impl Experiment {
         Ok(self.run_inner(Some(recorder), false)?.result)
     }
 
-    /// Runs the experiment with an in-memory recorder attached and
-    /// returns the result together with the frozen metrics.
+    /// Runs the experiment with a caller-owned hierarchical
+    /// [`obs::Tracer`] attached and returns the result with the frozen
+    /// flat metrics, so callers (the serve daemon) can open their own
+    /// enclosing spans around the run and finish the trace themselves.
     ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Alloc`] if the allocator reports an error
-    /// (out of simulated memory, invalid free).
-    pub fn run_instrumented(&self) -> Result<(RunResult, obs::MetricsSnapshot), EngineError> {
-        let mut rec = MemoryRecorder::new();
-        let outcome = self.run_inner(Some(&mut rec), true)?;
-        // On a warm replay the populating run's frozen snapshot stands
-        // in for the live one, keeping reports byte-identical to the
-        // generated run's; the live recorder saw only replay telemetry.
-        let metrics = outcome.replay_metrics.unwrap_or_else(|| rec.snapshot());
-        Ok((outcome.result, metrics))
-    }
-
-    /// Runs the experiment with a hierarchical [`obs::Tracer`] attached
-    /// and returns the result, the frozen flat metrics, and the span
-    /// tree as an [`obs::TraceReport`] (trace id `program/allocator`).
-    ///
-    /// Result and metrics are **bit-identical** to
-    /// [`Experiment::run_instrumented`]: span structure lives outside
-    /// the tracer's flat snapshot, and on a warm replay the populating
-    /// run's sidecar metrics stand in exactly as they do there.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Alloc`] if the allocator reports an error
-    /// (out of simulated memory, invalid free).
-    #[allow(clippy::type_complexity)]
-    pub fn run_traced(
-        &self,
-    ) -> Result<(RunResult, obs::MetricsSnapshot, obs::TraceReport), EngineError> {
-        let mut tracer = obs::Tracer::new();
-        let (result, metrics) = self.run_traced_with(&mut tracer)?;
-        let trace_id = format!("{}/{}", self.program_label, self.choice.label());
-        let (_, trace) = tracer.finish(trace_id);
-        Ok((result, metrics, trace))
-    }
-
-    /// [`Experiment::run_traced`] over a caller-owned tracer, so callers
-    /// (the serve daemon) can open their own enclosing spans around the
-    /// run and finish the trace themselves.
+    /// Result and metrics are **bit-identical** to [`Experiment::report`]:
+    /// span structure lives outside the tracer's flat snapshot, and on a
+    /// warm replay the populating run's sidecar metrics stand in exactly
+    /// as they do there.
     ///
     /// # Errors
     ///
@@ -1291,16 +1036,22 @@ impl Experiment {
         Ok((outcome.result, metrics))
     }
 
-    /// Runs the experiment instrumented and wraps the outcome in the
-    /// stable JSONL schema of [`crate::run_report`].
+    /// Runs the experiment with an in-memory recorder attached and wraps
+    /// the result and the frozen metrics in the stable JSONL schema of
+    /// [`crate::run_report`].
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Alloc`] if the allocator reports an error
     /// (out of simulated memory, invalid free).
     pub fn report(&self) -> Result<crate::run_report::RunReport, EngineError> {
-        let (result, metrics) = self.run_instrumented()?;
-        Ok(crate::run_report::RunReport::new(result, metrics))
+        let mut rec = MemoryRecorder::new();
+        let outcome = self.run_inner(Some(&mut rec), true)?;
+        // On a warm replay the populating run's frozen snapshot stands
+        // in for the live one, keeping reports byte-identical to the
+        // generated run's; the live recorder saw only replay telemetry.
+        let metrics = outcome.replay_metrics.unwrap_or_else(|| rec.snapshot());
+        Ok(crate::run_report::RunReport::new(outcome.result, metrics))
     }
 
     /// Dispatches a run: a warm stream-cache replay when one applies,
@@ -1325,27 +1076,23 @@ impl Experiment {
         // Stored-result fast path: when the sidecar alone already
         // answers this run (same options fingerprint, finalized result
         // stored), the stream body — routinely hundreds of megabytes —
-        // is never decoded and no sinks are built. Runs recording a
-        // reference trace file always replay instead: the file is a
-        // side effect a stored result cannot reproduce.
-        if self.opts.record_trace.is_none() {
-            if let SidecarLookup::Hit(bytes) = cache.load_sidecar(key) {
-                if let Ok(sidecar) = std::str::from_utf8(&bytes)
-                    .map_err(|_| ())
-                    .and_then(|text| serde_json::from_str::<StreamSidecar>(text).map_err(|_| ()))
-                {
-                    if sidecar.options_fp == self.options_fingerprint() {
-                        if let Some(result) = sidecar.result {
-                            if let Some(rec) = Self::reborrow(&mut recorder) {
-                                rec.add("stream_cache.hit", 1);
-                                rec.add("stream_cache.result_fastpath", 1);
-                                rec.span_exit();
-                            }
-                            return Ok(RunOutcome {
-                                result,
-                                replay_metrics: need_metrics.then_some(sidecar.metrics),
-                            });
+        // is never decoded and no sinks are built.
+        if let SidecarLookup::Hit(bytes) = cache.load_sidecar(key) {
+            if let Ok(sidecar) = std::str::from_utf8(&bytes)
+                .map_err(|_| ())
+                .and_then(|text| serde_json::from_str::<StreamSidecar>(text).map_err(|_| ()))
+            {
+                if sidecar.options_fp == self.options_fingerprint() {
+                    if let Some(result) = sidecar.result {
+                        if let Some(rec) = Self::reborrow(&mut recorder) {
+                            rec.add("stream_cache.hit", 1);
+                            rec.add("stream_cache.result_fastpath", 1);
+                            rec.span_exit();
                         }
+                        return Ok(RunOutcome {
+                            result,
+                            replay_metrics: need_metrics.then_some(sidecar.metrics),
+                        });
                     }
                 }
             }
@@ -1428,29 +1175,22 @@ impl Experiment {
 
     /// Fingerprint of the *sink-side* options: everything a run's
     /// metrics snapshot depends on beyond the stream key (which sinks
-    /// exist, how the stream reaches them). A stored snapshot is only
-    /// reused when this matches; results themselves never consult it.
+    /// exist). A stored snapshot is only reused when this matches;
+    /// results themselves never consult it.
     fn options_fingerprint(&self) -> u64 {
         let o = &self.opts;
         let desc = format!(
-            "{}|{:?}|{:?}|{}|{}|{:?}|{}|{}|{:?}|{}",
+            "{}|{:?}|{}|{:?}|{}|{}",
             // The allocator choice label spells out every tuning knob
             // (split threshold, fast-list bound, rounding classes, ...),
             // so sidecar metrics recorded for one configuration can
             // never be reported for another.
             self.choice.label(),
             o.cache_configs,
-            o.cache_engine,
             o.paging,
-            o.record_trace.is_some(),
             o.victim_entries,
             o.three_c,
-            o.two_level,
-            o.pipeline,
-            // The channel depth shapes pipeline metrics (send_stalls,
-            // worker_busy), so snapshots taken at one depth must not be
-            // reported for another.
-            o.channel_depth
+            o.two_level
         );
         fnv1a(desc.as_bytes())
     }
@@ -1479,7 +1219,7 @@ impl Experiment {
             rec.span_enter("engine.replay");
         }
         let replay_sw = Stopwatch::start();
-        let shards = self.replay_into_shards(&decoded.runs, self.build_shards(), recorder);
+        let shards = Self::replay_into_shards(&decoded.runs, self.build_shards(), recorder);
         if let Some(rec) = recorder.as_deref_mut() {
             rec.span_ns("engine.replay", replay_sw.elapsed_ns());
             for shard in &shards {
@@ -1514,76 +1254,30 @@ impl Experiment {
         Ok(Some(RunOutcome { result, replay_metrics: need_metrics.then_some(sidecar.metrics) }))
     }
 
-    /// Delivers an already-captured stream to the shards under the
-    /// run's pipeline mode — the warm-path replacement for
-    /// [`Experiment::drive`]. Sharded delivery needs no channels: the
-    /// whole stream is already in memory, so each worker walks the
-    /// slice once for its shard group.
+    /// Delivers an already-captured stream to the shards — the
+    /// warm-path replacement for [`Experiment::drive`]. With a recorder
+    /// attached, each shard's consume time lands under its
+    /// [`SinkShard::label`].
     fn replay_into_shards(
-        &self,
         runs: &[RefRun],
         mut shards: Vec<SinkShard>,
         recorder: &mut Option<&mut dyn Recorder>,
     ) -> Vec<SinkShard> {
-        match self.opts.pipeline {
-            PipelineMode::Inline => match recorder.as_deref_mut() {
-                None => {
-                    for shard in &mut shards {
-                        shard.record_runs(runs);
-                    }
-                    shards
+        match recorder.as_deref_mut() {
+            None => {
+                for shard in &mut shards {
+                    shard.record_runs(runs);
                 }
-                Some(rec) => {
-                    for shard in &mut shards {
-                        let sw = Stopwatch::start();
-                        shard.record_runs(runs);
-                        rec.span_ns(shard.label(), sw.elapsed_ns());
-                    }
-                    shards
+            }
+            Some(rec) => {
+                for shard in &mut shards {
+                    let sw = Stopwatch::start();
+                    shard.record_runs(runs);
+                    rec.span_ns(shard.label(), sw.elapsed_ns());
                 }
-            },
-            PipelineMode::Sharded => {
-                if shards.is_empty() {
-                    return shards;
-                }
-                let timed = recorder.is_some();
-                let workers = shards.len().min(default_threads().max(1));
-                let mut groups: Vec<Vec<(usize, SinkShard)>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (position, shard) in shards.drain(..).enumerate() {
-                    groups[position % workers].push((position, shard));
-                }
-                let mut tagged: Vec<(usize, SinkShard)> = Vec::new();
-                let mut busy_times = Vec::with_capacity(workers);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = groups
-                        .into_iter()
-                        .map(|mut group| {
-                            s.spawn(move || {
-                                let sw = timed.then(Stopwatch::start);
-                                for (_, shard) in &mut group {
-                                    shard.record_runs(runs);
-                                }
-                                (group, sw.map_or(0, |sw| sw.elapsed_ns()))
-                            })
-                        })
-                        .collect();
-                    for handle in handles {
-                        let (group, busy_ns) = handle.join().expect("replay worker panicked");
-                        tagged.extend(group);
-                        busy_times.push(busy_ns);
-                    }
-                });
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.add("pipeline.workers", busy_times.len() as u64);
-                    for busy_ns in busy_times {
-                        rec.span_ns("pipeline.worker_busy", busy_ns);
-                    }
-                }
-                tagged.sort_by_key(|&(position, _)| position);
-                tagged.into_iter().map(|(_, shard)| shard).collect()
             }
         }
+        shards
     }
 
     /// A cold run that also captures its stream and stores it (with the
@@ -1616,7 +1310,7 @@ impl Experiment {
         let replay_sw = Stopwatch::start();
         let shards = {
             let mut recorder: Option<&mut dyn Recorder> = Some(&mut tee);
-            self.replay_into_shards(&capture.runs, self.build_shards(), &mut recorder)
+            Self::replay_into_shards(&capture.runs, self.build_shards(), &mut recorder)
         };
         tee.span_ns("engine.replay", replay_sw.elapsed_ns());
         for shard in &shards {
@@ -1668,40 +1362,27 @@ impl Experiment {
     }
 
     /// The plain generated run: drive the workload straight into the
-    /// sinks under the configured pipeline mode (the original engine
-    /// path, untouched by the stream cache).
+    /// sinks (the original engine path, untouched by the stream cache).
     fn run_generated(
         &self,
         mut recorder: Option<&mut dyn Recorder>,
     ) -> Result<RunResult, EngineError> {
         let mut heap = HeapImage::with_limit(self.opts.heap_limit);
         let mut instrs = InstrCounter::new();
-        let counting = CountingSink::new();
-        let shards = self.build_shards();
+        let mut sink =
+            InlineSink::new(CountingSink::new(), self.build_shards(), recorder.is_some());
         if let Some(rec) = recorder.as_deref_mut() {
             rec.span_enter("engine.drive");
         }
         let drive_sw = Stopwatch::start();
-        let (frag_curve, alloc_stats, shards, counting) = match self.opts.pipeline {
-            PipelineMode::Inline => {
-                let mut sink = InlineSink::new(counting, shards, recorder.is_some());
-                let (frag_curve, alloc_stats) =
-                    self.drive(&mut heap, &mut instrs, &mut sink, Self::reborrow(&mut recorder))?;
-                if let (Some(rec), Some(times)) = (recorder.as_deref_mut(), &sink.timings) {
-                    for (shard, &spent) in sink.shards.iter().zip(times.iter()) {
-                        rec.span_ns(shard.label(), spent);
-                    }
-                }
-                (frag_curve, alloc_stats, sink.shards, sink.counting)
+        let (frag_curve, alloc_stats) =
+            self.drive(&mut heap, &mut instrs, &mut sink, Self::reborrow(&mut recorder))?;
+        if let (Some(rec), Some(times)) = (recorder.as_deref_mut(), &sink.timings) {
+            for (shard, &spent) in sink.shards.iter().zip(times.iter()) {
+                rec.span_ns(shard.label(), spent);
             }
-            PipelineMode::Sharded => self.run_sharded(
-                &mut heap,
-                &mut instrs,
-                counting,
-                shards,
-                Self::reborrow(&mut recorder),
-            )?,
-        };
+        }
+        let InlineSink { counting, shards, .. } = sink;
         if let Some(rec) = recorder.as_deref_mut() {
             rec.span_ns("engine.drive", drive_sw.elapsed_ns());
             for shard in &shards {
@@ -1791,27 +1472,14 @@ pub fn standard_matrix(
     choices: &[AllocChoice],
     opts: &SimOptions,
 ) -> Result<Matrix, EngineError> {
-    standard_matrix_with(programs, choices, opts, default_threads())
-}
-
-/// [`standard_matrix`] with an explicit worker-pool size.
-///
-/// # Errors
-///
-/// Returns the first [`EngineError`] any run produced.
-pub fn standard_matrix_with(
-    programs: &[Program],
-    choices: &[AllocChoice],
-    opts: &SimOptions,
-    threads: usize,
-) -> Result<Matrix, EngineError> {
-    let jobs: Vec<Experiment> = programs
-        .iter()
-        .flat_map(|&p| {
-            choices.iter().map(move |c| Experiment::new(p, c.clone()).options(opts.clone()))
-        })
-        .collect();
-    run_parallel_with(jobs, threads)
+    run_parallel(
+        programs
+            .iter()
+            .flat_map(|&p| {
+                choices.iter().map(move |c| Experiment::new(p, c.clone()).options(opts.clone()))
+            })
+            .collect(),
+    )
 }
 
 /// Runs a list of experiments on a thread pool, preserving order.
@@ -1820,7 +1488,7 @@ pub fn standard_matrix_with(
 ///
 /// Returns the first [`EngineError`] any run produced.
 pub fn run_parallel(jobs: Vec<Experiment>) -> Result<Matrix, EngineError> {
-    run_parallel_with(jobs, default_threads())
+    Ok(Matrix { runs: run_many(jobs, default_threads(), Experiment::run, |_, _| {})? })
 }
 
 /// The default worker count: one per hardware thread.
@@ -1828,87 +1496,22 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)
 }
 
-/// Runs a list of experiments on a pool of exactly `threads` workers
-/// (clamped to the job count), preserving order.
+/// Runs `work` over every experiment on a pool of exactly `threads`
+/// workers (clamped to the job count) and returns the outputs in job
+/// order — typically [`Experiment::run`] or [`Experiment::report`].
+/// `progress(completed_so_far, output)` is called after each job
+/// finishes, from whichever worker finished it (so it must be `Sync`).
+///
+/// The pool is a `Mutex`-guarded job queue drained by scoped threads.
 ///
 /// # Errors
 ///
 /// Returns the first [`EngineError`] any run produced.
-pub fn run_parallel_with(jobs: Vec<Experiment>, threads: usize) -> Result<Matrix, EngineError> {
-    let runs = pool_map(jobs, threads, |exp| exp.run(), |_, _| {})?;
-    Ok(Matrix { runs })
-}
-
-/// [`run_parallel_with`], invoking `progress(completed_so_far, run)`
-/// after each experiment finishes (from whichever worker finished it —
-/// the callback must be `Sync`). Drives `repro --verbose`.
-///
-/// # Errors
-///
-/// Returns the first [`EngineError`] any run produced.
-pub fn run_parallel_progress(
-    jobs: Vec<Experiment>,
-    threads: usize,
-    progress: impl Fn(usize, &RunResult) + Sync,
-) -> Result<Matrix, EngineError> {
-    let runs = pool_map(jobs, threads, |exp| exp.run(), |done, r: &RunResult| progress(done, r))?;
-    Ok(Matrix { runs })
-}
-
-/// Runs every experiment instrumented (an in-memory recorder each) on a
-/// worker pool, returning `(result, metrics)` pairs in job order and
-/// invoking `progress(completed_so_far, result)` per finished cell.
-///
-/// # Errors
-///
-/// Returns the first [`EngineError`] any run produced.
-#[allow(clippy::type_complexity)]
-pub fn run_parallel_instrumented(
-    jobs: Vec<Experiment>,
-    threads: usize,
-    progress: impl Fn(usize, &RunResult) + Sync,
-) -> Result<Vec<(RunResult, obs::MetricsSnapshot)>, EngineError> {
-    pool_map(
-        jobs,
-        threads,
-        |exp| exp.run_instrumented(),
-        |done, pair: &(RunResult, obs::MetricsSnapshot)| progress(done, &pair.0),
-    )
-}
-
-/// Runs every experiment with a hierarchical tracer (one span tree per
-/// cell) on a worker pool, returning `(result, metrics, trace)` triples
-/// in job order and invoking `progress(completed_so_far, result)` per
-/// finished cell. Results and metrics are bit-identical to
-/// [`run_parallel_instrumented`]. Drives `repro --trace`.
-///
-/// # Errors
-///
-/// Returns the first [`EngineError`] any run produced.
-#[allow(clippy::type_complexity)]
-pub fn run_parallel_traced(
-    jobs: Vec<Experiment>,
-    threads: usize,
-    progress: impl Fn(usize, &RunResult) + Sync,
-) -> Result<Vec<(RunResult, obs::MetricsSnapshot, obs::TraceReport)>, EngineError> {
-    pool_map(
-        jobs,
-        threads,
-        |exp| exp.run_traced(),
-        |done, triple: &(RunResult, obs::MetricsSnapshot, obs::TraceReport)| {
-            progress(done, &triple.0);
-        },
-    )
-}
-
-/// The shared worker pool: a `Mutex`-guarded job queue drained by scoped
-/// threads, results reassembled in job order. `done` is called with the
-/// number of completed jobs (1-based) after each one.
-fn pool_map<T: Send>(
+pub fn run_many<T: Send>(
     jobs: Vec<Experiment>,
     threads: usize,
     work: impl Fn(&Experiment) -> Result<T, EngineError> + Sync,
-    done: impl Fn(usize, &T) + Sync,
+    progress: impl Fn(usize, &T) + Sync,
 ) -> Result<Vec<T>, EngineError> {
     let n = jobs.len();
     let results: Mutex<Vec<Option<Result<T, EngineError>>>> =
@@ -1926,7 +1529,7 @@ fn pool_map<T: Send>(
                         if let Ok(value) = &result {
                             let so_far =
                                 completed.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
-                            done(so_far, value);
+                            progress(so_far, value);
                         }
                         results.lock().expect("results lock")[idx] = Some(result);
                     }

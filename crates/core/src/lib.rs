@@ -13,8 +13,10 @@
 //!
 //! * [`Experiment`] — builder for one (program, allocator, simulator)
 //!   run, producing a [`RunResult`].
-//! * [`standard_matrix`] — the paper's 5×5 program/allocator sweep, run
-//!   in parallel.
+//! * [`run_many`] — any job list on a worker pool, each job through
+//!   [`Experiment::run`], [`Experiment::report`] or a caller's closure;
+//!   [`run_parallel`] and [`standard_matrix`] (the paper's 5×5
+//!   program/allocator sweep) wrap it.
 //! * [`experiments`] — one function per table and figure of the paper's
 //!   evaluation, consuming a [`Matrix`] and producing printable,
 //!   serializable result structs.
@@ -45,10 +47,9 @@ pub mod report;
 pub mod run_report;
 
 pub use engine::{
-    default_threads, profile_from_events, run_parallel, run_parallel_instrumented,
-    run_parallel_progress, run_parallel_traced, run_parallel_with, sample_profile, standard_matrix,
-    standard_matrix_with, AllocChoice, CacheEngine, EngineError, Experiment, FragSample, Matrix,
-    PipelineMode, RunResult, SimOptions, WorkloadSource,
+    default_threads, profile_from_events, run_many, run_parallel, sample_profile, standard_matrix,
+    AllocChoice, EngineError, Experiment, FragSample, Matrix, RunResult, SimOptions,
+    WorkloadSource,
 };
 pub use job_spec::{AllocConfig, JobSpec, SpecError};
 pub use model::{estimated_cycles, estimated_seconds, CLOCK_HZ, MISS_PENALTY_CYCLES};

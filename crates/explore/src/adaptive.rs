@@ -28,7 +28,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use alloc_locality::{AllocConfig, RunReport, RunResult};
+use alloc_locality::{AllocConfig, Experiment, RunReport, RunResult};
 
 use crate::executor::{build_jobs, ExecOptions, ExploreError};
 use crate::pareto::{pareto_front, Objectives};
@@ -183,13 +183,14 @@ pub fn run_adaptive(
             hits += set.stream_hits;
             misses += set.stream_misses;
             let base = memo.len();
-            let results = alloc_locality::run_parallel_instrumented(
+            let reports = alloc_locality::run_many(
                 set.jobs,
                 exec_opts.resolved_threads(),
-                |done, result| progress(base + done, result),
+                Experiment::report,
+                |done, report| progress(base + done, &report.result),
             )?;
-            for (point, (result, metrics)) in fresh.iter().zip(results) {
-                memo.insert(point.job_id(), RunReport::new(result, metrics));
+            for (point, report) in fresh.iter().zip(reports) {
+                memo.insert(point.job_id(), report);
             }
         }
         if iterations as usize >= adaptive.max_iterations() {

@@ -22,11 +22,12 @@
 //!
 //! Replayed streams are bit-identical to generated ones (the generator
 //! is deterministic and the engine's drive loop is source-agnostic), so
-//! each point's [`RunReport`] is byte-identical to a direct run of the
-//! same [`JobSpec`] — the invariant the bit-identity tests and the
-//! `explore --bench` gate enforce against [`run_sweep_naive`] — and a
-//! warm sweep's point rows are byte-identical to the cold sweep's that
-//! populated the cache (the warm-lane `cmp` gate in CI).
+//! each point's [`RunReport`](alloc_locality::RunReport) is
+//! byte-identical to a direct run of the same [`JobSpec`] — the
+//! invariant the bit-identity tests and the `explore --bench` gate
+//! enforce against [`run_sweep_naive`] — and a warm sweep's point rows
+//! are byte-identical to the cold sweep's that populated the cache (the
+//! warm-lane `cmp` gate in CI).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -34,8 +35,7 @@ use std::sync::Arc;
 
 use alloc_locality::job_spec::program_by_label;
 use alloc_locality::{
-    default_threads, run_parallel_instrumented, EngineError, Experiment, JobSpec, RunReport,
-    RunResult, SpecError,
+    default_threads, run_many, EngineError, Experiment, JobSpec, RunResult, SpecError,
 };
 use workloads::{AppEvent, Scale};
 
@@ -182,8 +182,9 @@ pub fn run_sweep_with(
         stream_misses: set.stream_misses,
         adaptive: None,
     };
-    let results = run_parallel_instrumented(set.jobs, opts.resolved_threads(), progress)?;
-    let reports = results.into_iter().map(|(r, m)| RunReport::new(r, m)).collect();
+    let reports = run_many(set.jobs, opts.resolved_threads(), Experiment::report, |done, r| {
+        progress(done, &r.result)
+    })?;
     SweepReport::assemble_with(&n, reports, &exec).map_err(ExploreError::Report)
 }
 
@@ -219,7 +220,6 @@ pub fn run_sweep_naive(
     let n = spec.normalized();
     let jobs = n.points().iter().map(|point| point.to_experiment().expect("validated")).collect();
     let threads = if threads == 0 { default_threads() } else { threads };
-    let results = run_parallel_instrumented(jobs, threads, progress)?;
-    let reports = results.into_iter().map(|(r, m)| RunReport::new(r, m)).collect();
+    let reports = run_many(jobs, threads, Experiment::report, |done, r| progress(done, &r.result))?;
     SweepReport::assemble(&n, reports).map_err(ExploreError::Report)
 }

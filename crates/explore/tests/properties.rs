@@ -1,11 +1,11 @@
 //! Property tests for the Pareto front and the sweep executor's
-//! bit-identity contract across pipeline modes.
+//! bit-identity contract.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use alloc_locality::job_spec::program_by_label;
-use alloc_locality::{Experiment, JobSpec, PipelineMode};
+use alloc_locality::{Experiment, JobSpec};
 use explore::report::normalize_report;
 use explore::{
     pareto_front, run_adaptive, run_sweep, AdaptiveOptions, ExecOptions, GridSpec, Objectives,
@@ -74,14 +74,13 @@ proptest! {
     }
 }
 
-/// The tentpole bit-identity contract, exercised in *both* pipeline
-/// modes: a tuned sweep point driven off a shared event trace emits the
-/// same report line as a direct spec-built run, whether sinks consume
-/// the stream inline or through the sharded pipeline. Span wall-times —
-/// execution telemetry, not simulation output — are zeroed on both
-/// sides, exactly as sweep-report assembly does.
+/// The tentpole bit-identity contract: a tuned sweep point driven off a
+/// shared event trace emits the same report line as a direct
+/// spec-built run. Span wall-times — execution telemetry, not
+/// simulation output — are zeroed on both sides, exactly as
+/// sweep-report assembly does.
 #[test]
-fn shared_trace_points_match_direct_runs_in_both_pipeline_modes() {
+fn shared_trace_points_match_direct_runs() {
     let spec: JobSpec = serde_json::from_str(
         r#"{"program":"espresso","allocator":"FirstFit","scale":0.002,
             "cache_kb":[16],"paging":false,
@@ -93,38 +92,30 @@ fn shared_trace_points_match_direct_runs_in_both_pipeline_modes() {
     let events: Arc<Vec<AppEvent>> =
         Arc::new(program.spec().events(Scale(spec.normalized().scale)).collect());
 
-    for mode in [PipelineMode::Inline, PipelineMode::Sharded] {
-        let direct = spec
-            .to_experiment()
-            .expect("direct experiment builds")
-            .pipeline(mode)
-            .report()
-            .expect("direct run");
-        let shared = Experiment::with_shared_events(
-            program.label(),
-            Arc::clone(&events),
-            spec.to_choice().expect("choice builds"),
-        )
-        .options(spec.to_options().expect("options build"))
-        .pipeline(mode)
-        .report()
-        .expect("shared-trace run");
-        let (mut direct, mut shared) = (direct, shared);
-        normalize_report(&mut direct);
-        normalize_report(&mut shared);
-        assert_eq!(
-            shared.to_jsonl_line(),
-            direct.to_jsonl_line(),
-            "shared-trace point diverged from the direct run in {mode:?} mode"
-        );
-    }
+    let mut direct =
+        spec.to_experiment().expect("direct experiment builds").report().expect("direct run");
+    let mut shared = Experiment::with_shared_events(
+        program.label(),
+        Arc::clone(&events),
+        spec.to_choice().expect("choice builds"),
+    )
+    .options(spec.to_options().expect("options build"))
+    .report()
+    .expect("shared-trace run");
+    normalize_report(&mut direct);
+    normalize_report(&mut shared);
+    assert_eq!(
+        shared.to_jsonl_line(),
+        direct.to_jsonl_line(),
+        "shared-trace point diverged from the direct run"
+    );
 }
 
 /// Axis-keyed trace sharing is invisible in the output: for every point
 /// of a program × scale × family-grid cross product, a run driven off
 /// the (program, scale)-pooled shared trace — exactly the pool the
 /// executor builds — is byte-identical to regenerating that point's
-/// events from its own spec, in both pipeline modes.
+/// events from its own spec.
 #[test]
 fn axis_keyed_shared_traces_match_per_point_regeneration() {
     let spec = SweepSpec {
@@ -146,38 +137,31 @@ fn axis_keyed_shared_traces_match_per_point_regeneration() {
     assert_eq!(points.len(), 8, "2 programs x 2 scales x 2 family configs");
 
     let mut pool: HashMap<(String, u64), Arc<Vec<AppEvent>>> = HashMap::new();
-    for mode in [PipelineMode::Inline, PipelineMode::Sharded] {
-        for point in &points {
-            let program = program_by_label(&point.program).expect("known program");
-            let events = pool
-                .entry((point.program.clone(), point.scale.to_bits()))
-                .or_insert_with(|| Arc::new(program.spec().events(Scale(point.scale)).collect()));
-            let mut shared = Experiment::with_shared_events(
-                program.label(),
-                Arc::clone(events),
-                point.to_choice().expect("choice builds"),
-            )
-            .options(point.to_options().expect("options build"))
-            .pipeline(mode)
-            .report()
-            .expect("shared-trace run");
-            let mut direct = point
-                .to_experiment()
-                .expect("direct experiment builds")
-                .pipeline(mode)
-                .report()
-                .expect("direct run");
-            normalize_report(&mut shared);
-            normalize_report(&mut direct);
-            assert_eq!(
-                shared.to_jsonl_line(),
-                direct.to_jsonl_line(),
-                "{}/{} at scale {} diverged under the shared trace in {mode:?} mode",
-                point.program,
-                point.allocator,
-                point.scale
-            );
-        }
+    for point in &points {
+        let program = program_by_label(&point.program).expect("known program");
+        let events = pool
+            .entry((point.program.clone(), point.scale.to_bits()))
+            .or_insert_with(|| Arc::new(program.spec().events(Scale(point.scale)).collect()));
+        let mut shared = Experiment::with_shared_events(
+            program.label(),
+            Arc::clone(events),
+            point.to_choice().expect("choice builds"),
+        )
+        .options(point.to_options().expect("options build"))
+        .report()
+        .expect("shared-trace run");
+        let mut direct =
+            point.to_experiment().expect("direct experiment builds").report().expect("direct run");
+        normalize_report(&mut shared);
+        normalize_report(&mut direct);
+        assert_eq!(
+            shared.to_jsonl_line(),
+            direct.to_jsonl_line(),
+            "{}/{} at scale {} diverged under the shared trace",
+            point.program,
+            point.allocator,
+            point.scale
+        );
     }
 }
 

@@ -16,10 +16,10 @@
 //!   coalesce merges per free);
 //! - **phase spans** ([`Recorder::span_ns`]) — accumulated wall-clock
 //!   nanoseconds per named phase (allocator drive, cache sweep, shard
-//!   finalization, per-worker busy time).
+//!   finalization, per-sink consume time).
 //!
 //! Metric names are `&'static str` dotted paths (`"alloc.search_len"`,
-//! `"pipeline.send_stalls"`) so the hot path never formats strings; the
+//! `"ctx.flush.batches"`) so the hot path never formats strings; the
 //! in-memory recorder interns them into `BTreeMap`s only when a metric
 //! first appears, which keeps snapshots deterministically ordered for
 //! the stable JSONL report schema.

@@ -15,12 +15,11 @@ pub const SBRK_COST: u64 = 40;
 /// References accumulated by a batched [`MemCtx`] before one
 /// [`AccessSink::record_runs`] call flushes them.
 ///
-/// Large enough to amortize the virtual dispatch (and, in the engine's
-/// sharded pipeline, the channel send) across thousands of references;
-/// small enough that a batch stays well inside an L2 cache. The count is
-/// of *references*, not runs: a batch holds at most this many references
-/// however well they compress, so sink-visible flush boundaries are
-/// unchanged by compression.
+/// Large enough to amortize the virtual dispatch across thousands of
+/// references; small enough that a batch stays well inside an L2 cache.
+/// The count is of *references*, not runs: a batch holds at most this
+/// many references however well they compress, so sink-visible flush
+/// boundaries are unchanged by compression.
 pub const BATCH_CAPACITY: usize = 4096;
 
 /// The accessor through which allocator code touches the simulated heap.
@@ -183,7 +182,7 @@ impl<'a> MemCtx<'a> {
             if let Some(rec) = self.recorder.as_deref_mut() {
                 // Batch flushes and the RLE compression ratio: `refs`
                 // over `runs` is how much the run compression saved the
-                // sinks (and the sharded pipeline's channels).
+                // sinks.
                 rec.add("ctx.flush.batches", 1);
                 rec.add("ctx.flush.runs", self.buf.len() as u64);
                 rec.add("ctx.flush.refs", self.buffered as u64);

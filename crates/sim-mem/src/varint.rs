@@ -1,13 +1,10 @@
-//! LEB128 variable-length integers and zig-zag signed encoding.
-//!
-//! Shared by the ALTR trace format (`trace` crate, which re-exports
-//! this module) and the ALSC stream-cache format ([`crate::stream`]).
-//! Alongside the `io`-based readers there are slice-based decoders
-//! ([`take_u64`], [`take_i64`]) for hot decode loops that already hold
-//! the whole file in memory and cannot afford a `Read` round-trip per
-//! byte.
+//! LEB128 variable-length integers and zig-zag signed encoding, as the
+//! ALSC stream format ([`crate::stream`]) stores them. Writers append to
+//! any `io::Write`; the decoders ([`take_u64`], [`take_i64`]) are
+//! slice-based, for hot decode loops that already hold the whole file in
+//! memory and cannot afford a `Read` round-trip per byte.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Writes an unsigned LEB128 integer.
 ///
@@ -22,30 +19,6 @@ pub fn write_u64<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
             return w.write_all(&[byte]);
         }
         w.write_all(&[byte | 0x80])?;
-    }
-}
-
-/// Reads an unsigned LEB128 integer.
-///
-/// # Errors
-///
-/// Returns `UnexpectedEof` on truncation and `InvalidData` if the
-/// encoding exceeds 64 bits.
-pub fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8];
-        r.read_exact(&mut byte)?;
-        let b = byte[0];
-        if shift >= 64 || (shift == 63 && b > 1) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "varint overflows u64"));
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
     }
 }
 
@@ -69,7 +42,7 @@ pub fn take_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// Slice-based counterpart of [`read_i64`]; see [`take_u64`].
+/// Decodes a zig-zag LEB128 signed integer; see [`take_u64`].
 pub fn take_i64(buf: &[u8], pos: &mut usize) -> Option<i64> {
     take_u64(buf, pos).map(unzigzag)
 }
@@ -93,15 +66,6 @@ pub fn write_i64<W: Write>(w: &mut W, v: i64) -> io::Result<()> {
     write_u64(w, zigzag(v))
 }
 
-/// Reads a zig-zag LEB128 signed integer.
-///
-/// # Errors
-///
-/// See [`read_u64`].
-pub fn read_i64<R: Read>(r: &mut R) -> io::Result<i64> {
-    read_u64(r).map(unzigzag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,9 +75,8 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, 1 << 20, u64::MAX] {
             let mut buf = Vec::new();
             write_u64(&mut buf, v).unwrap();
-            assert_eq!(read_u64(&mut &buf[..]).unwrap(), v, "value {v}");
             let mut pos = 0;
-            assert_eq!(take_u64(&buf, &mut pos), Some(v), "slice value {v}");
+            assert_eq!(take_u64(&buf, &mut pos), Some(v), "value {v}");
             assert_eq!(pos, buf.len());
         }
     }
@@ -123,9 +86,8 @@ mod tests {
         for v in [0i64, 1, -1, 63, -64, 1 << 40, -(1 << 40), i64::MAX, i64::MIN] {
             let mut buf = Vec::new();
             write_i64(&mut buf, v).unwrap();
-            assert_eq!(read_i64(&mut &buf[..]).unwrap(), v, "value {v}");
             let mut pos = 0;
-            assert_eq!(take_i64(&buf, &mut pos), Some(v), "slice value {v}");
+            assert_eq!(take_i64(&buf, &mut pos), Some(v), "value {v}");
         }
     }
 
@@ -143,7 +105,6 @@ mod tests {
         let mut buf = Vec::new();
         write_u64(&mut buf, 1 << 30).unwrap();
         buf.pop();
-        assert!(read_u64(&mut &buf[..]).is_err());
         let mut pos = 0;
         assert_eq!(take_u64(&buf, &mut pos), None);
     }

@@ -110,72 +110,16 @@ fn full_pipeline_is_deterministic() {
 }
 
 #[test]
-fn sharded_pipeline_matches_inline_bit_for_bit() {
-    // Acceptance criterion for the batched pipeline: fanning the
-    // reference stream out to worker threads (PipelineMode::Sharded)
-    // must leave every measurement — including the recorded trace
-    // file — bit-identical to the single-threaded inline pass. Every
-    // shard kind is attached: two caches, the pager, a trace writer,
-    // a victim buffer, the three-C analyzer, the two-level hierarchy,
-    // and fragmentation sampling.
-    use alloc_locality_repro::engine::PipelineMode;
-
-    let dir = std::env::temp_dir();
-    let trace_for =
-        |mode: &str| dir.join(format!("pipeline-eq-{}-{mode}.altr", std::process::id()));
-    let run = |mode: PipelineMode, trace: std::path::PathBuf| {
-        let opts = SimOptions {
-            victim_entries: Some(8),
-            three_c: true,
-            two_level: true,
-            frag_sample_every: 64,
-            record_trace: Some(trace),
-            ..quick_opts(0.005)
-        };
-        Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::FirstFit))
-            .options(opts)
-            .pipeline(mode)
-            .run()
-            .expect("runs")
-    };
-
-    let inline_trace = trace_for("inline");
-    let sharded_trace = trace_for("sharded");
-    let a = run(PipelineMode::Inline, inline_trace.clone());
-    let b = run(PipelineMode::Sharded, sharded_trace.clone());
-
-    assert_eq!(a.instrs, b.instrs);
-    assert_eq!(a.trace, b.trace);
-    assert_eq!(a.cache, b.cache);
-    assert_eq!(a.fault_curve, b.fault_curve);
-    assert_eq!(a.victim, b.victim);
-    assert_eq!(a.three_c, b.three_c);
-    assert_eq!(a.two_level, b.two_level);
-    assert_eq!(a.frag_curve, b.frag_curve);
-    assert_eq!(a.heap_high_water, b.heap_high_water);
-    assert_eq!(a.alloc_stats, b.alloc_stats);
-
-    let inline_bytes = std::fs::read(&inline_trace).expect("inline trace written");
-    let sharded_bytes = std::fs::read(&sharded_trace).expect("sharded trace written");
-    assert!(!inline_bytes.is_empty());
-    assert_eq!(inline_bytes, sharded_bytes, "trace files must be byte-identical");
-    let _ = std::fs::remove_file(inline_trace);
-    let _ = std::fs::remove_file(sharded_trace);
-}
-
-#[test]
 fn sweep_engine_matches_per_cache_bit_for_bit() {
-    // Acceptance criterion for the single-pass sweep: simulating the
-    // paper's five configurations in one walk (CacheEngine::Sweep) must
-    // leave every measurement bit-identical to the per-cache bank
-    // (CacheEngine::PerCache), in both pipeline modes, with every other
-    // shard kind attached and unaffected.
-    use alloc_locality_repro::engine::{CacheEngine, PipelineMode};
-
-    let run = |engine: CacheEngine, mode: PipelineMode| {
+    // The geometry picks the engine's cache path: the paper's five
+    // direct-mapped configurations go through one single-pass sweep,
+    // while appending a 2-way member makes the engine build one cache
+    // per configuration. The five shared configurations must come out
+    // bit-identical either way, with every other shard kind attached
+    // and unaffected.
+    let run = |cache_configs: Vec<CacheConfig>| {
         let opts = SimOptions {
-            cache_configs: CacheConfig::paper_sweep(),
-            cache_engine: engine,
+            cache_configs,
             victim_entries: Some(8),
             three_c: true,
             two_level: true,
@@ -184,54 +128,107 @@ fn sweep_engine_matches_per_cache_bit_for_bit() {
         };
         Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::FirstFit))
             .options(opts)
-            .pipeline(mode)
             .run()
             .expect("runs")
     };
 
-    let reference = run(CacheEngine::PerCache, PipelineMode::Inline);
-    assert_eq!(reference.cache.len(), 5);
-    for mode in [PipelineMode::Inline, PipelineMode::Sharded] {
-        let sweep = run(CacheEngine::Sweep, mode);
-        assert_eq!(sweep.instrs, reference.instrs);
-        assert_eq!(sweep.trace, reference.trace);
-        assert_eq!(sweep.cache, reference.cache, "cache stats diverged under {mode:?}");
-        assert_eq!(sweep.fault_curve, reference.fault_curve);
-        assert_eq!(sweep.victim, reference.victim);
-        assert_eq!(sweep.three_c, reference.three_c);
-        assert_eq!(sweep.two_level, reference.two_level);
-        assert_eq!(sweep.frag_curve, reference.frag_curve);
-        assert_eq!(sweep.heap_high_water, reference.heap_high_water);
-        assert_eq!(sweep.alloc_stats, reference.alloc_stats);
-    }
+    let sweep = run(CacheConfig::paper_sweep());
+    let mut per_cache_configs = CacheConfig::paper_sweep();
+    per_cache_configs.push(CacheConfig::set_associative(64 * 1024, 32, 2));
+    let per_cache = run(per_cache_configs);
+    assert_eq!(sweep.cache.len(), 5);
+    assert_eq!(per_cache.cache.len(), 6);
+    assert_eq!(sweep.cache[..], per_cache.cache[..5], "cache stats diverged");
+    assert_eq!(sweep.instrs, per_cache.instrs);
+    assert_eq!(sweep.trace, per_cache.trace);
+    assert_eq!(sweep.fault_curve, per_cache.fault_curve);
+    assert_eq!(sweep.victim, per_cache.victim);
+    assert_eq!(sweep.three_c, per_cache.three_c);
+    assert_eq!(sweep.two_level, per_cache.two_level);
+    assert_eq!(sweep.frag_curve, per_cache.frag_curve);
+    assert_eq!(sweep.heap_high_water, per_cache.heap_high_water);
+    assert_eq!(sweep.alloc_stats, per_cache.alloc_stats);
 }
 
 #[test]
 fn captured_stream_replays_into_components_identically() {
-    // What the perf harness leans on: a stream captured once with
-    // capture_runs, replayed directly into the cache components and the
-    // pager, reproduces the stats of a normal engine run bit for bit.
-    use cache_sim::{CacheBank, SweepCache};
-    use sim_mem::AccessSink;
+    // The oracle for the engine's sinks, and what the perf harness and
+    // trace-tool lean on: a stream captured once with capture_runs,
+    // replayed directly into each component — the per-cache bank, the
+    // single-pass sweep when the geometry allows it, the pager, and the
+    // extension analyzers — reproduces a normal engine run bit for bit.
+    // The inputs cover both cache paths the engine picks between (a
+    // sweepable geometry and one with a 2-way member) and the full
+    // shard set over the paper sweep, with fragmentation sampling on.
+    use cache_sim::{CacheBank, SweepCache, ThreeCAnalyzer, TwoLevelCache, VictimCache};
+    use sim_mem::{AccessSink, CountingSink};
     use vm_sim::StackSim;
 
-    let exp = Experiment::new(Program::Gawk, AllocChoice::Paper(AllocatorKind::Bsd))
-        .options(quick_opts(0.003));
-    let engine_result = exp.run().expect("engine run");
-    let runs = exp.capture_runs().expect("capture");
+    let full = SimOptions {
+        cache_configs: CacheConfig::paper_sweep(),
+        victim_entries: Some(8),
+        three_c: true,
+        two_level: true,
+        frag_sample_every: 64,
+        ..quick_opts(0.003)
+    };
+    let two_way = SimOptions {
+        cache_configs: vec![
+            CacheConfig::direct_mapped(16 * 1024, 32),
+            CacheConfig::set_associative(64 * 1024, 32, 2),
+        ],
+        ..quick_opts(0.003)
+    };
+    let inputs = [
+        (Program::Gawk, AllocatorKind::Bsd, quick_opts(0.003), false),
+        (Program::Make, AllocatorKind::QuickFit, two_way, false),
+        (Program::Espresso, AllocatorKind::FirstFit, full, true),
+    ];
+    for (program, kind, opts, every_shard) in inputs {
+        let exp = Experiment::new(program, AllocChoice::Paper(kind)).options(opts);
+        let engine = exp.run().expect("engine run");
+        let runs = exp.capture_runs().expect("capture");
+        let label = format!("{program}/{kind}");
 
-    let configs: Vec<CacheConfig> = engine_result.cache.iter().map(|&(c, _)| c).collect();
-    let mut bank = CacheBank::new(configs.iter().copied());
-    bank.record_runs(&runs);
-    assert_eq!(bank.results(), engine_result.cache);
+        let mut counting = CountingSink::new();
+        counting.record_runs(&runs);
+        assert_eq!(counting.stats(), engine.trace, "{label}: reference counts");
 
-    let mut sweep = SweepCache::try_new(configs).expect("sweepable");
-    sweep.record_runs(&runs);
-    assert_eq!(sweep.results(), engine_result.cache);
+        let configs: Vec<CacheConfig> = engine.cache.iter().map(|&(c, _)| c).collect();
+        let mut bank = CacheBank::new(configs.iter().copied());
+        bank.record_runs(&runs);
+        assert_eq!(bank.results(), engine.cache, "{label}: per-cache bank");
 
-    let mut pager = StackSim::paper();
-    pager.record_runs(&runs);
-    assert_eq!(Some(pager.curve()), engine_result.fault_curve);
+        let sweepable = configs.iter().all(|c| c.assoc == 1);
+        match SweepCache::try_new(configs.iter().copied()) {
+            Some(mut sweep) => {
+                assert!(sweepable, "{label}: the sweep must reject a 2-way member");
+                sweep.record_runs(&runs);
+                assert_eq!(sweep.results(), engine.cache, "{label}: single-pass sweep");
+            }
+            None => assert!(!sweepable, "{label}: the sweep must accept direct-mapped caches"),
+        }
+
+        let mut pager = StackSim::paper();
+        pager.record_runs(&runs);
+        assert_eq!(Some(pager.curve()), engine.fault_curve, "{label}: pager");
+
+        if every_shard {
+            let first = configs[0];
+            let mut victim = VictimCache::new(first, 8);
+            victim.record_runs(&runs);
+            assert_eq!(Some(*victim.stats()), engine.victim, "{label}: victim buffer");
+            let mut three_c = ThreeCAnalyzer::new(first);
+            three_c.record_runs(&runs);
+            assert_eq!(Some(three_c.classify()), engine.three_c, "{label}: three-C");
+            let mut two_level = TwoLevelCache::paper_default();
+            two_level.record_runs(&runs);
+            assert_eq!(Some(two_level.stats()), engine.two_level, "{label}: two-level");
+            assert!(!engine.frag_curve.is_empty(), "{label}: fragmentation was sampled");
+        } else {
+            assert_eq!((engine.victim, engine.three_c, engine.two_level), (None, None, None));
+        }
+    }
 }
 
 #[test]

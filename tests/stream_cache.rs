@@ -3,12 +3,12 @@
 //! 1. **Replay is invisible in the results.** A warm (cache-hit) run
 //!    produces a [`RunResult`] bit-identical to the cold run that
 //!    populated the cache, and the instrumented `RunReport` JSONL line
-//!    is *byte*-identical — in both pipeline modes.
+//!    is *byte*-identical.
 //! 2. **Damage degrades, it never breaks.** A corrupt or truncated
 //!    cache file demotes the run to cold generation, recorded as
 //!    `stream_cache.invalid`, and the file is rewritten for next time.
 
-use alloc_locality_repro::engine::{AllocChoice, Experiment, PipelineMode, SimOptions};
+use alloc_locality_repro::engine::{AllocChoice, Experiment, SimOptions};
 use allocators::AllocatorKind;
 use cache_sim::CacheConfig;
 use obs::MemoryRecorder;
@@ -22,7 +22,7 @@ fn cache_dir(test: &str) -> std::path::PathBuf {
     dir
 }
 
-fn opts(dir: &std::path::Path, pipeline: PipelineMode) -> SimOptions {
+fn opts(dir: &std::path::Path) -> SimOptions {
     SimOptions {
         cache_configs: vec![
             CacheConfig::direct_mapped(16 * 1024, 32),
@@ -31,7 +31,6 @@ fn opts(dir: &std::path::Path, pipeline: PipelineMode) -> SimOptions {
         paging: true,
         scale: Scale(0.002),
         frag_sample_every: 500,
-        pipeline,
         stream_cache: Some(dir.to_path_buf()),
         ..SimOptions::default()
     }
@@ -50,36 +49,34 @@ fn sole_cache_file(dir: &std::path::Path) -> std::path::PathBuf {
 
 #[test]
 fn warm_replay_is_bit_identical_in_both_pipeline_modes() {
-    for (mode, name) in [(PipelineMode::Inline, "inline"), (PipelineMode::Sharded, "sharded")] {
-        let dir = cache_dir(&format!("identity-{name}"));
-        let exp = Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::FirstFit))
-            .options(opts(&dir, mode));
+    let dir = cache_dir("identity");
+    let exp = Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::FirstFit))
+        .options(opts(&dir));
 
-        let cold = exp.report().unwrap_or_else(|e| panic!("{name} cold run: {e}"));
-        assert!(sole_cache_file(&dir).exists());
-        let warm = exp.report().unwrap_or_else(|e| panic!("{name} warm run: {e}"));
+    let cold = exp.report().expect("cold run");
+    assert!(sole_cache_file(&dir).exists());
+    let warm = exp.report().expect("warm run");
 
-        assert_eq!(warm.result, cold.result, "{name}: replayed RunResult diverged");
-        assert_eq!(
-            warm.to_jsonl_line(),
-            cold.to_jsonl_line(),
-            "{name}: replayed report line is not byte-identical"
-        );
-        warm.validate().unwrap_or_else(|e| panic!("{name}: replayed report invalid: {e}"));
+    assert_eq!(warm.result, cold.result, "replayed RunResult diverged");
+    assert_eq!(
+        warm.to_jsonl_line(),
+        cold.to_jsonl_line(),
+        "replayed report line is not byte-identical"
+    );
+    warm.validate().expect("replayed report validates");
 
-        // The uninstrumented entry point replays to the same result too.
-        let plain = exp.run().unwrap_or_else(|e| panic!("{name} plain run: {e}"));
-        assert_eq!(plain, cold.result, "{name}: run() after populate diverged");
+    // The uninstrumented entry point replays to the same result too.
+    let plain = exp.run().expect("plain run");
+    assert_eq!(plain, cold.result, "run() after populate diverged");
 
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn warm_runs_hit_and_cold_runs_miss_in_the_recorder() {
     let dir = cache_dir("counters");
-    let exp = Experiment::new(Program::Gawk, AllocChoice::Paper(AllocatorKind::Bsd))
-        .options(opts(&dir, PipelineMode::Inline));
+    let exp =
+        Experiment::new(Program::Gawk, AllocChoice::Paper(AllocatorKind::Bsd)).options(opts(&dir));
 
     let mut rec = MemoryRecorder::new();
     exp.run_with_recorder(&mut rec).expect("cold run");
@@ -102,10 +99,10 @@ fn uninstrumented_replay_ignores_the_sink_fingerprint() {
     // run still replays when no byte-reusable metrics are needed.
     let dir = cache_dir("fingerprint");
     let populate = Experiment::new(Program::GsSmall, AllocChoice::Paper(AllocatorKind::QuickFit))
-        .options(opts(&dir, PipelineMode::Inline));
+        .options(opts(&dir));
     let cold = populate.run().expect("cold run");
 
-    let mut narrower = opts(&dir, PipelineMode::Inline);
+    let mut narrower = opts(&dir);
     narrower.cache_configs = vec![CacheConfig::direct_mapped(16 * 1024, 32)];
     let warm_exp = Experiment::new(Program::GsSmall, AllocChoice::Paper(AllocatorKind::QuickFit))
         .options(narrower);
@@ -124,7 +121,7 @@ fn uninstrumented_replay_ignores_the_sink_fingerprint() {
 fn corrupt_cache_files_fall_back_to_cold_generation() {
     let dir = cache_dir("corrupt");
     let exp = Experiment::new(Program::Make, AllocChoice::Paper(AllocatorKind::GnuGxx))
-        .options(opts(&dir, PipelineMode::Inline));
+        .options(opts(&dir));
     let cold = exp.report().expect("populating run");
 
     // Flip one bit in the middle of the stored stream.
@@ -162,38 +159,6 @@ fn corrupt_cache_files_fall_back_to_cold_generation() {
     warm.validate().expect("healed report validates");
     assert_eq!(warm.result, cold.result);
     assert_eq!(warm.metrics.counter("stream_cache.invalid"), 1);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn replayed_trace_files_are_byte_identical() {
-    // The tracer is rebuilt on replay and fed the decoded stream; the
-    // ALTR file it writes must match the generated run's byte for byte.
-    let dir = cache_dir("tracefile");
-    let trace_cold = dir.join("cold.altr");
-    let trace_warm = dir.join("warm.altr");
-    std::fs::create_dir_all(&dir).expect("create test dir");
-
-    let mut cold_opts = opts(&dir, PipelineMode::Inline);
-    cold_opts.record_trace = Some(trace_cold.clone());
-    Experiment::new(Program::Ptc, AllocChoice::Paper(AllocatorKind::FirstFit))
-        .options(cold_opts)
-        .run()
-        .expect("cold traced run");
-
-    let mut warm_opts = opts(&dir, PipelineMode::Inline);
-    warm_opts.record_trace = Some(trace_warm.clone());
-    let mut rec = MemoryRecorder::new();
-    Experiment::new(Program::Ptc, AllocChoice::Paper(AllocatorKind::FirstFit))
-        .options(warm_opts)
-        .run_with_recorder(&mut rec)
-        .expect("warm traced run");
-    assert_eq!(rec.counter("stream_cache.hit"), 1, "second traced run must replay");
-
-    let cold_bytes = std::fs::read(&trace_cold).expect("cold trace");
-    let warm_bytes = std::fs::read(&trace_warm).expect("warm trace");
-    assert_eq!(cold_bytes, warm_bytes, "replayed trace file diverged");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
