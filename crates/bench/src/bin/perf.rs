@@ -70,7 +70,7 @@
 //! any divergence makes the process exit non-zero, which is what CI's
 //! release-mode smoke job keys on.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -778,28 +778,23 @@ enum AllocOp {
 }
 
 /// Extracts espresso's malloc/free script at `scale`: the allocator
-/// exercise alone, with generator object ids renumbered to dense slots
-/// so the replay indexes a flat address table instead of hashing ids.
-/// Returns the script and the slot-table size.
+/// exercise alone. Generator ids are allocation ordinals, so they serve
+/// directly as slots in the replay's flat address table. Returns the
+/// script and the slot-table size.
 fn alloc_script(scale: f64) -> (Vec<AllocOp>, usize) {
-    let mut slots: HashMap<u64, usize> = HashMap::new();
-    let mut next = 0usize;
+    let mut nslots = 0usize;
     let mut script = Vec::new();
     for event in Program::Espresso.spec().events(Scale(scale)) {
         match event {
             AppEvent::Malloc { id, size, site } => {
-                slots.insert(id, next);
-                script.push(AllocOp::Malloc { slot: next, size, site });
-                next += 1;
+                script.push(AllocOp::Malloc { slot: id as usize, size, site });
+                nslots += 1;
             }
-            AppEvent::Free { id } => {
-                let slot = slots.remove(&id).expect("generator frees live ids");
-                script.push(AllocOp::Free { slot });
-            }
+            AppEvent::Free { id } => script.push(AllocOp::Free { slot: id as usize }),
             _ => {}
         }
     }
-    (script, next)
+    (script, nslots)
 }
 
 /// Builds one side of an allocator lane: the rebuilt engine

@@ -26,8 +26,9 @@
 //! replaced); `replay` drives any simulator configuration from the
 //! frozen stream, so allocator runs can be archived and re-analyzed
 //! without re-simulating the allocator. A file that fails to write or
-//! to decode — wrong magic or key, truncation, a checksum mismatch —
-//! is reported in one line and exits 1.
+//! to decode — wrong magic or key, truncation, a checksum mismatch, a
+//! reference whose bytes run past 2^64 — is reported in one line and
+//! exits 1.
 
 use std::fs::File;
 use std::io::BufReader;

@@ -150,3 +150,63 @@ fn bad_paths_files_and_flags_fail_in_one_line() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `record`'s ALSC content key (the bytes `trc-tool`), so a crafted
+/// file reads as a recording.
+const RECORDING_KEY: u64 = u64::from_le_bytes(*b"trc-tool");
+
+/// Writes a recording that holds exactly `runs`.
+fn craft(path: &Path, runs: &[sim_mem::RefRun]) {
+    std::fs::write(path, sim_mem::encode_stream(RECORDING_KEY, &[], runs)).expect("write crafted");
+}
+
+fn word_read(addr: u64, size: u32, count: u32) -> sim_mem::RefRun {
+    sim_mem::RefRun { r: sim_mem::MemRef::app_read(sim_mem::Address::new(addr), size), count }
+}
+
+#[test]
+fn a_reference_near_the_top_of_memory_replays_as_one_cold_miss() {
+    // The cold-miss set once sized a vector by the highest block seen,
+    // so this one reference asked for 16 GiB and aborted the process.
+    let dir = scratch("high");
+    let path = dir.join("high.alsc");
+    craft(&path, &[word_read(0xffff_ffff_0000, 4, 1)]);
+    let out = trace_tool(&[
+        "replay",
+        utf8(&path),
+        "--cache-kb",
+        "16",
+        "--paging",
+        "--three-c",
+        "--victim",
+        "4",
+    ]);
+    assert!(out.status.success(), "replay: {}", text(&out.stderr));
+    let replay = text(&out.stdout);
+    let k16 = CacheConfig::direct_mapped(16 * 1024, 32);
+    for line in [
+        format!("replayed 1 references from {}", path.display()),
+        format!("  {k16}: 100.000% miss rate (1 misses, 1 cold)"),
+        "  paging: 1 distinct pages; working set 0 KB".to_string(),
+    ] {
+        assert!(replay.lines().any(|l| l == line), "expected {line:?} in {replay}");
+    }
+    assert!(replay.contains("compulsory 1 / capacity 0 / conflict 0"), "{replay}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_reference_wrapping_past_2_pow_64_is_a_corrupt_file() {
+    // Bytes u64::MAX - 1 ..= u64::MAX + 6 do not exist. The decoder used
+    // to hand the record on: the caches dropped it and the pager
+    // panicked.
+    let dir = scratch("wrap");
+    let path = dir.join("wrap.alsc");
+    craft(&path, &[word_read(u64::MAX - 1, 8, 2)]);
+    for args in [&["info"][..], &["replay", "--paging"][..]] {
+        let out = trace_tool(&[&[args[0], utf8(&path)][..], &args[1..]].concat());
+        assert_fails_in_one_line(&out, &format!("{} on a wrapping reference", args.join(" ")));
+        assert!(text(&out.stderr).contains("corrupt"), "{}", text(&out.stderr));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,5 +1,7 @@
 //! One simulated cache.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 use sim_mem::{AccessClass, AccessSink, MemRef, RefRun};
 
@@ -14,12 +16,29 @@ use crate::CacheConfig;
 /// are few, while lookups are two array indexes and a mask instead of a
 /// `HashSet` probe (hash, bucket walk) per block reference. This is the
 /// hottest query in the simulator: every block miss consults it.
+///
+/// Leaves below [`DENSE_LEAVES`] sit in a vector indexed by leaf
+/// number, which covers every address the engine's heap and stack
+/// produce. Leaves above it — only a replayed stream file can reach
+/// them — go to a map, so memory follows the blocks held rather than
+/// the highest address seen: one reference near 2^64 costs one leaf,
+/// not a vector sized to its leaf number.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BlockSet {
     /// Leaf `i` covers block numbers `i * 4096 .. (i + 1) * 4096`.
-    leaves: Vec<Option<Box<[u64; 64]>>>,
+    leaves: Vec<Option<Box<Leaf>>>,
+    /// Leaves at or above [`DENSE_LEAVES`], by leaf number.
+    high: HashMap<u64, Box<Leaf>>,
     len: u64,
 }
+
+/// One leaf's bitmap: a bit per block.
+type Leaf = [u64; 64];
+
+/// Leaf numbers below this bound are indexed densely: at most 512 KiB
+/// of leaf pointers, spanning 2^28 blocks (8 GiB of address space at
+/// 32-byte blocks).
+const DENSE_LEAVES: u64 = 1 << 16;
 
 impl BlockSet {
     pub(crate) fn new() -> Self {
@@ -29,11 +48,16 @@ impl BlockSet {
     /// Inserts `block`; returns `true` if it was not already present.
     #[inline]
     pub(crate) fn insert(&mut self, block: u64) -> bool {
-        let leaf = (block >> 12) as usize;
-        if leaf >= self.leaves.len() {
-            self.leaves.resize(leaf + 1, None);
-        }
-        let words = self.leaves[leaf].get_or_insert_with(|| Box::new([0u64; 64]));
+        let leaf = block >> 12;
+        let words = if leaf < DENSE_LEAVES {
+            let leaf = leaf as usize;
+            if leaf >= self.leaves.len() {
+                self.leaves.resize(leaf + 1, None);
+            }
+            self.leaves[leaf].get_or_insert_with(|| Box::new([0u64; 64]))
+        } else {
+            self.high_leaf(leaf)
+        };
         let word = ((block >> 6) & 63) as usize;
         let mask = 1u64 << (block & 63);
         let fresh = words[word] & mask == 0;
@@ -42,14 +66,25 @@ impl BlockSet {
         fresh
     }
 
+    /// Leaf `leaf` (at or above [`DENSE_LEAVES`]), created on first
+    /// touch. Kept out of line so the map code stays out of the callers'
+    /// hot loops.
+    #[cold]
+    #[inline(never)]
+    fn high_leaf(&mut self, leaf: u64) -> &mut Leaf {
+        self.high.entry(leaf).or_insert_with(|| Box::new([0u64; 64]))
+    }
+
     /// Whether `block` has been inserted.
     #[cfg(test)]
     pub(crate) fn contains(&self, block: u64) -> bool {
-        let leaf = (block >> 12) as usize;
-        match self.leaves.get(leaf) {
-            Some(Some(words)) => words[((block >> 6) & 63) as usize] & (1u64 << (block & 63)) != 0,
-            _ => false,
-        }
+        let leaf = block >> 12;
+        let words = if leaf < DENSE_LEAVES {
+            self.leaves.get(leaf as usize).and_then(Option::as_deref)
+        } else {
+            self.high.get(&leaf).map(|words| &**words)
+        };
+        words.is_some_and(|words| words[((block >> 6) & 63) as usize] & (1u64 << (block & 63)) != 0)
     }
 
     /// Number of distinct blocks inserted.
@@ -293,16 +328,22 @@ mod tests {
     #[test]
     fn blockset_tracks_membership_across_leaves() {
         let mut s = BlockSet::new();
-        // Blocks straddling leaf boundaries and far-apart ranges.
-        for &b in &[0u64, 63, 64, 4095, 4096, 1 << 20, (1 << 20) + 1] {
+        // Blocks straddling leaf boundaries and far-apart ranges, up to
+        // both sides of the dense bound and the top of the block space.
+        let dense_top = (DENSE_LEAVES << 12) - 1;
+        let blocks = [0u64, 63, 64, 4095, 4096, 1 << 20, (1 << 20) + 1, dense_top, dense_top + 1];
+        for &b in blocks.iter().chain(&[u64::MAX >> 5, u64::MAX]) {
             assert!(!s.contains(b));
-            assert!(s.insert(b), "first insert of {b}");
-            assert!(!s.insert(b), "second insert of {b}");
+            assert!(s.insert(b), "first insert of {b:#x}");
+            assert!(!s.insert(b), "second insert of {b:#x}");
             assert!(s.contains(b));
         }
-        assert_eq!(s.len(), 7);
+        assert_eq!(s.len(), 11);
         assert!(!s.contains(1), "neighbours stay clear");
         assert!(!s.contains(1 << 30), "unallocated leaves read as absent");
+        assert!(!s.contains(u64::MAX - 1), "high neighbours stay clear");
+        assert_eq!(s.leaves.len() as u64, DENSE_LEAVES, "the dense table stops at its bound");
+        assert_eq!(s.high.len(), 3);
     }
 
     #[test]

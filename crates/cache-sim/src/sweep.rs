@@ -233,7 +233,7 @@ impl SweepCache {
     /// words referenced.
     pub fn access(&mut self, r: MemRef) {
         let first = r.addr.raw() >> self.block_shift;
-        let last = (r.addr.raw() + u64::from(r.size.max(1)) - 1) >> self.block_shift;
+        let last = r.last_byte() >> self.block_shift;
         self.walk_span(first, last, r.class);
         self.count_words(r, 1);
     }
@@ -334,7 +334,7 @@ impl AccessSink for SweepCache {
         for run in runs {
             let r = run.r;
             let first = r.addr.raw() >> shift;
-            let last = (r.addr.raw() + u64::from(r.size.max(1)) - 1) >> shift;
+            let last = r.last_byte() >> shift;
             self.walk_span(first, last, r.class);
             let n = u64::from(run.count);
             words[r.class as usize] += r.words() * n;

@@ -1,6 +1,5 @@
 //! The trace-driven experiment engine.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -313,6 +312,48 @@ pub enum EngineError {
         /// The underlying allocator error.
         source: AllocError,
     },
+    /// The event stream broke the id contract of [`AppEvent`]: ids are
+    /// allocation ordinals, and only live objects are freed or touched.
+    Event {
+        /// The offending event's ordinal.
+        at_event: u64,
+        /// What the event got wrong.
+        fault: EventFault,
+    },
+}
+
+/// How an event broke the [`AppEvent`] id contract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventFault {
+    /// A `Malloc` named an id other than its allocation ordinal.
+    MallocOutOfOrder {
+        /// The id the event named.
+        id: u64,
+        /// The stream's next allocation ordinal.
+        expected: u64,
+    },
+    /// A `Free` named an object that is not live.
+    FreeOfDead {
+        /// The id the event named.
+        id: u64,
+    },
+    /// An `Access` named an object that is not live.
+    AccessOfDead {
+        /// The id the event named.
+        id: u64,
+    },
+}
+
+impl fmt::Display for EventFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            EventFault::MallocOutOfOrder { id, expected } => {
+                write!(f, "malloc of id {id}, expected allocation ordinal {expected}")
+            }
+            EventFault::FreeOfDead { id } => write!(f, "free of id {id}, which is not live"),
+            EventFault::AccessOfDead { id } => write!(f, "access to id {id}, which is not live"),
+        }
+    }
 }
 
 impl fmt::Display for EngineError {
@@ -320,6 +361,9 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Alloc { at_event, source } => {
                 write!(f, "allocator failed at event {at_event}: {source}")
+            }
+            EngineError::Event { at_event, fault } => {
+                write!(f, "malformed event stream at event {at_event}: {fault}")
             }
         }
     }
@@ -329,8 +373,16 @@ impl Error for EngineError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             EngineError::Alloc { source, .. } => Some(source),
+            EngineError::Event { .. } => None,
         }
     }
+}
+
+/// The address of live object `id` in the driver's object table, or
+/// `None` when `id` names no live object.
+fn live_object(objects: &[Address], id: u64) -> Option<Address> {
+    let addr = *objects.get(usize::try_from(id).ok()?)?;
+    (!addr.is_null()).then_some(addr)
 }
 
 /// Synthesizes stack/static data traffic: runs of consecutive words
@@ -758,6 +810,11 @@ impl Experiment {
     /// An experiment replaying a fixed event stream — typically imported
     /// from a real program's allocation trace. The scale option is
     /// ignored for replayed streams.
+    ///
+    /// The stream must follow the [`AppEvent`] id contract: ids are
+    /// allocation ordinals, as [`workloads::import::parse_trace`] and the
+    /// generator produce them. A stream that breaks it fails the run
+    /// with [`EngineError::Event`] at the offending event.
     pub fn with_events(
         label: impl Into<String>,
         events: Vec<AppEvent>,
@@ -779,7 +836,9 @@ impl Experiment {
     /// for event generation (the stream is fixed) but still recorded in
     /// the result; set it via [`Experiment::scale`] to the scale the
     /// events were generated at so the run is bit-identical to the same
-    /// experiment built from the program spec directly.
+    /// experiment built from the program spec directly. The stream must
+    /// follow the id contract of [`Experiment::with_events`]; generated
+    /// streams do.
     pub fn with_shared_events(
         label: impl Into<String>,
         events: std::sync::Arc<Vec<AppEvent>>,
@@ -918,7 +977,10 @@ impl Experiment {
         ctx.obs_span_exit();
         ctx.set_phase(Phase::App);
 
-        let mut objects: HashMap<u64, (Address, u32)> = HashMap::new();
+        // Each object's address, indexed by id: ids are allocation
+        // ordinals (see `AppEvent`), so the n-th `Malloc` pushes entry n.
+        // A freed object's entry reads NULL, which no grant ever is.
+        let mut objects: Vec<Address> = Vec::new();
         let mut frag_curve = Vec::new();
         // The stack segment sits below the heap; its traffic cycles
         // through a small hot window, as real call stacks do.
@@ -930,14 +992,20 @@ impl Experiment {
         ctx.obs_span_enter("engine.events");
         for (n, event) in events.enumerate() {
             let at_event = n as u64;
+            let bad = |fault| EngineError::Event { at_event, fault };
             match event {
                 AppEvent::Malloc { id, size, site } => {
+                    let expected = objects.len() as u64;
+                    if id != expected {
+                        return Err(bad(EventFault::MallocOutOfOrder { id, expected }));
+                    }
                     ctx.set_phase(Phase::Malloc);
                     let addr = allocator
                         .malloc_at(size, site, &mut ctx)
                         .map_err(|source| EngineError::Alloc { at_event, source })?;
                     ctx.set_phase(Phase::App);
-                    objects.insert(id, (addr, size));
+                    debug_assert!(!addr.is_null(), "allocators never grant NULL");
+                    objects.push(addr);
                     let every = self.opts.frag_sample_every;
                     if every > 0 && allocator.stats().mallocs.is_multiple_of(every) {
                         frag_curve.push((
@@ -948,7 +1016,9 @@ impl Experiment {
                     }
                 }
                 AppEvent::Free { id } => {
-                    let (addr, _) = objects.remove(&id).expect("generator frees live ids");
+                    let addr = live_object(&objects, id)
+                        .ok_or_else(|| bad(EventFault::FreeOfDead { id }))?;
+                    objects[id as usize] = Address::NULL;
                     ctx.set_phase(Phase::Free);
                     allocator
                         .free(addr, &mut ctx)
@@ -956,7 +1026,8 @@ impl Experiment {
                     ctx.set_phase(Phase::App);
                 }
                 AppEvent::Access { id, offset, len, write } => {
-                    let &(addr, _) = objects.get(&id).expect("generator touches live ids");
+                    let addr = live_object(&objects, id)
+                        .ok_or_else(|| bad(EventFault::AccessOfDead { id }))?;
                     ctx.app_touch(addr + u64::from(offset), len, write);
                 }
                 AppEvent::Compute { instrs } => {
@@ -981,7 +1052,8 @@ impl Experiment {
     /// # Errors
     ///
     /// Returns [`EngineError::Alloc`] if the allocator reports an error
-    /// (out of simulated memory, invalid free).
+    /// (out of simulated memory, invalid free), and [`EngineError::Event`]
+    /// if a fixed event stream breaks the [`AppEvent`] id contract.
     pub fn capture_runs(&self) -> Result<Vec<RefRun>, EngineError> {
         let mut heap = HeapImage::with_limit(self.opts.heap_limit);
         let mut instrs = InstrCounter::new();
@@ -995,7 +1067,8 @@ impl Experiment {
     /// # Errors
     ///
     /// Returns [`EngineError::Alloc`] if the allocator reports an error
-    /// (out of simulated memory, invalid free).
+    /// (out of simulated memory, invalid free), and [`EngineError::Event`]
+    /// if a fixed event stream breaks the [`AppEvent`] id contract.
     pub fn run(&self) -> Result<RunResult, EngineError> {
         Ok(self.run_inner(None, false)?.result)
     }
@@ -1008,7 +1081,8 @@ impl Experiment {
     /// # Errors
     ///
     /// Returns [`EngineError::Alloc`] if the allocator reports an error
-    /// (out of simulated memory, invalid free).
+    /// (out of simulated memory, invalid free), and [`EngineError::Event`]
+    /// if a fixed event stream breaks the [`AppEvent`] id contract.
     pub fn run_with_recorder(&self, recorder: &mut dyn Recorder) -> Result<RunResult, EngineError> {
         Ok(self.run_inner(Some(recorder), false)?.result)
     }
@@ -1026,7 +1100,8 @@ impl Experiment {
     /// # Errors
     ///
     /// Returns [`EngineError::Alloc`] if the allocator reports an error
-    /// (out of simulated memory, invalid free).
+    /// (out of simulated memory, invalid free), and [`EngineError::Event`]
+    /// if a fixed event stream breaks the [`AppEvent`] id contract.
     pub fn run_traced_with(
         &self,
         tracer: &mut obs::Tracer,
@@ -1043,7 +1118,8 @@ impl Experiment {
     /// # Errors
     ///
     /// Returns [`EngineError::Alloc`] if the allocator reports an error
-    /// (out of simulated memory, invalid free).
+    /// (out of simulated memory, invalid free), and [`EngineError::Event`]
+    /// if a fixed event stream breaks the [`AppEvent`] id contract.
     pub fn report(&self) -> Result<crate::run_report::RunReport, EngineError> {
         let mut rec = MemoryRecorder::new();
         let outcome = self.run_inner(Some(&mut rec), true)?;

@@ -48,7 +48,7 @@ pub mod run_report;
 
 pub use engine::{
     default_threads, profile_from_events, run_many, run_parallel, sample_profile, standard_matrix,
-    AllocChoice, EngineError, Experiment, FragSample, Matrix, RunResult, SimOptions,
+    AllocChoice, EngineError, EventFault, Experiment, FragSample, Matrix, RunResult, SimOptions,
     WorkloadSource,
 };
 pub use job_spec::{AllocConfig, JobSpec, SpecError};

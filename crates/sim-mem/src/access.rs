@@ -82,8 +82,17 @@ impl MemRef {
         debug_assert!(block_size.is_power_of_two());
         debug_assert!(self.size >= 1);
         let first = self.addr.raw() / block_size;
-        let last = (self.addr.raw() + u64::from(self.size) - 1) / block_size;
+        let last = self.last_byte() / block_size;
         first..=last
+    }
+
+    /// The address of the last byte this reference touches (a zero size
+    /// counts as one byte). Computed without overflow for a reference
+    /// that ends at the top of the address space; a reference that would
+    /// run past 2^64 is not valid, and the stream decoder rejects it.
+    #[inline]
+    pub fn last_byte(&self) -> u64 {
+        self.addr.raw() + u64::from(self.size.max(1) - 1)
     }
 
     /// Whether every byte of this reference lies in a single
@@ -97,7 +106,7 @@ impl MemRef {
     pub fn single_block(&self, block_size: u64) -> bool {
         debug_assert!(block_size.is_power_of_two());
         let first = self.addr.raw() / block_size;
-        let last = (self.addr.raw() + u64::from(self.size.max(1)) - 1) / block_size;
+        let last = self.last_byte() / block_size;
         first == last
     }
 
@@ -107,7 +116,7 @@ impl MemRef {
     pub fn block_range(&self, block_size: u64) -> (u64, u64) {
         debug_assert!(block_size.is_power_of_two());
         let first = self.addr.raw() / block_size;
-        let last = (self.addr.raw() + u64::from(self.size.max(1)) - 1) / block_size;
+        let last = self.last_byte() / block_size;
         (first, last)
     }
 

@@ -50,9 +50,11 @@
 //! Decoding is total: any malformed input — wrong magic, unknown
 //! version, mismatched content key, truncation, checksum failure, or a
 //! corrupt record — yields a [`StreamError`], never a panic, so a
-//! damaged cache file demotes a warm run to a cold one. The version
-//! byte must be bumped whenever the record layout, the flag meanings,
-//! or the sidecar contract change; old files then read as
+//! damaged cache file demotes a warm run to a cold one. A record whose
+//! bytes would run past 2^64 (`addr + size - 1` overflows) is corrupt
+//! too, so every decoded reference has a well-defined last byte. The
+//! version byte must be bumped whenever the record layout, the flag
+//! meanings, or the sidecar contract change; old files then read as
 //! [`StreamError::BadVersion`] and are regenerated.
 
 use std::io::Write as _;
@@ -177,6 +179,10 @@ const FLAG_META: u8 = 1 << 1;
 const FLAG_SIZED: u8 = 1 << 2;
 const FLAG_REPEATED: u8 = 1 << 3;
 const FLAG_KNOWN: u8 = FLAG_WRITE | FLAG_META | FLAG_SIZED | FLAG_REPEATED;
+
+/// Why a record whose byte range runs past 2^64 is rejected: no real
+/// reference wraps, and every sink's block arithmetic assumes none does.
+const WRAPS: &str = "reference wraps past the end of the address space";
 
 /// Serializes a stream to the ALSC byte format.
 ///
@@ -375,6 +381,9 @@ pub fn decode_stream(bytes: &[u8], expected_key: u64) -> Result<DecodedStream, S
                 if b < 0x80 {
                     pos += 1;
                     let addr = prev_addr.wrapping_add(varint::unzigzag(u64::from(b)) as u64);
+                    if addr > u64::MAX - 3 {
+                        return Err(StreamError::Corrupt(WRAPS));
+                    }
                     prev_addr = addr;
                     refs += 1;
                     let kind =
@@ -403,6 +412,9 @@ pub fn decode_stream(bytes: &[u8], expected_key: u64) -> Result<DecodedStream, S
         };
         if size == 0 {
             return Err(StreamError::Corrupt("zero-sized reference"));
+        }
+        if addr.checked_add(u64::from(size) - 1).is_none() {
+            return Err(StreamError::Corrupt(WRAPS));
         }
         let count = if flags & FLAG_REPEATED != 0 {
             let raw = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
@@ -798,6 +810,32 @@ mod tests {
             decode_stream(&bytes, 10),
             Err(StreamError::KeyMismatch { expected: 10, found: 9 })
         );
+    }
+
+    #[test]
+    fn references_wrapping_past_the_address_space_are_corrupt() {
+        let run = |addr: u64, size: u32, count: u32| RefRun {
+            r: MemRef::app_read(Address::new(addr), size),
+            count,
+        };
+        // Ending exactly at the last byte is fine, on the two-byte fast
+        // path (word reads at small deltas) and on the general path.
+        for ok in [
+            vec![run(u64::MAX - 7, 4, 1), run(u64::MAX - 3, 4, 1)],
+            vec![run(u64::MAX - 7, 8, 2)],
+            vec![run(u64::MAX, 1, 1)],
+        ] {
+            let bytes = encode_stream(1, b"", &ok);
+            assert_eq!(decode_stream(&bytes, 1).map(|d| d.runs), Ok(ok));
+        }
+        for bad in [
+            vec![run(u64::MAX - 7, 4, 1), run(u64::MAX - 2, 4, 1)],
+            vec![run(u64::MAX - 1, 8, 2)],
+            vec![run(u64::MAX, 2, 1)],
+        ] {
+            let bytes = encode_stream(1, b"", &bad);
+            assert_eq!(decode_stream(&bytes, 1), Err(StreamError::Corrupt(WRAPS)), "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the memory substrate.
 
 use proptest::prelude::*;
+use proptest::sample::Index;
 
 use sim_mem::heap::round_up_word;
 use sim_mem::{
@@ -383,5 +384,271 @@ proptest! {
             blocks.last().copied().expect("nonempty"),
             (addr + u64::from(size) - 1) / 32
         );
+    }
+}
+
+/// Hand-built ALSC files for the decoder suite: the same layout
+/// `encode_stream` writes, assembled from parts a test can damage
+/// before [`Alsc::seal`] recomputes the checksum — so the damage gets
+/// past the checksum and reaches the record decoder.
+mod alsc {
+    use sim_mem::stream::fnv1a;
+    use sim_mem::varint::{write_u64, zigzag};
+    use sim_mem::{AccessClass, AccessKind, RefRun, STREAM_FORMAT_VERSION, STREAM_MAGIC};
+
+    pub const KEY: u64 = 0x5eed;
+    pub const FLAG_SIZED: u8 = 1 << 2;
+    pub const FLAG_REPEATED: u8 = 1 << 3;
+
+    pub fn varint(v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_u64(&mut out, v).expect("vec write");
+        out
+    }
+
+    /// One run record, field by field (each field's varint bytes, empty
+    /// when the flags leave it out).
+    #[derive(Debug, Clone)]
+    pub struct Record {
+        pub flags: u8,
+        pub delta: Vec<u8>,
+        pub size: Vec<u8>,
+        pub count: Vec<u8>,
+    }
+
+    /// A whole file before sealing.
+    #[derive(Debug, Clone)]
+    pub struct Alsc {
+        pub run_count: u64,
+        pub ref_count: u64,
+        pub sidecar: Vec<u8>,
+        pub records: Vec<Record>,
+        pub trailing: Vec<u8>,
+    }
+
+    impl Alsc {
+        /// The unmerged encoding of `runs`: one record per run.
+        pub fn of(runs: &[RefRun]) -> Alsc {
+            let mut prev = 0u64;
+            let records = runs
+                .iter()
+                .map(|run| {
+                    let r = run.r;
+                    let mut flags = 0;
+                    if r.kind == AccessKind::Write {
+                        flags |= 1;
+                    }
+                    if r.class == AccessClass::AllocatorMeta {
+                        flags |= 2;
+                    }
+                    let delta = varint(zigzag(r.addr.raw().wrapping_sub(prev) as i64));
+                    prev = r.addr.raw();
+                    let size = if r.size == 4 { Vec::new() } else { varint(u64::from(r.size)) };
+                    if !size.is_empty() {
+                        flags |= FLAG_SIZED;
+                    }
+                    let count =
+                        if run.count == 1 { Vec::new() } else { varint(u64::from(run.count - 1)) };
+                    if !count.is_empty() {
+                        flags |= FLAG_REPEATED;
+                    }
+                    Record { flags, delta, size, count }
+                })
+                .collect();
+            Alsc {
+                run_count: runs.len() as u64,
+                ref_count: runs.iter().map(|run| u64::from(run.count)).sum(),
+                sidecar: b"sidecar".to_vec(),
+                records,
+                trailing: Vec::new(),
+            }
+        }
+
+        /// Header, body and a freshly computed checksum.
+        pub fn seal(&self) -> Vec<u8> {
+            let mut body = varint(self.run_count);
+            body.extend(varint(self.ref_count));
+            body.extend(varint(self.sidecar.len() as u64));
+            body.extend(&self.sidecar);
+            for r in &self.records {
+                body.push(r.flags);
+                body.extend(&r.delta);
+                body.extend(&r.size);
+                body.extend(&r.count);
+            }
+            body.extend(&self.trailing);
+            seal_body(&body)
+        }
+    }
+
+    /// Wraps an arbitrary body in a valid header and checksum.
+    pub fn seal_body(body: &[u8]) -> Vec<u8> {
+        let mut out = STREAM_MAGIC.to_vec();
+        out.push(STREAM_FORMAT_VERSION);
+        out.extend([0u8; 3]);
+        out.extend(KEY.to_le_bytes());
+        out.extend(body);
+        out.extend(fnv1a(body).to_le_bytes());
+        out
+    }
+}
+
+/// Whether a decoded run is well formed: non-empty, and its last byte
+/// exists (it does not run past 2^64).
+fn well_formed(run: &RefRun) -> bool {
+    run.r.size >= 1
+        && run.count >= 1
+        && run.r.addr.raw().checked_add(u64::from(run.r.size) - 1).is_some()
+}
+
+/// One way to damage a valid file that the decoder must refuse.
+#[derive(Debug, Clone)]
+enum Damage {
+    RunCount(bool),
+    ElevenByteVarint(Index),
+    HugeSize(Index, u64),
+    MaxRepeat(Index),
+    UnknownFlags(Index, u8),
+    Trailing(Vec<u8>),
+    RefCount(bool),
+}
+
+fn damage_strategy() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        any::<bool>().prop_map(Damage::RunCount),
+        any::<Index>().prop_map(Damage::ElevenByteVarint),
+        (any::<Index>(), 1u64..1 << 40).prop_map(|(i, s)| Damage::HugeSize(i, s)),
+        any::<Index>().prop_map(Damage::MaxRepeat),
+        (any::<Index>(), 4u8..8).prop_map(|(i, b)| Damage::UnknownFlags(i, b)),
+        proptest::collection::vec(any::<u8>(), 1..16).prop_map(Damage::Trailing),
+        any::<bool>().prop_map(Damage::RefCount),
+    ]
+}
+
+fn valid_runs_strategy() -> impl Strategy<Value = Vec<RefRun>> {
+    proptest::collection::vec(
+        (
+            prop_oneof![0u64..1 << 20, 0u64..1 << 44, (u64::MAX - (1 << 20))..u64::MAX - 300],
+            prop_oneof![Just(4u32), 1u32..300],
+            prop_oneof![Just(1u32), 1u32..1000, Just(u32::MAX)],
+            any::<bool>(),
+            any::<bool>(),
+        ),
+        1..40,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(|(addr, size, count, meta, write)| {
+                let a = Address::new(addr);
+                let r = match (meta, write) {
+                    (false, false) => MemRef::app_read(a, size),
+                    (false, true) => MemRef::app_write(a, size),
+                    (true, false) => MemRef::meta_read(a, size),
+                    (true, true) => MemRef::meta_write(a, size),
+                };
+                RefRun { r, count }
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes behind a valid header and checksum never make
+    /// either decoder panic, and whatever decodes holds no reference
+    /// that wraps past 2^64.
+    #[test]
+    fn alsc_decoders_survive_arbitrary_bodies(
+        body in proptest::collection::vec(any::<u8>(), 0..400),
+    ) {
+        let bytes = alsc::seal_body(&body);
+        let _ = sim_mem::decode_sidecar(&bytes, alsc::KEY);
+        if let Ok(stream) = sim_mem::decode_stream(&bytes, alsc::KEY) {
+            prop_assert!(stream.runs.iter().all(well_formed), "{:?}", stream.runs);
+        }
+    }
+
+    /// The same with plausible counts up front, so the arbitrary bytes
+    /// land in the record decoder instead of failing the count checks.
+    #[test]
+    fn alsc_decoders_survive_arbitrary_records(
+        run_count in 0u64..64,
+        ref_count in prop_oneof![0u64..64, any::<u64>()],
+        records in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let mut body = alsc::varint(run_count);
+        body.extend(alsc::varint(ref_count));
+        body.extend(alsc::varint(0));
+        body.extend(&records);
+        let bytes = alsc::seal_body(&body);
+        prop_assert_eq!(sim_mem::decode_sidecar(&bytes, alsc::KEY), Ok(Vec::new()));
+        if let Ok(stream) = sim_mem::decode_stream(&bytes, alsc::KEY) {
+            prop_assert!(stream.runs.iter().all(well_formed), "{:?}", stream.runs);
+            prop_assert_eq!(stream.runs.len() as u64, run_count);
+        }
+    }
+
+    /// A reference ending at the last byte of memory decodes; one byte
+    /// further, it wraps past 2^64 and the file is an `Err` — on the
+    /// two-byte fast path (word reads at small deltas) as on the general
+    /// one.
+    #[test]
+    fn alsc_decoder_accepts_a_reference_only_if_its_last_byte_exists(
+        mut runs in valid_runs_strategy(),
+        at in any::<Index>(),
+        below_top in 0u64..16,
+        size in prop_oneof![Just(4u32), 1u32..32],
+    ) {
+        let at = at.index(runs.len());
+        runs[at].r.addr = Address::new(u64::MAX - below_top);
+        runs[at].r.size = size;
+        let wraps = u64::from(size) - 1 > below_top;
+        let verdict = sim_mem::decode_stream(&alsc::Alsc::of(&runs).seal(), alsc::KEY);
+        if wraps {
+            prop_assert!(verdict.is_err(), "wrapping {:?} decoded", runs[at]);
+        } else {
+            prop_assert_eq!(verdict.map(|d| d.runs), Ok(runs));
+        }
+    }
+
+    /// A valid file damaged in one field, checksum recomputed, is an
+    /// `Err` from the decoder: never a panic, never a stream.
+    #[test]
+    fn damaged_alsc_fields_are_rejected(runs in valid_runs_strategy(), damage in damage_strategy()) {
+        let mut file = alsc::Alsc::of(&runs);
+        let decoded = sim_mem::decode_stream(&file.seal(), alsc::KEY).expect("undamaged file");
+        prop_assert_eq!(&decoded.runs, &runs);
+
+        let n = file.records.len();
+        match &damage {
+            Damage::RunCount(up) => {
+                file.run_count = if *up { file.run_count + 1 } else { file.run_count - 1 };
+            }
+            Damage::ElevenByteVarint(i) => {
+                let mut eleven = vec![0x80u8; 10];
+                eleven.push(0);
+                file.records[i.index(n)].delta = eleven;
+            }
+            Damage::HugeSize(i, extra) => {
+                let r = &mut file.records[i.index(n)];
+                r.flags |= alsc::FLAG_SIZED;
+                r.size = alsc::varint(u64::from(u32::MAX) + extra);
+            }
+            Damage::MaxRepeat(i) => {
+                let r = &mut file.records[i.index(n)];
+                r.flags |= alsc::FLAG_REPEATED;
+                r.count = alsc::varint(u64::from(u32::MAX));
+            }
+            Damage::UnknownFlags(i, bit) => file.records[i.index(n)].flags |= 1 << bit,
+            Damage::Trailing(bytes) => file.trailing = bytes.clone(),
+            Damage::RefCount(up) => {
+                file.ref_count = if *up { file.ref_count + 1 } else { file.ref_count - 1 };
+            }
+        }
+        let bytes = file.seal();
+        let verdict = sim_mem::decode_stream(&bytes, alsc::KEY);
+        prop_assert!(verdict.is_err(), "{:?} decoded: {:?}", damage, verdict);
+        let _ = sim_mem::decode_sidecar(&bytes, alsc::KEY);
     }
 }

@@ -180,7 +180,7 @@ impl StackSim {
     /// the range spans.
     pub fn access_addr(&mut self, addr: Address, size: u32) {
         let first = addr.raw() >> self.page_shift;
-        let last = (addr.raw() + u64::from(size.max(1)) - 1) >> self.page_shift;
+        let last = (addr.raw() + u64::from(size.max(1) - 1)) >> self.page_shift;
         if first == last {
             // Nearly every reference is word-sized and page-aligned
             // traffic is rare, so the single-page case skips the range

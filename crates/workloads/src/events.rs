@@ -5,11 +5,21 @@ use serde::{Deserialize, Serialize};
 /// One step of a synthetic application, consumed by the experiment
 /// engine. Object identity is a generator-assigned id; the engine maps
 /// ids to heap addresses once the allocator under test has placed them.
+///
+/// # The id contract
+///
+/// Ids are allocation ordinals: the n-th `Malloc` of a stream, counting
+/// from 0, names object n. A `Free` or an `Access` names an object that
+/// has been allocated and not yet freed. The engine indexes its object
+/// table by id, so it needs no hashing, and it rejects a stream that
+/// breaks the contract. The generator follows it by construction, and
+/// [`crate::import::parse_trace`] renumbers a file's free-form ids to
+/// follow it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AppEvent {
     /// Request `size` bytes; the object is known as `id` from here on.
     Malloc {
-        /// Generator-assigned object identity.
+        /// The object's identity: its allocation ordinal.
         id: u64,
         /// Requested bytes.
         size: u32,

@@ -8,6 +8,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::{AppEvent, Scale, SizePick, WorkloadSpec};
 
+/// The `live_pos` entry of an object that has been freed.
+const DEAD: u32 = u32::MAX;
+
 /// Iterator producing the application's event stream.
 ///
 /// The process, per allocation step:
@@ -21,7 +24,8 @@ use crate::{AppEvent, Scale, SizePick, WorkloadSpec};
 ///    (initialization), pushing it into the recency window.
 ///
 /// The generator never frees an object twice and never accesses a dead
-/// object; the experiment engine can therefore treat the stream as a
+/// object, and its ids are allocation ordinals (the n-th `Malloc` names
+/// object n); the experiment engine can therefore treat the stream as a
 /// well-formed program.
 #[derive(Debug)]
 pub struct EventStream {
@@ -34,19 +38,22 @@ pub struct EventStream {
     remaining: u64,
     /// Allocation step counter (drives lifetimes).
     step: u64,
-    next_id: u64,
     /// Live object ids and sizes, index-addressable for uniform picks.
     live: Vec<(u64, u32)>,
-    /// Position of each live id in `live` (id -> index), for O(1) removal.
-    live_pos: std::collections::HashMap<u64, usize>,
+    /// Position in `live` of every object allocated so far, indexed by
+    /// id (ids are allocation ordinals), or [`DEAD`] once freed: O(1)
+    /// removal and liveness checks without hashing.
+    live_pos: Vec<u32>,
     /// (death step, id) min-heap.
     deaths: BinaryHeap<Reverse<(u64, u64)>>,
     /// Objects dying at the next phase boundary.
     cohort: Vec<u64>,
     /// Recently allocated/touched objects.
     recent: VecDeque<u64>,
-    /// Events ready to be yielded.
-    queue: VecDeque<AppEvent>,
+    /// One allocation step's events; `queue[head..]` are yet to be
+    /// yielded, and the next step refills it once `head` reaches the end.
+    queue: Vec<AppEvent>,
+    head: usize,
 }
 
 impl EventStream {
@@ -69,13 +76,13 @@ impl EventStream {
             weight_total: total,
             remaining,
             step: 0,
-            next_id: 0,
             live: Vec::new(),
-            live_pos: std::collections::HashMap::new(),
+            live_pos: Vec::new(),
             deaths: BinaryHeap::new(),
             cohort: Vec::new(),
             recent: VecDeque::new(),
-            queue: VecDeque::new(),
+            queue: Vec::new(),
+            head: 0,
         }
     }
 
@@ -102,10 +109,13 @@ impl EventStream {
     }
 
     fn remove_live(&mut self, id: u64) -> Option<u32> {
-        let pos = self.live_pos.remove(&id)?;
-        let (_, size) = self.live.swap_remove(pos);
-        if let Some(&(moved, _)) = self.live.get(pos) {
-            self.live_pos.insert(moved, pos);
+        let pos = std::mem::replace(&mut self.live_pos[id as usize], DEAD);
+        if pos == DEAD {
+            return None;
+        }
+        let (_, size) = self.live.swap_remove(pos as usize);
+        if let Some(&(moved, _)) = self.live.get(pos as usize) {
+            self.live_pos[moved as usize] = pos;
         }
         Some(size)
     }
@@ -117,9 +127,9 @@ impl EventStream {
         if !self.recent.is_empty() && self.rng.random_bool(self.spec.recency_bias) {
             // Recency-weighted touch; fall back if the entry died.
             let k = self.rng.random_range(0..self.recent.len());
-            let id = self.recent[k];
-            if let Some(&pos) = self.live_pos.get(&id) {
-                return Some(self.live[pos]);
+            let pos = self.live_pos[self.recent[k] as usize];
+            if pos != DEAD {
+                return Some(self.live[pos as usize]);
             }
         }
         let k = self.rng.random_range(0..self.live.len());
@@ -148,7 +158,7 @@ impl EventStream {
             }
             self.deaths.pop();
             if self.remove_live(id).is_some() {
-                self.queue.push_back(AppEvent::Free { id });
+                self.queue.push(AppEvent::Free { id });
             }
         }
         // 1b. Phase boundary: the cohort dies together.
@@ -156,7 +166,7 @@ impl EventStream {
             if self.step.is_multiple_of(phase.period.max(1)) {
                 for id in std::mem::take(&mut self.cohort) {
                     if self.remove_live(id).is_some() {
-                        self.queue.push_back(AppEvent::Free { id });
+                        self.queue.push(AppEvent::Free { id });
                     }
                 }
             }
@@ -171,12 +181,12 @@ impl EventStream {
         let nrefs = (self.spec.refs_per_alloc * jitter).round() as u64;
         let instrs = (nrefs as f64 * (self.spec.instrs_per_ref - 1.0).max(0.0)).round() as u64;
         if instrs > 0 {
-            self.queue.push_back(AppEvent::Compute { instrs });
+            self.queue.push(AppEvent::Compute { instrs });
         }
         let heap_refs = (nrefs as f64 * self.spec.heap_ref_fraction).round() as u64;
         let stack_words = nrefs - heap_refs.min(nrefs);
         if stack_words > 0 {
-            self.queue.push_back(AppEvent::Stack { words: stack_words });
+            self.queue.push(AppEvent::Stack { words: stack_words });
         }
         let mut emitted = 0u64;
         while emitted < heap_refs {
@@ -191,20 +201,19 @@ impl EventStream {
             // Clamp the run to the object's (word-rounded) end.
             let len = (run_words * 4).min(size.max(4) - offset);
             let write = self.rng.random_bool(self.spec.write_fraction);
-            self.queue.push_back(AppEvent::Access { id, offset, len, write });
+            self.queue.push(AppEvent::Access { id, offset, len, write });
             self.touch_recent(id);
             emitted += u64::from(run_words);
         }
 
-        // 3. The allocation itself.
-        let id = self.next_id;
-        self.next_id += 1;
+        // 3. The allocation itself, named by its ordinal.
+        let id = self.live_pos.len() as u64;
         let (size, site) = self.draw_size();
-        self.queue.push_back(AppEvent::Malloc { id, size, site });
+        self.queue.push(AppEvent::Malloc { id, size, site });
         // Initialization write over the whole object.
-        self.queue.push_back(AppEvent::Access { id, offset: 0, len: size.max(1), write: true });
+        self.queue.push(AppEvent::Access { id, offset: 0, len: size.max(1), write: true });
+        self.live_pos.push(self.live.len() as u32);
         self.live.push((id, size));
-        self.live_pos.insert(id, self.live.len() - 1);
         self.touch_recent(id);
         if self.spec.permanent_fraction < 1.0 && !self.rng.random_bool(self.spec.permanent_fraction)
         {
@@ -224,13 +233,19 @@ impl Iterator for EventStream {
     type Item = AppEvent;
 
     fn next(&mut self) -> Option<AppEvent> {
-        while self.queue.is_empty() {
-            if self.remaining == 0 {
-                return None;
+        if self.head == self.queue.len() {
+            self.queue.clear();
+            self.head = 0;
+            while self.queue.is_empty() {
+                if self.remaining == 0 {
+                    return None;
+                }
+                self.advance();
             }
-            self.advance();
         }
-        self.queue.pop_front()
+        let event = self.queue[self.head];
+        self.head += 1;
+        Some(event)
     }
 }
 
@@ -238,7 +253,6 @@ impl Iterator for EventStream {
 mod tests {
     use super::*;
     use crate::Program;
-    use std::collections::HashSet;
 
     fn collect(p: Program, scale: f64) -> Vec<AppEvent> {
         p.spec().events(Scale(scale)).collect()
@@ -261,27 +275,38 @@ mod tests {
     #[test]
     fn stream_is_well_formed() {
         // Every Free and Access names a currently live object; ids are
-        // unique; accesses stay in bounds.
-        let events = collect(Program::GsLarge, 0.002);
-        let mut live: std::collections::HashMap<u64, u32> = Default::default();
-        let mut seen = HashSet::new();
-        for e in &events {
-            match *e {
-                AppEvent::Malloc { id, size, .. } => {
-                    assert!(seen.insert(id), "id {id} reused");
-                    live.insert(id, size);
+        // allocation ordinals (the n-th Malloc names object n); accesses
+        // stay in bounds.
+        for p in Program::FIVE {
+            let events = collect(p, 0.002);
+            let mut live: Vec<Option<u32>> = Vec::new();
+            for e in &events {
+                match *e {
+                    AppEvent::Malloc { id, size, .. } => {
+                        assert_eq!(id, live.len() as u64, "{p}: id {id} is not the next ordinal");
+                        live.push(Some(size));
+                    }
+                    AppEvent::Free { id } => {
+                        let slot = live.get_mut(id as usize).and_then(Option::take);
+                        assert!(slot.is_some(), "{p}: free of dead id {id}");
+                    }
+                    AppEvent::Access { id, offset, len, .. } => {
+                        let size = live
+                            .get(id as usize)
+                            .copied()
+                            .flatten()
+                            .unwrap_or_else(|| panic!("{p}: access to dead object {id}"));
+                        assert!(len >= 1);
+                        assert!(
+                            offset + len <= size.max(4),
+                            "{p}: oob access {offset}+{len} of {size}"
+                        );
+                    }
+                    AppEvent::Compute { instrs } => assert!(instrs > 0),
+                    AppEvent::Stack { words } => assert!(words > 0),
                 }
-                AppEvent::Free { id } => {
-                    assert!(live.remove(&id).is_some(), "free of dead id {id}");
-                }
-                AppEvent::Access { id, offset, len, .. } => {
-                    let size = *live.get(&id).expect("access to dead object");
-                    assert!(len >= 1);
-                    assert!(offset + len <= size.max(4), "oob access {offset}+{len} of {size}");
-                }
-                AppEvent::Compute { instrs } => assert!(instrs > 0),
-                AppEvent::Stack { words } => assert!(words > 0),
             }
+            assert!(!live.is_empty(), "{p}: no allocations");
         }
     }
 

@@ -20,6 +20,13 @@
 //! live objects, touches stay in bounds), so the engine can run imported
 //! traces without further checking.
 //!
+//! Ids in the file are free-form: any distinct `u64`s, in any order.
+//! The engine's events name objects by allocation ordinal instead (see
+//! [`AppEvent`]), so the parser renumbers them — the file's n-th `a`
+//! record becomes object n, and its `f` and `t` records follow. Error
+//! messages quote ids as written in the file. [`write_trace`] writes
+//! the ordinals back out, so an exported stream re-imports unchanged.
+//!
 //! # Example
 //!
 //! ```
@@ -66,7 +73,18 @@ fn err(line: u64, message: impl Into<String>) -> ImportError {
     ImportError { line, message: message.into() }
 }
 
-/// Parses and validates a text allocation trace into engine events.
+/// One object named in a trace file, keyed by its id as written.
+struct Object {
+    /// Allocation ordinal: the engine-side id.
+    ordinal: u64,
+    /// Requested bytes.
+    size: u32,
+    /// Whether it has not been freed yet.
+    live: bool,
+}
+
+/// Parses and validates a text allocation trace into engine events,
+/// renumbering the file's object ids to allocation ordinals.
 ///
 /// # Errors
 ///
@@ -75,8 +93,9 @@ fn err(line: u64, message: impl Into<String>) -> ImportError {
 /// out-of-bounds touch).
 pub fn parse_trace<R: Read>(input: R) -> Result<Vec<AppEvent>, ImportError> {
     let mut events = Vec::new();
-    let mut live: HashMap<u64, u32> = HashMap::new();
-    let mut seen_ids = std::collections::HashSet::new();
+    // Every id the file has allocated so far, dead ones included: an id
+    // is never reused.
+    let mut objects: HashMap<u64, Object> = HashMap::new();
     for (idx, line) in BufReader::new(input).lines().enumerate() {
         let lineno = idx as u64 + 1;
         let line = line?;
@@ -98,19 +117,20 @@ pub fn parse_trace<R: Read>(input: R) -> Result<Vec<AppEvent>, ImportError> {
                     Some(s) => s.parse().map_err(|e| err(lineno, format!("bad site: {e}")))?,
                     None => 0,
                 };
-                if !seen_ids.insert(id) {
+                let ordinal = objects.len() as u64;
+                if objects.insert(id, Object { ordinal, size, live: true }).is_some() {
                     return Err(err(lineno, format!("object id {id} reused")));
                 }
-                live.insert(id, size);
-                events.push(AppEvent::Malloc { id, size, site });
+                events.push(AppEvent::Malloc { id: ordinal, size, site });
             }
             "f" => {
                 let id: u64 =
                     field("id")?.parse().map_err(|e| err(lineno, format!("bad id: {e}")))?;
-                if live.remove(&id).is_none() {
+                let Some(object) = objects.get_mut(&id).filter(|o| o.live) else {
                     return Err(err(lineno, format!("free of dead object {id}")));
-                }
-                events.push(AppEvent::Free { id });
+                };
+                object.live = false;
+                events.push(AppEvent::Free { id: object.ordinal });
             }
             "t" => {
                 let id: u64 =
@@ -125,7 +145,8 @@ pub fn parse_trace<R: Read>(input: R) -> Result<Vec<AppEvent>, ImportError> {
                     "w" => true,
                     other => return Err(err(lineno, format!("bad access kind {other:?}"))),
                 };
-                let Some(&size) = live.get(&id) else {
+                let Some(&Object { ordinal, size, .. }) = objects.get(&id).filter(|o| o.live)
+                else {
                     return Err(err(lineno, format!("touch of dead object {id}")));
                 };
                 if len == 0 {
@@ -137,7 +158,7 @@ pub fn parse_trace<R: Read>(input: R) -> Result<Vec<AppEvent>, ImportError> {
                         format!("touch {offset}+{len} outside {size}-byte object {id}"),
                     ));
                 }
-                events.push(AppEvent::Access { id, offset, len, write });
+                events.push(AppEvent::Access { id: ordinal, offset, len, write });
             }
             "c" => {
                 let instrs: u64 = field("instrs")?
@@ -195,6 +216,21 @@ mod tests {
         assert_eq!(events[0], AppEvent::Malloc { id: 0, size: 24, site: 3 });
         assert_eq!(events[2], AppEvent::Malloc { id: 1, size: 100, site: 0 });
         assert_eq!(events[6], AppEvent::Stack { words: 32 });
+
+        // Free-form ids in the file become allocation ordinals.
+        let sparse = "a 900 24\na 5 8\nt 5 0 8 r\nf 900\nt 5 4 4 w\nf 5\n";
+        let events = parse_trace(sparse.as_bytes()).unwrap();
+        assert_eq!(
+            events,
+            [
+                AppEvent::Malloc { id: 0, size: 24, site: 0 },
+                AppEvent::Malloc { id: 1, size: 8, site: 0 },
+                AppEvent::Access { id: 1, offset: 0, len: 8, write: false },
+                AppEvent::Free { id: 0 },
+                AppEvent::Access { id: 1, offset: 4, len: 4, write: true },
+                AppEvent::Free { id: 1 },
+            ]
+        );
     }
 
     #[test]
@@ -203,7 +239,11 @@ mod tests {
             ("x 1 2\n", "unknown verb"),
             ("a 0\n", "missing field"),
             ("a 0 8\na 0 8\n", "reused"),
+            ("a 9 8\nf 9\na 9 8\n", "object id 9 reused"),
             ("f 7\n", "dead object"),
+            ("a 70 8\nf 70\nf 70\n", "free of dead object 70"),
+            ("a 70 8\nf 70\nt 70 0 4 r\n", "touch of dead object 70"),
+            ("a 3 4\na 70 8\nt 70 4 8 w\n", "outside 8-byte object 70"),
             ("a 0 8\nt 0 4 8 w\n", "outside"),
             ("a 0 8\nt 0 0 4 q\n", "bad access kind"),
             ("a 0 8 1 junk\n", "trailing"),

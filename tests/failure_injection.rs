@@ -2,10 +2,10 @@
 //! corrupt state, when the simulated operating system refuses memory or
 //! the caller misuses the API.
 
-use alloc_locality_repro::engine::{AllocChoice, EngineError, Experiment, SimOptions};
+use alloc_locality_repro::engine::{AllocChoice, EngineError, EventFault, Experiment, SimOptions};
 use allocators::{AllocError, Allocator, AllocatorKind};
 use sim_mem::{Address, CountingSink, HeapImage, InstrCounter, MemCtx};
-use workloads::{Program, Scale};
+use workloads::{AppEvent, Program, Scale};
 
 fn with_limited_heap<R>(limit: u64, f: impl FnOnce(&mut MemCtx<'_>) -> R) -> R {
     let mut heap = HeapImage::with_limit(limit);
@@ -63,9 +63,54 @@ fn engine_surfaces_oom_as_typed_error() {
         .options(opts)
         .run()
         .expect_err("16K heap cannot hold GS");
-    let EngineError::Alloc { source, at_event } = err;
+    let EngineError::Alloc { source, at_event } = err else {
+        panic!("expected an allocator error, got {err}");
+    };
     assert!(matches!(source, AllocError::Oom(_)));
     assert!(at_event > 0, "OOM should happen mid-run, not at setup");
+}
+
+#[test]
+fn malformed_event_streams_are_typed_errors() {
+    // Ids are allocation ordinals and only live objects may be freed or
+    // touched; a hand-built stream that breaks either rule is an
+    // EngineError at the offending event, not a panic and not a run.
+    let access = |id| AppEvent::Access { id, offset: 0, len: 4, write: false };
+    let cases = [
+        (
+            vec![AppEvent::Malloc { id: 0, size: 16, site: 0 }, AppEvent::Free { id: 7 }],
+            1,
+            EventFault::FreeOfDead { id: 7 },
+        ),
+        (
+            vec![
+                AppEvent::Malloc { id: 0, size: 16, site: 0 },
+                access(0),
+                AppEvent::Free { id: 0 },
+                access(0),
+            ],
+            3,
+            EventFault::AccessOfDead { id: 0 },
+        ),
+        (
+            vec![
+                AppEvent::Malloc { id: 0, size: 16, site: 0 },
+                AppEvent::Malloc { id: 2, size: 16, site: 0 },
+            ],
+            1,
+            EventFault::MallocOutOfOrder { id: 2, expected: 1 },
+        ),
+    ];
+    for (events, at, want) in cases {
+        for kind in AllocatorKind::ALL {
+            let err =
+                Experiment::with_events("hand-built", events.clone(), AllocChoice::Paper(kind))
+                    .run()
+                    .expect_err("a malformed stream must not run");
+            assert_eq!(err, EngineError::Event { at_event: at, fault: want }, "{kind:?}");
+            assert!(err.to_string().contains(&format!("at event {at}")), "{err}");
+        }
+    }
 }
 
 #[test]

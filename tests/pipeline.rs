@@ -257,6 +257,7 @@ fn exported_trace_replays_identically() {
     // original generated run bit for bit.
     use alloc_locality_repro::engine::Experiment as Exp;
     use workloads::import::{parse_trace, write_trace};
+    use workloads::AppEvent;
 
     let scale = 0.01;
     let original = Exp::new(Program::Make, AllocChoice::Paper(AllocatorKind::GnuLocal))
@@ -264,7 +265,7 @@ fn exported_trace_replays_identically() {
         .run()
         .expect("original run");
 
-    let events: Vec<workloads::AppEvent> = Program::Make.spec().events(Scale(scale)).collect();
+    let events: Vec<AppEvent> = Program::Make.spec().events(Scale(scale)).collect();
     let mut text = Vec::new();
     write_trace(&events, &mut text).expect("export");
     let imported = parse_trace(&text[..]).expect("import");
@@ -279,6 +280,32 @@ fn exported_trace_replays_identically() {
     assert_eq!(replayed.cache, original.cache);
     assert_eq!(replayed.heap_high_water, original.heap_high_water);
     assert_eq!(replayed.alloc_stats, original.alloc_stats);
+
+    // The text format's ids are free-form: a file naming every object
+    // by a sparse, far-out id imports to the same ordinals and replays
+    // to the same result.
+    let remap = |id: u64| id * 7919 + (1 << 40);
+    let sparse: Vec<AppEvent> = events
+        .iter()
+        .map(|&e| match e {
+            AppEvent::Malloc { id, size, site } => AppEvent::Malloc { id: remap(id), size, site },
+            AppEvent::Free { id } => AppEvent::Free { id: remap(id) },
+            AppEvent::Access { id, offset, len, write } => {
+                AppEvent::Access { id: remap(id), offset, len, write }
+            }
+            other => other,
+        })
+        .collect();
+    let mut sparse_text = Vec::new();
+    write_trace(&sparse, &mut sparse_text).expect("export sparse ids");
+    let renumbered = parse_trace(&sparse_text[..]).expect("import sparse ids");
+    assert_eq!(renumbered, events, "import renumbers ids to allocation ordinals");
+    let sparse_replay =
+        Exp::with_events("make", renumbered, AllocChoice::Paper(AllocatorKind::GnuLocal))
+            .options(quick_opts(scale))
+            .run()
+            .expect("sparse-id replay");
+    assert_eq!(sparse_replay, replayed);
 }
 
 #[test]
