@@ -513,7 +513,8 @@ fn sweep_report(args: &Args) -> Result<SweepReport, String> {
 /// The cold-vs-warm replay report: every cell of the paper's 5×5 matrix
 /// run once against an empty stream cache (generating the workload and
 /// storing the captured stream) and then again against the populated
-/// cache (replaying the decoded stream straight into the sinks).
+/// cache. The warm run has the same sinks, so the stored result answers
+/// it after one read and checksum of the file, without decoding a record.
 ///
 /// The cold pass is timed once per cell — its second execution would hit
 /// the cache it just filled — while the warm pass is best of `--repeat`.

@@ -25,10 +25,13 @@
 //! PIXIE-trace-file workflow the paper's execution-driven setup
 //! replaced); `replay` drives any simulator configuration from the
 //! frozen stream, so allocator runs can be archived and re-analyzed
-//! without re-simulating the allocator. A file that fails to write or
-//! to decode — wrong magic or key, truncation, a checksum mismatch, a
-//! reference whose bytes run past 2^64 — is reported in one line and
-//! exits 1.
+//! without re-simulating the allocator. `info` and `replay` validate the
+//! whole file first and then decode its records in bounded chunks
+//! straight into the sinks, so a large recording replays in the memory
+//! of its file. A file that fails to write or to decode — wrong magic or
+//! key, truncation, a checksum mismatch, a reference whose bytes run
+//! past 2^64 — is reported in one line and exits 1, before anything is
+//! printed.
 
 use std::fs::File;
 use std::io::BufReader;
@@ -37,7 +40,7 @@ use std::process::ExitCode;
 use alloc_locality::{AllocChoice, Experiment};
 use allocators::AllocatorKind;
 use cache_sim::{CacheBank, CacheConfig, ThreeCAnalyzer, VictimCache};
-use sim_mem::{decode_stream, encode_stream, AccessSink, CountingSink, DecodedStream};
+use sim_mem::{encode_stream, open_stream, AccessSink, CountingSink, RefRun};
 use vm_sim::StackSim;
 use workloads::{Program, Scale};
 
@@ -111,23 +114,28 @@ fn record(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads and fully validates a `record`ed file.
-fn read_recording(path: &str) -> Result<DecodedStream, String> {
+/// Reads a `record`ed file, validates it, and decodes its records into
+/// `sink` chunk by chunk; returns the file's size and its run count.
+fn read_recording(path: &str, mut sink: impl FnMut(&[RefRun])) -> Result<(u64, u64), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    decode_stream(&bytes, RECORDING_KEY).map_err(|e| format!("{path}: {e}"))
+    let view = open_stream(&bytes, RECORDING_KEY).map_err(|e| format!("{path}: {e}"))?;
+    let mut runs = 0u64;
+    view.decode_chunks(|chunk| {
+        runs += chunk.len() as u64;
+        sink(chunk);
+    })
+    .map_err(|e| format!("{path}: {e}"))?;
+    Ok((bytes.len() as u64, runs))
 }
 
 fn info(args: &[String]) -> Result<(), String> {
     let [path] = args else { return Err("usage: trace-tool info <trace.alsc>".into()) };
-    let stream = read_recording(path)?;
     let mut counting = CountingSink::new();
-    counting.record_runs(&stream.runs);
-    let bytes = std::fs::metadata(path).map_err(|e| format!("{path}: {e}"))?.len();
+    let (bytes, runs) = read_recording(path, |chunk| counting.record_runs(chunk))?;
     let s = counting.stats();
     let n = s.total_refs();
     println!(
-        "trace {path}: {n} references in {} runs, {bytes} bytes ({:.2} B/ref)",
-        stream.runs.len(),
+        "trace {path}: {n} references in {runs} runs, {bytes} bytes ({:.2} B/ref)",
         bytes as f64 / n.max(1) as f64
     );
     println!(
@@ -189,11 +197,24 @@ fn replay(args: &[String]) -> Result<(), String> {
             _ => return Err(format!("--cache-kb {kb}: not a power-of-two size in KB")),
         }
     }
-    let stream = read_recording(path)?;
     let mut bank = CacheBank::new(configs.iter().copied());
-    bank.record_runs(&stream.runs);
     let mut counting = CountingSink::new();
-    counting.record_runs(&stream.runs);
+    let mut pager = paging.then(StackSim::paper);
+    let mut analyzer = three_c.then(|| ThreeCAnalyzer::new(configs[0]));
+    let mut vcache = victim.map(|entries| VictimCache::new(configs[0], entries));
+    read_recording(path, |chunk| {
+        bank.record_runs(chunk);
+        counting.record_runs(chunk);
+        if let Some(pager) = &mut pager {
+            pager.record_runs(chunk);
+        }
+        if let Some(analyzer) = &mut analyzer {
+            analyzer.record_runs(chunk);
+        }
+        if let Some(vcache) = &mut vcache {
+            vcache.record_runs(chunk);
+        }
+    })?;
     println!("replayed {} references from {path}", counting.stats().total_refs());
     for (cfg, stats) in bank.results() {
         println!(
@@ -203,9 +224,7 @@ fn replay(args: &[String]) -> Result<(), String> {
             stats.cold_misses
         );
     }
-    if paging {
-        let mut pager = StackSim::paper();
-        pager.record_runs(&stream.runs);
+    if let Some(pager) = pager {
         let curve = pager.curve();
         println!(
             "  paging: {} distinct pages; working set {} KB",
@@ -213,9 +232,7 @@ fn replay(args: &[String]) -> Result<(), String> {
             curve.working_set_frames() * 4
         );
     }
-    if three_c {
-        let mut analyzer = ThreeCAnalyzer::new(configs[0]);
-        analyzer.record_runs(&stream.runs);
+    if let Some(analyzer) = analyzer {
         let c = analyzer.classify();
         println!(
             "  3C @ {}: compulsory {} / capacity {} / conflict {} ({:.0}% of replacement misses are conflicts)",
@@ -226,9 +243,7 @@ fn replay(args: &[String]) -> Result<(), String> {
             c.conflict_fraction() * 100.0
         );
     }
-    if let Some(entries) = victim {
-        let mut vcache = VictimCache::new(configs[0], entries);
-        vcache.record_runs(&stream.runs);
+    if let (Some(entries), Some(vcache)) = (victim, vcache) {
         println!(
             "  victim({entries}) @ {}: effective miss rate {:.3}%, rescue rate {:.0}%",
             configs[0],

@@ -19,12 +19,10 @@ use obs::{MemoryRecorder, Recorder, Stopwatch};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
-use sim_mem::stream::{
-    fnv1a, CacheLookup, Fnv64, SidecarLookup, StreamCache, STREAM_FORMAT_VERSION,
-};
+use sim_mem::stream::{fnv1a, open_stream, Fnv64, StreamCache, StreamView, STREAM_FORMAT_VERSION};
 use sim_mem::{
     AccessSink, Address, CountingSink, HeapImage, InstrCounter, MemCtx, MemRef, Phase, RefRun,
-    TraceStats,
+    TraceStats, BATCH_CAPACITY,
 };
 use vm_sim::{FaultCurve, StackSim};
 use workloads::{AppEvent, Program, Scale, WorkloadSpec};
@@ -72,8 +70,8 @@ pub struct SimOptions {
     /// Persistent stream-cache directory. When set, a run first looks
     /// for its captured reference stream (keyed by the run's *driver
     /// identity* — program, allocator, scale, seed) under this
-    /// directory and, on a hit, replays the decoded stream straight
-    /// into the sinks, skipping workload generation and allocator
+    /// directory and, on a hit, decodes the stream straight into the
+    /// sinks, skipping workload generation and allocator
     /// simulation entirely. On a miss the run executes normally and
     /// stores its stream for the next time. Results are bit-identical
     /// either way.
@@ -514,41 +512,27 @@ impl AccessSink for SinkShard {
     }
 }
 
-/// The run's sink set: the counting sink and every shard consume each
-/// batch in turn on the driving thread.
-struct InlineSink {
-    counting: CountingSink,
+/// The run's shards behind the one delivery routine every path shares:
+/// generated runs deliver `MemCtx`'s flushed batches, populating runs
+/// their captured stream and warm replays their decoded stream, both in
+/// chunks of at most [`BATCH_CAPACITY`] runs. Each delivery goes to every
+/// shard, in canonical order, before the next one arrives.
+struct ShardSet {
     shards: Vec<SinkShard>,
-    /// Per-shard consume time in nanoseconds, aligned with `shards`.
-    /// `None` (the uninstrumented path) skips the clock reads entirely,
-    /// so metrics-off runs pay nothing.
+    /// Per-shard consume time in nanoseconds, aligned with `shards` and
+    /// accumulated across deliveries. `None` (the uninstrumented path)
+    /// skips the clock reads entirely, so metrics-off runs pay nothing.
     timings: Option<Vec<u64>>,
 }
 
-impl InlineSink {
-    fn new(counting: CountingSink, shards: Vec<SinkShard>, timed: bool) -> Self {
+impl ShardSet {
+    fn new(shards: Vec<SinkShard>, timed: bool) -> Self {
         let timings = timed.then(|| vec![0u64; shards.len()]);
-        InlineSink { counting, shards, timings }
-    }
-}
-
-impl AccessSink for InlineSink {
-    fn record(&mut self, r: MemRef) {
-        self.counting.record(r);
-        for shard in &mut self.shards {
-            shard.record(r);
-        }
+        ShardSet { shards, timings }
     }
 
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        self.counting.record_batch(batch);
-        for shard in &mut self.shards {
-            shard.record_batch(batch);
-        }
-    }
-
-    fn record_runs(&mut self, runs: &[RefRun]) {
-        self.counting.record_runs(runs);
+    /// Feeds one chunk of the stream to every shard.
+    fn deliver(&mut self, runs: &[RefRun]) {
         match &mut self.timings {
             None => {
                 for shard in &mut self.shards {
@@ -563,6 +547,50 @@ impl AccessSink for InlineSink {
                 }
             }
         }
+    }
+
+    /// Records each shard's consume time under its [`SinkShard::label`]
+    /// — once per shard, however many deliveries it took, so span counts
+    /// do not depend on the stream's length — and its fast-path count.
+    fn record(&self, rec: &mut dyn Recorder) {
+        if let Some(times) = &self.timings {
+            for (shard, &spent) in self.shards.iter().zip(times) {
+                rec.span_ns(shard.label(), spent);
+            }
+        }
+        for shard in &self.shards {
+            if let Some((name, refs)) = shard.fastpath_refs() {
+                rec.add(name, refs);
+            }
+        }
+    }
+}
+
+/// A generated run's sink set: the counting sink and every shard consume
+/// each batch in turn on the driving thread.
+struct InlineSink {
+    counting: CountingSink,
+    set: ShardSet,
+}
+
+impl AccessSink for InlineSink {
+    fn record(&mut self, r: MemRef) {
+        self.counting.record(r);
+        for shard in &mut self.set.shards {
+            shard.record(r);
+        }
+    }
+
+    fn record_batch(&mut self, batch: &[MemRef]) {
+        self.counting.record_batch(batch);
+        for shard in &mut self.set.shards {
+            shard.record_batch(batch);
+        }
+    }
+
+    fn record_runs(&mut self, runs: &[RefRun]) {
+        self.counting.record_runs(runs);
+        self.set.deliver(runs);
     }
 }
 
@@ -1134,6 +1162,13 @@ impl Experiment {
     /// the plain generated run otherwise (populating the cache when one
     /// is configured). `need_metrics` marks an instrumented run whose
     /// metrics must be byte-reusable (see [`RunOutcome`]).
+    ///
+    /// A warm run reads its stream file once, validates and checksums it
+    /// once ([`open_stream`]) and parses its sidecar once. Then, in order:
+    /// a stored result under a matching options fingerprint answers the
+    /// run; an instrumented run under another fingerprint regenerates
+    /// without decoding a record; otherwise the records stream into the
+    /// shards.
     fn run_inner(
         &self,
         mut recorder: Option<&mut dyn Recorder>,
@@ -1149,17 +1184,30 @@ impl Experiment {
         if let Some(rec) = Self::reborrow(&mut recorder) {
             rec.span_enter("stream_cache.probe");
         }
-        // Stored-result fast path: when the sidecar alone already
-        // answers this run (same options fingerprint, finalized result
-        // stored), the stream body — routinely hundreds of megabytes —
-        // is never decoded and no sinks are built.
-        if let SidecarLookup::Hit(bytes) = cache.load_sidecar(key) {
-            if let Ok(sidecar) = std::str::from_utf8(&bytes)
-                .map_err(|_| ())
-                .and_then(|text| serde_json::from_str::<StreamSidecar>(text).map_err(|_| ()))
-            {
-                if sidecar.options_fp == self.options_fingerprint() {
-                    if let Some(result) = sidecar.result {
+        let bytes = cache.read(key);
+        let opened = match &bytes {
+            Ok(Some(bytes)) => {
+                open_stream(bytes, key).map_err(|_| "stream_cache.invalid").and_then(|view| {
+                    // A sidecar of a foreign shape cannot answer or
+                    // complete the run.
+                    let sidecar: StreamSidecar = std::str::from_utf8(view.sidecar())
+                        .ok()
+                        .and_then(|text| serde_json::from_str(text).ok())
+                        .ok_or("stream_cache.sidecar_mismatch")?;
+                    Ok((view, sidecar))
+                })
+            }
+            Ok(None) => Err("stream_cache.miss"),
+            Err(_) => Err("stream_cache.invalid"),
+        };
+        let lookup_counter = match opened {
+            Err(counter) => counter,
+            Ok((view, mut sidecar)) => {
+                let same_sinks = sidecar.options_fp == self.options_fingerprint();
+                match sidecar.result.take() {
+                    // Stored-result fast path: the sidecar alone answers
+                    // the run, so no record is decoded and no sink built.
+                    Some(result) if same_sinks => {
                         if let Some(rec) = Self::reborrow(&mut recorder) {
                             rec.add("stream_cache.hit", 1);
                             rec.add("stream_cache.result_fastpath", 1);
@@ -1170,32 +1218,28 @@ impl Experiment {
                             replay_metrics: need_metrics.then_some(sidecar.metrics),
                         });
                     }
+                    // The stored metrics describe other sinks: regenerate
+                    // and overwrite, last writer wins.
+                    _ if need_metrics && !same_sinks => "stream_cache.sidecar_mismatch",
+                    _ => {
+                        if let Some(rec) = Self::reborrow(&mut recorder) {
+                            rec.span_exit();
+                        }
+                        return match self.replay(view, sidecar, &mut recorder, need_metrics) {
+                            Some(outcome) => Ok(outcome),
+                            // A corrupt record behind a valid checksum:
+                            // the partly fed shards are gone; run cold.
+                            None => {
+                                self.run_and_populate(&cache, key, "stream_cache.invalid", recorder)
+                            }
+                        };
+                    }
                 }
             }
-        }
-        let lookup = cache.load_recorded(key, Self::reborrow(&mut recorder));
+        };
         if let Some(rec) = Self::reborrow(&mut recorder) {
             rec.span_exit();
         }
-        let lookup_counter = match lookup {
-            CacheLookup::Hit { stream, memoized } => {
-                if memoized {
-                    if let Some(rec) = Self::reborrow(&mut recorder) {
-                        rec.add("stream_cache.decode_memo", 1);
-                    }
-                }
-                match self.try_replay(&stream, &mut recorder, need_metrics)? {
-                    Some(outcome) => return Ok(outcome),
-                    // The stream was usable but its sidecar was not (a
-                    // foreign sidecar shape, or an instrumented run over
-                    // a different sink configuration): regenerate and
-                    // overwrite, last writer wins.
-                    None => "stream_cache.sidecar_mismatch",
-                }
-            }
-            CacheLookup::Miss => "stream_cache.miss",
-            CacheLookup::Invalid(_) => "stream_cache.invalid",
-        };
         self.run_and_populate(&cache, key, lookup_counter, recorder)
     }
 
@@ -1271,43 +1315,40 @@ impl Experiment {
         fnv1a(desc.as_bytes())
     }
 
-    /// Replays a decoded stream into this run's sinks, if its sidecar
-    /// is usable: `Ok(None)` demotes the hit to a populating run.
-    fn try_replay(
+    /// Streams a validated file's records into fresh shards, chunk by
+    /// chunk through [`ShardSet::deliver`], and assembles the result
+    /// around what the sidecar stored of the populating run. `None` when
+    /// a record is corrupt: the partly fed shards are dropped and nothing
+    /// flat was recorded — no `stream_cache.hit`, no `sink.*` or
+    /// `engine.replay` span — so the cold run that follows reports as if
+    /// the replay had never started.
+    fn replay(
         &self,
-        decoded: &sim_mem::DecodedStream,
+        view: StreamView<'_>,
+        sidecar: StreamSidecar,
         recorder: &mut Option<&mut dyn Recorder>,
         need_metrics: bool,
-    ) -> Result<Option<RunOutcome>, EngineError> {
-        let Ok(sidecar) = std::str::from_utf8(&decoded.sidecar)
-            .map_err(|_| ())
-            .and_then(|text| serde_json::from_str::<StreamSidecar>(text).map_err(|_| ()))
-        else {
-            return Ok(None);
-        };
-        if need_metrics && sidecar.options_fp != self.options_fingerprint() {
-            return Ok(None);
-        }
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.add("stream_cache.hit", 1);
-        }
+    ) -> Option<RunOutcome> {
         if let Some(rec) = recorder.as_deref_mut() {
             rec.span_enter("engine.replay");
         }
         let replay_sw = Stopwatch::start();
-        let shards = Self::replay_into_shards(&decoded.runs, self.build_shards(), recorder);
+        let mut set = ShardSet::new(self.build_shards(), recorder.is_some());
+        let decoded = view.decode_chunks(|chunk| set.deliver(chunk));
         if let Some(rec) = recorder.as_deref_mut() {
-            rec.span_ns("engine.replay", replay_sw.elapsed_ns());
-            for shard in &shards {
-                if let Some((name, refs)) = shard.fastpath_refs() {
-                    rec.add(name, refs);
-                }
+            if decoded.is_ok() {
+                set.record(rec);
+                rec.span_ns("engine.replay", replay_sw.elapsed_ns());
             }
             rec.span_exit();
+        }
+        decoded.ok()?;
+        if let Some(rec) = recorder.as_deref_mut() {
+            rec.add("stream_cache.hit", 1);
             rec.span_enter("engine.finalize");
         }
         let finalize_sw = Stopwatch::start();
-        let parts = finalize_shards(shards);
+        let parts = finalize_shards(set.shards);
         if let Some(rec) = recorder.as_deref_mut() {
             rec.span_ns("engine.finalize", finalize_sw.elapsed_ns());
             rec.span_exit();
@@ -1327,41 +1368,15 @@ impl Experiment {
             heap_high_water: sidecar.heap_high_water,
             alloc_stats: sidecar.alloc_stats,
         };
-        Ok(Some(RunOutcome { result, replay_metrics: need_metrics.then_some(sidecar.metrics) }))
-    }
-
-    /// Delivers an already-captured stream to the shards — the
-    /// warm-path replacement for [`Experiment::drive`]. With a recorder
-    /// attached, each shard's consume time lands under its
-    /// [`SinkShard::label`].
-    fn replay_into_shards(
-        runs: &[RefRun],
-        mut shards: Vec<SinkShard>,
-        recorder: &mut Option<&mut dyn Recorder>,
-    ) -> Vec<SinkShard> {
-        match recorder.as_deref_mut() {
-            None => {
-                for shard in &mut shards {
-                    shard.record_runs(runs);
-                }
-            }
-            Some(rec) => {
-                for shard in &mut shards {
-                    let sw = Stopwatch::start();
-                    shard.record_runs(runs);
-                    rec.span_ns(shard.label(), sw.elapsed_ns());
-                }
-            }
-        }
-        shards
+        Some(RunOutcome { result, replay_metrics: need_metrics.then_some(sidecar.metrics) })
     }
 
     /// A cold run that also captures its stream and stores it (with the
     /// sidecar holding everything a replay cannot reconstruct) under
-    /// `key`. The stream is captured once and then *replayed* into the
-    /// shards through the same code path a warm run uses, so the two
-    /// paths cannot drift. `lookup_counter` records why the cache did
-    /// not answer. A failed store is a missed optimization, never a
+    /// `key`. The stream is captured once and then delivered to the
+    /// shards in chunks through the same routine a warm replay uses, so
+    /// the two paths cannot drift. `lookup_counter` records why the cache
+    /// did not answer. A failed store is a missed optimization, never a
     /// failed run.
     fn run_and_populate(
         &self,
@@ -1384,20 +1399,16 @@ impl Experiment {
 
         tee.span_enter("engine.replay");
         let replay_sw = Stopwatch::start();
-        let shards = {
-            let mut recorder: Option<&mut dyn Recorder> = Some(&mut tee);
-            Self::replay_into_shards(&capture.runs, self.build_shards(), &mut recorder)
-        };
-        tee.span_ns("engine.replay", replay_sw.elapsed_ns());
-        for shard in &shards {
-            if let Some((name, refs)) = shard.fastpath_refs() {
-                tee.add(name, refs);
-            }
+        let mut set = ShardSet::new(self.build_shards(), true);
+        for chunk in capture.runs.chunks(BATCH_CAPACITY) {
+            set.deliver(chunk);
         }
+        set.record(&mut tee);
+        tee.span_ns("engine.replay", replay_sw.elapsed_ns());
         tee.span_exit();
         tee.span_enter("engine.finalize");
         let finalize_sw = Stopwatch::start();
-        let parts = finalize_shards(shards);
+        let parts = finalize_shards(set.shards);
         tee.span_ns("engine.finalize", finalize_sw.elapsed_ns());
         tee.span_exit();
         // Counts the store *attempt*, and does so before the snapshot is
@@ -1445,33 +1456,26 @@ impl Experiment {
     ) -> Result<RunResult, EngineError> {
         let mut heap = HeapImage::with_limit(self.opts.heap_limit);
         let mut instrs = InstrCounter::new();
-        let mut sink =
-            InlineSink::new(CountingSink::new(), self.build_shards(), recorder.is_some());
+        let mut sink = InlineSink {
+            counting: CountingSink::new(),
+            set: ShardSet::new(self.build_shards(), recorder.is_some()),
+        };
         if let Some(rec) = recorder.as_deref_mut() {
             rec.span_enter("engine.drive");
         }
         let drive_sw = Stopwatch::start();
         let (frag_curve, alloc_stats) =
             self.drive(&mut heap, &mut instrs, &mut sink, Self::reborrow(&mut recorder))?;
-        if let (Some(rec), Some(times)) = (recorder.as_deref_mut(), &sink.timings) {
-            for (shard, &spent) in sink.shards.iter().zip(times.iter()) {
-                rec.span_ns(shard.label(), spent);
-            }
-        }
-        let InlineSink { counting, shards, .. } = sink;
         if let Some(rec) = recorder.as_deref_mut() {
+            sink.set.record(rec);
             rec.span_ns("engine.drive", drive_sw.elapsed_ns());
-            for shard in &shards {
-                if let Some((name, refs)) = shard.fastpath_refs() {
-                    rec.add(name, refs);
-                }
-            }
             rec.span_exit();
             rec.span_enter("engine.finalize");
         }
 
         let finalize_sw = Stopwatch::start();
-        let parts = finalize_shards(shards);
+        let InlineSink { counting, set } = sink;
+        let parts = finalize_shards(set.shards);
         if let Some(rec) = recorder {
             rec.span_ns("engine.finalize", finalize_sw.elapsed_ns());
             rec.span_exit();

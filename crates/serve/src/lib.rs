@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use alloc_locality::JobSpec;
+use alloc_locality::{JobSpec, RunReport};
 use explore::{SweepExec, SweepReport, SweepSpec};
 use obs::{Hist, HistSnapshot, MetricsSnapshot, Recorder as _, Tracer};
 use serde::{Deserialize, Serialize};
@@ -218,10 +218,17 @@ struct State {
     rejected_backpressure: u64,
     rejected_invalid: u64,
     running: u64,
+    /// Jobs whose run panicked; each also counts in `failed`.
+    worker_panics: u64,
 }
+
+/// What a worker calls to execute one job: [`run_job`], except in this
+/// crate's tests, which substitute runners that panic.
+type JobRunner = fn(&ServerConfig, JobSpec, &mut Tracer) -> Result<RunReport, String>;
 
 struct Shared {
     cfg: ServerConfig,
+    runner: JobRunner,
     state: Mutex<State>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
@@ -341,6 +348,10 @@ pub struct MetricsResponse {
     pub rejected_backpressure: u64,
     /// Submissions refused with 4xx (bad spec or body).
     pub rejected_invalid: u64,
+    /// Jobs whose run panicked. The worker survives; each such job
+    /// failed with the panic message and counts in `jobs_failed` too.
+    #[serde(default)]
+    pub worker_panics: u64,
     /// Request-latency histograms (microseconds) per endpoint label.
     #[serde(default)]
     pub endpoints: BTreeMap<String, HistSnapshot>,
@@ -394,11 +405,16 @@ impl Server {
     ///
     /// Returns the bind error if the address is unavailable.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
+        Self::start_with(cfg, run_job)
+    }
+
+    fn start_with(cfg: ServerConfig, runner: JobRunner) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             cfg,
+            runner,
             state: Mutex::new(State::default()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -531,20 +547,21 @@ fn worker_loop(shared: &Arc<Shared>) {
         let mut tracer = tracer.unwrap_or_default();
         tracer.span_exit();
         tracer.span_enter("serve.execute");
-        let outcome =
-            spec.ok_or_else(|| "job vanished from the table".to_string()).and_then(|spec| {
-                spec.to_experiment().map_err(|e| e.to_string()).and_then(|exp| {
-                    let exp = match &shared.cfg.stream_cache {
-                        Some(dir) => exp
-                            .stream_cache(dir.clone())
-                            .stream_cache_bytes(shared.cfg.stream_cache_bytes),
-                        None => exp,
-                    };
-                    exp.run_traced_with(&mut tracer)
-                        .map(|(result, metrics)| alloc_locality::RunReport::new(result, metrics))
-                        .map_err(|e| e.to_string())
-                })
-            });
+        // A panicking run fails its job, not the worker: unwound here, a
+        // panic cannot leave the job `running` forever or shrink the pool.
+        let mut panicked = false;
+        let outcome = match spec {
+            None => Err("job vanished from the table".to_string()),
+            Some(spec) => {
+                let run = || (shared.runner)(&shared.cfg, spec, &mut tracer);
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(
+                    |payload| {
+                        panicked = true;
+                        Err(format!("job panicked: {}", panic_message(payload.as_ref())))
+                    },
+                )
+            }
+        };
         tracer.span_exit();
         // Persist before publishing, outside the lock: a line visible in
         // memory is already on disk (or persistence is off/broken).
@@ -580,20 +597,47 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
             Err(error) => {
                 state.failed += 1;
+                state.worker_panics += u64::from(panicked);
                 if let Some(job) = state.jobs.get_mut(&id) {
                     job.status = JobStatus::Failed { error };
                     job.queue_wait_ns = queue_wait_ns;
                     job.execute_ns = execute_ns;
                 }
+                state.remember_done(&id, shared.cfg.result_cache_entries);
             }
         }
     }
 }
 
+/// Executes one job through the engine: the experiment its spec names,
+/// with the server's stream cache, traced into `tracer`.
+fn run_job(cfg: &ServerConfig, spec: JobSpec, tracer: &mut Tracer) -> Result<RunReport, String> {
+    let exp = spec.to_experiment().map_err(|e| e.to_string())?;
+    let exp = match &cfg.stream_cache {
+        Some(dir) => exp.stream_cache(dir.clone()).stream_cache_bytes(cfg.stream_cache_bytes),
+        None => exp,
+    };
+    exp.run_traced_with(tracer)
+        .map(|(result, metrics)| RunReport::new(result, metrics))
+        .map_err(|e| e.to_string())
+}
+
+/// The message a panic was raised with, when it carried one.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        message
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message
+    } else {
+        "non-string payload"
+    }
+}
+
 impl State {
-    /// Marks `id` most recently used and evicts `done` entries beyond the
-    /// cap — never the entry just touched, so a cap of zero still lets
-    /// the submitting client fetch its report.
+    /// Marks `id` most recently used and evicts finished (`done` or
+    /// `failed`) entries beyond the cap — never the entry just touched,
+    /// so a cap of zero still lets the submitting client fetch its
+    /// report.
     fn remember_done(&mut self, id: &str, cap: usize) {
         self.done_order.retain(|existing| existing != id);
         self.done_order.push_back(id.to_string());
@@ -653,7 +697,7 @@ fn load_persisted_report(dir: &std::path::Path, id: &str) -> Option<String> {
         return None;
     }
     let line = std::fs::read_to_string(dir.join(format!("{id}.json"))).ok()?;
-    alloc_locality::RunReport::parse(&line).ok()?;
+    RunReport::parse(&line).ok()?;
     Some(line)
 }
 
@@ -1051,8 +1095,10 @@ fn submit_sweep(request: &Request, shared: &Arc<Shared>) -> Reply {
 }
 
 /// Per-point progress of one sweep. A point missing from the job table
-/// counts as done: only `done` entries are ever LRU-evicted, so absence
-/// after registration means the point finished and was dropped.
+/// counts as done: only finished entries are ever LRU-evicted, so
+/// absence after registration means the point finished and was dropped.
+/// A failed point evicted this way reads as done; fetching the report
+/// then names it as evicted, and resubmitting the sweep reruns it.
 fn sweep_counts(state: &State, sweep: &Sweep) -> (u64, u64, u64, u64) {
     let (mut queued, mut running, mut done, mut failed) = (0, 0, 0, 0);
     for pid in &sweep.point_ids {
@@ -1175,7 +1221,7 @@ fn sweep_report(id: &str, shared: &Arc<Shared>) -> Reply {
     };
     let mut reports = Vec::with_capacity(lines.len());
     for line in &lines {
-        match alloc_locality::RunReport::parse(line) {
+        match RunReport::parse(line) {
             Ok(report) => reports.push(report),
             Err(e) => {
                 return Reply::json(
@@ -1320,6 +1366,7 @@ fn metrics(shared: &Arc<Shared>) -> Reply {
             report_cache_hits: state.report_cache_hits,
             rejected_backpressure: state.rejected_backpressure,
             rejected_invalid: state.rejected_invalid,
+            worker_panics: state.worker_panics,
             endpoints: state
                 .endpoint_latency
                 .iter()
@@ -1349,6 +1396,7 @@ fn metrics_prometheus(shared: &Arc<Shared>) -> Reply {
         state.rejected_backpressure,
     );
     obs::prom::push_counter(&mut out, "serve_rejected_invalid_total", state.rejected_invalid);
+    obs::prom::push_counter(&mut out, "serve_worker_panics_total", state.worker_panics);
     obs::prom::push_gauge(&mut out, "serve_queue_depth", state.queue.len() as u64);
     obs::prom::push_gauge(&mut out, "serve_jobs_running", state.running);
     obs::prom::push_gauge(&mut out, "serve_workers", shared.cfg.workers as u64);
@@ -1364,4 +1412,70 @@ fn metrics_prometheus(shared: &Arc<Shared>) -> Reply {
     }
     obs::prom::push_snapshot(&mut out, "sim", &state.sim_metrics);
     Reply { status: 200, content_type: "text/plain; version=0.0.4", body: out }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use client::Client;
+
+    const WAIT: Duration = Duration::from_secs(60);
+
+    /// A debug-build run of well under a second: one 16K cache, no pager.
+    fn quick(program: &str, scale: f64) -> JobSpec {
+        JobSpec { cache_kb: vec![16], paging: Some(false), ..JobSpec::cell(program, "BSD", scale) }
+    }
+
+    /// Panics on every `ptc` job and runs the rest.
+    fn panics_on_ptc(
+        cfg: &ServerConfig,
+        spec: JobSpec,
+        tracer: &mut Tracer,
+    ) -> Result<RunReport, String> {
+        assert!(spec.program != "ptc", "injected failure");
+        run_job(cfg, spec, tracer)
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_its_worker_runs_the_next() {
+        let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+        let server = Server::start_with(cfg, panics_on_ptc).expect("bind server");
+        let client = Client::new(server.addr());
+
+        let bad = client.submit(&quick("ptc", 0.002)).expect("submit");
+        let err = client.wait_done(&bad.id, WAIT).expect_err("the job panicked");
+        assert!(err.to_string().contains("job panicked: injected failure"), "{err}");
+        let good = client.submit(&quick("espresso", 0.002)).expect("submit");
+        client.wait_done(&good.id, WAIT).expect("the one worker survived the panic");
+
+        let health = client.healthz().expect("healthz");
+        assert_eq!((health.running, health.done, health.failed), (0, 1, 1));
+        let metrics = client.metrics().expect("metrics");
+        assert_eq!((metrics.worker_panics, metrics.jobs_failed), (1, 1));
+        let text = client.metrics_prometheus().expect("prometheus");
+        assert!(text.contains("serve_worker_panics_total 1"), "{text}");
+        drop(server);
+    }
+
+    #[test]
+    fn failed_jobs_are_bounded_by_the_result_cache() {
+        fn always_panics(
+            _: &ServerConfig,
+            _: JobSpec,
+            _: &mut Tracer,
+        ) -> Result<RunReport, String> {
+            panic!("injected failure")
+        }
+        let cfg = ServerConfig { workers: 1, result_cache_entries: 2, ..ServerConfig::default() };
+        let server = Server::start_with(cfg, always_panics).expect("bind server");
+        let client = Client::new(server.addr());
+        for i in 0..5 {
+            let job = client.submit(&quick("espresso", 0.002 + i as f64 * 1e-4)).expect("submit");
+            client.wait_done(&job.id, WAIT).expect_err("every job fails");
+        }
+        assert_eq!(client.metrics().expect("metrics").worker_panics, 5);
+        let kept = server.shared.state.lock().expect("state lock").jobs.len();
+        assert!(kept <= 2, "{kept} failed jobs kept past a cap of 2");
+        drop(server);
+    }
 }

@@ -55,8 +55,8 @@ pub use cost::{InstrCounter, Phase};
 pub use ctx::{MemCtx, BATCH_CAPACITY};
 pub use heap::{HeapImage, OomError};
 pub use stream::{
-    decode_sidecar, decode_stream, encode_stream, CacheLookup, CacheStats, DecodedStream, Fnv64,
-    SidecarLookup, StreamCache, StreamError, STREAM_FORMAT_VERSION, STREAM_MAGIC,
+    checksum, decode_sidecar, decode_stream, encode_stream, open_stream, CacheStats, DecodedStream,
+    Fnv64, StreamCache, StreamError, StreamView, STREAM_FORMAT_VERSION, STREAM_MAGIC,
 };
 
 /// The trait implemented by every consumer of the simulated reference

@@ -7,10 +7,10 @@
 //! allocator simulation — dominates a run's wall-clock cost. This
 //! module serializes a captured [`RefRun`] stream to a compact binary
 //! file so a later run with the same *driver identity* pays only
-//! decode + sink cost — or, when the stored sidecar already answers the
-//! run (see [`decode_sidecar`]), only the read + checksum.
+//! read + checksum + decode + sink cost — or, when the stored sidecar
+//! already answers the run, only the read + checksum.
 //!
-//! # File layout (`ALSC` version 2)
+//! # File layout (`ALSC` version 3)
 //!
 //! ```text
 //! magic       4 bytes   "ALSC"
@@ -24,7 +24,7 @@
 //!                       side results and metrics here as JSON)
 //! runs        run records, see below
 //! -- checksummed region ends here --
-//! checksum    u64 LE    FNV-1a over the checksummed region
+//! checksum    u64 LE    `checksum` of the checksummed region
 //! ```
 //!
 //! One run record is:
@@ -45,6 +45,17 @@
 //! implementations are bit-identical for any boundary placement, and
 //! the expanded reference sequence is unchanged).
 //!
+//! # Reading
+//!
+//! [`open_stream`] validates a file once — header, content key, and the
+//! [`checksum`] of the whole checksummed region — and locates its
+//! sidecar. Only a validated [`StreamView`] decodes records:
+//! [`StreamView::decode_chunks`] hands them on in chunks of at most
+//! [`BATCH_CAPACITY`] runs through one reused buffer, so no consumer sees
+//! an unverified record and no whole-stream vector need exist.
+//! [`decode_stream`] and [`decode_sidecar`] are thin wrappers over the
+//! same two steps.
+//!
 //! # Invalidation
 //!
 //! Decoding is total: any malformed input — wrong magic, unknown
@@ -52,26 +63,29 @@
 //! corrupt record — yields a [`StreamError`], never a panic, so a
 //! damaged cache file demotes a warm run to a cold one. A record whose
 //! bytes would run past 2^64 (`addr + size - 1` overflows) is corrupt
-//! too, so every decoded reference has a well-defined last byte. The
-//! version byte must be bumped whenever the record layout, the flag
-//! meanings, or the sidecar contract change; old files then read as
+//! too, so every decoded reference has a well-defined last byte. A
+//! corrupt record behind a valid checksum is found mid-stream, after
+//! the chunks before it were delivered; a consumer that must not act on
+//! a partial stream discards what it fed. The version byte must be
+//! bumped whenever the record layout, the flag meanings, the checksum,
+//! or the sidecar contract change; old files then read as
 //! [`StreamError::BadVersion`] and are regenerated.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::varint;
-use crate::{AccessClass, AccessKind, Address, MemRef, RefRun};
+use crate::{AccessClass, AccessKind, Address, MemRef, RefRun, BATCH_CAPACITY};
 
 /// File magic of a serialized stream.
 pub const STREAM_MAGIC: [u8; 4] = *b"ALSC";
 
 /// Current stream format version. Bump on any layout or semantic
 /// change; readers reject other versions. Version 2 extended the
-/// sidecar contract: the engine now stores the populating run's
-/// finalized result alongside its metrics, so the layout is unchanged
-/// but version-1 sidecars no longer satisfy readers.
-pub const STREAM_FORMAT_VERSION: u8 = 2;
+/// sidecar contract (the engine stores the populating run's finalized
+/// result alongside its metrics); version 3 replaced the byte-serial
+/// FNV-1a file checksum with the four-lane word [`checksum`].
+pub const STREAM_FORMAT_VERSION: u8 = 3;
 
 /// Offset where the checksummed region (everything after the fixed
 /// header) begins.
@@ -81,8 +95,7 @@ const HEADER_LEN: usize = 16;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Incremental FNV-1a hasher, used for both content keys and the file
-/// checksum.
+/// Incremental FNV-1a hasher, used for content keys and job ids.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
@@ -122,6 +135,56 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.write(bytes);
     h.finish()
+}
+
+/// Multiplier of the checksum's fold step. Odd, so multiplying by it is
+/// a bijection on `u64`.
+const FOLD_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Initial states of the checksum's four lanes (hex digits of pi).
+const LANE_SEEDS: [u64; 4] =
+    [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
+
+/// One checksum step: a bijection in `h` for a fixed `w`, and in `w`
+/// for a fixed `h` (xor, multiplication by an odd constant, rotation).
+#[inline(always)]
+fn fold(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FOLD_K).rotate_left(29)
+}
+
+/// The ALSC file checksum.
+///
+/// Each 32-byte block is four little-endian `u64` words, folded into
+/// four independent lanes, one word per lane — four multiply chains the
+/// processor overlaps, eight bytes per step. The lanes are then folded
+/// in order, followed by the length and the tail bytes (zero-padded
+/// words), and a bijective finalizer spreads the last step over every
+/// bit. Because every step is a bijection in both the state and the
+/// word, a single-bit flip anywhere in `bytes` changes exactly one word,
+/// hence one lane or the tail state, hence the result: every single-bit
+/// flip is detected, not merely most.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let word = |block: &[u8], i: usize| {
+        u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8-byte word"))
+    };
+    let [mut a, mut b, mut c, mut d] = LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        a = fold(a, word(block, 0));
+        b = fold(b, word(block, 1));
+        c = fold(c, word(block, 2));
+        d = fold(d, word(block, 3));
+    }
+    let mut h = [a, b, c, d].into_iter().fold(0, fold);
+    h = fold(h, bytes.len() as u64);
+    for tail in blocks.remainder().chunks(8) {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        h = fold(h, u64::from_le_bytes(padded));
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(FOLD_K);
+    h ^ (h >> 29)
 }
 
 /// Why a stream file failed to decode.
@@ -221,9 +284,8 @@ pub fn encode_stream(content_key: u64, sidecar: &[u8], runs: &[RefRun]) -> Vec<u
         write_run(&mut out, r, count, &mut prev_addr);
     }
 
-    let mut check = Fnv64::new();
-    check.write(&out[HEADER_LEN..]);
-    out.extend_from_slice(&check.finish().to_le_bytes());
+    let sum = checksum(&out[HEADER_LEN..]);
+    out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
@@ -283,9 +345,29 @@ fn write_run(out: &mut Vec<u8>, r: MemRef, mut count: u64, prev_addr: &mut u64) 
     }
 }
 
-/// Verifies an ALSC byte string's magic, version, content key, and
-/// checksum, returning the checksummed body.
-fn validated_body(bytes: &[u8], expected_key: u64) -> Result<&[u8], StreamError> {
+/// A stream file that passed [`open_stream`]: magic, version, reserved
+/// bytes, content key and checksum verified, counts read, sidecar
+/// located. Only [`open_stream`] builds one, so holding a view means the
+/// bytes behind it were checksummed; the run records are decoded on
+/// demand by [`StreamView::decode_chunks`].
+#[derive(Debug, Clone, Copy)]
+pub struct StreamView<'a> {
+    run_count: u64,
+    ref_count: u64,
+    sidecar: &'a [u8],
+    records: &'a [u8],
+}
+
+/// Validates an ALSC byte string — magic, version, reserved bytes and
+/// content key, then one [`checksum`] pass over the checksummed region —
+/// and locates its sidecar and run records. No record is decoded.
+///
+/// # Errors
+///
+/// Returns the first [`StreamError`] in the header, the checksum, the
+/// counts or the sidecar. Damage confined to the run records behind a
+/// valid checksum surfaces from [`StreamView::decode_chunks`].
+pub fn open_stream(bytes: &[u8], expected_key: u64) -> Result<StreamView<'_>, StreamError> {
     if bytes.len() < HEADER_LEN + 8 {
         return Err(if bytes.len() >= 4 && bytes[..4] != STREAM_MAGIC {
             StreamError::BadMagic
@@ -308,46 +390,9 @@ fn validated_body(bytes: &[u8], expected_key: u64) -> Result<&[u8], StreamError>
     }
     let body = &bytes[HEADER_LEN..bytes.len() - 8];
     let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-    let mut check = Fnv64::new();
-    check.write(body);
-    if check.finish() != stored {
+    if checksum(body) != stored {
         return Err(StreamError::Corrupt("checksum mismatch"));
     }
-    Ok(body)
-}
-
-/// Decodes only a stream's sidecar blob, verifying the magic, version,
-/// content key, and checksum but never materializing the run records —
-/// the whole file is still read and checksummed (integrity is not
-/// negotiable), yet the varint decode and the runs allocation, which
-/// dominate [`decode_stream`] on real streams, are skipped entirely.
-///
-/// # Errors
-///
-/// The same [`StreamError`]s as [`decode_stream`], except damage
-/// confined to the run records, which only a full decode can see.
-pub fn decode_sidecar(bytes: &[u8], expected_key: u64) -> Result<Vec<u8>, StreamError> {
-    let body = validated_body(bytes, expected_key)?;
-    let mut pos = 0usize;
-    let _run_count = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
-    let _ref_count = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
-    let sidecar_len = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)? as usize;
-    if body.len() - pos < sidecar_len {
-        return Err(StreamError::Truncated);
-    }
-    Ok(body[pos..pos + sidecar_len].to_vec())
-}
-
-/// Decodes an ALSC byte string, verifying the magic, version, content
-/// key, and checksum.
-///
-/// # Errors
-///
-/// Returns the first [`StreamError`] encountered; any byte-level damage
-/// to the file surfaces here rather than as a panic or a wrong stream.
-pub fn decode_stream(bytes: &[u8], expected_key: u64) -> Result<DecodedStream, StreamError> {
-    let body = validated_body(bytes, expected_key)?;
-
     let mut pos = 0usize;
     let run_count = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
     let ref_count = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
@@ -355,140 +400,148 @@ pub fn decode_stream(bytes: &[u8], expected_key: u64) -> Result<DecodedStream, S
     if body.len() - pos < sidecar_len {
         return Err(StreamError::Truncated);
     }
-    let sidecar = body[pos..pos + sidecar_len].to_vec();
-    pos += sidecar_len;
+    let (sidecar, records) = body[pos..].split_at(sidecar_len);
+    Ok(StreamView { run_count, ref_count, sidecar, records })
+}
 
-    let run_count = usize::try_from(run_count).map_err(|_| StreamError::Corrupt("run count"))?;
-    // A record is at least two bytes; a declared count beyond that bound
-    // is damage, caught before the allocation rather than after.
-    if run_count > (body.len() - pos) / 2 {
-        return Err(StreamError::Corrupt("run count exceeds payload"));
+impl<'a> StreamView<'a> {
+    /// The opaque sidecar blob stored alongside the stream.
+    pub fn sidecar(&self) -> &'a [u8] {
+        self.sidecar
     }
-    let mut runs = Vec::with_capacity(run_count);
-    let mut prev_addr = 0u64;
-    let mut refs = 0u64;
-    for _ in 0..run_count {
-        let flags = *body.get(pos).ok_or(StreamError::Truncated)?;
-        pos += 1;
-        if flags & !FLAG_KNOWN != 0 {
-            return Err(StreamError::Corrupt("unknown record flags"));
+
+    /// Decodes the run records in stream order and hands them to
+    /// `deliver` in chunks of at most [`BATCH_CAPACITY`] runs, reusing
+    /// one buffer: memory stays bounded however long the stream is. The
+    /// last chunk is delivered only after the end-of-stream checks
+    /// (trailing bytes, reference count) pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first malformed record or count as a [`StreamError`]:
+    /// unknown flag bits, a truncated or overlong varint, a zero or
+    /// oversized reference, a reference wrapping past 2^64, a run length
+    /// beyond `u32::MAX`, trailing bytes, or a reference count that
+    /// disagrees with the records. The chunks before the error were
+    /// already delivered; a caller that must not act on a partial stream
+    /// discards what it fed.
+    pub fn decode_chunks(&self, mut deliver: impl FnMut(&[RefRun])) -> Result<(), StreamError> {
+        let body = self.records;
+        let run_count =
+            usize::try_from(self.run_count).map_err(|_| StreamError::Corrupt("run count"))?;
+        // A record is at least two bytes; a declared count beyond that
+        // bound is damage, caught before the allocation rather than after.
+        if run_count > body.len() / 2 {
+            return Err(StreamError::Corrupt("run count exceeds payload"));
         }
-        // Fast path: a single word-sized reference whose address delta
-        // fits one varint byte — the overwhelmingly common record — is
-        // exactly two bytes, decoded without the general varint loop.
-        if flags & (FLAG_SIZED | FLAG_REPEATED) == 0 {
-            if let Some(&b) = body.get(pos) {
-                if b < 0x80 {
-                    pos += 1;
-                    let addr = prev_addr.wrapping_add(varint::unzigzag(u64::from(b)) as u64);
-                    if addr > u64::MAX - 3 {
-                        return Err(StreamError::Corrupt(WRAPS));
+        let mut chunk = Vec::with_capacity(run_count.min(BATCH_CAPACITY));
+        let mut pos = 0usize;
+        let mut prev_addr = 0u64;
+        let mut refs = 0u64;
+        for _ in 0..run_count {
+            if chunk.len() == BATCH_CAPACITY {
+                deliver(&chunk);
+                chunk.clear();
+            }
+            let flags = *body.get(pos).ok_or(StreamError::Truncated)?;
+            pos += 1;
+            if flags & !FLAG_KNOWN != 0 {
+                return Err(StreamError::Corrupt("unknown record flags"));
+            }
+            let kind = if flags & FLAG_WRITE != 0 { AccessKind::Write } else { AccessKind::Read };
+            let class = if flags & FLAG_META != 0 {
+                AccessClass::AllocatorMeta
+            } else {
+                AccessClass::AppData
+            };
+            // Fast path: a single word-sized reference whose address delta
+            // fits one varint byte — the overwhelmingly common record — is
+            // exactly two bytes, decoded without the general varint loop.
+            if flags & (FLAG_SIZED | FLAG_REPEATED) == 0 {
+                if let Some(&b) = body.get(pos) {
+                    if b < 0x80 {
+                        pos += 1;
+                        let addr = prev_addr.wrapping_add(varint::unzigzag(u64::from(b)) as u64);
+                        if addr > u64::MAX - 3 {
+                            return Err(StreamError::Corrupt(WRAPS));
+                        }
+                        prev_addr = addr;
+                        refs += 1;
+                        chunk.push(RefRun {
+                            r: MemRef { addr: Address::new(addr), size: 4, kind, class },
+                            count: 1,
+                        });
+                        continue;
                     }
-                    prev_addr = addr;
-                    refs += 1;
-                    let kind =
-                        if flags & FLAG_WRITE != 0 { AccessKind::Write } else { AccessKind::Read };
-                    let class = if flags & FLAG_META != 0 {
-                        AccessClass::AllocatorMeta
-                    } else {
-                        AccessClass::AppData
-                    };
-                    runs.push(RefRun {
-                        r: MemRef { addr: Address::new(addr), size: 4, kind, class },
-                        count: 1,
-                    });
-                    continue;
                 }
             }
+            let delta = varint::take_i64(body, &mut pos).ok_or(StreamError::Truncated)?;
+            let addr = prev_addr.wrapping_add(delta as u64);
+            prev_addr = addr;
+            let size = if flags & FLAG_SIZED != 0 {
+                let raw = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
+                u32::try_from(raw).map_err(|_| StreamError::Corrupt("reference size"))?
+            } else {
+                4
+            };
+            if size == 0 {
+                return Err(StreamError::Corrupt("zero-sized reference"));
+            }
+            if addr.checked_add(u64::from(size) - 1).is_none() {
+                return Err(StreamError::Corrupt(WRAPS));
+            }
+            let count = if flags & FLAG_REPEATED != 0 {
+                let raw = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
+                u32::try_from(raw)
+                    .ok()
+                    .and_then(|c| c.checked_add(1))
+                    .ok_or(StreamError::Corrupt("run length"))?
+            } else {
+                1
+            };
+            refs += u64::from(count);
+            chunk.push(RefRun { r: MemRef { addr: Address::new(addr), size, kind, class }, count });
         }
-        let delta = varint::take_i64(body, &mut pos).ok_or(StreamError::Truncated)?;
-        let addr = prev_addr.wrapping_add(delta as u64);
-        prev_addr = addr;
-        let size = if flags & FLAG_SIZED != 0 {
-            let raw = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
-            u32::try_from(raw).map_err(|_| StreamError::Corrupt("reference size"))?
-        } else {
-            4
-        };
-        if size == 0 {
-            return Err(StreamError::Corrupt("zero-sized reference"));
+        if pos != body.len() {
+            return Err(StreamError::Corrupt("trailing bytes after last record"));
         }
-        if addr.checked_add(u64::from(size) - 1).is_none() {
-            return Err(StreamError::Corrupt(WRAPS));
+        if refs != self.ref_count {
+            return Err(StreamError::Corrupt("reference count mismatch"));
         }
-        let count = if flags & FLAG_REPEATED != 0 {
-            let raw = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
-            u32::try_from(raw)
-                .ok()
-                .and_then(|c| c.checked_add(1))
-                .ok_or(StreamError::Corrupt("run length"))?
-        } else {
-            1
-        };
-        refs += u64::from(count);
-        let kind = if flags & FLAG_WRITE != 0 { AccessKind::Write } else { AccessKind::Read };
-        let class =
-            if flags & FLAG_META != 0 { AccessClass::AllocatorMeta } else { AccessClass::AppData };
-        runs.push(RefRun { r: MemRef { addr: Address::new(addr), size, kind, class }, count });
+        if !chunk.is_empty() {
+            deliver(&chunk);
+        }
+        Ok(())
     }
-    if pos != body.len() {
-        return Err(StreamError::Corrupt("trailing bytes after last record"));
-    }
-    if refs != ref_count {
-        return Err(StreamError::Corrupt("reference count mismatch"));
-    }
-    Ok(DecodedStream { sidecar, runs })
 }
 
-/// Outcome of a [`StreamCache::load`].
-#[derive(Debug)]
-pub enum CacheLookup {
-    /// The file existed, decoded, and matched the key.
-    Hit {
-        /// The decoded stream, shared so a process-wide memo can hand
-        /// the same decode to consecutive lookups.
-        stream: std::sync::Arc<DecodedStream>,
-        /// True when the decode was skipped entirely: the process-wide
-        /// memo held this key and the file on disk is unchanged.
-        memoized: bool,
-    },
-    /// No file for this key.
-    Miss,
-    /// A file existed but failed to decode (corruption, truncation, a
-    /// format from another version) — callers fall back to cold
-    /// generation and may overwrite it.
-    Invalid(StreamError),
+/// Decodes only a stream's sidecar blob: [`open_stream`] alone, so the
+/// whole file is still checksummed (integrity is not negotiable) but no
+/// run record is decoded.
+///
+/// # Errors
+///
+/// The same [`StreamError`]s as [`decode_stream`], except damage
+/// confined to the run records, which only a full decode can see.
+pub fn decode_sidecar(bytes: &[u8], expected_key: u64) -> Result<Vec<u8>, StreamError> {
+    open_stream(bytes, expected_key).map(|view| view.sidecar().to_vec())
 }
 
-/// Outcome of a [`StreamCache::load_sidecar`].
-#[derive(Debug)]
-pub enum SidecarLookup {
-    /// The file existed, its checksum held, and the key matched.
-    Hit(Vec<u8>),
-    /// No file for this key.
-    Miss,
-    /// A file existed but failed sidecar-level validation; callers fall
-    /// back to a full load or a cold run.
-    Invalid(StreamError),
-}
-
-/// The most recently decoded stream, shared process-wide. Replaying the
-/// same cell repeatedly (a warm benchmark pass, a duplicate service job)
-/// would otherwise pay the read + checksum + varint decode each time for
-/// bytes that cannot have changed; the memo skips all three when the
-/// file's identity (key, mtime, length) matches. One entry bounds the
-/// footprint — a decoded stream can run to hundreds of megabytes.
-struct DecodeMemo {
-    key: u64,
-    mtime: std::time::SystemTime,
-    len: u64,
-    stream: std::sync::Arc<DecodedStream>,
-}
-
-fn decode_memo() -> &'static std::sync::Mutex<Option<DecodeMemo>> {
-    static MEMO: std::sync::OnceLock<std::sync::Mutex<Option<DecodeMemo>>> =
-        std::sync::OnceLock::new();
-    MEMO.get_or_init(|| std::sync::Mutex::new(None))
+/// Decodes an ALSC byte string whole: [`open_stream`], then every chunk
+/// of [`StreamView::decode_chunks`] collected into one vector.
+///
+/// # Errors
+///
+/// Returns the first [`StreamError`] encountered; any byte-level damage
+/// to the file surfaces here rather than as a panic or a wrong stream.
+pub fn decode_stream(bytes: &[u8], expected_key: u64) -> Result<DecodedStream, StreamError> {
+    let view = open_stream(bytes, expected_key)?;
+    // Sized by the declared count, capped by the payload bound the
+    // decoder enforces, so a damaged count cannot force a huge allocation.
+    let declared = usize::try_from(view.run_count).unwrap_or(usize::MAX);
+    let mut runs = Vec::with_capacity(declared.min(view.records.len() / 2));
+    view.decode_chunks(|chunk| runs.extend_from_slice(chunk))?;
+    Ok(DecodedStream { sidecar: view.sidecar.to_vec(), runs })
 }
 
 /// What a [`StreamCache`] directory holds right now: its `.alsc` file
@@ -547,9 +600,9 @@ impl StreamCache {
     /// Whether a stream file exists for `key` — a metadata-only probe,
     /// no read or decode. A `true` answer is a prediction, not a
     /// promise: a corrupt entry still probes `true` and only
-    /// [`StreamCache::load`] discovers the damage, so callers counting
-    /// hits from this probe report best-effort telemetry, never
-    /// correctness.
+    /// [`open_stream`] on its [`StreamCache::read`] bytes discovers the
+    /// damage, so callers counting hits from this probe report
+    /// best-effort telemetry, never correctness.
     pub fn contains(&self, key: u64) -> bool {
         self.path_for(key).is_file()
     }
@@ -575,94 +628,18 @@ impl StreamCache {
         stats
     }
 
-    /// Looks a key up, decoding and verifying the file if present.
+    /// Reads the stream file stored under `key`, whole: `Ok(None)` when
+    /// there is none. The bytes are unvalidated; [`open_stream`] checks
+    /// them, so a run reads and checksums its file exactly once.
     ///
-    /// The most recent decode is memoized process-wide: when the file's
-    /// identity (mtime and length) is unchanged since the memoized
-    /// decode, the stored [`DecodedStream`] is returned without reading
-    /// the file again. Any on-disk change — including the bit-flips the
-    /// corruption tests inject — alters the identity and forces a real
-    /// read and decode.
-    pub fn load(&self, key: u64) -> CacheLookup {
-        let path = self.path_for(key);
-        let (mtime, len) = match std::fs::metadata(&path) {
-            Ok(meta) => (meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH), meta.len()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CacheLookup::Miss,
-            Err(_) => return CacheLookup::Invalid(StreamError::Truncated),
-        };
-        if let Ok(memo) = decode_memo().lock() {
-            if let Some(entry) = memo.as_ref() {
-                if entry.key == key && entry.mtime == mtime && entry.len == len {
-                    return CacheLookup::Hit { stream: entry.stream.clone(), memoized: true };
-                }
-            }
-        }
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CacheLookup::Miss,
-            Err(_) => return CacheLookup::Invalid(StreamError::Truncated),
-        };
-        match decode_stream(&bytes, key) {
-            Ok(decoded) => {
-                let stream = std::sync::Arc::new(decoded);
-                if let Ok(mut memo) = decode_memo().lock() {
-                    *memo = Some(DecodeMemo { key, mtime, len, stream: stream.clone() });
-                }
-                CacheLookup::Hit { stream, memoized: false }
-            }
-            Err(e) => CacheLookup::Invalid(e),
-        }
-    }
-
-    /// Looks a key up but decodes only the sidecar blob: the file is
-    /// read and checksummed in full, while the run records — the
-    /// expensive part of [`StreamCache::load`], both to varint-decode
-    /// and to hold in memory — are never materialized. This is the probe
-    /// behind the engine's stored-result fast path, where a matching
-    /// sidecar alone answers the whole run. A process-wide memoized
-    /// decode of the same unchanged file short-circuits the read.
-    pub fn load_sidecar(&self, key: u64) -> SidecarLookup {
-        let path = self.path_for(key);
-        let (mtime, len) = match std::fs::metadata(&path) {
-            Ok(meta) => (meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH), meta.len()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return SidecarLookup::Miss,
-            Err(_) => return SidecarLookup::Invalid(StreamError::Truncated),
-        };
-        if let Ok(memo) = decode_memo().lock() {
-            if let Some(entry) = memo.as_ref() {
-                if entry.key == key && entry.mtime == mtime && entry.len == len {
-                    return SidecarLookup::Hit(entry.stream.sidecar.clone());
-                }
-            }
-        }
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return SidecarLookup::Miss,
-            Err(_) => return SidecarLookup::Invalid(StreamError::Truncated),
-        };
-        match decode_sidecar(&bytes, key) {
-            Ok(sidecar) => SidecarLookup::Hit(sidecar),
-            Err(e) => SidecarLookup::Invalid(e),
-        }
-    }
-
-    /// [`StreamCache::load`] with the read + decode wrapped in a
-    /// hierarchical `stream_cache.decode` span on `recorder`. The span
-    /// is *tree-only* (no flat `span_ns` aggregate): flat recorders see
-    /// nothing, so an instrumented run's frozen metrics stay
-    /// byte-identical whether or not the probe was traced — the decode
-    /// duration lives in the trace span's own timestamps. Behaviour is
-    /// identical to `load`; a `None` or disabled recorder costs one
-    /// branch.
-    pub fn load_recorded(&self, key: u64, recorder: Option<&mut dyn obs::Recorder>) -> CacheLookup {
-        match recorder {
-            Some(rec) if rec.enabled() => {
-                rec.span_enter("stream_cache.decode");
-                let lookup = self.load(key);
-                rec.span_exit();
-                lookup
-            }
-            _ => self.load(key),
+    /// # Errors
+    ///
+    /// Any I/O error other than a missing file.
+    pub fn read(&self, key: u64) -> std::io::Result<Option<Vec<u8>>> {
+        match std::fs::read(self.path_for(key)) {
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
         }
     }
 
@@ -688,17 +665,8 @@ impl StreamCache {
         let result = std::fs::rename(&tmp, self.path_for(key));
         if result.is_err() {
             let _ = std::fs::remove_file(&tmp);
-        } else {
-            if let Ok(mut memo) = decode_memo().lock() {
-                // The file just changed; a memo entry for this key is
-                // stale.
-                if memo.as_ref().is_some_and(|entry| entry.key == key) {
-                    *memo = None;
-                }
-            }
-            if let Some(max_bytes) = self.max_bytes {
-                self.evict_to_bound(&self.path_for(key), max_bytes);
-            }
+        } else if let Some(max_bytes) = self.max_bytes {
+            self.evict_to_bound(&self.path_for(key), max_bytes);
         }
         result
     }
@@ -838,75 +806,110 @@ mod tests {
         }
     }
 
-    #[test]
-    fn truncation_and_bit_flips_are_caught_everywhere() {
-        let runs = sample_runs();
+    /// A file of a few hundred bytes whose checksummed region is not a
+    /// whole number of 32-byte blocks, so damage lands in every lane and
+    /// in the tail.
+    fn lane_test_file() -> Vec<u8> {
+        let runs: Vec<RefRun> = (0..70u64)
+            .map(|i| RefRun {
+                r: MemRef::app_read(Address::new(0x1000 + i * 40), 4 + (i % 3) as u32 * 4),
+                count: 1 + (i % 4) as u32,
+            })
+            .collect();
         let bytes = encode_stream(3, b"driver state", &runs);
+        let checksummed = bytes.len() - HEADER_LEN - 8;
+        assert!(bytes.len() >= 200 && !checksummed.is_multiple_of(32), "{} bytes", bytes.len());
+        bytes
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_is_rejected_before_decoding() {
+        let bytes = lane_test_file();
+        assert!(decode_stream(&bytes, 3).is_ok());
         for len in 0..bytes.len() {
-            assert!(decode_stream(&bytes[..len], 3).is_err(), "truncation at {len} accepted");
+            assert!(open_stream(&bytes[..len], 3).is_err(), "truncation at {len} accepted");
         }
         for byte in 0..bytes.len() {
             for bit in 0..8 {
                 let mut bad = bytes.clone();
                 bad[byte] ^= 1 << bit;
-                let verdict = decode_stream(&bad, 3);
-                assert!(
-                    verdict
-                        != Ok(DecodedStream {
-                            sidecar: b"driver state".to_vec(),
-                            runs: runs.clone()
-                        })
-                        || bad == bytes,
-                    "bit flip at {byte}.{bit} went unnoticed"
-                );
+                assert!(open_stream(&bad, 3).is_err(), "bit flip at {byte}.{bit} went unnoticed");
             }
         }
     }
 
     #[test]
-    fn cache_store_load_round_trips_and_misses() {
+    fn every_bit_of_the_checksummed_region_reaches_the_checksum() {
+        // Lengths around the 32-byte block: whole blocks, tails of every
+        // size, and the empty input.
+        for len in [0usize, 1, 7, 8, 31, 32, 33, 63, 64, 100, 255] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let sum = checksum(&bytes);
+            for byte in 0..len {
+                for bit in 0..8 {
+                    let mut bad = bytes.clone();
+                    bad[byte] ^= 1 << bit;
+                    assert_ne!(checksum(&bad), sum, "len {len}: flip at {byte}.{bit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_is_pinned() {
+        // A change to the lanes, the fold, the seeds or the finalizer
+        // changes the file format: it must bump STREAM_FORMAT_VERSION.
+        let bytes: Vec<u8> = (0u8..=100).collect();
+        assert_eq!(checksum(&bytes), PINNED_CHECKSUM);
+        assert_ne!(checksum(&bytes[..100]), checksum(&bytes));
+    }
+
+    /// `checksum` of the bytes 0..=100 (three 32-byte blocks and a
+    /// five-byte tail).
+    const PINNED_CHECKSUM: u64 = 0x3f4b_a0d8_9808_8a17;
+
+    #[test]
+    fn chunks_are_bounded_and_concatenate_to_the_stream() {
+        let r = |i: u64| MemRef::app_read(Address::new(i * 8), 4);
+        let runs: Vec<RefRun> =
+            (0..2 * BATCH_CAPACITY as u64 + 5).map(|i| RefRun { r: r(i), count: 1 }).collect();
+        let bytes = encode_stream(4, b"", &runs);
+        let view = open_stream(&bytes, 4).expect("valid file");
+        let mut sizes = Vec::new();
+        let mut joined = Vec::new();
+        view.decode_chunks(|chunk| {
+            sizes.push(chunk.len());
+            joined.extend_from_slice(chunk);
+        })
+        .expect("decode");
+        assert_eq!(sizes, [BATCH_CAPACITY, BATCH_CAPACITY, 5]);
+        assert_eq!(joined, runs);
+    }
+
+    #[test]
+    fn cache_store_read_round_trips_and_misses() {
         let dir = std::env::temp_dir().join(format!("alsc-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = StreamCache::new(&dir);
-        assert!(matches!(cache.load(1), CacheLookup::Miss));
+        assert!(matches!(cache.read(1), Ok(None)));
         let runs = sample_runs();
         cache.store(1, b"meta", &runs).expect("store");
-        match cache.load(1) {
-            CacheLookup::Hit { stream, memoized } => {
-                assert_eq!(stream.sidecar, b"meta");
-                assert_eq!(stream.runs, runs);
-                assert!(!memoized, "first load after a store must decode the file");
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
-        // A second load of the unchanged file is served from the memo.
-        match cache.load(1) {
-            CacheLookup::Hit { stream, memoized } => {
-                assert_eq!(stream.runs, runs);
-                assert!(memoized, "repeat load of an unchanged file skips the decode");
-            }
-            other => panic!("expected memoized hit, got {other:?}"),
-        }
-        // Re-storing invalidates the memo: the next load decodes afresh.
+        let bytes = cache.read(1).expect("read").expect("stored file");
+        let stream = decode_stream(&bytes, 1).expect("decode");
+        assert_eq!(stream.sidecar, b"meta");
+        assert_eq!(stream.runs, runs);
+        // Re-storing replaces the file whole.
         cache.store(1, b"meta2", &runs).expect("re-store");
-        match cache.load(1) {
-            CacheLookup::Hit { stream, memoized } => {
-                assert_eq!(stream.sidecar, b"meta2");
-                assert!(!memoized, "store must invalidate the decode memo");
-            }
-            other => panic!("expected hit, got {other:?}"),
-        }
-        // Damage the file on disk: load degrades to Invalid, not a panic.
-        // Point the single-entry memo at another key first so the check
-        // does not depend on the filesystem's mtime granularity.
-        cache.store(2, b"other", &runs).expect("store other");
-        assert!(matches!(cache.load(2), CacheLookup::Hit { .. }));
+        let bytes = cache.read(1).expect("read").expect("stored file");
+        assert_eq!(decode_sidecar(&bytes, 1).expect("decode"), b"meta2");
+        // Damage the file on disk: validation fails, nothing panics.
         let path = cache.path_for(1);
         let mut bytes = std::fs::read(&path).expect("read back");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).expect("rewrite");
-        assert!(matches!(cache.load(1), CacheLookup::Invalid(_)));
+        let bytes = cache.read(1).expect("read").expect("damaged file");
+        assert!(open_stream(&bytes, 1).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -978,14 +981,12 @@ mod tests {
             // torn mixture, a decode failure, or a vanished file.
             let reader = scope.spawn(|| {
                 for _ in 0..200 {
-                    match cache.load(key) {
-                        CacheLookup::Hit { stream, .. } => match stream.sidecar.as_slice() {
-                            b"A" => assert_eq!(stream.runs, runs_a, "torn entry for A"),
-                            b"B" => assert_eq!(stream.runs, runs_b, "torn entry for B"),
-                            other => panic!("unknown sidecar {other:?}"),
-                        },
-                        CacheLookup::Miss => panic!("entry vanished mid-race"),
-                        CacheLookup::Invalid(e) => panic!("corrupt entry exposed: {e:?}"),
+                    let bytes = cache.read(key).expect("read").expect("entry vanished mid-race");
+                    let stream = decode_stream(&bytes, key).expect("corrupt entry exposed");
+                    match stream.sidecar.as_slice() {
+                        b"A" => assert_eq!(stream.runs, runs_a, "torn entry for A"),
+                        b"B" => assert_eq!(stream.runs, runs_b, "torn entry for B"),
+                        other => panic!("unknown sidecar {other:?}"),
                     }
                 }
             });
@@ -995,7 +996,8 @@ mod tests {
         });
 
         // Both final states are valid, and no scratch files leaked.
-        assert!(matches!(cache.load(key), CacheLookup::Hit { .. }));
+        let bytes = cache.read(key).expect("read").expect("final entry");
+        assert!(decode_stream(&bytes, key).is_ok());
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .expect("read dir")
             .flatten()

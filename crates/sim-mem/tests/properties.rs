@@ -392,7 +392,7 @@ proptest! {
 /// before [`Alsc::seal`] recomputes the checksum — so the damage gets
 /// past the checksum and reaches the record decoder.
 mod alsc {
-    use sim_mem::stream::fnv1a;
+    use sim_mem::stream::checksum;
     use sim_mem::varint::{write_u64, zigzag};
     use sim_mem::{AccessClass, AccessKind, RefRun, STREAM_FORMAT_VERSION, STREAM_MAGIC};
 
@@ -488,7 +488,7 @@ mod alsc {
         out.extend([0u8; 3]);
         out.extend(KEY.to_le_bytes());
         out.extend(body);
-        out.extend(fnv1a(body).to_le_bytes());
+        out.extend(checksum(body).to_le_bytes());
         out
     }
 }
@@ -650,5 +650,110 @@ proptest! {
         let verdict = sim_mem::decode_stream(&bytes, alsc::KEY);
         prop_assert!(verdict.is_err(), "{:?} decoded: {:?}", damage, verdict);
         let _ = sim_mem::decode_sidecar(&bytes, alsc::KEY);
+    }
+}
+
+/// `pattern` repeated until the stream spans `len` runs (at least one
+/// copy), each run doubled when `doubled`: the doubles are adjacent
+/// identical runs the encoder merges, saturating at `u32::MAX`.
+fn long_stream(pattern: &[RefRun], len: usize, doubled: bool) -> Vec<RefRun> {
+    let copies = if doubled { 2 } else { 1 };
+    let mut runs = Vec::with_capacity(len.max(pattern.len() * copies));
+    while runs.is_empty() || runs.len() < len {
+        for run in pattern {
+            runs.extend(std::iter::repeat_n(*run, copies));
+        }
+    }
+    runs
+}
+
+/// Every chunk [`sim_mem::StreamView::decode_chunks`] delivers before it
+/// returns, concatenated, and whether each held at most
+/// [`sim_mem::BATCH_CAPACITY`] runs with only the last one short.
+fn chunked(bytes: &[u8]) -> (Result<(), sim_mem::StreamError>, Vec<RefRun>, bool) {
+    let mut joined = Vec::new();
+    let mut sizes = Vec::new();
+    let verdict = sim_mem::open_stream(bytes, alsc::KEY).and_then(|view| {
+        view.decode_chunks(|chunk| {
+            sizes.push(chunk.len());
+            joined.extend_from_slice(chunk);
+        })
+    });
+    let bounded = sizes.iter().all(|&n| (1..=sim_mem::BATCH_CAPACITY).contains(&n))
+        && sizes.iter().rev().skip(1).all(|&n| n == sim_mem::BATCH_CAPACITY);
+    (verdict, joined, bounded)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The chunked decode of a valid stream — long enough to span
+    /// several chunks, with saturated and merged runs — delivers full
+    /// chunks of [`sim_mem::BATCH_CAPACITY`] runs and one last shorter
+    /// one, and their concatenation is exactly what `decode_stream`
+    /// collects.
+    #[test]
+    fn chunked_decode_concatenates_to_the_collected_stream(
+        pattern in valid_runs_strategy(),
+        len in 0usize..3 * sim_mem::BATCH_CAPACITY,
+        doubled in any::<bool>(),
+    ) {
+        let runs = long_stream(&pattern, len, doubled);
+        let bytes = sim_mem::encode_stream(alsc::KEY, b"sidecar", &runs);
+        let collected = sim_mem::decode_stream(&bytes, alsc::KEY).expect("valid file");
+        let (verdict, joined, bounded) = chunked(&bytes);
+        prop_assert_eq!(verdict, Ok(()));
+        prop_assert!(bounded);
+        prop_assert_eq!(joined, collected.runs);
+    }
+
+    /// For every damage of the decoder suite, on streams that span
+    /// several chunks, the chunked decode fails with the same error as
+    /// `decode_stream`, and what it delivered before failing is a prefix
+    /// of the undamaged stream in whole chunks: the chunk holding the
+    /// damage, and a last chunk failing the end-of-stream checks, are
+    /// never handed on.
+    #[test]
+    fn chunked_decode_fails_like_decode_stream(
+        pattern in valid_runs_strategy(),
+        len in 0usize..3 * sim_mem::BATCH_CAPACITY,
+        damage in damage_strategy(),
+    ) {
+        let runs = long_stream(&pattern, len, false);
+        let mut file = alsc::Alsc::of(&runs);
+        let n = file.records.len();
+        match &damage {
+            Damage::RunCount(up) => {
+                file.run_count = if *up { file.run_count + 1 } else { file.run_count - 1 };
+            }
+            Damage::ElevenByteVarint(i) => {
+                let mut eleven = vec![0x80u8; 10];
+                eleven.push(0);
+                file.records[i.index(n)].delta = eleven;
+            }
+            Damage::HugeSize(i, extra) => {
+                let r = &mut file.records[i.index(n)];
+                r.flags |= alsc::FLAG_SIZED;
+                r.size = alsc::varint(u64::from(u32::MAX) + extra);
+            }
+            Damage::MaxRepeat(i) => {
+                let r = &mut file.records[i.index(n)];
+                r.flags |= alsc::FLAG_REPEATED;
+                r.count = alsc::varint(u64::from(u32::MAX));
+            }
+            Damage::UnknownFlags(i, bit) => file.records[i.index(n)].flags |= 1 << bit,
+            Damage::Trailing(bytes) => file.trailing = bytes.clone(),
+            Damage::RefCount(up) => {
+                file.ref_count = if *up { file.ref_count + 1 } else { file.ref_count - 1 };
+            }
+        }
+        let bytes = file.seal();
+        let collected = sim_mem::decode_stream(&bytes, alsc::KEY);
+        prop_assert!(collected.is_err(), "{:?} decoded", damage);
+        let (verdict, delivered, bounded) = chunked(&bytes);
+        prop_assert_eq!(verdict, collected.map(|_| ()));
+        prop_assert!(bounded);
+        prop_assert_eq!(delivered.len() % sim_mem::BATCH_CAPACITY, 0);
+        prop_assert_eq!(&delivered[..], &runs[..delivered.len()]);
     }
 }

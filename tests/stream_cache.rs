@@ -5,7 +5,8 @@
 //!    populated the cache, and the instrumented `RunReport` JSONL line
 //!    is *byte*-identical.
 //! 2. **Damage degrades, it never breaks.** A corrupt or truncated
-//!    cache file demotes the run to cold generation, recorded as
+//!    cache file — or a corrupt record behind a valid checksum, found
+//!    mid-replay — demotes the run to cold generation, recorded as
 //!    `stream_cache.invalid`, and the file is rewritten for next time.
 
 use alloc_locality_repro::engine::{AllocChoice, Experiment, SimOptions};
@@ -160,5 +161,121 @@ fn corrupt_cache_files_fall_back_to_cold_generation() {
     assert_eq!(warm.result, cold.result);
     assert_eq!(warm.metrics.counter("stream_cache.invalid"), 1);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Byte offset, within a stream file, of run record `n`: past the
+/// 16-byte header, the three counts and the sidecar, walking the
+/// records before it field by field.
+fn record_offset(file: &[u8], n: usize) -> usize {
+    let take = |pos: &mut usize| sim_mem::varint::take_u64(file, pos).expect("varint");
+    let mut pos = 16;
+    let _runs = take(&mut pos);
+    let _refs = take(&mut pos);
+    pos += take(&mut pos) as usize;
+    for _ in 0..n {
+        let flags = file[pos];
+        pos += 1;
+        take(&mut pos);
+        for field in [1 << 2, 1 << 3] {
+            if flags & field != 0 {
+                take(&mut pos);
+            }
+        }
+    }
+    pos
+}
+
+/// Recomputes a stream file's trailing checksum, so damage inside it
+/// gets past validation and reaches the record decoder.
+fn reseal(file: &mut [u8]) {
+    let end = file.len() - 8;
+    let sum = sim_mem::checksum(&file[16..end]);
+    file[end..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Counters and span counts, with `stream_cache.miss` renamed.
+fn shape(metrics: &obs::MetricsSnapshot, miss_as: &str) -> Vec<(String, u64)> {
+    let counters = metrics.counters.iter().map(|(name, &n)| {
+        let name = if name == "stream_cache.miss" { miss_as } else { name };
+        (format!("counter {name}"), n)
+    });
+    let spans = metrics.spans.iter().map(|(name, span)| (format!("span {name}"), span.count));
+    let mut all: Vec<(String, u64)> = counters.chain(spans).collect();
+    all.sort();
+    all
+}
+
+#[test]
+fn a_corrupt_record_behind_a_valid_checksum_falls_back_cold() {
+    let dir = cache_dir("record");
+    let exp = Experiment::new(Program::Make, AllocChoice::Paper(AllocatorKind::GnuGxx))
+        .options(opts(&dir));
+    exp.run().expect("populating run");
+
+    // Damage one record past the first decoded chunk (unknown flag
+    // bits) and reseal: the file validates, the replay starts, and the
+    // decoder finds the record after feeding the shards a full chunk.
+    let path = sole_cache_file(&dir);
+    let mut bytes = std::fs::read(&path).expect("read stream file");
+    let key = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte key"));
+    let at = record_offset(&bytes, sim_mem::BATCH_CAPACITY + 100);
+    bytes[at] |= 0x10;
+    reseal(&mut bytes);
+    let view = sim_mem::open_stream(&bytes, key).expect("the damage passes validation");
+    let mut delivered = 0;
+    assert!(view.decode_chunks(|chunk| delivered += chunk.len()).is_err());
+    assert_eq!(delivered, sim_mem::BATCH_CAPACITY, "one full chunk reaches the sinks first");
+    std::fs::write(&path, &bytes).expect("write damaged file");
+
+    // Other sinks than the populating run's, so the stored result does
+    // not answer and the uninstrumented run replays the records.
+    let mut narrower = opts(&dir);
+    narrower.cache_configs.truncate(1);
+    let warm = Experiment::new(Program::Make, AllocChoice::Paper(AllocatorKind::GnuGxx))
+        .options(narrower.clone());
+    let mut rec = MemoryRecorder::new();
+    let result = warm.run_with_recorder(&mut rec).expect("damaged record must not break the run");
+    assert_eq!(rec.counter("stream_cache.invalid"), 1);
+    assert_eq!(rec.counter("stream_cache.hit"), 0);
+    assert_eq!(rec.counter("stream_cache.store"), 1, "the file must be rewritten");
+    let rewritten = std::fs::read(&path).expect("read rewritten file");
+    assert!(sim_mem::decode_stream(&rewritten, key).is_ok(), "the rewrite must decode");
+
+    // The abandoned replay left nothing behind: the run reports exactly
+    // what a first cold run does, its miss counted as invalid.
+    let fresh = cache_dir("record-fresh");
+    narrower.stream_cache = Some(fresh.clone());
+    let cold_exp =
+        Experiment::new(Program::Make, AllocChoice::Paper(AllocatorKind::GnuGxx)).options(narrower);
+    let mut cold_rec = MemoryRecorder::new();
+    let cold = cold_exp.run_with_recorder(&mut cold_rec).expect("cold run");
+    assert_eq!(result, cold, "cold fallback must reproduce the result");
+    let (damaged, first) = (rec.snapshot(), cold_rec.snapshot());
+    assert_eq!(shape(&damaged, "stream_cache.invalid"), shape(&first, "stream_cache.invalid"));
+    assert_eq!(damaged.histograms, first.histograms);
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh);
+}
+
+#[test]
+fn a_version_2_file_at_a_version_3_path_falls_back_cold() {
+    let dir = cache_dir("version");
+    let exp = Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::Bsd))
+        .options(opts(&dir));
+    let cold = exp.run().expect("populating run");
+    let path = sole_cache_file(&dir);
+    let mut bytes = std::fs::read(&path).expect("read stream file");
+    assert_eq!(bytes[4], sim_mem::STREAM_FORMAT_VERSION);
+    bytes[4] = 2;
+    std::fs::write(&path, &bytes).expect("write stale file");
+
+    let mut rec = MemoryRecorder::new();
+    let result = exp.run_with_recorder(&mut rec).expect("stale file must not break the run");
+    assert_eq!(rec.counter("stream_cache.invalid"), 1);
+    assert_eq!(rec.counter("stream_cache.hit"), 0);
+    assert_eq!(result, cold);
+    assert_eq!(std::fs::read(&path).expect("read rewritten file")[4], 3);
     let _ = std::fs::remove_dir_all(&dir);
 }
