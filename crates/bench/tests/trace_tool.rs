@@ -210,3 +210,39 @@ fn a_reference_wrapping_past_2_pow_64_is_a_corrupt_file() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_wide_reference_repeated_2_pow_32_times_replays_in_two_walks() {
+    // One 1 MiB read repeated 2^32 - 1 times: 32768 blocks, all missing
+    // in a 16K cache on every repeat. Only two repeats may be walked, or
+    // this runs for hours.
+    let dir = scratch("wide");
+    let path = dir.join("wide.alsc");
+    craft(&path, &[word_read(0x10000, 1 << 20, u32::MAX)]);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_trace-tool"))
+        .args(["replay", utf8(&path), "--cache-kb", "16", "--paging"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("trace-tool starts");
+    let started = std::time::Instant::now();
+    while child.try_wait().expect("poll trace-tool").is_none() {
+        if started.elapsed() > std::time::Duration::from_secs(10) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("replay still running after 10 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect trace-tool output");
+    assert!(out.status.success(), "replay: {}", text(&out.stderr));
+    let replay = text(&out.stdout);
+    let k16 = CacheConfig::direct_mapped(16 * 1024, 32);
+    for line in [
+        format!("replayed {} references from {}", u32::MAX, path.display()),
+        format!("  {k16}: 12.500% miss rate (140737488322560 misses, 32768 cold)"),
+    ] {
+        assert!(replay.lines().any(|l| l == line), "expected {line:?} in {replay}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -295,9 +295,18 @@ impl AccessSink for Cache {
     /// exists — so every repeat is an all-hit pass that re-touches the
     /// sets in the identical order, leaving both the MRU ordering and
     /// every counter exactly where the raw stream would. Only the word
-    /// counters move. Spans wider than the cache fall back to the full
-    /// re-walk per repeat. (`span == 1` is the historical single-block
-    /// case: repeats are swallowed by the last-block short-circuit.)
+    /// counters move. (`span == 1` is the historical single-block case:
+    /// repeats are swallowed by the last-block short-circuit.)
+    ///
+    /// A span wider than the cache costs two walks, however many times
+    /// it repeats. After one occurrence the tag state is a fixed point
+    /// of the next: a direct-mapped line holds the last spanned block
+    /// that maps to it, and an LRU set holds its last `assoc` distinct
+    /// spanned blocks in recency order above any untouched older
+    /// entries. Every repeat from the second on starts from that state
+    /// with `last_block` at the span's last block, so it misses exactly
+    /// as often as the second (cold misses can only happen in the
+    /// first): the second is walked and its misses are multiplied out.
     fn record_runs(&mut self, runs: &[RefRun]) {
         for run in runs {
             self.access(run.r);
@@ -307,9 +316,14 @@ impl AccessSink for Cache {
                     self.fastpath_refs += u64::from(run.count - 1);
                     self.count_words(run.r, u64::from(run.count - 1));
                 } else {
-                    for _ in 1..run.count {
-                        self.access(run.r);
-                    }
+                    let before = self.stats;
+                    self.access(run.r);
+                    let rest = u64::from(run.count - 2);
+                    let s = &mut self.stats;
+                    s.app_misses += (s.app_misses - before.app_misses) * rest;
+                    s.meta_misses += (s.meta_misses - before.meta_misses) * rest;
+                    s.cold_misses += (s.cold_misses - before.cold_misses) * rest;
+                    self.count_words(run.r, rest);
                 }
             }
         }
@@ -317,7 +331,7 @@ impl AccessSink for Cache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sim_mem::{Address, MemRef};
 
@@ -439,6 +453,48 @@ mod tests {
         assert_eq!(s.app_misses, 1);
         assert_eq!(s.meta_accesses, 2);
         assert_eq!(s.meta_misses, 1);
+    }
+
+    /// The stats of a run repeated `count` times from counts 2 and 3:
+    /// every repeat after the first adds what the second added.
+    pub(crate) fn closed_form(two: CacheStats, three: CacheStats, count: u32) -> CacheStats {
+        let step = |a: u64, b: u64| a + (b - a) * u64::from(count - 2);
+        CacheStats {
+            app_accesses: step(two.app_accesses, three.app_accesses),
+            app_misses: step(two.app_misses, three.app_misses),
+            meta_accesses: step(two.meta_accesses, three.meta_accesses),
+            meta_misses: step(two.meta_misses, three.meta_misses),
+            cold_misses: step(two.cold_misses, three.cold_misses),
+        }
+    }
+
+    #[test]
+    fn a_wide_span_repeated_u32_max_times_matches_its_closed_form() {
+        // 601 blocks, wider than the 512-line cache, after a reference
+        // that shares a set with the span's first block.
+        let conflict = RefRun { r: MemRef::meta_write(Address::new(512 * 32 + 40), 4), count: 1 };
+        let wide = MemRef::app_read(Address::new(17), 600 * 32);
+        for assoc in [1, 2, 8] {
+            let cfg = CacheConfig::set_associative(16 * 1024, 32, assoc);
+            let stats = |count: u32| {
+                let mut c = Cache::new(cfg);
+                c.record_runs(&[conflict, RefRun { r: wide, count }]);
+                *c.stats()
+            };
+            let expanded = |count: u32| {
+                let mut c = Cache::new(cfg);
+                c.access(conflict.r);
+                for _ in 0..count {
+                    c.access(wide);
+                }
+                *c.stats()
+            };
+            let (two, three) = (stats(2), stats(3));
+            assert_eq!((two, three), (expanded(2), expanded(3)), "assoc {assoc}");
+            assert!(three.misses() > two.misses(), "assoc {assoc}: repeats must miss");
+            assert_eq!(three.cold_misses, two.cold_misses, "assoc {assoc}");
+            assert_eq!(stats(u32::MAX), closed_form(two, three, u32::MAX), "assoc {assoc}");
+        }
     }
 
     #[test]

@@ -80,8 +80,18 @@
 //! everywhere: no tag changes, no miss counts, no freshness inserts, and
 //! the last-block short-circuit state ends where it already is. The
 //! repeats collapse to word counting, exactly as the single-block fast
-//! path (which is the `span == 1` case) always did. Spans wider than the
-//! smallest member fall back to the full re-walk.
+//! path (which is the `span == 1` case) always did.
+//!
+//! A span wider than the smallest member is walked twice, however many
+//! times it repeats. After its first occurrence every member's tags are
+//! a fixed point of the next: a line the span covers holds the last
+//! spanned block that maps to it, whether the span fits the member or
+//! not, and no other line is touched. Every repeat from the second on
+//! therefore starts from the same tags with the last-block
+//! short-circuit at the span's last block, and misses exactly as the
+//! second does — cold misses can only happen in the first, which
+//! inserted every spanned block. The second repeat is walked and each
+//! miss lane's growth is multiplied out over the rest.
 //!
 //! The result is bit-identical to a bank of independent [`Cache`]s fed
 //! the same stream, at roughly one cache's cost instead of five — the
@@ -305,6 +315,23 @@ impl SweepCache {
             }
         }
     }
+
+    /// The repeats of a span wider than the smallest member, after its
+    /// first occurrence: walks the second and adds its growth in every
+    /// miss lane `rest` more times (the fixed point in the module docs).
+    /// Word counters are the caller's.
+    #[cold]
+    #[inline(never)]
+    fn repeat_wide_span(&mut self, first: u64, last: u64, class: AccessClass, rest: u64) {
+        let (lanes, cold) = (self.miss_lanes.clone(), self.miss_cold.clone());
+        self.walk_span(first, last, class);
+        for (lane, before) in self.miss_lanes.iter_mut().zip(lanes) {
+            *lane += (*lane - before) * rest;
+        }
+        for (lane, before) in self.miss_cold.iter_mut().zip(cold) {
+            *lane += (*lane - before) * rest;
+        }
+    }
 }
 
 impl AccessSink for SweepCache {
@@ -322,8 +349,8 @@ impl AccessSink for SweepCache {
     /// the first occurrence's walk, a span no wider than the smallest
     /// member leaves every spanned block resident in every member, so
     /// each repeat would be all hits — only the shared word counters
-    /// move (see the module docs). Wider spans fall back to the full
-    /// re-walk per repeat.
+    /// move (see the module docs). Wider spans walk their second
+    /// occurrence and multiply its misses out over the rest.
     fn record_runs(&mut self, runs: &[RefRun]) {
         let shift = self.block_shift;
         let min_lines = self.min_lines;
@@ -342,9 +369,7 @@ impl AccessSink for SweepCache {
                 if last - first < min_lines {
                     fastpath += n - 1;
                 } else {
-                    for _ in 1..run.count {
-                        self.walk_span(first, last, r.class);
-                    }
+                    self.repeat_wide_span(first, last, r.class, n - 2);
                 }
             }
         }
@@ -357,6 +382,7 @@ impl AccessSink for SweepCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::closed_form;
     use crate::reference::ReferenceSweepCache;
     use crate::Cache;
     use sim_mem::Address;
@@ -479,6 +505,33 @@ mod tests {
         assert_eq!(fast.results(), old.results());
         for (i, c) in slow.iter().enumerate() {
             assert_eq!(fast.results()[i].1, *c.stats(), "member {i} diverged");
+        }
+    }
+
+    #[test]
+    fn a_wide_span_repeated_u32_max_times_matches_its_closed_form() {
+        // 601 blocks: wider than the 16K member's 512 lines, narrower
+        // than every other member.
+        let conflict = RefRun { r: MemRef::meta_write(Address::new(512 * 32 + 40), 4), count: 1 };
+        let wide = MemRef::app_read(Address::new(17), 600 * 32);
+        let stats = |count: u32| {
+            let mut sweep = paper();
+            sweep.record_runs(&[conflict, RefRun { r: wide, count }]);
+            sweep.results()
+        };
+        let expanded = |count: u32| {
+            let mut sweep = paper();
+            sweep.access(conflict.r);
+            for _ in 0..count {
+                sweep.access(wide);
+            }
+            sweep.results()
+        };
+        let (two, three, max) = (stats(2), stats(3), stats(u32::MAX));
+        assert_eq!((&two, &three), (&expanded(2), &expanded(3)));
+        assert!(three[0].1.misses() > two[0].1.misses(), "the 16K member's repeats miss");
+        for i in 0..two.len() {
+            assert_eq!(max[i].1, closed_form(two[i].1, three[i].1, u32::MAX), "member {i}");
         }
     }
 

@@ -721,10 +721,11 @@ struct StreamSidecar {
     /// The populating run's full frozen metrics.
     metrics: obs::MetricsSnapshot,
     /// The populating run's complete finalized result. Like `metrics`,
-    /// it depends on the sink configuration, so it is only reused when
-    /// `options_fp` matches — and then it answers the whole run from the
-    /// sidecar alone, with neither the stream body decoded nor the
-    /// sinks rebuilt.
+    /// it depends on the sink configuration, so it is only reused whole
+    /// when `options_fp` matches — and then it answers the whole run
+    /// from the sidecar alone, with neither the stream body decoded nor
+    /// the sinks rebuilt. Its fault curve depends on the stream alone,
+    /// so a paging replay under any other sinks reuses that part.
     #[serde(default)]
     result: Option<RunResult>,
 }
@@ -938,8 +939,9 @@ impl Experiment {
     /// Builds the run's sinks in canonical order (see [`SinkShard`]):
     /// caches first — one sweep shard when [`SweepCache::try_new`]
     /// accepts the geometry, per-cache shards in configuration order
-    /// otherwise — then pager, victim, three-C, two-level.
-    fn build_shards(&self) -> Vec<SinkShard> {
+    /// otherwise — then pager (when `pager` is set), victim, three-C,
+    /// two-level.
+    fn build_shards(&self, pager: bool) -> Vec<SinkShard> {
         let mut shards: Vec<SinkShard> = Vec::new();
         match SweepCache::try_new(self.opts.cache_configs.iter().copied()) {
             Some(sweep) => shards.push(SinkShard::Sweep(sweep)),
@@ -947,7 +949,7 @@ impl Experiment {
                 self.opts.cache_configs.iter().map(|&cfg| SinkShard::Cache(Cache::new(cfg))),
             ),
         }
-        if self.opts.paging {
+        if pager {
             shards.push(SinkShard::Pager(Box::new(StackSim::paper())));
         }
         let first_cache = self.opts.cache_configs.first().copied();
@@ -1168,7 +1170,8 @@ impl Experiment {
     /// a stored result under a matching options fingerprint answers the
     /// run; an instrumented run under another fingerprint regenerates
     /// without decoding a record; otherwise the records stream into the
-    /// shards.
+    /// shards, and the stored result's fault curve, when there is one,
+    /// stands in for the pager.
     fn run_inner(
         &self,
         mut recorder: Option<&mut dyn Recorder>,
@@ -1221,11 +1224,14 @@ impl Experiment {
                     // The stored metrics describe other sinks: regenerate
                     // and overwrite, last writer wins.
                     _ if need_metrics && !same_sinks => "stream_cache.sidecar_mismatch",
-                    _ => {
+                    stored => {
                         if let Some(rec) = Self::reborrow(&mut recorder) {
                             rec.span_exit();
                         }
-                        return match self.replay(view, sidecar, &mut recorder, need_metrics) {
+                        let curve = stored.and_then(|result| result.fault_curve);
+                        let replayed =
+                            self.replay(view, sidecar, curve, &mut recorder, need_metrics);
+                        return match replayed {
                             Some(outcome) => Ok(outcome),
                             // A corrupt record behind a valid checksum:
                             // the partly fed shards are gone; run cold.
@@ -1322,10 +1328,17 @@ impl Experiment {
     /// flat was recorded — no `stream_cache.hit`, no `sink.*` or
     /// `engine.replay` span — so the cold run that follows reports as if
     /// the replay had never started.
+    ///
+    /// `stored_curve` is the fault curve of the populating run's stored
+    /// result, if it paged. The curve is a function of the stream alone
+    /// (the stream key covers every input of the stream, and the pager
+    /// takes no option), so a paging replay reuses it and builds no
+    /// pager shard, counting `stream_cache.stored_fault_curve`.
     fn replay(
         &self,
         view: StreamView<'_>,
         sidecar: StreamSidecar,
+        stored_curve: Option<FaultCurve>,
         recorder: &mut Option<&mut dyn Recorder>,
         need_metrics: bool,
     ) -> Option<RunOutcome> {
@@ -1333,7 +1346,9 @@ impl Experiment {
             rec.span_enter("engine.replay");
         }
         let replay_sw = Stopwatch::start();
-        let mut set = ShardSet::new(self.build_shards(), recorder.is_some());
+        let stored_curve = stored_curve.filter(|_| self.opts.paging);
+        let pager = self.opts.paging && stored_curve.is_none();
+        let mut set = ShardSet::new(self.build_shards(pager), recorder.is_some());
         let decoded = view.decode_chunks(|chunk| set.deliver(chunk));
         if let Some(rec) = recorder.as_deref_mut() {
             if decoded.is_ok() {
@@ -1345,6 +1360,9 @@ impl Experiment {
         decoded.ok()?;
         if let Some(rec) = recorder.as_deref_mut() {
             rec.add("stream_cache.hit", 1);
+            if stored_curve.is_some() {
+                rec.add("stream_cache.stored_fault_curve", 1);
+            }
             rec.span_enter("engine.finalize");
         }
         let finalize_sw = Stopwatch::start();
@@ -1360,7 +1378,7 @@ impl Experiment {
             instrs: sidecar.instrs,
             trace: sidecar.trace,
             cache: parts.cache,
-            fault_curve: parts.fault_curve,
+            fault_curve: parts.fault_curve.or(stored_curve),
             victim: parts.victim,
             three_c: parts.three_c,
             two_level: parts.two_level,
@@ -1399,7 +1417,7 @@ impl Experiment {
 
         tee.span_enter("engine.replay");
         let replay_sw = Stopwatch::start();
-        let mut set = ShardSet::new(self.build_shards(), true);
+        let mut set = ShardSet::new(self.build_shards(self.opts.paging), true);
         for chunk in capture.runs.chunks(BATCH_CAPACITY) {
             set.deliver(chunk);
         }
@@ -1458,7 +1476,7 @@ impl Experiment {
         let mut instrs = InstrCounter::new();
         let mut sink = InlineSink {
             counting: CountingSink::new(),
-            set: ShardSet::new(self.build_shards(), recorder.is_some()),
+            set: ShardSet::new(self.build_shards(self.opts.paging), recorder.is_some()),
         };
         if let Some(rec) = recorder.as_deref_mut() {
             rec.span_enter("engine.drive");

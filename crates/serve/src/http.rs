@@ -3,13 +3,16 @@
 //! The build is offline and vendored-only, so the daemon hand-rolls
 //! exactly the protocol subset it needs: one request per connection
 //! (`Connection: close`), a request line, headers, an optional
-//! `Content-Length` body, and a fixed-length response. Requests are read
-//! under the socket's read timeout and two size caps (header block and
-//! body), so a slow or hostile client costs one handler thread for at
-//! most the timeout, never unbounded memory.
+//! `Content-Length` body, and a fixed-length response. A request is read
+//! under one deadline for its head and body together and two size caps
+//! (header block and body): before each read the socket's read timeout
+//! is set to the time left, so a slow or hostile client — one that
+//! drips a byte at a time, say — costs one handler thread for at most
+//! the deadline, never unbounded memory.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Instant;
 
 /// Cap on the request line + headers, bytes.
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
@@ -39,7 +42,7 @@ impl Request {
 pub enum RecvError {
     /// The peer closed before a full request arrived.
     Closed,
-    /// The socket's read timeout expired.
+    /// The request's deadline passed before it was read in full.
     Timeout,
     /// The declared body exceeds the server's cap (HTTP 413).
     BodyTooLarge {
@@ -76,36 +79,64 @@ fn classify_io(e: std::io::Error) -> RecvError {
     }
 }
 
-/// Reads one request from the stream, honouring the stream's read
-/// timeout and the given body cap.
+/// One `read` into `buf` that returns by `deadline`: the socket's read
+/// timeout is set to the time left first. `Ok(0)` means the peer closed.
+///
+/// # Errors
+///
+/// [`RecvError::Timeout`] once the deadline has passed, and the socket
+/// error (classified) otherwise.
+pub(crate) fn read_by(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    deadline: Instant,
+) -> Result<usize, RecvError> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(RecvError::Timeout);
+    }
+    stream.set_read_timeout(Some(left)).map_err(RecvError::Io)?;
+    stream.read(buf).map_err(classify_io)
+}
+
+/// Reads one request from the stream by `deadline`, under the header
+/// and the given body cap.
 ///
 /// # Errors
 ///
 /// See [`RecvError`]; the caller maps each variant to a response (or a
 /// silent close for `Closed`/`Timeout`).
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, RecvError> {
-    // Accumulate until the blank line; one byte at a time is fine for a
-    // header block capped at 8K on a localhost control plane.
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
+pub fn read_request(
+    stream: &mut TcpStream,
+    max_body: usize,
+    deadline: Instant,
+) -> Result<Request, RecvError> {
+    // Read in chunks until the blank line; whatever follows it is the
+    // start of the body.
+    let mut head = Vec::with_capacity(1024);
+    let mut chunk = [0u8; 1024];
+    let head_len = loop {
+        if let Some(end) = head.windows(4).position(|w| w == b"\r\n\r\n") {
+            break end + 4;
+        }
         if head.len() >= MAX_HEADER_BYTES {
             return Err(RecvError::Malformed(format!(
                 "header block exceeds {MAX_HEADER_BYTES} bytes"
             )));
         }
-        match stream.read(&mut byte) {
-            Ok(0) => {
+        let room = chunk.len().min(MAX_HEADER_BYTES - head.len());
+        match read_by(stream, &mut chunk[..room], deadline)? {
+            0 => {
                 return if head.is_empty() {
                     Err(RecvError::Closed)
                 } else {
                     Err(RecvError::Malformed("connection closed inside the header block".into()))
                 };
             }
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(classify_io(e)),
+            n => head.extend_from_slice(&chunk[..n]),
         }
-    }
+    };
+    let mut body = head.split_off(head_len);
     let text = std::str::from_utf8(&head)
         .map_err(|_| RecvError::Malformed("header block is not UTF-8".into()))?;
     let mut lines = text.split("\r\n");
@@ -145,8 +176,16 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     if declared > max_body {
         return Err(RecvError::BodyTooLarge { declared, limit: max_body });
     }
-    let mut body = vec![0u8; declared];
-    stream.read_exact(&mut body).map_err(classify_io)?;
+    // One request per connection: bytes past the declared body are
+    // not read, and any that arrived with the head are dropped.
+    let mut filled = body.len().min(declared);
+    body.resize(declared, 0);
+    while filled < declared {
+        match read_by(stream, &mut body[filled..], deadline)? {
+            0 => return Err(RecvError::Closed),
+            n => filled += n,
+        }
+    }
     Ok(Request { body, ..request })
 }
 

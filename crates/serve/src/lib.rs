@@ -56,14 +56,14 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use alloc_locality::{JobSpec, RunReport};
 use explore::{SweepExec, SweepReport, SweepSpec};
 use obs::{Hist, HistSnapshot, MetricsSnapshot, Recorder as _, Tracer};
 use serde::{Deserialize, Serialize};
 
-use http::{read_request, write_response_with_headers, RecvError, Request};
+use http::{read_by, read_request, write_response_with_headers, RecvError, Request};
 
 /// How the daemon is shaped. `Default` suits tests: an OS-assigned port,
 /// two workers, and small-but-real limits.
@@ -79,7 +79,11 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Largest request body accepted; beyond it the server answers 413.
     pub max_body_bytes: usize,
-    /// Per-connection socket read timeout.
+    /// Deadline for reading one request, head and body together,
+    /// counted from when its connection's handler starts. A client that
+    /// has not sent a whole request by then is disconnected, however
+    /// steadily its bytes keep arriving. Also each response write's
+    /// timeout.
     pub read_timeout_ms: u64,
     /// Bound on finished results kept in memory. Beyond it the
     /// least-recently-used `done` entry is dropped; resubmitting its spec
@@ -736,11 +740,11 @@ fn endpoint_label(method: &str, path: &str) -> &'static str {
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let timeout = Duration::from_millis(shared.cfg.read_timeout_ms.max(1));
-    let _ = stream.set_read_timeout(Some(timeout));
+    let deadline = Instant::now() + timeout;
     let _ = stream.set_write_timeout(Some(timeout));
     let sw = obs::Stopwatch::start();
     let trace_id = shared.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
-    let (reply, label) = match read_request(&mut stream, shared.cfg.max_body_bytes) {
+    let (reply, label) = match read_request(&mut stream, shared.cfg.max_body_bytes, deadline) {
         Ok(request) => {
             let path = request.path.split('?').next().unwrap_or("").to_string();
             (route(&request, shared), endpoint_label(&request.method, &path))
@@ -751,7 +755,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
             // Swallow (a bounded amount of) the refused body so closing
             // the socket does not reset it under the client before the
             // 413 is read.
-            drain(&mut stream, declared);
+            drain(&mut stream, declared, deadline);
             (Reply::json(413, json_body(&ErrorResponse::new("too_large", e.to_string()))), "other")
         }
         Err(e @ RecvError::Malformed(_)) => {
@@ -773,13 +777,13 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Reads and discards up to `n` bytes (capped at 1 MiB), best-effort.
-fn drain(stream: &mut TcpStream, n: usize) {
-    use std::io::Read;
+/// Reads and discards up to `n` bytes (capped at 1 MiB) by the
+/// request's deadline, best-effort.
+fn drain(stream: &mut TcpStream, n: usize, deadline: Instant) {
     let mut left = n.min(1 << 20);
     let mut buf = [0u8; 8192];
     while left > 0 {
-        match stream.read(&mut buf[..left.min(8192)]) {
+        match read_by(stream, &mut buf[..left.min(8192)], deadline) {
             Ok(0) | Err(_) => return,
             Ok(read) => left -= read,
         }

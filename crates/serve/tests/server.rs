@@ -118,6 +118,65 @@ fn a_raw_garbage_request_line_is_a_400() {
 }
 
 #[test]
+fn a_client_dripping_its_head_is_cut_off_at_the_request_deadline() {
+    let cfg = ServerConfig { read_timeout_ms: 500, ..ServerConfig::default() };
+    let (server, client) = start(cfg);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut drip = stream.try_clone().unwrap();
+    // One header byte every 100 ms for up to 4 s, so no single read
+    // waits anywhere near 500 ms; the blank line never comes.
+    let dripper = std::thread::spawn(move || {
+        for &byte in b"GET /healthz HTTP/1.1\r\nX-Pad: ".iter().chain(&[b'a'; 16]) {
+            if drip.write_all(&[byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let started = std::time::Instant::now();
+    let mut buf = [0u8; 64];
+    let read = stream.read(&mut buf);
+    let elapsed = started.elapsed();
+    // The server answers nothing and closes: end of stream, or a reset
+    // when a dripped byte lands after the close.
+    match read {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the connection closed, got {other:?}"),
+    }
+    assert!(elapsed < Duration::from_millis(1500), "closed after {elapsed:?}");
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+    dripper.join().unwrap();
+    assert_eq!(client.healthz().unwrap().status, "ok");
+    drop(server);
+}
+
+#[test]
+fn a_body_arriving_after_its_head_still_parses() {
+    let cfg = ServerConfig { read_timeout_ms: 500, ..ServerConfig::default() };
+    let (server, _) = start(cfg);
+    let body = serde_json::to_string(&quick_spec("make", "BSD")).unwrap();
+    let head = format!("POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n", body.len());
+    // The body alone in the second write, then with its first bytes
+    // already in the head's write.
+    for split in [0, 5] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let first = [head.as_bytes(), &body.as_bytes()[..split]].concat();
+        stream.write_all(&first).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        stream.write_all(&body.as_bytes()[split..]).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        assert!(
+            raw.starts_with("HTTP/1.1 202") || raw.starts_with("HTTP/1.1 200"),
+            "split {split}: {raw}"
+        );
+    }
+    drop(server);
+}
+
+#[test]
 fn duplicate_specs_hit_the_cache_and_serve_identical_bytes() {
     let (server, client) = start(ServerConfig::default());
     let spec = quick_spec("make", "BSD");

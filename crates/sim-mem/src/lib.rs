@@ -89,18 +89,72 @@ pub trait AccessSink {
     /// Runs are a *lossless* re-encoding of the stream — expanding every
     /// run in order reproduces the raw reference sequence exactly — so
     /// the default implementation does precisely that and delegates to
-    /// [`AccessSink::record_batch`], preserving any batch override.
+    /// [`AccessSink::record_batch`], preserving any batch override. The
+    /// expansion goes through one buffer of at most [`BATCH_CAPACITY`]
+    /// references, handed on each time it fills, so memory does not grow
+    /// with the repeat counts (batch boundaries are invisible to a sink).
     /// Sinks for which a repeated reference is a guaranteed hit (a
     /// direct-mapped cache, the LRU pager) override this to turn the
     /// `count - 1` repeats into O(1) counter bumps; such overrides must
     /// keep the sink state bit-identical to the expanded stream, for
     /// any placement of run and batch boundaries.
     fn record_runs(&mut self, runs: &[RefRun]) {
-        let total: usize = runs.iter().map(|run| run.count as usize).sum();
-        let mut buf = Vec::with_capacity(total);
+        let total: u64 = runs.iter().map(|run| u64::from(run.count)).sum();
+        let mut buf = Vec::with_capacity(total.min(BATCH_CAPACITY as u64) as usize);
         for run in runs {
-            buf.resize(buf.len() + run.count as usize, run.r);
+            let mut left = run.count as usize;
+            while left > 0 {
+                let take = left.min(BATCH_CAPACITY - buf.len());
+                buf.resize(buf.len() + take, run.r);
+                left -= take;
+                if buf.len() == BATCH_CAPACITY {
+                    self.record_batch(&buf);
+                    buf.clear();
+                }
+            }
         }
-        self.record_batch(&buf);
+        if !buf.is_empty() {
+            self.record_batch(&buf);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Keeps the length of each batch it receives and the first eight
+    /// references.
+    #[derive(Default)]
+    struct BatchProbe {
+        batches: Vec<usize>,
+        refs: Vec<MemRef>,
+    }
+
+    impl AccessSink for BatchProbe {
+        fn record(&mut self, r: MemRef) {
+            self.record_batch(&[r]);
+        }
+
+        fn record_batch(&mut self, batch: &[MemRef]) {
+            self.batches.push(batch.len());
+            if self.refs.len() < 8 {
+                self.refs.extend_from_slice(batch);
+                self.refs.truncate(8);
+            }
+        }
+    }
+
+    #[test]
+    fn default_run_delivery_expands_in_bounded_batches() {
+        let a = MemRef::app_read(Address::new(64), 4);
+        let b = MemRef::meta_write(Address::new(128), 8);
+        let mut probe = BatchProbe::default();
+        probe.record_runs(&[RefRun::once(b), RefRun { r: a, count: 1 << 20 }, RefRun::once(b)]);
+        let total: usize = probe.batches.iter().sum();
+        assert_eq!(total, (1 << 20) + 2);
+        assert!(probe.batches.iter().all(|&n| (1..=BATCH_CAPACITY).contains(&n)));
+        assert!(probe.batches[..probe.batches.len() - 1].iter().all(|&n| n == BATCH_CAPACITY));
+        assert_eq!(probe.refs[..3], [b, a, a]);
     }
 }

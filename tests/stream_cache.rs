@@ -93,29 +93,88 @@ fn warm_runs_hit_and_cold_runs_miss_in_the_recorder() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `(length, mtime)` a rewrite of a stream file would change.
+fn file_identity(path: &std::path::Path) -> (u64, std::time::SystemTime) {
+    let meta = std::fs::metadata(path).expect("stream file metadata");
+    (meta.len(), meta.modified().expect("stream file mtime"))
+}
+
 #[test]
 fn uninstrumented_replay_ignores_the_sink_fingerprint() {
     // The sidecar's result-reconstruction fields depend only on the
     // stream key, so a run with *different sinks* than the populating
-    // run still replays when no byte-reusable metrics are needed.
-    let dir = cache_dir("fingerprint");
-    let populate = Experiment::new(Program::GsSmall, AllocChoice::Paper(AllocatorKind::QuickFit))
-        .options(opts(&dir));
-    let cold = populate.run().expect("cold run");
+    // run still replays when no byte-reusable metrics are needed. A
+    // populating run that paged also stored the fault curve, which
+    // depends on the stream alone: the replay reuses it instead of
+    // running the pager.
+    let dm = |kb: u32, block: u32| CacheConfig::direct_mapped(kb * 1024, block);
+    let geometries: [(&str, SimOptions); 5] = [
+        (
+            "paper sweep, victim 8, three-C",
+            SimOptions {
+                cache_configs: CacheConfig::paper_sweep(),
+                victim_entries: Some(8),
+                three_c: true,
+                ..SimOptions::default()
+            },
+        ),
+        (
+            "16K 4-way + 64K 2-way",
+            SimOptions {
+                cache_configs: vec![
+                    CacheConfig::set_associative(16 * 1024, 32, 4),
+                    CacheConfig::set_associative(64 * 1024, 32, 2),
+                ],
+                ..SimOptions::default()
+            },
+        ),
+        (
+            "64-byte blocks",
+            SimOptions {
+                cache_configs: vec![dm(8, 64), dm(32, 64), dm(128, 64)],
+                ..SimOptions::default()
+            },
+        ),
+        ("no caches", SimOptions { cache_configs: vec![], ..SimOptions::default() }),
+        // Paging off: no curve, stored or computed.
+        ("paper sweep, paging off", SimOptions { paging: false, ..SimOptions::default() }),
+    ];
+    for populated_paging in [true, false] {
+        let dir = cache_dir(&format!("fingerprint-{populated_paging}"));
+        let cell =
+            || Experiment::new(Program::GsSmall, AllocChoice::Paper(AllocatorKind::QuickFit));
+        let populate = SimOptions { paging: populated_paging, ..opts(&dir) };
+        cell().options(populate).run().expect("populating run");
+        let path = sole_cache_file(&dir);
+        let identity = file_identity(&path);
 
-    let mut narrower = opts(&dir);
-    narrower.cache_configs = vec![CacheConfig::direct_mapped(16 * 1024, 32)];
-    let warm_exp = Experiment::new(Program::GsSmall, AllocChoice::Paper(AllocatorKind::QuickFit))
-        .options(narrower);
-    let mut rec = MemoryRecorder::new();
-    let warm = warm_exp.run_with_recorder(&mut rec).expect("warm run");
-    assert_eq!(rec.counter("stream_cache.hit"), 1, "different sinks must still replay");
-    assert_eq!(warm.cache.len(), 1);
-    assert_eq!(warm.cache[0], cold.cache[0]);
-    assert_eq!(warm.instrs, cold.instrs);
-    assert_eq!(warm.trace, cold.trace);
+        for (name, geometry) in &geometries {
+            let what = format!("{name}, populated with paging {populated_paging}");
+            let replay =
+                SimOptions { scale: Scale(0.002), frag_sample_every: 500, ..geometry.clone() };
+            let cold = cell().options(replay.clone()).run().expect("cold run");
+            let warm_exp = cell().options(SimOptions { stream_cache: Some(dir.clone()), ..replay });
+            let mut rec = MemoryRecorder::new();
+            let warm = warm_exp.run_with_recorder(&mut rec).expect("warm run");
+            assert_eq!(warm, cold, "{what}: replay differs from a cold run");
+            assert_eq!(warm_exp.run().expect("warm run"), cold, "{what}: run() differs");
+            let paging = geometry.paging;
+            assert_eq!(cold.fault_curve.is_some(), paging, "{what}");
 
-    let _ = std::fs::remove_dir_all(&dir);
+            let metrics = rec.snapshot();
+            assert_eq!(
+                rec.counter("stream_cache.hit"),
+                1,
+                "{what}: different sinks must still replay"
+            );
+            let (reused, pager) = (paging && populated_paging, paging && !populated_paging);
+            assert_eq!(rec.counter("stream_cache.stored_fault_curve"), u64::from(reused), "{what}");
+            assert_eq!(metrics.spans.contains_key("sink.pager"), pager, "{what}");
+            assert_eq!(metrics.counters.contains_key("sink.pager.fastpath_refs"), pager, "{what}");
+            assert_eq!(file_identity(&path), identity, "{what}: the stream file was rewritten");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
