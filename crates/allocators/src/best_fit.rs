@@ -14,34 +14,14 @@
 //! early, the standard optimization. Best fit touches every free block
 //! on every miss-sized allocation, so its reference locality is even
 //! worse than first fit's, while its placement minimizes split waste.
-//!
-//! Like [`crate::FirstFit`], the rebuilt hot path serves the walk from a
-//! [`crate::shadow::TaggedList`] slab with a [`crate::shadow::WordMirror`]
-//! for boundary tags and a [`crate::shadow::ClassIndex`] occupancy
-//! bitmap probed per malloc — the emitted trace stays bit-identical to
-//! [`crate::reference::best_fit`].
 
 use sim_mem::{Address, MemCtx};
 
 use crate::layout::{
-    encode, list, read_header_shadow, read_prev_footer_shadow, round_payload, tag_allocated,
-    tag_size, write_tags_shadow, F_ALLOC, MIN_BLOCK, TAG, TAG_OVERHEAD,
+    encode, list, read_header, read_prev_footer, round_payload, tag_allocated, tag_size,
+    write_tags, F_ALLOC, MIN_BLOCK, TAG, TAG_OVERHEAD,
 };
-use crate::shadow::{ClassIndex, Pos, Slot, TaggedList, WordMirror};
 use crate::{AllocError, AllocStats, Allocator};
-
-/// Floor-log2 size classes for the occupancy bitmap (see
-/// [`crate::first_fit`]).
-const NCLASSES: usize = 32;
-
-fn class_of(size: u32) -> usize {
-    debug_assert!(size >= MIN_BLOCK);
-    (31 - size.leading_zeros()) as usize
-}
-
-fn ceil_class_of(need: u32) -> usize {
-    (32 - (need - 1).leading_zeros()) as usize
-}
 
 /// The classic best-fit allocator. See the module docs.
 #[derive(Debug)]
@@ -53,12 +33,6 @@ pub struct BestFit {
     /// Minimum remainder payload for a split to happen.
     split_threshold: u32,
     stats: AllocStats,
-    /// Shared mirror of every metadata word this allocator stores.
-    mirror: WordMirror,
-    /// Slab shadow of the freelist.
-    flist: TaggedList,
-    /// Occupancy bitmap over floor-log2 block-size classes.
-    classes: ClassIndex,
 }
 
 impl BestFit {
@@ -69,23 +43,18 @@ impl BestFit {
     ///
     /// Returns [`AllocError::Oom`] if the initial reservation fails.
     pub fn new(ctx: &mut MemCtx<'_>) -> Result<Self, AllocError> {
-        let mut mirror = WordMirror::new();
-        let mut flist = TaggedList::new(1);
         let head = ctx.sbrk(list::SENTINEL_BYTES)?;
-        flist.init_head(ctx, &mut mirror, 0, head);
+        list::init_head(ctx, head);
         let prologue = ctx.sbrk(TAG)?;
-        mirror.store(ctx, prologue, encode(0, F_ALLOC));
+        ctx.store(prologue, encode(0, F_ALLOC));
         let epilogue = ctx.sbrk(TAG)?;
-        mirror.store(ctx, epilogue, encode(0, F_ALLOC));
+        ctx.store(epilogue, encode(0, F_ALLOC));
         let top_end = ctx.heap().brk();
         Ok(BestFit {
             head,
             top_end,
             split_threshold: crate::first_fit::DEFAULT_SPLIT_THRESHOLD,
             stats: AllocStats::new(),
-            mirror,
-            flist,
-            classes: ClassIndex::new(NCLASSES),
         })
     }
 
@@ -97,33 +66,26 @@ impl BestFit {
     /// Scans the whole freelist for the smallest block of at least
     /// `need` bytes (early exit on an exact fit) and unlinks it.
     fn take_best(&mut self, need: u32, ctx: &mut MemCtx<'_>) -> Option<(Address, u32)> {
-        // O(1) occupancy probe before the walk: an occupied class at or
-        // above the ceiling class proves a fit exists.
         ctx.obs_add(obs::names::BITMAP_PROBE, 1);
-        let guaranteed = self.classes.first_at_least(ceil_class_of(need)).is_some();
-        let mut best: Option<(Slot, u32)> = None;
-        let mut pos = self.flist.next(ctx, 0, Pos::Head);
+        let mut best: Option<(Address, u32)> = None;
+        let mut node = list::next(ctx, self.head);
         ctx.ops(1);
-        while let Pos::Node(slot) = pos {
-            let (addr, size) = self.flist.node(slot);
-            ctx.obs_add(obs::names::TAG_READS, 1);
-            ctx.shadow_load(addr, encode(size, 0));
+        while node != self.head {
+            let size = tag_size(read_header(ctx, node));
             self.stats.search_visits += 1;
             ctx.ops(3);
             if size >= need && best.is_none_or(|(_, b)| size < b) {
-                best = Some((slot, size));
+                best = Some((node, size));
                 if size == need {
                     break;
                 }
             }
-            pos = self.flist.next(ctx, 0, pos);
+            node = list::next(ctx, node);
         }
-        debug_assert!(!guaranteed || best.is_some(), "bitmap promised a fit the scan missed");
-        best.map(|(slot, size)| {
-            let (addr, _) = self.flist.unlink(ctx, &mut self.mirror, 0, slot);
-            self.classes.remove(class_of(size));
-            (addr, size)
-        })
+        if let Some((b, _)) = best {
+            list::unlink(ctx, b);
+        }
+        best
     }
 
     /// Grows the heap; returns an off-list free block merged with a free
@@ -139,19 +101,17 @@ impl BestFit {
             start + TAG
         };
         let mut size = need;
-        write_tags_shadow(ctx, &mut self.mirror, block, size, 0);
-        self.mirror.store(ctx, block + u64::from(size), encode(0, F_ALLOC));
+        write_tags(ctx, block, size, 0);
+        ctx.store(block + u64::from(size), encode(0, F_ALLOC));
         self.top_end = ctx.heap().brk();
-        let prev_tag = read_prev_footer_shadow(ctx, &self.mirror, block);
+        let prev_tag = read_prev_footer(ctx, block);
         ctx.ops(2);
         if !tag_allocated(prev_tag) && tag_size(prev_tag) != 0 {
             let prev = block - u64::from(tag_size(prev_tag));
-            let slot = self.flist.slot_of(prev).expect("free predecessor is on the freelist");
-            self.flist.unlink(ctx, &mut self.mirror, 0, slot);
-            self.classes.remove(class_of(tag_size(prev_tag)));
+            list::unlink(ctx, prev);
             size += tag_size(prev_tag);
             block = prev;
-            write_tags_shadow(ctx, &mut self.mirror, block, size, 0);
+            write_tags(ctx, block, size, 0);
             self.stats.coalesces += 1;
             ctx.obs_add(obs::names::BOUNDARY_COALESCE, 1);
         }
@@ -165,13 +125,12 @@ impl BestFit {
         ctx.ops(2);
         if remainder >= MIN_BLOCK && remainder - TAG_OVERHEAD >= self.split_threshold {
             let tail = b + u64::from(need);
-            write_tags_shadow(ctx, &mut self.mirror, tail, remainder, 0);
-            self.flist.insert_after(ctx, &mut self.mirror, 0, Pos::Head, tail, remainder);
-            self.classes.add(class_of(remainder));
-            write_tags_shadow(ctx, &mut self.mirror, b, need, F_ALLOC);
+            write_tags(ctx, tail, remainder, 0);
+            list::insert_after(ctx, self.head, tail);
+            write_tags(ctx, b, need, F_ALLOC);
             (b + TAG, need)
         } else {
-            write_tags_shadow(ctx, &mut self.mirror, b, bsize, F_ALLOC);
+            write_tags(ctx, b, bsize, F_ALLOC);
             (b + TAG, bsize)
         }
     }
@@ -201,7 +160,7 @@ impl Allocator for BestFit {
             return Err(AllocError::InvalidFree(ptr));
         }
         let mut b = ptr - TAG;
-        let tag = read_header_shadow(ctx, &self.mirror, b);
+        let tag = read_header(ctx, b);
         ctx.ops(2);
         if !tag_allocated(tag) || tag_size(tag) < MIN_BLOCK {
             return Err(AllocError::InvalidFree(ptr));
@@ -213,33 +172,27 @@ impl Allocator for BestFit {
         let mut size = granted;
         let merges_before = self.stats.coalesces;
         // Forward merge.
-        let next_tag = read_header_shadow(ctx, &self.mirror, b + u64::from(size));
+        let next_tag = read_header(ctx, b + u64::from(size));
         ctx.ops(2);
         if !tag_allocated(next_tag) && tag_size(next_tag) != 0 {
-            let next = b + u64::from(size);
-            let slot = self.flist.slot_of(next).expect("free successor is on the freelist");
-            self.flist.unlink(ctx, &mut self.mirror, 0, slot);
-            self.classes.remove(class_of(tag_size(next_tag)));
+            list::unlink(ctx, b + u64::from(size));
             size += tag_size(next_tag);
             self.stats.coalesces += 1;
             ctx.obs_add(obs::names::BOUNDARY_COALESCE, 1);
         }
         // Backward merge.
-        let prev_tag = read_prev_footer_shadow(ctx, &self.mirror, b);
+        let prev_tag = read_prev_footer(ctx, b);
         ctx.ops(2);
         if !tag_allocated(prev_tag) && tag_size(prev_tag) != 0 {
             let prev = b - u64::from(tag_size(prev_tag));
-            let slot = self.flist.slot_of(prev).expect("free predecessor is on the freelist");
-            self.flist.unlink(ctx, &mut self.mirror, 0, slot);
-            self.classes.remove(class_of(tag_size(prev_tag)));
+            list::unlink(ctx, prev);
             size += tag_size(prev_tag);
             b = prev;
             self.stats.coalesces += 1;
             ctx.obs_add(obs::names::BOUNDARY_COALESCE, 1);
         }
-        write_tags_shadow(ctx, &mut self.mirror, b, size, 0);
-        self.flist.insert_after(ctx, &mut self.mirror, 0, Pos::Head, b, size);
-        self.classes.add(class_of(size));
+        write_tags(ctx, b, size, 0);
+        list::insert_after(ctx, self.head, b);
         ctx.obs_observe("alloc.coalesce_per_free", self.stats.coalesces - merges_before);
         self.stats.note_free(granted);
         Ok(())

@@ -14,15 +14,9 @@
 //! When a class's list is empty, a whole page (or the block size, if
 //! larger) is carved into blocks at once, mirroring the 4.2 BSD
 //! `morecore`.
-//!
-//! The rebuilt hot path serves every head and chain word from a
-//! [`crate::shadow::WordMirror`] and keeps an advisory bucket-occupancy
-//! bitmap, probed once per malloc, that predicts the morecore decision —
-//! emission stays bit-identical to [`crate::reference::bsd`].
 
 use sim_mem::{Address, MemCtx};
 
-use crate::shadow::WordMirror;
 use crate::{AllocError, AllocStats, Allocator};
 
 /// Smallest block size class in 4.2 BSD, 2^4 = 16 bytes (12-byte
@@ -67,11 +61,6 @@ pub struct Bsd {
     /// Number of buckets under this configuration.
     nbuckets: u32,
     stats: AllocStats,
-    /// Shared mirror of every metadata word this allocator stores.
-    mirror: WordMirror,
-    /// Advisory occupancy bitmap: bit `k` set iff bucket `k`'s freelist
-    /// is non-empty. Checked against the loaded head in debug builds.
-    occupied: u32,
 }
 
 impl Bsd {
@@ -103,12 +92,11 @@ impl Bsd {
             config.min_shift
         );
         let nbuckets = MAX_SHIFT - config.min_shift + 1;
-        let mut mirror = WordMirror::new();
         let heads = ctx.sbrk(u64::from(nbuckets) * 4)?;
         for i in 0..nbuckets {
-            mirror.store(ctx, heads + u64::from(i) * 4, 0);
+            ctx.store(heads + u64::from(i) * 4, 0);
         }
-        Ok(Bsd { heads, config, nbuckets, stats: AllocStats::new(), mirror, occupied: 0 })
+        Ok(Bsd { heads, config, nbuckets, stats: AllocStats::new() })
     }
 
     /// The bucket index serving a payload request of `size` bytes in the
@@ -157,11 +145,10 @@ impl Bsd {
         for i in 0..nblocks {
             let b = start + u64::from(i * bsize);
             let next = if i + 1 < nblocks { (b + u64::from(bsize)).raw() as u32 } else { 0 };
-            self.mirror.store(ctx, b, next);
+            ctx.store(b, next);
             ctx.ops(2);
         }
-        self.mirror.store(ctx, self.head_addr(k), start.raw() as u32);
-        self.occupied |= 1 << k;
+        ctx.store(self.head_addr(k), start.raw() as u32);
         Ok(())
     }
 }
@@ -174,28 +161,24 @@ impl Allocator for Bsd {
     fn malloc(&mut self, size: u32, ctx: &mut MemCtx<'_>) -> Result<Address, AllocError> {
         let k = self.bucket_index(size).ok_or(AllocError::Unsupported(size))?;
         ctx.ops(4);
-        // Advisory probe: the bitmap predicts the morecore decision the
-        // head load is about to make.
+        // One bucket probe per malloc: the head load below decides
+        // whether the class needs fresh storage.
         ctx.obs_add(obs::names::BITMAP_PROBE, 1);
-        let predicted = self.occupied & (1 << k) != 0;
-        let mut b = self.mirror.load(ctx, self.head_addr(k));
-        debug_assert_eq!(predicted, b != 0, "occupancy bit stale for bucket {k}");
+        let mut b = ctx.load(self.head_addr(k));
         if b == 0 {
             self.morecore(k, ctx)?;
-            b = self.mirror.load(ctx, self.head_addr(k));
+            b = ctx.load(self.head_addr(k));
         }
         let block = Address::new(u64::from(b));
         // Pop: head takes the block's chain word; the chain word then
         // becomes the in-use header identifying the bucket.
-        let next = self.mirror.load(ctx, block);
-        self.mirror.store(ctx, self.head_addr(k), next);
-        if next == 0 {
-            self.occupied &= !(1 << k);
-        }
-        self.mirror.store(ctx, block, k | 0x4d50_0000); // "MP" magic | bucket, as 4.2 BSD
-                                                        // Segregated storage never searches: the explicit zero keeps the
-                                                        // per-malloc search-length histogram comparable across
-                                                        // allocators (paper finding 1).
+        let next = ctx.load(block);
+        ctx.store(self.head_addr(k), next);
+        // "MP" magic | bucket, as 4.2 BSD.
+        ctx.store(block, k | 0x4d50_0000);
+        // Segregated storage never searches: the explicit zero keeps the
+        // per-malloc search-length histogram comparable across
+        // allocators (paper finding 1).
         ctx.obs_observe("alloc.search_len", 0);
         self.stats.note_malloc(size, self.block_size(k));
         Ok(block + HDR)
@@ -206,7 +189,7 @@ impl Allocator for Bsd {
             return Err(AllocError::InvalidFree(ptr));
         }
         let block = ptr - HDR;
-        let header = self.mirror.load(ctx, block);
+        let header = ctx.load(block);
         ctx.ops(3);
         if header >> 16 != 0x4d50 {
             return Err(AllocError::InvalidFree(ptr));
@@ -216,10 +199,9 @@ impl Allocator for Bsd {
             return Err(AllocError::InvalidFree(ptr));
         }
         // Push: block takes the old head in its chain word.
-        let old = self.mirror.load(ctx, self.head_addr(k));
-        self.mirror.store(ctx, block, old);
-        self.mirror.store(ctx, self.head_addr(k), block.raw() as u32);
-        self.occupied |= 1 << k;
+        let old = ctx.load(self.head_addr(k));
+        ctx.store(block, old);
+        ctx.store(self.head_addr(k), block.raw() as u32);
         // BSD never coalesces; record the zero so the histogram covers
         // every free.
         ctx.obs_observe("alloc.coalesce_per_free", 0);

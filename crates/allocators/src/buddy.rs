@@ -20,15 +20,9 @@
 //! free, doubly-linked list links in the first payload words. Storage is
 //! claimed in [`SEGMENT`]-byte segments aligned to their own size so the
 //! XOR buddy arithmetic holds.
-//!
-//! The rebuilt hot path serves every header, head, and link word from a
-//! [`crate::shadow::WordMirror`] and keeps an advisory order-occupancy
-//! bitmap probed once per acquisition; emission stays bit-identical to
-//! [`crate::reference::buddy`].
 
 use sim_mem::{Address, MemCtx};
 
-use crate::shadow::WordMirror;
 use crate::{AllocError, AllocStats, Allocator};
 
 /// Smallest block: 2^4 = 16 bytes (12-byte payload).
@@ -51,11 +45,6 @@ pub struct Buddy {
     /// Static area: one list-head word per order (0 = empty).
     heads: Address,
     stats: AllocStats,
-    /// Shared mirror of every metadata word this allocator stores.
-    mirror: WordMirror,
-    /// Advisory occupancy bitmap: bit `order - MIN_ORDER` set iff that
-    /// order list is non-empty. Checked against loads in debug builds.
-    occupied: u32,
 }
 
 impl Buddy {
@@ -65,12 +54,11 @@ impl Buddy {
     ///
     /// Returns [`AllocError::Oom`] if the static area cannot be reserved.
     pub fn new(ctx: &mut MemCtx<'_>) -> Result<Self, AllocError> {
-        let mut mirror = WordMirror::new();
         let heads = ctx.sbrk(NORDERS as u64 * 4)?;
         for i in 0..NORDERS {
-            mirror.store(ctx, heads + i as u64 * 4, 0);
+            ctx.store(heads + i as u64 * 4, 0);
         }
-        Ok(Buddy { heads, stats: AllocStats::new(), mirror, occupied: 0 })
+        Ok(Buddy { heads, stats: AllocStats::new() })
     }
 
     /// The order serving a payload of `size` bytes, or `None` if it
@@ -87,34 +75,29 @@ impl Buddy {
 
     /// Pushes a free block onto its order list (head insert).
     fn push(&mut self, b: Address, order: u32, ctx: &mut MemCtx<'_>) {
-        self.mirror.store(ctx, b, order << 1); // header: order, free
+        ctx.store(b, order << 1); // header: order, free
         let head = self.head_addr(order);
-        let old = self.mirror.load(ctx, head);
-        self.mirror.store(ctx, b + 4, old); // next
-        self.mirror.store(ctx, b + 8, 0); // prev
+        let old = ctx.load(head);
+        ctx.store(b + 4, old); // next
+        ctx.store(b + 8, 0); // prev
         if old != 0 {
-            self.mirror.store(ctx, Address::new(u64::from(old)) + 8, b.raw() as u32);
+            ctx.store(Address::new(u64::from(old)) + 8, b.raw() as u32);
         }
-        self.mirror.store(ctx, head, b.raw() as u32);
-        self.occupied |= 1 << (order - MIN_ORDER);
+        ctx.store(head, b.raw() as u32);
         ctx.ops(2);
     }
 
     /// Unlinks a specific free block from its order list.
     fn unlink(&mut self, b: Address, order: u32, ctx: &mut MemCtx<'_>) {
-        let next = self.mirror.load(ctx, b + 4);
-        let prev = self.mirror.load(ctx, b + 8);
+        let next = ctx.load(b + 4);
+        let prev = ctx.load(b + 8);
         if prev == 0 {
-            let head = self.head_addr(order);
-            self.mirror.store(ctx, head, next);
-            if next == 0 {
-                self.occupied &= !(1 << (order - MIN_ORDER));
-            }
+            ctx.store(self.head_addr(order), next);
         } else {
-            self.mirror.store(ctx, Address::new(u64::from(prev)) + 4, next);
+            ctx.store(Address::new(u64::from(prev)) + 4, next);
         }
         if next != 0 {
-            self.mirror.store(ctx, Address::new(u64::from(next)) + 8, prev);
+            ctx.store(Address::new(u64::from(next)) + 8, prev);
         }
         ctx.ops(2);
     }
@@ -122,18 +105,16 @@ impl Buddy {
     /// Pops the head of an order list, if any.
     fn pop(&mut self, order: u32, ctx: &mut MemCtx<'_>) -> Option<Address> {
         let head = self.head_addr(order);
-        let b = self.mirror.load(ctx, head);
+        let b = ctx.load(head);
         ctx.ops(1);
         if b == 0 {
             return None;
         }
         let b = Address::new(u64::from(b));
-        let next = self.mirror.load(ctx, b + 4);
-        self.mirror.store(ctx, head, next);
-        if next == 0 {
-            self.occupied &= !(1 << (order - MIN_ORDER));
-        } else {
-            self.mirror.store(ctx, Address::new(u64::from(next)) + 8, 0);
+        let next = ctx.load(b + 4);
+        ctx.store(head, next);
+        if next != 0 {
+            ctx.store(Address::new(u64::from(next)) + 8, 0);
         }
         Some(b)
     }
@@ -157,11 +138,7 @@ impl Buddy {
         // Each order probed counts as one search visit: the buddy
         // "search" is a bounded walk up the order lists, not a freelist
         // scan, and the histogram records exactly that.
-        // Advisory probe: the bitmap predicts which order the walk below
-        // will pop from (or that it will fall through to fresh storage).
         ctx.obs_add(obs::names::BITMAP_PROBE, 1);
-        let predicted = (self.occupied >> (order - MIN_ORDER) != 0)
-            .then(|| order + (self.occupied >> (order - MIN_ORDER)).trailing_zeros());
         let mut found = None;
         for o in order..=MAX_ORDER {
             ctx.ops(1);
@@ -171,11 +148,6 @@ impl Buddy {
                 break;
             }
         }
-        debug_assert_eq!(
-            predicted,
-            found.map(|(_, o)| o),
-            "occupancy bitmap disagrees with the order walk"
-        );
         let (block, mut o) = match found {
             Some(f) => f,
             None => (self.grow(ctx)?, MAX_ORDER),
@@ -201,7 +173,7 @@ impl Allocator for Buddy {
         ctx.ops(4);
         let visits_before = self.stats.search_visits;
         let block = self.acquire(order, ctx)?;
-        self.mirror.store(ctx, block, order << 1 | F_ALLOC);
+        ctx.store(block, order << 1 | F_ALLOC);
         ctx.obs_observe("alloc.search_len", self.stats.search_visits - visits_before);
         self.stats.note_malloc(size, 1 << order);
         Ok(block + HDR)
@@ -212,7 +184,7 @@ impl Allocator for Buddy {
             return Err(AllocError::InvalidFree(ptr));
         }
         let mut block = ptr - HDR;
-        let header = self.mirror.load(ctx, block);
+        let header = ctx.load(block);
         ctx.ops(3);
         let mut order = header >> 1;
         if header & F_ALLOC == 0 || !(MIN_ORDER..=MAX_ORDER).contains(&order) {
@@ -229,7 +201,7 @@ impl Allocator for Buddy {
             if !ctx.heap().contains(buddy, 1u64 << order) {
                 break;
             }
-            let bh = self.mirror.load(ctx, buddy);
+            let bh = ctx.load(buddy);
             ctx.ops(3);
             // The buddy must be a free block of exactly this order.
             if bh & F_ALLOC != 0 || bh >> 1 != order {

@@ -14,17 +14,9 @@
 //! runs) walks the dense descriptor table, never the heap blocks
 //! themselves. "Instead of traversing the entire heap attempting to find
 //! a fit, only the information in the chunk headers must be traversed."
-//!
-//! The rebuilt engine serves every descriptor, fragment-head, and
-//! fragment-link word from a [`crate::shadow::WordMirror`], so the walk
-//! values are computed host-side while emission stays bit-identical to
-//! [`crate::reference::chunked`]. Wrapper headers written inside
-//! allocated fragments live in the wrappers' own mirrors; that is safe
-//! because this heap only reads words it last stored itself.
 
 use sim_mem::{Address, MemCtx};
 
-use crate::shadow::WordMirror;
 use crate::{AllocError, AllocStats};
 
 /// What to do when every fragment of a chunk becomes free.
@@ -90,8 +82,6 @@ pub struct ChunkedHeap {
     /// Fully-free carved chunks currently retained, per class.
     retained: Vec<u32>,
     stats: AllocStats,
-    /// Shared mirror of every metadata word this heap stores.
-    mirror: WordMirror,
 }
 
 impl ChunkedHeap {
@@ -134,10 +124,9 @@ impl ChunkedHeap {
             assert!((8..=FRAG_MAX).contains(&s) && s % 4 == 0, "bad class size {s}");
         }
         let base = ctx.heap().base();
-        let mut mirror = WordMirror::new();
         let fragheads = ctx.sbrk(class_sizes.len() as u64 * 4)?;
         for c in 0..class_sizes.len() {
-            mirror.store(ctx, fragheads + c as u64 * 4, 0);
+            ctx.store(fragheads + c as u64 * 4, 0);
         }
         let retained = vec![0; class_sizes.len()];
         let mut heap = ChunkedHeap {
@@ -152,7 +141,6 @@ impl ChunkedHeap {
             policy,
             retained,
             stats: AllocStats::new(),
-            mirror,
         };
         heap.grow_table(1, ctx)?;
         Ok(heap)
@@ -186,21 +174,19 @@ impl ChunkedHeap {
     }
 
     fn read_status(&self, idx: u32, ctx: &mut MemCtx<'_>) -> u32 {
-        self.mirror.load(ctx, self.desc_addr(idx))
+        ctx.load(self.desc_addr(idx))
     }
 
-    fn write_status(&mut self, idx: u32, v: u32, ctx: &mut MemCtx<'_>) {
-        let a = self.desc_addr(idx);
-        self.mirror.store(ctx, a, v);
+    fn write_status(&self, idx: u32, v: u32, ctx: &mut MemCtx<'_>) {
+        ctx.store(self.desc_addr(idx), v);
     }
 
     fn read_aux(&self, idx: u32, ctx: &mut MemCtx<'_>) -> u32 {
-        self.mirror.load(ctx, self.desc_addr(idx) + 4)
+        ctx.load(self.desc_addr(idx) + 4)
     }
 
-    fn write_aux(&mut self, idx: u32, v: u32, ctx: &mut MemCtx<'_>) {
-        let a = self.desc_addr(idx) + 4;
-        self.mirror.store(ctx, a, v);
+    fn write_aux(&self, idx: u32, v: u32, ctx: &mut MemCtx<'_>) {
+        ctx.store(self.desc_addr(idx) + 4, v);
     }
 
     fn frag_head(&self, class: usize) -> Address {
@@ -281,10 +267,10 @@ impl ChunkedHeap {
         let old_chunks = self.table_chunks;
         // Copy live descriptors (2 words each): real, traced work.
         for i in 0..self.frontier.min(old_cap) {
-            let s = self.mirror.load(ctx, old_table + u64::from(i) * 8);
-            let a = self.mirror.load(ctx, old_table + u64::from(i) * 8 + 4);
-            self.mirror.store(ctx, new_table + u64::from(i) * 8, s);
-            self.mirror.store(ctx, new_table + u64::from(i) * 8 + 4, a);
+            let s = ctx.load(old_table + u64::from(i) * 8);
+            let a = ctx.load(old_table + u64::from(i) * 8 + 4);
+            ctx.store(new_table + u64::from(i) * 8, s);
+            ctx.store(new_table + u64::from(i) * 8 + 4, a);
         }
         self.table = new_table;
         self.cap = new_cap;
@@ -349,24 +335,23 @@ impl ChunkedHeap {
         let n = self.frags_per_chunk(class);
         let base = self.chunk_base(idx);
         let head = self.frag_head(class);
-        let old = self.mirror.load(ctx, head);
+        let old = ctx.load(head);
         ctx.ops(3);
         for i in 0..n {
             let f = base + u64::from(i * fsize);
             let next = if i + 1 < n { (f + u64::from(fsize)).raw() as u32 } else { old };
             let prev = if i == 0 { 0 } else { (f - u64::from(fsize)).raw() as u32 };
-            self.mirror.store(ctx, f, next);
-            self.mirror.store(ctx, f + 4, prev);
+            ctx.store(f, next);
+            ctx.store(f + 4, prev);
             ctx.ops(2);
         }
         if old != 0 {
-            self.mirror.store(
-                ctx,
+            ctx.store(
                 Address::new(u64::from(old)) + 4,
                 (base + u64::from((n - 1) * fsize)).raw() as u32,
             );
         }
-        self.mirror.store(ctx, head, base.raw() as u32);
+        ctx.store(head, base.raw() as u32);
         self.write_status(idx, status::FRAG_BASE + class as u32, ctx);
         self.write_aux(idx, n, ctx);
     }
@@ -384,19 +369,19 @@ impl ChunkedHeap {
     ) -> Result<Address, AllocError> {
         debug_assert!(class < self.class_sizes.len());
         let head = self.frag_head(class);
-        let mut f = self.mirror.load(ctx, head);
+        let mut f = ctx.load(head);
         ctx.ops(2);
         if f == 0 {
             let idx = self.take_chunk_run(1, ctx)?;
             self.carve_chunk(idx, class, ctx);
-            f = self.mirror.load(ctx, head);
+            f = ctx.load(head);
         }
         let frag = Address::new(u64::from(f));
         // Pop from the head.
-        let next = self.mirror.load(ctx, frag);
-        self.mirror.store(ctx, head, next);
+        let next = ctx.load(frag);
+        ctx.store(head, next);
         if next != 0 {
-            self.mirror.store(ctx, Address::new(u64::from(next)) + 4, 0);
+            ctx.store(Address::new(u64::from(next)) + 4, 0);
         }
         // Account in the chunk descriptor.
         let idx = self.chunk_index(frag);
@@ -482,13 +467,13 @@ impl ChunkedHeap {
         }
         // Push onto the class list.
         let head = self.frag_head(class);
-        let old = self.mirror.load(ctx, head);
-        self.mirror.store(ctx, f, old);
-        self.mirror.store(ctx, f + 4, 0);
+        let old = ctx.load(head);
+        ctx.store(f, old);
+        ctx.store(f + 4, 0);
         if old != 0 {
-            self.mirror.store(ctx, Address::new(u64::from(old)) + 4, f.raw() as u32);
+            ctx.store(Address::new(u64::from(old)) + 4, f.raw() as u32);
         }
-        self.mirror.store(ctx, head, f.raw() as u32);
+        ctx.store(head, f.raw() as u32);
         ctx.ops(3);
         if nfree + 1 == n {
             let keep = match self.policy {
@@ -519,15 +504,15 @@ impl ChunkedHeap {
         let head = self.frag_head(class);
         for i in 0..n {
             let f = base + u64::from(i * fsize);
-            let next = self.mirror.load(ctx, f);
-            let prev = self.mirror.load(ctx, f + 4);
+            let next = ctx.load(f);
+            let prev = ctx.load(f + 4);
             if prev == 0 {
-                self.mirror.store(ctx, head, next);
+                ctx.store(head, next);
             } else {
-                self.mirror.store(ctx, Address::new(u64::from(prev)), next);
+                ctx.store(Address::new(u64::from(prev)), next);
             }
             if next != 0 {
-                self.mirror.store(ctx, Address::new(u64::from(next)) + 4, prev);
+                ctx.store(Address::new(u64::from(next)) + 4, prev);
             }
             ctx.ops(2);
         }

@@ -18,11 +18,6 @@
 //! dedicated page chunks ([`crate::chunked::ChunkedHeap`]), frees recover
 //! the class from the chunk descriptor, and whole-chunk runs serve large
 //! requests.
-//!
-//! Hot-path values (class lookups, chunk descriptors, fragment links)
-//! are served host-side by the shadow engine of [`crate::chunked`] and
-//! [`SizeMap::lookup_shadow`]; emission stays bit-identical to
-//! [`crate::reference::custom`].
 
 use sim_mem::{Address, MemCtx};
 
@@ -91,10 +86,8 @@ impl Allocator for Custom {
         // allocators (paper finding 1).
         ctx.obs_observe("alloc.search_len", 0);
         if size <= self.map.max_mapped() {
-            // Figure 9: one array load maps the request to its class,
-            // with the value served from the host-side copy of the
-            // write-once array.
-            let class = self.map.lookup_shadow(self.map_base, size, ctx);
+            // Figure 9: one array load maps the request to its class.
+            let class = SizeMap::lookup(self.map_base, size, ctx);
             let a = self.heap.alloc_frag(class, ctx)?;
             self.stats.note_malloc(size, self.heap.class_sizes()[class]);
             Ok(a)

@@ -14,45 +14,14 @@
 //! locality" — emerges here mechanically: each visited block costs a
 //! header load and a link load at an arbitrary heap address, all of which
 //! enter the reference trace.
-//!
-//! # Host-side engine
-//!
-//! The *simulated* cost model above is untouched, but the host no longer
-//! chases pointers through the heap image to compute it: the freelist is
-//! mirrored in a [`crate::shadow::TaggedList`] slab (order + block sizes
-//! cached inline, O(1) unlink), boundary tags in a
-//! [`crate::shadow::WordMirror`], and a [`crate::shadow::ClassIndex`]
-//! occupancy bitmap over floor-log2 size classes answers "can any free
-//! block satisfy this request?" in O(1) word scans before each walk
-//! (`alloc.bitmap_probe`). Every emitted reference, instruction charge,
-//! and heap-image byte is bit-identical to
-//! [`crate::reference::first_fit`], which the `reference_equivalence`
-//! suite and `perf --alloc` enforce.
 
 use sim_mem::{Address, MemCtx};
 
 use crate::layout::{
-    encode, list, read_header_shadow, read_prev_footer_shadow, round_payload, tag_allocated,
-    tag_size, write_tags_shadow, F_ALLOC, MIN_BLOCK, TAG, TAG_OVERHEAD,
+    encode, list, read_header, read_prev_footer, round_payload, tag_allocated, tag_size,
+    write_tags, F_ALLOC, MIN_BLOCK, TAG, TAG_OVERHEAD,
 };
-use crate::shadow::{ClassIndex, Pos, Slot, TaggedList, WordMirror};
 use crate::{AllocError, AllocStats, Allocator};
-
-/// Size classes tracked by the occupancy bitmap: floor-log2 of the total
-/// block size, which fits comfortably in 32 classes for 32-bit sizes.
-const NCLASSES: usize = 32;
-
-/// Floor-log2 size class of a block of `size` bytes.
-fn class_of(size: u32) -> usize {
-    debug_assert!(size >= MIN_BLOCK);
-    (31 - size.leading_zeros()) as usize
-}
-
-/// The smallest class whose *every* member is at least `need` bytes:
-/// an occupied class at or above this guarantees the search succeeds.
-fn ceil_class_of(need: u32) -> usize {
-    (32 - (need - 1).leading_zeros()) as usize
-}
 
 /// Default split threshold: an oversized block is split only if the
 /// remainder's payload is at least this many bytes (Knuth's optimization
@@ -91,16 +60,6 @@ pub struct FirstFit {
     top_end: Address,
     config: FirstFitConfig,
     stats: AllocStats,
-    /// Shared mirror of every metadata word this allocator stores.
-    mirror: WordMirror,
-    /// Slab shadow of the freelist: order, sizes, O(1) unlink.
-    flist: TaggedList,
-    /// Occupancy bitmap over floor-log2 block-size classes.
-    classes: ClassIndex,
-    /// Reused scratch for the search walk's deferred trace: every
-    /// `(raw address, value)` metadata load the walk performs, in
-    /// order, bulk-emitted once the fit is found.
-    walk: Vec<(u32, u32)>,
 }
 
 impl FirstFit {
@@ -122,26 +81,14 @@ impl FirstFit {
     pub fn with_config(ctx: &mut MemCtx<'_>, config: FirstFitConfig) -> Result<Self, AllocError> {
         // Static area: freelist sentinel, then the heap prologue word; the
         // epilogue word follows and is pushed right by every extension.
-        let mut mirror = WordMirror::new();
-        let mut flist = TaggedList::new(1);
         let head = ctx.sbrk(list::SENTINEL_BYTES)?;
-        flist.init_head(ctx, &mut mirror, 0, head);
+        list::init_head(ctx, head);
         let prologue = ctx.sbrk(TAG)?;
-        mirror.store(ctx, prologue, encode(0, F_ALLOC));
+        ctx.store(prologue, encode(0, F_ALLOC));
         let epilogue = ctx.sbrk(TAG)?;
-        mirror.store(ctx, epilogue, encode(0, F_ALLOC));
+        ctx.store(epilogue, encode(0, F_ALLOC));
         let top_end = ctx.heap().brk();
-        Ok(FirstFit {
-            head,
-            rover: head,
-            top_end,
-            config,
-            stats: AllocStats::new(),
-            mirror,
-            flist,
-            classes: ClassIndex::new(NCLASSES),
-            walk: Vec::new(),
-        })
+        Ok(FirstFit { head, rover: head, top_end, config, stats: AllocStats::new() })
     }
 
     /// The freelist sentinel address (used by the consistency checker).
@@ -160,45 +107,39 @@ impl FirstFit {
     }
 
     /// Searches the freelist from the rover for the first block of at
-    /// least `need` bytes. Returns its slab slot, or `None` after a full
-    /// cycle.
-    ///
-    /// The walk runs in two passes. Pass one iterates the shadow slab
-    /// alone — sizes cached inline, one slab access per step — recording
-    /// every metadata load the reference walk performs: a header load
-    /// per visited block, a link load per hop. Pass two replays that
-    /// trace through [`MemCtx::shadow_load_burst`] and charges the
-    /// walk's instructions in one bulk add (two per visit, one per hop,
-    /// matching the reference's per-step `ops`), so the emitted stream
-    /// and every cost total are bit-identical while the per-reference
-    /// host overhead collapses into the burst's append loop.
-    fn search(&mut self, need: u32, ctx: &mut MemCtx<'_>) -> Option<Slot> {
-        // O(1) occupancy probe: an occupied class at or above the
-        // ceiling class proves the walk will succeed before it starts.
+    /// least `need` bytes. Returns its address and size, or `None` after a
+    /// full cycle.
+    fn search(&mut self, need: u32, ctx: &mut MemCtx<'_>) -> Option<(Address, u32)> {
         ctx.obs_add(obs::names::BITMAP_PROBE, 1);
-        let guaranteed = self.classes.first_at_least(ceil_class_of(need)).is_some();
-        let start = if self.config.roving { self.flist.pos_of(0, self.rover) } else { Pos::Head };
-        self.walk.clear();
-        let (found, visits, hops) = self.flist.walk_first_fit(
-            0,
-            start,
-            &mut self.walk,
-            |size| encode(size, 0),
-            |size| size >= need,
-        );
-        debug_assert!(found.is_some() || !guaranteed, "bitmap promised a fit the walk missed");
-        ctx.obs_add(obs::names::TAG_READS, visits);
-        self.stats.search_visits += visits;
-        ctx.shadow_load_burst(&self.walk);
-        ctx.ops(visits * 2 + hops);
-        found
+        let start = if self.config.roving { self.rover } else { self.head };
+        let mut node = start;
+        loop {
+            if node != self.head {
+                let tag = read_header(ctx, node);
+                self.stats.search_visits += 1;
+                ctx.ops(2);
+                if tag_size(tag) >= need {
+                    return Some((node, tag_size(tag)));
+                }
+            }
+            node = list::next(ctx, node);
+            ctx.ops(1);
+            if node == start {
+                return None;
+            }
+        }
     }
 
     /// Carves an allocation of `need` bytes out of the free block `b`
     /// (which is on the freelist), splitting if the remainder is worth
     /// keeping. Returns the payload address.
-    fn allocate_from(&mut self, slot: Slot, need: u32, ctx: &mut MemCtx<'_>) -> (Address, u32) {
-        let (b, bsize) = self.flist.node(slot);
+    fn allocate_from(
+        &mut self,
+        b: Address,
+        bsize: u32,
+        need: u32,
+        ctx: &mut MemCtx<'_>,
+    ) -> (Address, u32) {
         debug_assert!(bsize >= need);
         let remainder = bsize - need;
         ctx.ops(2);
@@ -206,21 +147,17 @@ impl FirstFit {
             // Split: the front becomes the allocation, the tail keeps the
             // original's freelist position.
             let tail = b + u64::from(need);
-            self.flist.replace(ctx, &mut self.mirror, 0, slot, tail, remainder);
-            self.classes.remove(class_of(bsize));
-            self.classes.add(class_of(remainder));
-            write_tags_shadow(ctx, &mut self.mirror, tail, remainder, 0);
-            write_tags_shadow(ctx, &mut self.mirror, b, need, F_ALLOC);
+            list::replace(ctx, b, tail);
+            write_tags(ctx, tail, remainder, 0);
+            write_tags(ctx, b, need, F_ALLOC);
             self.rover = tail;
             self.stats.splits += 1;
             (b + TAG, need)
         } else {
-            let succ = self.flist.next(ctx, 0, Pos::Node(slot));
-            let succ_addr = self.flist.addr(0, succ);
-            self.flist.unlink(ctx, &mut self.mirror, 0, slot);
-            self.classes.remove(class_of(bsize));
-            write_tags_shadow(ctx, &mut self.mirror, b, bsize, F_ALLOC);
-            self.rover = if succ_addr == b { self.head } else { succ_addr };
+            let succ = list::next(ctx, b);
+            list::unlink(ctx, b);
+            write_tags(ctx, b, bsize, F_ALLOC);
+            self.rover = if succ == b { self.head } else { succ };
             (b + TAG, bsize)
         }
     }
@@ -228,7 +165,7 @@ impl FirstFit {
     /// Grows the heap by at least `need` bytes and returns the resulting
     /// free block (already coalesced with a trailing free neighbour and
     /// inserted into the freelist).
-    fn extend(&mut self, need: u32, ctx: &mut MemCtx<'_>) -> Result<Slot, AllocError> {
+    fn extend(&mut self, need: u32, ctx: &mut MemCtx<'_>) -> Result<(Address, u32), AllocError> {
         let old_brk = ctx.heap().brk();
         let block = if old_brk == self.top_end {
             // Contiguous growth: the old epilogue word becomes the new
@@ -239,66 +176,50 @@ impl FirstFit {
             // Another allocator moved the break: start a fresh tagged
             // region with its own prologue word.
             let start = ctx.sbrk(u64::from(need) + 2 * TAG)?;
-            self.mirror.store(ctx, start, encode(0, F_ALLOC));
+            ctx.store(start, encode(0, F_ALLOC));
             start + TAG
         };
-        write_tags_shadow(ctx, &mut self.mirror, block, need, 0);
+        write_tags(ctx, block, need, 0);
         let new_epilogue = block + u64::from(need);
-        self.mirror.store(ctx, new_epilogue, encode(0, F_ALLOC));
+        ctx.store(new_epilogue, encode(0, F_ALLOC));
         self.top_end = ctx.heap().brk();
-        self.flist.insert_after(ctx, &mut self.mirror, 0, Pos::Head, block, need);
-        self.classes.add(class_of(need));
+        list::insert_after(ctx, self.head, block);
         // Merge with a free block ending right before the new one.
-        let (b, _) =
+        let merged =
             if self.config.coalesce { self.coalesce(block, need, ctx) } else { (block, need) };
-        Ok(self.flist.slot_of(b).expect("extended block is on the freelist"))
+        Ok(merged)
     }
 
     /// Coalesces the free, on-list block `b` of `size` bytes with free
     /// neighbours; returns the address and size of the (possibly merged)
     /// block, still on the list.
     fn coalesce(&mut self, mut b: Address, mut size: u32, ctx: &mut MemCtx<'_>) -> (Address, u32) {
-        // Backward merge: the neighbour's boundary tag comes from the
-        // mirror, the list splice from the slab.
-        let prev_tag = read_prev_footer_shadow(ctx, &self.mirror, b);
+        // Backward merge.
+        let prev_tag = read_prev_footer(ctx, b);
         ctx.ops(2);
         if !tag_allocated(prev_tag) && tag_size(prev_tag) != 0 {
-            let prev_size = tag_size(prev_tag);
-            let prev = b - u64::from(prev_size);
-            let slot = self.flist.slot_of(b).expect("coalesced block is on the freelist");
-            self.flist.unlink(ctx, &mut self.mirror, 0, slot);
-            self.classes.remove(class_of(size));
+            let prev = b - u64::from(tag_size(prev_tag));
+            list::unlink(ctx, b);
             if self.rover == b {
                 self.rover = prev;
             }
-            size += prev_size;
+            size += tag_size(prev_tag);
             b = prev;
-            write_tags_shadow(ctx, &mut self.mirror, b, size, 0);
-            let kept = self.flist.slot_of(b).expect("merge target is on the freelist");
-            self.flist.set_size(kept, size);
-            self.classes.remove(class_of(prev_size));
-            self.classes.add(class_of(size));
+            write_tags(ctx, b, size, 0);
             self.stats.coalesces += 1;
             ctx.obs_add(obs::names::BOUNDARY_COALESCE, 1);
         }
         // Forward merge.
-        let next_tag = read_header_shadow(ctx, &self.mirror, b + u64::from(size));
+        let next_tag = read_header(ctx, b + u64::from(size));
         ctx.ops(2);
         if !tag_allocated(next_tag) && tag_size(next_tag) != 0 {
             let next = b + u64::from(size);
             if self.rover == next {
                 self.rover = b;
             }
-            let slot = self.flist.slot_of(next).expect("merged neighbour is on the freelist");
-            self.flist.unlink(ctx, &mut self.mirror, 0, slot);
-            self.classes.remove(class_of(tag_size(next_tag)));
-            let old_size = size;
+            list::unlink(ctx, next);
             size += tag_size(next_tag);
-            write_tags_shadow(ctx, &mut self.mirror, b, size, 0);
-            let kept = self.flist.slot_of(b).expect("merge target is on the freelist");
-            self.flist.set_size(kept, size);
-            self.classes.remove(class_of(old_size));
-            self.classes.add(class_of(size));
+            write_tags(ctx, b, size, 0);
             self.stats.coalesces += 1;
             ctx.obs_add(obs::names::BOUNDARY_COALESCE, 1);
         }
@@ -315,11 +236,11 @@ impl Allocator for FirstFit {
         let need = Self::block_size(size);
         ctx.ops(4);
         let visits_before = self.stats.search_visits;
-        let slot = match self.search(need, ctx) {
+        let (block, bsize) = match self.search(need, ctx) {
             Some(found) => found,
             None => self.extend(need, ctx)?,
         };
-        let (payload, granted) = self.allocate_from(slot, need, ctx);
+        let (payload, granted) = self.allocate_from(block, bsize, need, ctx);
         ctx.obs_observe("alloc.search_len", self.stats.search_visits - visits_before);
         self.stats.note_malloc(size, granted);
         Ok(payload)
@@ -330,7 +251,7 @@ impl Allocator for FirstFit {
             return Err(AllocError::InvalidFree(ptr));
         }
         let b = ptr - TAG;
-        let tag = read_header_shadow(ctx, &self.mirror, b);
+        let tag = read_header(ctx, b);
         ctx.ops(2);
         if !tag_allocated(tag) || tag_size(tag) < MIN_BLOCK {
             return Err(AllocError::InvalidFree(ptr));
@@ -339,12 +260,10 @@ impl Allocator for FirstFit {
         if !ctx.heap().contains(b, u64::from(size) + TAG) {
             return Err(AllocError::InvalidFree(ptr));
         }
-        write_tags_shadow(ctx, &mut self.mirror, b, size, 0);
+        write_tags(ctx, b, size, 0);
         // Insert at the rover position, as the Moraes implementation does:
         // freshly freed storage is encountered quickly by the next search.
-        let rover = self.flist.pos_of(0, self.rover);
-        self.flist.insert_after(ctx, &mut self.mirror, 0, rover, b, size);
-        self.classes.add(class_of(size));
+        list::insert_after(ctx, self.rover, b);
         let merges_before = self.stats.coalesces;
         if self.config.coalesce {
             self.coalesce(b, size, ctx);

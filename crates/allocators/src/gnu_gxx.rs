@@ -13,21 +13,13 @@
 //! objects in the freelist") makes GNU G++ markedly more resilient than
 //! FIRSTFIT in page-fault terms, while still second-worst in cache miss
 //! rate — freelist search and coalescing still touch scattered blocks.
-//!
-//! The rebuilt hot path serves bin walks from a
-//! [`crate::shadow::TaggedList`] slab with a shared
-//! [`crate::shadow::WordMirror`] for every stored metadata word; the
-//! list's occupancy bitmap picks the first non-empty larger bin in O(1)
-//! host time while the skipped empty bins still emit their head loads,
-//! keeping the trace bit-identical to [`crate::reference::gnu_gxx`].
 
 use sim_mem::{Address, MemCtx};
 
 use crate::layout::{
-    encode, list, read_header_shadow, read_prev_footer_shadow, round_payload, tag_allocated,
-    tag_size, write_tags_shadow, F_ALLOC, MIN_BLOCK, TAG, TAG_OVERHEAD,
+    encode, list, read_header, read_prev_footer, round_payload, tag_allocated, tag_size,
+    write_tags, F_ALLOC, MIN_BLOCK, TAG, TAG_OVERHEAD,
 };
-use crate::shadow::{Pos, TaggedList, WordMirror};
 use crate::{AllocError, AllocStats, Allocator};
 
 /// log₂ of the smallest block size (16 bytes).
@@ -64,13 +56,6 @@ pub struct GnuGxx {
     top_end: Address,
     config: GnuGxxConfig,
     stats: AllocStats,
-    /// Shared mirror of every metadata word this allocator stores.
-    mirror: WordMirror,
-    /// Slab shadow of the `NBINS` segregated freelists.
-    flist: TaggedList,
-    /// Reused scratch for the bin walk's deferred trace, bulk-emitted
-    /// once the fit (or the bin's end) is found.
-    walk: Vec<(u32, u32)>,
 }
 
 impl GnuGxx {
@@ -89,26 +74,16 @@ impl GnuGxx {
     ///
     /// Returns [`AllocError::Oom`] if the static area cannot be reserved.
     pub fn with_config(ctx: &mut MemCtx<'_>, config: GnuGxxConfig) -> Result<Self, AllocError> {
-        let mut mirror = WordMirror::new();
-        let mut flist = TaggedList::new(NBINS);
         let bins = ctx.sbrk(NBINS as u64 * list::SENTINEL_BYTES)?;
         for k in 0..NBINS {
-            flist.init_head(ctx, &mut mirror, k, bins + k as u64 * list::SENTINEL_BYTES);
+            list::init_head(ctx, bins + k as u64 * list::SENTINEL_BYTES);
         }
         let prologue = ctx.sbrk(TAG)?;
-        mirror.store(ctx, prologue, encode(0, F_ALLOC));
+        ctx.store(prologue, encode(0, F_ALLOC));
         let epilogue = ctx.sbrk(TAG)?;
-        mirror.store(ctx, epilogue, encode(0, F_ALLOC));
+        ctx.store(epilogue, encode(0, F_ALLOC));
         let top_end = ctx.heap().brk();
-        Ok(GnuGxx {
-            bins,
-            top_end,
-            config,
-            stats: AllocStats::new(),
-            mirror,
-            flist,
-            walk: Vec::new(),
-        })
+        Ok(GnuGxx { bins, top_end, config, stats: AllocStats::new() })
     }
 
     /// The bin index for a block of `size` bytes.
@@ -125,9 +100,8 @@ impl GnuGxx {
 
     /// Inserts the free block `b` (tags already written) into its bin.
     fn bin_insert(&mut self, b: Address, size: u32, ctx: &mut MemCtx<'_>) {
-        let k = Self::bin_for(size);
-        debug_assert_eq!(self.flist.sentinel(k), self.bin_head(k), "slab sentinels track bins");
-        self.flist.insert_after(ctx, &mut self.mirror, k, Pos::Head, b, size);
+        let head = self.bin_head(Self::bin_for(size));
+        list::insert_after(ctx, head, b);
     }
 
     /// Finds and unlinks a free block of at least `need` bytes, searching
@@ -136,50 +110,33 @@ impl GnuGxx {
     fn take_fit(&mut self, need: u32, ctx: &mut MemCtx<'_>) -> Option<(Address, u32)> {
         let start_bin = Self::bin_for(need);
         ctx.ops(3);
-        // First fit within the request's own bin: a host-only slab walk
-        // (from the bin's sentinel, so the first recorded load is the
-        // head link) whose deferred trace — and per-visit `ops(2)` —
-        // replays in bulk, bit-identical to the scalar loop.
-        self.walk.clear();
-        let (found, visits, _hops) = self.flist.walk_first_fit(
-            start_bin,
-            Pos::Head,
-            &mut self.walk,
-            |size| encode(size, 0),
-            |size| size >= need,
-        );
-        ctx.obs_add(obs::names::TAG_READS, visits);
-        self.stats.search_visits += visits;
-        ctx.shadow_load_burst(&self.walk);
-        ctx.ops(visits * 2);
-        if let Some(slot) = found {
-            let (addr, size) = self.flist.node(slot);
-            self.flist.unlink(ctx, &mut self.mirror, start_bin, slot);
-            return Some((addr, size));
+        // First fit within the request's own bin.
+        let head = self.bin_head(start_bin);
+        let mut node = list::next(ctx, head);
+        while node != head {
+            let tag = read_header(ctx, node);
+            self.stats.search_visits += 1;
+            ctx.ops(2);
+            if tag_size(tag) >= need {
+                list::unlink(ctx, node);
+                return Some((node, tag_size(tag)));
+            }
+            node = list::next(ctx, node);
         }
-        // Any block in a larger bin fits: the occupancy bitmap names the
-        // first non-empty bin in O(1) host time, but every skipped empty
-        // bin still emits its sentinel head load — the trace shows the
-        // same bin scan the reference algorithm performs.
+        // Any block in a larger bin fits: take the first.
         ctx.obs_add(obs::names::BITMAP_PROBE, 1);
-        let target = self.flist.first_nonempty_at_least(start_bin + 1);
-        for k in start_bin + 1..target.unwrap_or(NBINS) {
-            let skipped = self.flist.next(ctx, k, Pos::Head);
+        for k in start_bin + 1..NBINS {
+            let head = self.bin_head(k);
+            let node = list::next(ctx, head);
             ctx.ops(1);
-            debug_assert_eq!(skipped, Pos::Head, "bitmap says bin {k} is empty");
+            if node != head {
+                let tag = read_header(ctx, node);
+                self.stats.search_visits += 1;
+                list::unlink(ctx, node);
+                return Some((node, tag_size(tag)));
+            }
         }
-        let k = target?;
-        let pos = self.flist.next(ctx, k, Pos::Head);
-        ctx.ops(1);
-        let Pos::Node(slot) = pos else {
-            unreachable!("bitmap says bin {k} is non-empty");
-        };
-        let (addr, size) = self.flist.node(slot);
-        ctx.obs_add(obs::names::TAG_READS, 1);
-        ctx.shadow_load(addr, encode(size, 0));
-        self.stats.search_visits += 1;
-        self.flist.unlink(ctx, &mut self.mirror, k, slot);
-        Some((addr, size))
+        None
     }
 
     /// Grows the heap by `need` bytes; returns an off-list free block,
@@ -194,24 +151,22 @@ impl GnuGxx {
             // Another allocator moved the break: start a fresh tagged
             // region with its own prologue word.
             let start = ctx.sbrk(u64::from(need) + 2 * TAG)?;
-            self.mirror.store(ctx, start, encode(0, F_ALLOC));
+            ctx.store(start, encode(0, F_ALLOC));
             start + TAG
         };
         let mut size = need;
-        write_tags_shadow(ctx, &mut self.mirror, block, size, 0);
-        self.mirror.store(ctx, block + u64::from(size), encode(0, F_ALLOC));
+        write_tags(ctx, block, size, 0);
+        ctx.store(block + u64::from(size), encode(0, F_ALLOC));
         self.top_end = ctx.heap().brk();
         if self.config.coalesce {
-            let prev_tag = read_prev_footer_shadow(ctx, &self.mirror, block);
+            let prev_tag = read_prev_footer(ctx, block);
             ctx.ops(2);
             if !tag_allocated(prev_tag) && tag_size(prev_tag) != 0 {
                 let prev = block - u64::from(tag_size(prev_tag));
-                let k = Self::bin_for(tag_size(prev_tag));
-                let slot = self.flist.slot_of(prev).expect("free predecessor is binned");
-                self.flist.unlink(ctx, &mut self.mirror, k, slot);
+                list::unlink(ctx, prev);
                 size += tag_size(prev_tag);
                 block = prev;
-                write_tags_shadow(ctx, &mut self.mirror, block, size, 0);
+                write_tags(ctx, block, size, 0);
                 self.stats.coalesces += 1;
                 ctx.obs_add(obs::names::BOUNDARY_COALESCE, 1);
             }
@@ -227,13 +182,13 @@ impl GnuGxx {
         ctx.ops(2);
         if remainder >= MIN_BLOCK && remainder - TAG_OVERHEAD >= self.config.split_threshold {
             let tail = b + u64::from(need);
-            write_tags_shadow(ctx, &mut self.mirror, tail, remainder, 0);
+            write_tags(ctx, tail, remainder, 0);
             self.bin_insert(tail, remainder, ctx);
-            write_tags_shadow(ctx, &mut self.mirror, b, need, F_ALLOC);
+            write_tags(ctx, b, need, F_ALLOC);
             self.stats.splits += 1;
             (b + TAG, need)
         } else {
-            write_tags_shadow(ctx, &mut self.mirror, b, bsize, F_ALLOC);
+            write_tags(ctx, b, bsize, F_ALLOC);
             (b + TAG, bsize)
         }
     }
@@ -263,7 +218,7 @@ impl Allocator for GnuGxx {
             return Err(AllocError::InvalidFree(ptr));
         }
         let mut b = ptr - TAG;
-        let tag = read_header_shadow(ctx, &self.mirror, b);
+        let tag = read_header(ctx, b);
         ctx.ops(2);
         if !tag_allocated(tag) || tag_size(tag) < MIN_BLOCK {
             return Err(AllocError::InvalidFree(ptr));
@@ -276,32 +231,27 @@ impl Allocator for GnuGxx {
         let merges_before = self.stats.coalesces;
         if self.config.coalesce {
             // Forward merge.
-            let next_tag = read_header_shadow(ctx, &self.mirror, b + u64::from(size));
+            let next_tag = read_header(ctx, b + u64::from(size));
             ctx.ops(2);
             if !tag_allocated(next_tag) && tag_size(next_tag) != 0 {
-                let next = b + u64::from(size);
-                let k = Self::bin_for(tag_size(next_tag));
-                let slot = self.flist.slot_of(next).expect("free successor is binned");
-                self.flist.unlink(ctx, &mut self.mirror, k, slot);
+                list::unlink(ctx, b + u64::from(size));
                 size += tag_size(next_tag);
                 self.stats.coalesces += 1;
                 ctx.obs_add(obs::names::BOUNDARY_COALESCE, 1);
             }
             // Backward merge.
-            let prev_tag = read_prev_footer_shadow(ctx, &self.mirror, b);
+            let prev_tag = read_prev_footer(ctx, b);
             ctx.ops(2);
             if !tag_allocated(prev_tag) && tag_size(prev_tag) != 0 {
                 let prev = b - u64::from(tag_size(prev_tag));
-                let k = Self::bin_for(tag_size(prev_tag));
-                let slot = self.flist.slot_of(prev).expect("free predecessor is binned");
-                self.flist.unlink(ctx, &mut self.mirror, k, slot);
+                list::unlink(ctx, prev);
                 size += tag_size(prev_tag);
                 b = prev;
                 self.stats.coalesces += 1;
                 ctx.obs_add(obs::names::BOUNDARY_COALESCE, 1);
             }
         }
-        write_tags_shadow(ctx, &mut self.mirror, b, size, 0);
+        write_tags(ctx, b, size, 0);
         self.bin_insert(b, size, ctx);
         ctx.obs_observe("alloc.coalesce_per_free", self.stats.coalesces - merges_before);
         self.stats.note_free(granted);

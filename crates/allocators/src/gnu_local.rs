@@ -23,11 +23,6 @@
 //! boundary tag added to every object, to isolate the cache pollution
 //! caused by tags; [`GnuLocalConfig::emulate_boundary_tags`] reproduces
 //! that modification.
-//!
-//! All hot-path metadata is owned by [`ChunkedHeap`], so this wrapper
-//! inherits the shadow engine wholesale: descriptor walks and fragment
-//! pops compute host-side while emitting the reference trace of
-//! [`crate::reference::gnu_local`] bit for bit.
 
 use sim_mem::{Address, MemCtx};
 

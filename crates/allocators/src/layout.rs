@@ -105,45 +105,6 @@ pub fn read_prev_footer(ctx: &mut MemCtx<'_>, b: Address) -> u32 {
     ctx.load(b - TAG)
 }
 
-/// Writes both boundary tags of the block at `b` through a tag mirror:
-/// identical emission and charges to [`write_tags`], with the mirror
-/// kept coherent so later [`read_header_shadow`] /
-/// [`read_prev_footer_shadow`] calls never touch the heap image.
-pub fn write_tags_shadow(
-    ctx: &mut MemCtx<'_>,
-    tags: &mut crate::shadow::WordMirror,
-    b: Address,
-    size: u32,
-    flags: u32,
-) {
-    let tag = encode(size, flags);
-    ctx.obs_add("alloc.tag_writes", 2);
-    tags.store(ctx, b, tag);
-    tags.store(ctx, b + u64::from(size) - TAG, tag);
-}
-
-/// Reads the header tag of the block at `b` from a tag mirror: identical
-/// emission and charges to [`read_header`], value served host-side.
-pub fn read_header_shadow(
-    ctx: &mut MemCtx<'_>,
-    tags: &crate::shadow::WordMirror,
-    b: Address,
-) -> u32 {
-    ctx.obs_add("alloc.tag_reads", 1);
-    tags.load(ctx, b)
-}
-
-/// Reads the footer tag of the block *preceding* `b` from a tag mirror:
-/// identical emission and charges to [`read_prev_footer`].
-pub fn read_prev_footer_shadow(
-    ctx: &mut MemCtx<'_>,
-    tags: &crate::shadow::WordMirror,
-    b: Address,
-) -> u32 {
-    ctx.obs_add("alloc.tag_reads", 1);
-    tags.load(ctx, b - TAG)
-}
-
 /// Operations on the circular doubly-linked freelist threaded through free
 /// blocks. Every node — including sentinel list heads — is addressed by
 /// its block address, with links at [`NEXT_OFF`] and [`PREV_OFF`].

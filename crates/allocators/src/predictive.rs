@@ -27,7 +27,6 @@
 use sim_mem::{Address, MemCtx};
 
 use crate::chunked::{ChunkedHeap, PurgePolicy, CHUNK};
-use crate::shadow::WordMirror;
 use crate::{AllocError, AllocStats, Allocator, SizeMap};
 
 /// Number of distinct call sites tracked (extras alias, as a real
@@ -72,10 +71,6 @@ pub struct Predictive {
     clock: u32,
     config: PredictiveConfig,
     stats: AllocStats,
-    /// Mirror of the site table (exclusively ours). Object headers are
-    /// NOT mirrored: their words double as fragment links owned by the
-    /// pools' own engines, so header reads stay real heap loads.
-    mirror: WordMirror,
 }
 
 impl Predictive {
@@ -104,11 +99,10 @@ impl Predictive {
         assert!(config.short_age > 0, "short_age must be positive");
         let map = SizeMap::bounded_fragmentation(0.25);
         let map_base = map.write_to_heap(ctx)?;
-        let mut mirror = WordMirror::new();
         let sites = ctx.sbrk(u64::from(MAX_SITES) * 8)?;
         for i in 0..MAX_SITES {
-            mirror.store(ctx, sites + u64::from(i) * 8, 0);
-            mirror.store(ctx, sites + u64::from(i) * 8 + 4, 0);
+            ctx.store(sites + u64::from(i) * 8, 0);
+            ctx.store(sites + u64::from(i) * 8 + 4, 0);
         }
         let classes = map.class_sizes().to_vec();
         let short = ChunkedHeap::with_policy(ctx, classes.clone(), PurgePolicy::Retain(2))?;
@@ -122,7 +116,6 @@ impl Predictive {
             clock: 0,
             config,
             stats: AllocStats::new(),
-            mirror,
         })
     }
 
@@ -135,8 +128,8 @@ impl Predictive {
     /// as Barrett & Zorn's predictors do.
     fn predict_short(&mut self, site: u32, ctx: &mut MemCtx<'_>) -> bool {
         let a = self.site_addr(site);
-        let shorts = self.mirror.load(ctx, a);
-        let longs = self.mirror.load(ctx, a + 4);
+        let shorts = ctx.load(a);
+        let longs = ctx.load(a + 4);
         ctx.ops(2);
         shorts >= longs
     }
@@ -145,8 +138,8 @@ impl Predictive {
     /// the history adapts to phase changes.
     fn learn(&mut self, site: u32, age: u32, ctx: &mut MemCtx<'_>) {
         let a = self.site_addr(site);
-        let mut shorts = self.mirror.load(ctx, a);
-        let mut longs = self.mirror.load(ctx, a + 4);
+        let mut shorts = ctx.load(a);
+        let mut longs = ctx.load(a + 4);
         ctx.ops(3);
         if age <= self.config.short_age {
             shorts += 1;
@@ -157,8 +150,8 @@ impl Predictive {
             shorts /= 2;
             longs /= 2;
         }
-        self.mirror.store(ctx, a, shorts);
-        self.mirror.store(ctx, a + 4, longs);
+        ctx.store(a, shorts);
+        ctx.store(a + 4, longs);
     }
 
     /// Which pool owns `addr`, if any: try a free on `short` first and
@@ -193,7 +186,7 @@ impl Allocator for Predictive {
         let short = self.predict_short(site, ctx);
         let pool = if short { &mut self.short } else { &mut self.long };
         let (block, granted) = if internal <= self.map.max_mapped() {
-            let class = self.map.lookup_shadow(self.map_base, internal, ctx);
+            let class = SizeMap::lookup(self.map_base, internal, ctx);
             let a = pool.alloc_frag(class, ctx)?;
             (a, self.map.class_sizes()[class])
         } else {

@@ -15,17 +15,10 @@
 //! block. This tag is exactly the "cache pollution" the paper discusses
 //! in §4.3: information useful only to the allocator, dragged into the
 //! cache alongside object data.
-//!
-//! The rebuilt fast path serves QuickFit's own head/tail/chain words from
-//! a [`crate::shadow::WordMirror`] (the embedded GNU G++ carries its
-//! own); only `free`'s routing tag read stays a real heap load, because
-//! that word may belong to either owner. Emission stays bit-identical to
-//! [`crate::reference::quick_fit`].
 
 use sim_mem::{Address, MemCtx};
 
 use crate::layout::{encode, tag_fast, tag_size, F_ALLOC, F_FAST, TAG};
-use crate::shadow::WordMirror;
 use crate::{AllocError, AllocStats, Allocator, GnuGxx};
 
 /// Largest payload (bytes) served by the fast lists, as the paper
@@ -66,10 +59,6 @@ pub struct QuickFit {
     general: GnuGxx,
     config: QuickFitConfig,
     stats: AllocStats,
-    /// Mirror of QuickFit's own metadata words (heads, tail, limit, fast
-    /// chain words and fast tags). General-side words live in the
-    /// embedded allocator's mirror instead.
-    mirror: WordMirror,
 }
 
 impl QuickFit {
@@ -103,16 +92,13 @@ impl QuickFit {
             config.fast_max,
             TAIL_CHUNK - TAG as u32
         );
-        let nclasses = (config.fast_max / 4) as u64;
-        let mut mirror = WordMirror::new();
+        let nclasses = u64::from(config.fast_max / 4);
         let statics = ctx.sbrk((nclasses + 2) * 4)?;
-        for i in 0..nclasses {
-            mirror.store(ctx, statics + i * 4, 0);
+        for i in 0..nclasses + 2 {
+            ctx.store(statics + i * 4, 0);
         }
-        mirror.store(ctx, statics + nclasses * 4, 0);
-        mirror.store(ctx, statics + nclasses * 4 + 4, 0);
         let general = GnuGxx::new(ctx)?;
-        Ok(QuickFit { statics, general, config, stats: AllocStats::new(), mirror })
+        Ok(QuickFit { statics, general, config, stats: AllocStats::new() })
     }
 
     /// The fast-class index for a payload request in the paper's
@@ -134,35 +120,36 @@ impl QuickFit {
         (rounded <= self.config.fast_max).then(|| (rounded / 4 - 1) as usize)
     }
 
-    fn tail_off(&self) -> u64 {
-        u64::from(self.config.fast_max / 4) * 4
-    }
-
     fn head_addr(&self, idx: usize) -> Address {
         self.statics + idx as u64 * 4
+    }
+
+    /// Address of the tail pointer word; the tail limit word follows it.
+    fn tail_addr(&self) -> Address {
+        self.statics + u64::from(self.config.fast_max / 4) * 4
     }
 
     /// Carves a fresh block of `total` bytes from the tail region,
     /// growing it by [`TAIL_CHUNK`] when exhausted. Any unusably small
     /// tail remnant is abandoned, as in the original.
     fn carve(&mut self, total: u32, ctx: &mut MemCtx<'_>) -> Result<Address, AllocError> {
-        let tail_off = self.tail_off();
-        let limit_off = tail_off + 4;
-        let tail = self.mirror.load(ctx, self.statics + tail_off);
-        let limit = self.mirror.load(ctx, self.statics + limit_off);
+        let tail_addr = self.tail_addr();
+        let limit_addr = tail_addr + 4;
+        let tail = ctx.load(tail_addr);
+        let limit = ctx.load(limit_addr);
         ctx.ops(3);
         let tail = if tail + total <= limit {
             tail
         } else {
             let fresh = ctx.sbrk(u64::from(TAIL_CHUNK))?;
-            self.mirror.store(ctx, self.statics + limit_off, fresh.raw() as u32 + TAIL_CHUNK);
+            ctx.store(limit_addr, fresh.raw() as u32 + TAIL_CHUNK);
             fresh.raw() as u32
         };
-        self.mirror.store(ctx, self.statics + tail_off, tail + total);
+        ctx.store(tail_addr, tail + total);
         let block = Address::new(u64::from(tail));
         // The boundary tag: size plus the fast-storage marker, written
         // once and never changed (fast blocks do not coalesce).
-        self.mirror.store(ctx, block, encode(total, F_FAST | F_ALLOC));
+        ctx.store(block, encode(total, F_FAST | F_ALLOC));
         Ok(block)
     }
 }
@@ -177,14 +164,14 @@ impl Allocator for QuickFit {
         if let Some(idx) = self.class_index(size) {
             let total = Self::class_payload(idx) + TAG as u32;
             let head = self.head_addr(idx);
-            let b = self.mirror.load(ctx, head);
+            let b = ctx.load(head);
             let block = if b != 0 {
-                // Pop from a warm quicklist: the O(1) path the engine
-                // exists for.
+                // Pop from a warm quicklist: the chain word lives in the
+                // payload's first word.
                 ctx.obs_add(obs::names::QUICK_HIT, 1);
                 let block = Address::new(u64::from(b));
-                let next = self.mirror.load(ctx, block + TAG);
-                self.mirror.store(ctx, head, next);
+                let next = ctx.load(block + TAG);
+                ctx.store(head, next);
                 block
             } else {
                 self.carve(total, ctx)?
@@ -214,10 +201,6 @@ impl Allocator for QuickFit {
         if ptr.raw() < TAG || !ctx.heap().contains(ptr - TAG, TAG) {
             return Err(AllocError::InvalidFree(ptr));
         }
-        // Routing read: this word was written by whichever side owns the
-        // block (our fast tag or the general allocator's boundary tag),
-        // so it cannot be served from one mirror — read the heap image,
-        // which both mirrors keep current.
         let tag = ctx.load(ptr - TAG);
         ctx.ops(2);
         if tag_fast(tag) {
@@ -230,13 +213,13 @@ impl Allocator for QuickFit {
             let block = ptr - TAG;
             // Push LIFO.
             let head = self.head_addr(idx);
-            let old = self.mirror.load(ctx, head);
+            let old = ctx.load(head);
             if old == block.raw() as u32 {
                 // The block is already the list head: double free.
                 return Err(AllocError::InvalidFree(ptr));
             }
-            self.mirror.store(ctx, block + TAG, old);
-            self.mirror.store(ctx, head, block.raw() as u32);
+            ctx.store(block + TAG, old);
+            ctx.store(head, block.raw() as u32);
             // Fast blocks never coalesce; record the zero so the
             // histogram covers every free.
             ctx.obs_observe("alloc.coalesce_per_free", 0);

@@ -218,17 +218,6 @@ impl SizeMap {
         ctx.ops(3);
         ctx.load(base + g * 4) as usize
     }
-
-    /// [`Self::lookup`] with the class value served from this map's own
-    /// table: identical emission and charges, no heap-image read. Sound
-    /// because the in-heap array is written once by
-    /// [`Self::write_to_heap`] and never modified.
-    pub fn lookup_shadow(&self, base: Address, size: u32, ctx: &mut MemCtx<'_>) -> usize {
-        debug_assert!(size <= MAP_MAX);
-        let g = (size.max(1) as u64 - 1) / 4;
-        ctx.ops(3);
-        ctx.shadow_load(base + g * 4, self.map[g as usize]) as usize
-    }
 }
 
 #[cfg(test)]

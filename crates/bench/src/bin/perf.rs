@@ -8,21 +8,7 @@
 //!      [--replay-cache DIR]
 //! perf --sinks [--scale F] [--repeat N] [--min-speedup F]
 //!      [--gate-retries N] [--sinks-out FILE]
-//! perf --alloc [--scale F] [--repeat N] [--min-speedup F]
-//!      [--gate-retries N] [--alloc-out FILE]
 //! ```
-//!
-//! With `--alloc`, the harness measures the allocator hot-path engine
-//! (`BENCH_alloc.json`): the espresso malloc/free script is extracted
-//! once, then driven through each paper allocator — the rebuilt engine
-//! (shadow mirrors, occupancy bitmaps, O(1) unlink) against its verbatim
-//! pre-rework port in [`allocators::reference`]. Each lane's two sides
-//! must emit bit-identical reference streams, heap images, statistics,
-//! per-phase instruction totals, and `alloc.search_len` /
-//! `alloc.coalesce_per_free` histograms (checked once, **never**
-//! retried); the wall-clock sides are then interleaved best-of
-//! `--repeat`, and the slowest lane (largest reference-side time) must
-//! clear `--min-speedup`. Either failure exits non-zero.
 //!
 //! With `--sinks`, the harness measures the data-parallel sink engine
 //! (`BENCH_sinks.json`): one run-compressed reference stream is
@@ -70,24 +56,20 @@
 //! any divergence makes the process exit non-zero, which is what CI's
 //! release-mode smoke job keys on.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use alloc_locality::{AllocChoice, Experiment, RunResult, SimOptions};
-use allocators::{reference, AllocStats, Allocator, AllocatorKind};
+use allocators::AllocatorKind;
 use bench::{interleaved_best_of, run_gated, time_closure, timing, GateOutcome, Timing};
 use cache_sim::reference::ReferenceSweepCache;
 use cache_sim::{Cache, CacheBank, CacheConfig, SweepCache};
-use obs::{MemoryRecorder, NullRecorder};
+use obs::NullRecorder;
 use serde::Serialize;
-use sim_mem::{
-    AccessSink, Address, CountingSink, HeapImage, InstrCounter, MemCtx, MemRef, NullSink, Phase,
-    RefRun,
-};
+use sim_mem::{AccessSink, CountingSink, MemRef, RefRun};
 use vm_sim::StackSim;
-use workloads::{AppEvent, Program, Scale};
+use workloads::{Program, Scale};
 
 /// One (program, allocator) cell of the bank-vs-sweep comparison.
 #[derive(Debug, Clone, Serialize)]
@@ -212,7 +194,6 @@ struct Args {
     obs: bool,
     replay: bool,
     sinks: bool,
-    alloc: bool,
     max_overhead: f64,
     gate_retries: u32,
     sweep_out: PathBuf,
@@ -220,7 +201,6 @@ struct Args {
     replay_out: PathBuf,
     replay_cache: PathBuf,
     sinks_out: PathBuf,
-    alloc_out: PathBuf,
     min_speedup: f64,
 }
 
@@ -238,8 +218,6 @@ fn parse_args() -> Result<Args, String> {
     let mut replay_cache = PathBuf::from("artifacts/stream-cache/perf-replay");
     let mut sinks = false;
     let mut sinks_out = PathBuf::from("BENCH_sinks.json");
-    let mut alloc = false;
-    let mut alloc_out = PathBuf::from("BENCH_alloc.json");
     let mut min_speedup = 0.0;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -270,10 +248,6 @@ fn parse_args() -> Result<Args, String> {
             "--sinks" => sinks = true,
             "--sinks-out" => {
                 sinks_out = PathBuf::from(args.next().ok_or("--sinks-out needs a path")?);
-            }
-            "--alloc" => alloc = true,
-            "--alloc-out" => {
-                alloc_out = PathBuf::from(args.next().ok_or("--alloc-out needs a path")?);
             }
             "--min-speedup" => {
                 let v = args.next().ok_or("--min-speedup needs a value")?;
@@ -307,8 +281,6 @@ fn parse_args() -> Result<Args, String> {
                      \x20           [--replay-cache DIR] [--min-speedup F]\n\
                      \x20      perf --sinks [--scale F] [--repeat N] [--min-speedup F]\n\
                      \x20           [--gate-retries N] [--sinks-out FILE]\n\
-                     \x20      perf --alloc [--scale F] [--repeat N] [--min-speedup F]\n\
-                     \x20           [--gate-retries N] [--alloc-out FILE]\n\
                      --matrix measures all five paper programs x (FirstFit, BSD, QuickFit)\n\
                      in the bank-vs-sweep comparison instead of espresso/FirstFit alone\n\
                      --obs measures recorder overhead (none vs null vs in-memory) and fails\n\
@@ -323,12 +295,6 @@ fn parse_args() -> Result<Args, String> {
                      (sweep, bank, single cache, pager) against its pre-restructure\n\
                      delivery, and fails if any lane's statistics diverge or the sweep\n\
                      lane's speedup falls below --min-speedup (re-measured up to\n\
-                     --gate-retries extra times first)\n\
-                     --alloc drives the espresso malloc/free script through each paper\n\
-                     allocator, rebuilt engine vs its verbatim reference port, and fails\n\
-                     if any lane's emitted stream, heap image, stats, instruction totals\n\
-                     or histograms diverge (checked once, never retried) or the slowest\n\
-                     lane's speedup falls below --min-speedup (re-measured up to\n\
                      --gate-retries extra times first)"
                     .into());
             }
@@ -342,7 +308,6 @@ fn parse_args() -> Result<Args, String> {
         obs,
         replay,
         sinks,
-        alloc,
         max_overhead,
         gate_retries,
         sweep_out,
@@ -350,7 +315,6 @@ fn parse_args() -> Result<Args, String> {
         replay_out,
         replay_cache,
         sinks_out,
-        alloc_out,
         min_speedup,
     })
 }
@@ -768,329 +732,6 @@ fn sinks_report(args: &Args) -> Result<SinksReport, String> {
     })
 }
 
-/// One alloc/free step of the extracted allocator script.
-#[derive(Debug, Clone, Copy)]
-enum AllocOp {
-    /// Request `size` bytes from call site `site`; the grant lands in
-    /// `slot`.
-    Malloc { slot: usize, size: u32, site: u32 },
-    /// Release the object in `slot`.
-    Free { slot: usize },
-}
-
-/// Extracts espresso's malloc/free script at `scale`: the allocator
-/// exercise alone. Generator ids are allocation ordinals, so they serve
-/// directly as slots in the replay's flat address table. Returns the
-/// script and the slot-table size.
-fn alloc_script(scale: f64) -> (Vec<AllocOp>, usize) {
-    let mut nslots = 0usize;
-    let mut script = Vec::new();
-    for event in Program::Espresso.spec().events(Scale(scale)) {
-        match event {
-            AppEvent::Malloc { id, size, site } => {
-                script.push(AllocOp::Malloc { slot: id as usize, size, site });
-                nslots += 1;
-            }
-            AppEvent::Free { id } => script.push(AllocOp::Free { slot: id as usize }),
-            _ => {}
-        }
-    }
-    (script, nslots)
-}
-
-/// Builds one side of an allocator lane: the rebuilt engine
-/// (`rework: true`) or its verbatim pre-rework port from
-/// [`allocators::reference`].
-fn build_side(
-    kind: AllocatorKind,
-    rework: bool,
-    ctx: &mut MemCtx<'_>,
-) -> Result<Box<dyn Allocator>, String> {
-    if rework {
-        return kind.build(ctx).map_err(|e| e.to_string());
-    }
-    Ok(match kind {
-        AllocatorKind::FirstFit => {
-            Box::new(reference::FirstFit::new(ctx).map_err(|e| e.to_string())?)
-        }
-        AllocatorKind::GnuGxx => Box::new(reference::GnuGxx::new(ctx).map_err(|e| e.to_string())?),
-        AllocatorKind::Bsd => Box::new(reference::Bsd::new(ctx).map_err(|e| e.to_string())?),
-        AllocatorKind::GnuLocal => {
-            Box::new(reference::GnuLocal::new(ctx).map_err(|e| e.to_string())?)
-        }
-        AllocatorKind::QuickFit => {
-            Box::new(reference::QuickFit::new(ctx).map_err(|e| e.to_string())?)
-        }
-    })
-}
-
-/// Captures the stream exactly as delivered: run boundaries included,
-/// since RLE merging and flush cut-points are observable in captured
-/// streams and must match across the two engines.
-#[derive(Default)]
-struct RunSink {
-    runs: Vec<RefRun>,
-}
-
-impl AccessSink for RunSink {
-    fn record(&mut self, r: MemRef) {
-        self.runs.push(RefRun::once(r));
-    }
-
-    fn record_runs(&mut self, runs: &[RefRun]) {
-        self.runs.extend_from_slice(runs);
-    }
-}
-
-/// Counters only the rebuilt fast paths emit; ignored when comparing
-/// recorder state against the reference port.
-const NEW_ALLOC_COUNTERS: [&str; 3] =
-    ["alloc.bitmap_probe", "alloc.quick_hit", "alloc.boundary_coalesce"];
-
-/// Everything observable about one scripted drive, for the lane's
-/// one-time identity check.
-#[derive(Debug, PartialEq)]
-struct LaneObservation {
-    runs: Vec<RefRun>,
-    heap_words: Vec<u32>,
-    stats: AllocStats,
-    instrs: InstrCounter,
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Vec<(u64, u64)>>,
-}
-
-/// Drives the extracted script through one side of a lane, mimicking
-/// the engine's phase discipline. Returns the stats, per-phase
-/// instruction totals, the heap image's words (when `capture_heap`),
-/// and the wall-clock seconds from allocator build through final flush
-/// (heap and sink setup excluded).
-fn drive_script(
-    kind: AllocatorKind,
-    rework: bool,
-    script: &[AllocOp],
-    nslots: usize,
-    sink: &mut dyn AccessSink,
-    rec: Option<&mut MemoryRecorder>,
-    capture_heap: bool,
-) -> Result<(AllocStats, InstrCounter, Vec<u32>, f64), String> {
-    let mut heap = HeapImage::new();
-    let mut instrs = InstrCounter::new();
-    let mut addrs: Vec<Option<Address>> = vec![None; nslots];
-    let start = Instant::now();
-    let stats = {
-        let mut ctx = MemCtx::batched(&mut heap, sink, &mut instrs);
-        if let Some(r) = rec {
-            ctx = ctx.with_recorder(r);
-        }
-        ctx.set_phase(Phase::Malloc);
-        let mut alloc = build_side(kind, rework, &mut ctx)?;
-        ctx.set_phase(Phase::App);
-        for &op in script {
-            match op {
-                AllocOp::Malloc { slot, size, site } => {
-                    ctx.set_phase(Phase::Malloc);
-                    let p = alloc
-                        .malloc_at(size, site, &mut ctx)
-                        .map_err(|e| format!("{}: {e}", kind.label()))?;
-                    ctx.set_phase(Phase::App);
-                    addrs[slot] = Some(p);
-                }
-                AllocOp::Free { slot } => {
-                    let p = addrs[slot].take().expect("script frees live slots");
-                    ctx.set_phase(Phase::Free);
-                    alloc.free(p, &mut ctx).map_err(|e| format!("{}: {e}", kind.label()))?;
-                    ctx.set_phase(Phase::App);
-                }
-            }
-        }
-        ctx.flush();
-        *alloc.stats()
-    };
-    let secs = start.elapsed().as_secs_f64();
-    let heap_words = if capture_heap {
-        let base = heap.base();
-        (0..(heap.brk() - base) / 4).map(|i| heap.read_u32(base + i * 4)).collect()
-    } else {
-        Vec::new()
-    };
-    Ok((stats, instrs, heap_words, secs))
-}
-
-/// One side's full observation: stream, heap, stats, instruction
-/// totals, and recorder state (minus the rebuilt engine's new
-/// counters).
-fn observe_side(
-    kind: AllocatorKind,
-    rework: bool,
-    script: &[AllocOp],
-    nslots: usize,
-) -> Result<LaneObservation, String> {
-    let mut sink = RunSink::default();
-    let mut rec = MemoryRecorder::new();
-    let (stats, instrs, heap_words, _) =
-        drive_script(kind, rework, script, nslots, &mut sink, Some(&mut rec), true)?;
-    let snap = rec.snapshot();
-    let counters = snap
-        .counters
-        .iter()
-        .filter(|(name, _)| !NEW_ALLOC_COUNTERS.contains(&name.as_str()))
-        .map(|(name, &v)| (name.clone(), v))
-        .collect();
-    let histograms =
-        snap.histograms.iter().map(|(name, h)| (name.clone(), h.buckets.clone())).collect();
-    Ok(LaneObservation { runs: sink.runs, heap_words, stats, instrs, counters, histograms })
-}
-
-/// One lane's identity verdict, plus what the timed repeats need.
-struct LaneIdentity {
-    kind: AllocatorKind,
-    allocator: String,
-    /// Word-granular data references the lane's stream expands to.
-    data_refs: u64,
-    identical: bool,
-}
-
-/// The one-time identity pass plus the shared script.
-struct AllocIdentity {
-    script: Vec<AllocOp>,
-    nslots: usize,
-    lanes: Vec<LaneIdentity>,
-}
-
-/// Checks every lane's bit-identity exactly once: emitted stream (run
-/// boundaries included), heap image, stats, per-phase instruction
-/// totals, and recorder state up to the engine's new counters.
-fn alloc_identity(args: &Args) -> Result<AllocIdentity, String> {
-    let (script, nslots) = alloc_script(args.scale);
-    let mallocs = script.iter().filter(|op| matches!(op, AllocOp::Malloc { .. })).count();
-    eprintln!(
-        "# alloc perf: espresso script, {} events ({mallocs} mallocs), scale {}, best of {}",
-        script.len(),
-        args.scale,
-        args.repeat
-    );
-    let mut lanes = Vec::new();
-    for kind in AllocatorKind::ALL {
-        let engine = observe_side(kind, true, &script, nslots)?;
-        let reference = observe_side(kind, false, &script, nslots)?;
-        let identical = engine == reference;
-        if !identical {
-            eprintln!("WARNING: {} diverged from its pre-rework reference port", kind.label());
-        }
-        let mut counter = CountingSink::new();
-        counter.record_runs(&engine.runs);
-        lanes.push(LaneIdentity {
-            kind,
-            allocator: kind.label().to_string(),
-            data_refs: counter.stats().total_words(),
-            identical,
-        });
-    }
-    Ok(AllocIdentity { script, nslots, lanes })
-}
-
-/// One paper allocator timed under the rebuilt engine and under its
-/// verbatim reference port.
-#[derive(Debug, Clone, Serialize)]
-struct AllocLane {
-    /// The paper allocator that ran.
-    allocator: String,
-    /// Word-granular data references the lane's stream expands to.
-    data_refs: u64,
-    /// The rebuilt hot-path engine driving the script.
-    engine: Timing,
-    /// The verbatim pre-rework port driving the same script.
-    reference: Timing,
-    /// `reference.secs / engine.secs`.
-    speedup: f64,
-    /// Whether the two sides were bit-identical (stream, heap, stats,
-    /// instruction totals, histograms).
-    identical_results: bool,
-}
-
-/// The allocator harness's JSON report (`BENCH_alloc.json`).
-#[derive(Debug, Clone, Serialize)]
-struct AllocReport {
-    program: String,
-    scale: f64,
-    repeats: u32,
-    /// Which measurement attempt this report records (1-based; above 1
-    /// only when earlier attempts tripped the speedup gate and
-    /// `--gate-retries` allowed a re-measurement).
-    gate_attempt: u32,
-    /// Malloc/free events in the extracted script.
-    events: u64,
-    lanes: Vec<AllocLane>,
-    /// The lane with the largest reference-side time (what
-    /// `--min-speedup` gates).
-    slowest_lane: String,
-    slowest_lane_speedup: f64,
-    /// Smallest per-lane speedup (the conservative headline).
-    min_lane_speedup: f64,
-    /// True iff every lane was bit-identical across the two engines.
-    identical_results: bool,
-}
-
-/// Times every allocator lane, interleaved best-of-`--repeat` per lane.
-/// The identity verdicts come from the (never re-run) `identity` pass.
-///
-/// The timed drives discard into a [`NullSink`]: sink-side accounting is
-/// identical on both sides of a lane (the identity pass proved the runs
-/// bit-equal, and `data_refs` comes from there), so counting during the
-/// timed pass would only add a shared constant that dilutes the very
-/// production-cost difference the lane exists to measure.
-fn alloc_report(
-    args: &Args,
-    identity: &AllocIdentity,
-    gate_attempt: u32,
-) -> Result<AllocReport, String> {
-    let timed = |kind: AllocatorKind, rework: bool| -> Result<((), f64), String> {
-        let mut sink = NullSink;
-        let (_, _, _, secs) =
-            drive_script(kind, rework, &identity.script, identity.nslots, &mut sink, None, false)?;
-        Ok(((), secs))
-    };
-    let mut lanes = Vec::new();
-    for lane in &identity.lanes {
-        let (((), cur_secs), ((), ref_secs)) = interleaved_best_of(
-            args.repeat,
-            || timed(lane.kind, true),
-            || timed(lane.kind, false),
-        )?;
-        let speedup = ref_secs / cur_secs.max(1e-9);
-        eprintln!(
-            "  {:<9} engine {cur_secs:.3}s  reference {ref_secs:.3}s  {speedup:.2}x  \
-             (identical: {})",
-            lane.allocator, lane.identical
-        );
-        lanes.push(AllocLane {
-            allocator: lane.allocator.clone(),
-            data_refs: lane.data_refs,
-            engine: timing("engine", cur_secs, lane.data_refs),
-            reference: timing("reference", ref_secs, lane.data_refs),
-            speedup,
-            identical_results: lane.identical,
-        });
-    }
-    let slowest = lanes
-        .iter()
-        .max_by(|a, b| a.reference.secs.total_cmp(&b.reference.secs))
-        .expect("five lanes");
-    let min_lane_speedup = lanes.iter().map(|l| l.speedup).fold(f64::INFINITY, f64::min);
-    Ok(AllocReport {
-        program: Program::Espresso.label().to_string(),
-        scale: args.scale,
-        repeats: args.repeat,
-        gate_attempt,
-        events: identity.script.len() as u64,
-        slowest_lane: slowest.allocator.clone(),
-        slowest_lane_speedup: slowest.speedup,
-        min_lane_speedup,
-        identical_results: lanes.iter().all(|l| l.identical_results),
-        lanes,
-    })
-}
-
 /// The observability overhead report (`BENCH_obs.json`).
 #[derive(Debug, Clone, Serialize)]
 struct ObsReport {
@@ -1253,48 +894,6 @@ fn run() -> Result<(), String> {
                 fail: format!(
                     "sweep lane speedup {:.2}x is below the {:.2}x gate after {} attempt(s)",
                     report.sweep_speedup, args.min_speedup, attempt
-                ),
-            })
-        });
-    }
-
-    if args.alloc {
-        // The allocator lanes' bit-identity (streams, heap images,
-        // stats, instruction totals, histograms) is checked exactly once
-        // — a divergence is an engine bug and must never be absorbed by
-        // a retry. Only the wall-clock speedup gate re-measures.
-        let identity = alloc_identity(&args)?;
-        if let Some(lane) = identity.lanes.iter().find(|lane| !lane.identical) {
-            // Still write the report so CI uploads evidence of what ran.
-            let report = alloc_report(&args, &identity, 1)?;
-            write_json(&args.alloc_out, &report)?;
-            return Err(format!(
-                "allocator lane {} diverged from its pre-rework reference port",
-                lane.allocator
-            ));
-        }
-        return run_gated(args.gate_retries, |attempt| {
-            let report = alloc_report(&args, &identity, attempt)?;
-            eprintln!(
-                "alloc slowest lane ({}): {:.2}x, min lane {:.2}x (identical results: {})",
-                report.slowest_lane,
-                report.slowest_lane_speedup,
-                report.min_lane_speedup,
-                report.identical_results
-            );
-            write_json(&args.alloc_out, &report)?;
-            if report.slowest_lane_speedup >= args.min_speedup {
-                return Ok(GateOutcome::Pass);
-            }
-            Ok(GateOutcome::Slow {
-                note: format!(
-                    "slowest-lane speedup {:.2}x below the {:.2}x gate",
-                    report.slowest_lane_speedup, args.min_speedup
-                ),
-                fail: format!(
-                    "slowest allocator lane ({}) speedup {:.2}x is below the {:.2}x gate \
-                     after {} attempt(s)",
-                    report.slowest_lane, report.slowest_lane_speedup, args.min_speedup, attempt
                 ),
             })
         });

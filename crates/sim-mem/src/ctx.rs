@@ -230,103 +230,6 @@ impl<'a> MemCtx<'a> {
         self.heap.read_u32(addr)
     }
 
-    /// Emits the trace and charges the cost of a metadata load whose
-    /// value the caller already holds in host-side *shadow* state: one
-    /// instruction and a word-sized metadata read, exactly like
-    /// [`MemCtx::load`], but without reading the heap image.
-    ///
-    /// This is the fast path of the rebuilt allocators: the traced cost
-    /// model and the emitted reference stream are bit-identical to a
-    /// real load, while the host avoids pointer-chasing through the
-    /// multi-megabyte heap image for a value its compact shadow
-    /// structures (slab freelists, class bitmaps, word mirrors) already
-    /// know. The heap image stays truthful because every such word was
-    /// put there by a write-through [`MemCtx::store`]; debug builds
-    /// assert the coherence on every call, so the property suite
-    /// (`cargo test`) checks shadow state against the image at every
-    /// single load while release benchmarks skip the image entirely.
-    #[inline]
-    pub fn shadow_load(&mut self, addr: Address, shadow: u32) -> u32 {
-        debug_assert_eq!(
-            shadow,
-            self.heap.read_u32(addr),
-            "shadow state incoherent with heap image at {addr}"
-        );
-        self.instrs.add(1);
-        self.emit(MemRef::meta_read(addr, WORD as u32));
-        shadow
-    }
-
-    /// Emits a *burst* of shadow metadata loads: the exact sequence of
-    /// word-sized reads in `reads`, each paired with its shadow value
-    /// (checked against the heap image in debug builds, exactly like
-    /// [`MemCtx::shadow_load`]), charging one instruction per read in a
-    /// single bulk add.
-    ///
-    /// Emits a *burst* of shadow metadata loads: the exact sequence of
-    /// word-sized reads in `reads` — each a `(raw address, value)` pair
-    /// whose value is checked against the heap image in debug builds,
-    /// exactly like [`MemCtx::shadow_load`] — charging one instruction
-    /// per read in a single bulk add.
-    ///
-    /// Consecutive reads in the burst must be *distinct* (debug-asserted):
-    /// this is what lets the batch path append runs without a per-read
-    /// merge comparison. A freelist walk satisfies it structurally —
-    /// headers and links of non-overlapping blocks never repeat
-    /// back-to-back. Only the burst's **first** read can run-length
-    /// merge, into whatever run the batch was holding, and it gets the
-    /// full scalar treatment.
-    ///
-    /// Under that contract the emitted stream is bit-identical to
-    /// calling [`MemCtx::shadow_load`] once per element — same runs,
-    /// same [`BATCH_CAPACITY`] flush cut-points. What the burst removes
-    /// is per-reference overhead: one phase-indexed instruction add per
-    /// burst, one capacity check per chunk, and a straight
-    /// exact-size-reserved extend for everything past the first read.
-    /// Long freelist walks, whose references dominate the trace, become
-    /// cheaper to *produce* than they are to replay.
-    pub fn shadow_load_burst(&mut self, reads: &[(u32, u32)]) {
-        if reads.is_empty() {
-            return;
-        }
-        self.instrs.add(reads.len() as u64);
-        #[cfg(debug_assertions)]
-        for (i, &(addr, shadow)) in reads.iter().enumerate() {
-            let addr = Address::new(u64::from(addr));
-            assert_eq!(
-                shadow,
-                self.heap.read_u32(addr),
-                "shadow state incoherent with heap image at {addr}"
-            );
-            assert!(
-                i == 0 || reads[i - 1].0 != reads[i].0,
-                "burst reads must not repeat back-to-back at {addr}"
-            );
-        }
-        if !self.batched {
-            for &(addr, _) in reads {
-                self.sink.record(MemRef::meta_read(Address::new(u64::from(addr)), WORD as u32));
-            }
-            return;
-        }
-        // The first read may merge into the pending run; the scalar path
-        // handles that (and a flush landing exactly on it).
-        self.emit(MemRef::meta_read(Address::new(u64::from(reads[0].0)), WORD as u32));
-        let mut rest = &reads[1..];
-        while !rest.is_empty() {
-            let room = BATCH_CAPACITY - self.buffered;
-            let (chunk, tail) = rest.split_at(rest.len().min(room));
-            self.buf.extend(chunk.iter().map(|&(addr, _)| {
-                RefRun::once(MemRef::meta_read(Address::new(u64::from(addr)), WORD as u32))
-            }));
-            self.buffered += chunk.len();
-            if self.buffered >= BATCH_CAPACITY {
-                self.flush();
-            }
-            rest = tail;
-        }
-    }
-
     /// Stores a metadata word: writes the heap image, emits a word-sized
     /// metadata write, charges one instruction.
     ///
