@@ -240,6 +240,26 @@ impl Cache {
         }
     }
 
+    /// The replacement state — tags, LRU order and the last-block
+    /// short-circuit — without the statistics or the first-touch set.
+    /// Two equal tag states react identically to any further stream.
+    pub(crate) fn tag_state(&self) -> (Vec<u64>, Vec<Vec<u64>>, u64) {
+        (self.lines.clone(), self.sets.clone(), self.last_block)
+    }
+
+    /// Multiplies out a walk that left the tag state as it found it:
+    /// every later walk of the same reference changes the statistics
+    /// exactly as that one did, so `times` more copies of their change
+    /// since `before` are added.
+    pub(crate) fn repeat_walk(&mut self, before: &CacheStats, times: u64) {
+        let s = &mut self.stats;
+        s.app_accesses += (s.app_accesses - before.app_accesses) * times;
+        s.app_misses += (s.app_misses - before.app_misses) * times;
+        s.meta_accesses += (s.meta_accesses - before.meta_accesses) * times;
+        s.meta_misses += (s.meta_misses - before.meta_misses) * times;
+        s.cold_misses += (s.cold_misses - before.cold_misses) * times;
+    }
+
     /// Checks residency without touching LRU state or statistics.
     pub fn contains_block(&self, block: u64) -> bool {
         if self.config.assoc == 1 {

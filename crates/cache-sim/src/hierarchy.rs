@@ -9,7 +9,7 @@
 //! that hit in L2 pay a small penalty; L2 misses pay the large one.
 
 use serde::{Deserialize, Serialize};
-use sim_mem::{AccessSink, MemRef};
+use sim_mem::{AccessSink, MemRef, RefRun};
 
 use crate::{Cache, CacheConfig, CacheStats};
 
@@ -104,6 +104,40 @@ impl AccessSink for TwoLevelCache {
     fn record(&mut self, r: MemRef) {
         self.access(r);
     }
+
+    /// Run fast path, as for the victim cache: walks of a repeated
+    /// reference continue until one leaves both levels' tag state as it
+    /// found it, and that walk's statistics change is multiplied out
+    /// over the remaining count. A span that fits L1 gets there on its
+    /// first repeat (every spanned block is resident in L1, so the walk
+    /// sends nothing to L2 and re-touches L1 in the order the previous
+    /// walk left); a wider span within a few walks. Cold misses happen
+    /// only in the first walk, which is never multiplied.
+    fn record_runs(&mut self, runs: &[RefRun]) {
+        for run in runs {
+            self.access(run.r);
+            let l1 = self.l1.config();
+            let wide = run.r.block_span(u64::from(l1.block)) > u64::from(l1.lines());
+            let mut left = u64::from(run.count) - 1;
+            while left > 0 {
+                let before = (*self.l1.stats(), *self.l2.stats());
+                let state = wide.then(|| (self.l1.tag_state(), self.l2.tag_state()));
+                self.access(run.r);
+                left -= 1;
+                let fixed = match state {
+                    Some((l1, l2)) => l1 == self.l1.tag_state() && l2 == self.l2.tag_state(),
+                    None => self.l1.stats().misses() == before.0.misses(),
+                };
+                if fixed {
+                    debug_assert_eq!(self.l1.stats().cold_misses, before.0.cold_misses);
+                    debug_assert_eq!(self.l2.stats().cold_misses, before.1.cold_misses);
+                    self.l1.repeat_walk(&before.0, left);
+                    self.l2.repeat_walk(&before.1, left);
+                    break;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -148,6 +182,63 @@ mod tests {
             c.access(r);
         }
         assert_eq!(c.stats().l2.accesses(), l2_after_first, "hits are filtered");
+    }
+
+    /// A small hierarchy (1K direct-mapped over 4K 2-way) fed `r`
+    /// repeated `count` times, one reference at a time or as one run.
+    fn repeated(r: MemRef, count: u32, as_run: bool) -> TwoLevelStats {
+        let mut c = TwoLevelCache::new(
+            CacheConfig::direct_mapped(1024, 32),
+            CacheConfig::set_associative(4096, 32, 2),
+        );
+        if as_run {
+            c.record_runs(&[sim_mem::RefRun { r, count }]);
+        } else {
+            for _ in 0..count {
+                c.access(r);
+            }
+        }
+        c.stats()
+    }
+
+    #[test]
+    fn runs_count_like_their_expansion() {
+        // Narrow; wider than L1 but within L2; wider than both.
+        for size in [40, 1500, 6000] {
+            let r = MemRef::app_read(Address::new(12), size);
+            for count in [1, 2, 3] {
+                assert_eq!(repeated(r, count, true), repeated(r, count, false), "{size} x{count}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_repeated_u32_max_times_follows_the_closed_form() {
+        for size in [40, 1500, 6000] {
+            let r = MemRef::app_read(Address::new(12), size);
+            let (two, three, four) =
+                (repeated(r, 2, false), repeated(r, 3, false), repeated(r, 4, false));
+            let rest = u64::from(u32::MAX) - 4;
+            let got = repeated(r, u32::MAX, true);
+            for (level, a, b, c, g) in [
+                ("l1", two.l1, three.l1, four.l1, got.l1),
+                ("l2", two.l2, three.l2, four.l2, got.l2),
+            ] {
+                // Steady from the third walk: the fourth repeats it.
+                assert_eq!(c.misses() - b.misses(), b.misses() - a.misses(), "{size} {level}");
+                assert_eq!(
+                    g.misses(),
+                    c.misses() + (c.misses() - b.misses()) * rest,
+                    "{size} {level}"
+                );
+                assert_eq!(
+                    g.accesses(),
+                    c.accesses() + (c.accesses() - b.accesses()) * rest,
+                    "{size} {level}"
+                );
+                assert_eq!(g.cold_misses, c.cold_misses, "{size} {level}");
+            }
+        }
     }
 
     #[test]

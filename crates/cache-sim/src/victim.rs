@@ -8,7 +8,7 @@
 //! freelist traffic conflicts with application data?
 
 use serde::{Deserialize, Serialize};
-use sim_mem::{AccessSink, MemRef};
+use sim_mem::{AccessSink, MemRef, RefRun};
 
 use crate::cache::BlockSet;
 use crate::CacheConfig;
@@ -156,6 +156,42 @@ impl AccessSink for VictimCache {
     fn record(&mut self, r: MemRef) {
         self.access(r);
     }
+
+    /// Run fast path. Each walk of a repeated reference starts from the
+    /// state the previous walk left, so once a walk leaves the main tags
+    /// and the victim buffer exactly as it found them, every later walk
+    /// repeats it: its counter deltas are multiplied out over the
+    /// remaining count. A span that fits the cache gets there on its
+    /// first repeat (every spanned block is resident, so the walk only
+    /// hits and changes nothing); a wider span within a few walks. Cold
+    /// misses happen only in the first walk, which is never multiplied.
+    fn record_runs(&mut self, runs: &[RefRun]) {
+        for run in runs {
+            self.access(run.r);
+            let span = run.r.block_span(u64::from(self.config.block));
+            let wide = span > u64::from(self.config.lines());
+            let mut left = u64::from(run.count) - 1;
+            while left > 0 {
+                let before = self.stats;
+                let state = wide.then(|| (self.lines.clone(), self.victims.clone()));
+                self.access(run.r);
+                left -= 1;
+                let fixed = match state {
+                    Some((lines, victims)) => lines == self.lines && victims == self.victims,
+                    // A main-cache hit changes no state at all.
+                    None => self.stats.main_misses == before.main_misses,
+                };
+                if fixed {
+                    debug_assert_eq!(self.stats.cold_misses, before.cold_misses);
+                    let s = &mut self.stats;
+                    s.accesses += (s.accesses - before.accesses) * left;
+                    s.main_misses += (s.main_misses - before.main_misses) * left;
+                    s.victim_hits += (s.victim_hits - before.victim_hits) * left;
+                    break;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -204,6 +240,59 @@ mod tests {
             v.access(MemRef::app_read(Address::new((i % 3) * 1024), 4));
         }
         assert_eq!(v.stats().effective_misses(), 3);
+    }
+
+    /// Statistics of `r` repeated `count` times, delivered one reference
+    /// at a time or as one run.
+    fn repeated(r: MemRef, count: u32, as_run: bool) -> VictimStats {
+        let mut v = VictimCache::new(dm1k(), 4);
+        // A conflicting block first, so the buffer starts non-empty.
+        v.access(MemRef::app_read(Address::new(8 * 1024 + 64), 4));
+        if as_run {
+            v.record_runs(&[RefRun { r, count }]);
+        } else {
+            for _ in 0..count {
+                v.access(r);
+            }
+        }
+        *v.stats()
+    }
+
+    #[test]
+    fn runs_count_like_their_expansion() {
+        // Narrow, exactly cache-wide, and wider than the cache (the last
+        // two wrap the main cache with victim-buffer traffic).
+        for size in [40, 1024, 1100, 1500, 4096] {
+            let r = MemRef::app_read(Address::new(12), size);
+            for count in [1, 2, 3, 5] {
+                assert_eq!(repeated(r, count, true), repeated(r, count, false), "{size} x{count}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_repeated_u32_max_times_follows_the_closed_form() {
+        for size in [40, 1100, 1500] {
+            let r = MemRef::app_read(Address::new(12), size);
+            // Walks reach their fixed point within three; from there on
+            // every walk changes the counters identically.
+            let walks: Vec<VictimStats> = (3..=5).map(|n| repeated(r, n, false)).collect();
+            let step = |a: &VictimStats, b: &VictimStats| {
+                (
+                    b.accesses - a.accesses,
+                    b.main_misses - a.main_misses,
+                    b.victim_hits - a.victim_hits,
+                )
+            };
+            let delta = step(&walks[1], &walks[2]);
+            assert_eq!(step(&walks[0], &walks[1]), delta, "{size}: steady from the third walk");
+            let rest = u64::from(u32::MAX) - 5;
+            let got = repeated(r, u32::MAX, true);
+            assert_eq!(got.accesses, walks[2].accesses + delta.0 * rest, "{size}");
+            assert_eq!(got.main_misses, walks[2].main_misses + delta.1 * rest, "{size}");
+            assert_eq!(got.victim_hits, walks[2].victim_hits + delta.2 * rest, "{size}");
+            assert_eq!(got.cold_misses, walks[2].cold_misses, "{size}");
+        }
     }
 
     #[test]
