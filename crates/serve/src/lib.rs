@@ -239,6 +239,10 @@ struct Shared {
     /// Monotone per-request sequence backing the `X-Trace-Id` response
     /// header, so client logs and server traces can be correlated.
     request_seq: AtomicU64,
+    /// Makes the next connection-handler spawn fail without starting a
+    /// thread, as an exhausted process would.
+    #[cfg(test)]
+    fail_next_spawn: AtomicBool,
 }
 
 /// Body of a successful `POST /jobs`.
@@ -423,6 +427,8 @@ impl Server {
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             request_seq: AtomicU64::new(0),
+            #[cfg(test)]
+            fail_next_spawn: AtomicBool::new(false),
         });
         let workers = (0..shared.cfg.workers)
             .map(|i| {
@@ -494,14 +500,15 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
                 handlers.retain(|h| !h.is_finished());
-                handlers.push(
-                    std::thread::Builder::new()
-                        .name("serve-conn".into())
-                        .spawn(move || handle_connection(stream, &shared))
-                        .expect("spawn connection handler"),
-                );
+                match spawn_handler(stream, shared) {
+                    Ok(h) => handlers.push(h),
+                    // Out of threads or memory: drop this one connection
+                    // (its stream closes with the failed closure) and keep
+                    // accepting, so later requests — `POST /shutdown`
+                    // included — are still answered.
+                    Err(e) => eprintln!("serve: dropped a connection: no handler thread: {e}"),
+                }
             }
             // Poll finely: this sleep bounds connection-setup latency,
             // and cached submissions are answered in ~one poll interval.
@@ -514,6 +521,21 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     for h in handlers {
         let _ = h.join();
     }
+}
+
+/// Starts the thread that serves one accepted connection.
+fn spawn_handler(
+    stream: TcpStream,
+    shared: &Arc<Shared>,
+) -> std::io::Result<std::thread::JoinHandle<()>> {
+    #[cfg(test)]
+    if shared.fail_next_spawn.swap(false, Ordering::SeqCst) {
+        return Err(std::io::Error::other("injected spawn failure"));
+    }
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name("serve-conn".into())
+        .spawn(move || handle_connection(stream, &shared))
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -1459,6 +1481,20 @@ mod tests {
         let text = client.metrics_prometheus().expect("prometheus");
         assert!(text.contains("serve_worker_panics_total 1"), "{text}");
         drop(server);
+    }
+
+    #[test]
+    fn a_failed_handler_spawn_drops_one_connection_and_keeps_accepting() {
+        let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
+        let server = Server::start(cfg).expect("bind server");
+        let client = Client::new(server.addr()).timeout(Duration::from_secs(10));
+        server.shared.fail_next_spawn.store(true, Ordering::SeqCst);
+        client.healthz().expect_err("the connection without a handler is dropped");
+        assert!(!server.shared.fail_next_spawn.load(Ordering::SeqCst), "the spawn was attempted");
+        client.healthz().expect("the next connection is served");
+        client.shutdown().expect("POST /shutdown is answered");
+        let summary = server.wait();
+        assert_eq!((summary.completed, summary.failed), (0, 0));
     }
 
     #[test]
