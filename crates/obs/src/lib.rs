@@ -51,15 +51,18 @@ pub mod names {
     pub const TAG_READS: &str = "alloc.tag_reads";
     /// Boundary-tag words written (counter).
     pub const TAG_WRITES: &str = "alloc.tag_writes";
-    /// Occupancy-bitmap probes on the rebuilt search fast paths
-    /// (counter): each find-first-set consultation of a size-class or
-    /// bin bitmap before a walk.
+    /// Free-storage searches started (counter): one per FirstFit or
+    /// BestFit freelist search, BSD malloc, Buddy acquire, and GNU G++
+    /// malloc that finds no fit in its own bin. The name dates from
+    /// the occupancy bitmaps that once answered these searches; it
+    /// stays because run reports carry it.
     pub const BITMAP_PROBE: &str = "alloc.bitmap_probe";
-    /// Array-indexed quicklist fast-path hits on the rebuilt QuickFit
-    /// (counter).
+    /// QuickFit mallocs served by popping a non-empty quicklist
+    /// (counter); carves from the tail region are not counted.
     pub const QUICK_HIT: &str = "alloc.quick_hit";
-    /// Coalesce merges resolved from mirrored boundary tags on the
-    /// rebuilt allocators (counter).
+    /// Boundary-tag merges of adjacent free blocks (counter): one per
+    /// coalesce the FirstFit, BestFit, GNU G++ and Buddy allocators
+    /// count in `AllocStats::coalesces`.
     pub const BOUNDARY_COALESCE: &str = "alloc.boundary_coalesce";
 }
 
