@@ -1029,18 +1029,15 @@ fn submit_sweep(request: &Request, shared: &Arc<Shared>) -> Reply {
     // the persisted report cache, or genuinely fresh.
     let mut fresh: Vec<(String, JobSpec)> = Vec::new();
     let mut restored: Vec<(String, JobSpec, String)> = Vec::new();
+    let mut table_hits = 0;
     for point in &points {
         let pid = point.job_id();
         if state.jobs.contains_key(&pid) {
-            state.cache_hits += 1;
+            table_hits += 1;
             continue;
         }
         match shared.cfg.report_cache.as_deref().and_then(|dir| load_persisted_report(dir, &pid)) {
-            Some(line) => {
-                state.cache_hits += 1;
-                state.report_cache_hits += 1;
-                restored.push((pid, point.clone(), line));
-            }
+            Some(line) => restored.push((pid, point.clone(), line)),
             None => fresh.push((pid, point.clone())),
         }
     }
@@ -1070,6 +1067,10 @@ fn submit_sweep(request: &Request, shared: &Arc<Shared>) -> Reply {
             );
         }
     }
+    // Only an accepted sweep answers from the caches; a refused one is
+    // retried and would count its hits again.
+    state.cache_hits += table_hits + restored.len() as u64;
+    state.report_cache_hits += restored.len() as u64;
     let fresh_count = fresh.len() as u64;
     for (pid, point, line) in restored {
         state.jobs.insert(

@@ -558,6 +558,54 @@ fn sweep_backpressure_refuses_the_whole_batch() {
 }
 
 #[test]
+fn a_refused_sweep_counts_no_cache_hits() {
+    let report_dir = scratch_dir("refused-sweep-reports");
+    let cfg = |workers, queue_depth| ServerConfig {
+        workers,
+        queue_depth,
+        report_cache: Some(report_dir.clone()),
+        ..ServerConfig::default()
+    };
+    // Persist the FirstFit half of the sweep's four points.
+    let sweep = quick_sweep();
+    let (server, client) = start(cfg(1, 64));
+    let first_fit = explore::SweepSpec { grids: sweep.grids[..1].to_vec(), ..sweep.clone() };
+    let done = client.submit_sweep(&first_fit).unwrap();
+    client.wait_sweep_done(&done.id, WAIT).unwrap();
+    drop(server);
+
+    // A restarted daemon whose one queue slot holds a QuickFit point:
+    // the sweep finds two points on disk, one in the job table and one
+    // fresh, and every retry is refused.
+    let (server, client) = start(cfg(0, 1));
+    let queued = sweep.normalized().points().pop().expect("a QuickFit point");
+    assert!(!client.submit(&queued).unwrap().cached);
+    for _ in 0..3 {
+        let err = client.submit_sweep(&sweep).unwrap_err();
+        assert!(err.to_string().contains("429"), "{err}");
+    }
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.rejected_backpressure, 3);
+    assert_eq!(
+        (metrics.cache_hits, metrics.report_cache_hits),
+        (0, 0),
+        "a refused sweep answered nothing"
+    );
+    drop(server);
+
+    // With room in the queue the same sweep is accepted, and its three
+    // answered points count once.
+    let (server, client) = start(cfg(0, 2));
+    assert!(!client.submit(&queued).unwrap().cached);
+    let accepted = client.submit_sweep(&sweep).unwrap();
+    assert_eq!(accepted.fresh, 1);
+    let metrics = client.metrics().unwrap();
+    assert_eq!((metrics.cache_hits, metrics.report_cache_hits), (3, 2));
+    drop(server);
+    let _ = std::fs::remove_dir_all(&report_dir);
+}
+
+#[test]
 fn sweep_points_are_shared_with_direct_jobs() {
     let (server, client) = start(ServerConfig::default());
     // The QuickFit default point, submitted directly first.
