@@ -21,6 +21,7 @@ use allocators::predictive::PredictiveConfig;
 use allocators::quick_fit::QuickFitConfig;
 use cache_sim::CacheConfig;
 use serde::{Deserialize, Serialize};
+use sim_mem::stream::fnv1a;
 use std::fmt;
 use workloads::{Program, Scale};
 
@@ -34,6 +35,20 @@ pub const MAX_CACHE_KB: u32 = 1024;
 
 /// Largest workload scale accepted (1.0 = the paper's full counts).
 pub const MAX_SCALE: f64 = 1.0;
+
+/// Checks a workload scale: finite and in (0, [`MAX_SCALE`]]. The rule
+/// [`JobSpec::validate`] applies, and every CLI's `--scale` with it.
+///
+/// # Errors
+///
+/// Names the scale and the accepted range.
+pub fn check_scale(scale: f64) -> Result<(), SpecError> {
+    if scale > 0.0 && scale <= MAX_SCALE && scale.is_finite() {
+        Ok(())
+    } else {
+        Err(SpecError::new(format!("scale {scale} outside (0, {MAX_SCALE}]")))
+    }
+}
 
 /// One simulation job as submitted to the daemon.
 ///
@@ -453,9 +468,7 @@ impl JobSpec {
         if let Some(cfg) = &n.alloc_config {
             cfg.validate_for(&n.allocator)?;
         }
-        if !(n.scale > 0.0 && n.scale <= MAX_SCALE && n.scale.is_finite()) {
-            return Err(SpecError::new(format!("scale {} outside (0, {MAX_SCALE}]", n.scale)));
-        }
+        check_scale(n.scale)?;
         if n.cache_kb.len() > MAX_CACHE_CONFIGS {
             return Err(SpecError::new(format!(
                 "{} cache configurations exceed the limit of {MAX_CACHE_CONFIGS}",
@@ -499,14 +512,7 @@ impl JobSpec {
     /// printed as 16 hex digits. Identical runs — however their optional
     /// fields were spelled — share an id.
     pub fn job_id(&self) -> String {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for byte in self.canonical_line().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        format!("{hash:016x}")
+        format!("{:016x}", fnv1a(self.canonical_line().as_bytes()))
     }
 
     /// The allocator (tuned when `alloc_config` is set) this spec selects.
@@ -588,6 +594,13 @@ mod tests {
         assert_eq!(implicit.job_id(), explicit.job_id());
         assert_ne!(implicit.job_id(), JobSpec::cell("make", "BSD", 0.0).job_id());
         assert_ne!(implicit.job_id(), JobSpec::cell("gawk", "FirstFit", 0.0).job_id());
+    }
+
+    #[test]
+    fn job_ids_are_pinned() {
+        // Job ids name the report cache's files and appear in served
+        // sweep reports, so a change to the hashing must not move them.
+        assert_eq!(JobSpec::cell("espresso", "GNU local", 0.005).job_id(), "52e6703b52c4bd90");
     }
 
     #[test]

@@ -21,6 +21,7 @@ use std::fmt;
 use alloc_locality::job_spec::{program_by_label, SERVABLE_ALLOCATORS};
 use alloc_locality::{AllocConfig, JobSpec, SpecError};
 use serde::{Deserialize, Serialize};
+use sim_mem::stream::Fnv64;
 
 /// Upper bound on the number of points one sweep may expand to
 /// (counted before deduplication, so the bound is spelling-independent).
@@ -401,14 +402,10 @@ impl SweepSpec {
     /// [`SweepSpec::canonical_line`], printed as 16 hex digits. The tag
     /// keeps sweep ids out of the job-id namespace.
     pub fn sweep_id(&self) -> String {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for byte in b"sweep\n".iter().copied().chain(self.canonical_line().bytes()) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        format!("{hash:016x}")
+        let mut hash = Fnv64::new();
+        hash.write(b"sweep\n");
+        hash.write(self.canonical_line().as_bytes());
+        format!("{:016x}", hash.finish())
     }
 }
 
@@ -461,6 +458,13 @@ mod tests {
         // The all-default combinations collapse to untuned specs.
         assert!(points.iter().any(|p| p.allocator == "QuickFit" && p.alloc_config.is_none()));
         assert_eq!(spec.families(), vec!["FirstFit", "QuickFit", "BSD"]);
+    }
+
+    #[test]
+    fn sweep_ids_are_pinned() {
+        // Sweep ids name served sweeps and head their reports, so a
+        // change to the hashing must not move them.
+        assert_eq!(demo().sweep_id(), "8e3bd9969eba3027");
     }
 
     #[test]

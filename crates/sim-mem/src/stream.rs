@@ -91,11 +91,12 @@ pub const STREAM_FORMAT_VERSION: u8 = 3;
 /// header) begins.
 const HEADER_LEN: usize = 16;
 
-/// FNV-1a offset basis (the same constants as the job-id hash).
+/// FNV-1a offset basis and prime.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Incremental FNV-1a hasher, used for content keys and job ids.
+/// Incremental FNV-1a hasher, used for content keys, job ids and sweep
+/// ids.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
