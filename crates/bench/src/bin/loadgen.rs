@@ -422,7 +422,7 @@ fn run_sweep_mode(args: &Args, client: &Client, points: usize) {
     }
 }
 
-/// The committed benchmark artifact (`BENCH_serve.json`).
+/// The load report `--out` names (`BENCH_serve.json` by default).
 #[derive(Debug, Serialize)]
 struct LoadgenReport {
     addr: String,

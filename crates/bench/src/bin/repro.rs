@@ -86,11 +86,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                let v = args.next().ok_or("--scale needs a value")?;
-                scale = v.parse().map_err(|e| format!("bad scale {v}: {e}"))?;
-                if scale <= 0.0 {
-                    return Err("scale must be positive".into());
-                }
+                scale = bench::parse_scale(&args.next().ok_or("--scale needs a value")?)?;
             }
             "--threads" => {
                 let v = args.next().ok_or("--threads needs a value")?;

@@ -84,13 +84,7 @@ fn record(args: &[String]) -> Result<(), String> {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad scale: {e}"))?;
-            }
+            "--scale" => scale = bench::parse_scale(it.next().ok_or("--scale needs a value")?)?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -262,13 +256,7 @@ fn export(args: &[String]) -> Result<(), String> {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad scale: {e}"))?;
-            }
+            "--scale" => scale = bench::parse_scale(it.next().ok_or("--scale needs a value")?)?,
             other => return Err(format!("unknown flag {other}")),
         }
     }

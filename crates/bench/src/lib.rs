@@ -1,136 +1,31 @@
-//! Support library for the `repro` binary and the Criterion benches.
+//! Support library for the `repro`, `perf` and `trace-tool` binaries.
 //!
 //! The heavy lifting lives in [`alloc_locality`]; this crate adds the
-//! matrix-caching layer the harness uses so that one simulation sweep
-//! can serve several tables and figures.
+//! matrix-caching layer `repro` uses so that one simulation sweep can
+//! serve several tables and figures, and the `--scale` parser every
+//! binary shares.
 
-use std::time::Instant;
-
+use alloc_locality::job_spec::check_scale;
 use alloc_locality::{
     default_threads, run_many, AllocChoice, EngineError, Experiment, Matrix, SimOptions,
 };
 use cache_sim::CacheConfig;
-use serde::Serialize;
 use workloads::{Program, Scale};
 
-/// One timed mode, lane side, or lone sink of a perf harness.
-#[derive(Debug, Clone, Serialize)]
-pub struct Timing {
-    /// What ran: a lane side ("current", "reference"), a recorder
-    /// setting, or a sink label.
-    pub label: String,
-    /// Best wall-clock seconds over the repeats.
-    pub secs: f64,
-    /// Word-granular data references per second at that timing.
-    pub refs_per_sec: f64,
-}
-
-/// Builds a [`Timing`] from a best time and the reference count it
-/// processed.
-pub fn timing(label: &str, secs: f64, refs: u64) -> Timing {
-    Timing { label: label.to_string(), secs, refs_per_sec: refs as f64 / secs.max(1e-9) }
-}
-
-/// Best-of-`repeat` timing of any fallible body; returns the last value
-/// and the fastest time.
+/// Parses a `--scale` value, rejecting what [`JobSpec::validate`]
+/// rejects: a scale that is not finite or lies outside (0,
+/// [`MAX_SCALE`]].
+///
+/// [`JobSpec::validate`]: alloc_locality::JobSpec::validate
+/// [`MAX_SCALE`]: alloc_locality::job_spec::MAX_SCALE
 ///
 /// # Errors
 ///
-/// Propagates the first failing iteration.
-pub fn time_closure<R>(
-    repeat: u32,
-    mut body: impl FnMut() -> Result<R, String>,
-) -> Result<(R, f64), String> {
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..repeat {
-        let start = Instant::now();
-        let r = body()?;
-        best = best.min(start.elapsed().as_secs_f64());
-        result = Some(r);
-    }
-    Ok((result.expect("repeat >= 1"), best))
-}
-
-/// Best-of-`repeat` measurement of a current-vs-reference pair, with
-/// the repeats interleaved — current, reference, current, reference —
-/// so slow drift in the machine's load lands on both sides of the
-/// speedup instead of whichever happened to be measured second.
-///
-/// Each body performs and times one iteration itself (so it can exclude
-/// setup it does not want measured) and returns `(value, secs)`; the
-/// last values and the fastest time per side come back.
-///
-/// # Errors
-///
-/// Propagates the first failing iteration of either body.
-#[allow(clippy::type_complexity)]
-pub fn interleaved_best_of<R, Q>(
-    repeat: u32,
-    mut current: impl FnMut() -> Result<(R, f64), String>,
-    mut reference: impl FnMut() -> Result<(Q, f64), String>,
-) -> Result<((R, f64), (Q, f64)), String> {
-    let (mut cur_secs, mut ref_secs) = (f64::INFINITY, f64::INFINITY);
-    let (mut cur_result, mut ref_result) = (None, None);
-    for _ in 0..repeat {
-        let (r, secs) = current()?;
-        cur_secs = cur_secs.min(secs);
-        cur_result = Some(r);
-        let (r, secs) = reference()?;
-        ref_secs = ref_secs.min(secs);
-        ref_result = Some(r);
-    }
-    Ok(((cur_result.expect("repeat >= 1"), cur_secs), (ref_result.expect("repeat >= 1"), ref_secs)))
-}
-
-/// One attempt's verdict under [`run_gated`].
-#[derive(Debug)]
-pub enum GateOutcome {
-    /// The gate cleared; the harness exits successfully.
-    Pass,
-    /// Results diverged. A divergence is a bug, not noise: it fails
-    /// immediately and is **never** retried, no matter how many retries
-    /// the gate allows.
-    Diverged(String),
-    /// A wall-clock gate tripped. Short timings are noisy on shared
-    /// runners, so this is retryable: `note` is logged before the next
-    /// attempt, `fail` is the error once attempts run out.
-    Slow {
-        /// Logged before re-measuring ("overhead 3.1% over the 2.0% gate").
-        note: String,
-        /// The final error when no retries remain.
-        fail: String,
-    },
-}
-
-/// Runs `attempt` (passed the 1-based attempt number) up to
-/// `gate_retries + 1` times, re-measuring only on [`GateOutcome::Slow`].
-///
-/// This is the shared gate discipline of every perf mode: a timing gate
-/// may be noise and is re-measured; a result divergence is a bug and
-/// fails on the spot.
-///
-/// # Errors
-///
-/// Returns the attempt's error, the divergence message, or the final
-/// `Slow` failure once retries are exhausted.
-pub fn run_gated(
-    gate_retries: u32,
-    mut attempt: impl FnMut(u32) -> Result<GateOutcome, String>,
-) -> Result<(), String> {
-    for n in 1..=gate_retries + 1 {
-        match attempt(n)? {
-            GateOutcome::Pass => return Ok(()),
-            GateOutcome::Diverged(msg) => return Err(msg),
-            GateOutcome::Slow { note, fail } => {
-                if n > gate_retries {
-                    return Err(fail);
-                }
-                eprintln!("{note}; re-measuring (attempt {} of {})", n + 1, gate_retries + 1);
-            }
-        }
-    }
-    unreachable!("the attempt loop always returns")
+/// A one-line message naming the value.
+pub fn parse_scale(v: &str) -> Result<f64, String> {
+    let scale = v.parse().map_err(|e| format!("bad scale {v}: {e}"))?;
+    check_scale(scale).map_err(|e| e.to_string())?;
+    Ok(scale)
 }
 
 /// The matrices the paper's evaluation needs, computed lazily so a

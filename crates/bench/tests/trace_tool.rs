@@ -1,9 +1,9 @@
 //! `trace-tool` end to end: `record` writes one experiment's reference
 //! stream as an ALSC file, `info` and `replay` read it back with the
 //! counts and miss rates the engine measures for the same run, and an
-//! unwritable, truncated or bit-flipped file or an impossible cache
-//! geometry is a one-line error with exit code 1 — never a panic, and
-//! never a replay of the wrong stream.
+//! unwritable, truncated or bit-flipped file, an impossible cache
+//! geometry or an invalid scale is a one-line error with exit code 1 —
+//! never a panic or a hang, and never a replay of the wrong stream.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -148,6 +148,24 @@ fn bad_paths_files_and_flags_fail_in_one_line() {
         let out = trace_tool(&[&["replay", utf8(&path)][..], &flags[..]].concat());
         assert_fails_in_one_line(&out, &format!("replay {}", flags.join(" ")));
     }
+
+    // The scales a job spec rejects. Each once panicked in the workload
+    // generator; an infinite one generated events forever.
+    let unused = dir.join("unused");
+    for scale in ["0", "-1", "nan", "2"] {
+        let out = trace_tool(&["record", "make", "bsd", utf8(&unused), "--scale", scale]);
+        assert_fails_in_one_line(&out, &format!("record --scale {scale}"));
+    }
+    let out = trace_tool_within_10s(&["record", "make", "bsd", utf8(&unused), "--scale", "inf"]);
+    assert_fails_in_one_line(&out, "record --scale inf");
+    let out = trace_tool(&["export", "make", utf8(&unused), "--scale", "nan"]);
+    assert_fails_in_one_line(&out, "export --scale nan");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig1", "--scale", "nan"])
+        .output()
+        .expect("repro runs");
+    assert_fails_in_one_line(&out, "repro --scale nan");
+    assert!(!unused.exists(), "a rejected scale wrote no file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,5 +1,4 @@
-//! Pre-restructure sink implementations, kept verbatim as correctness
-//! and performance baselines.
+//! The pre-restructure sweep, kept verbatim as a correctness oracle.
 //!
 //! [`ReferenceSweepCache`] is the [`crate::SweepCache`] implementation
 //! as it stood before the struct-of-arrays restructure: an
@@ -7,15 +6,11 @@
 //! *inside* the member loop, and a `record_runs` that falls back to a
 //! full per-occurrence re-walk for repeated multi-block references.
 //!
-//! It exists for two reasons, mirroring the pager's verbatim port from
-//! the MRU-front rework:
-//!
-//! * **bit-identity** — `bench perf --sinks` replays the same cached
-//!   stream through both implementations and requires their
-//!   [`results`](ReferenceSweepCache::results) to match field-for-field;
-//! * **speedup measurement** — the same harness times both and gates on
-//!   the ratio, so the baseline must be the real old code compiled in
-//!   the same binary, not a remembered number.
+//! The sweep's unit tests and the crate's property tests feed the same
+//! streams to both implementations and require their
+//! [`results`](ReferenceSweepCache::results) to match field for field,
+//! so the old code it is compared against is compiled code, not a
+//! remembered number.
 //!
 //! Nothing here should be "improved"; it is a museum piece. Fixes belong
 //! in [`crate::sweep`].

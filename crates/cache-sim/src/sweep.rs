@@ -94,10 +94,11 @@
 //! miss lane's growth is multiplied out over the rest.
 //!
 //! The result is bit-identical to a bank of independent [`Cache`]s fed
-//! the same stream, at roughly one cache's cost instead of five — the
+//! the same stream, at roughly one cache's cost instead of five. The
 //! pre-restructure implementation is preserved verbatim as
-//! [`crate::reference::ReferenceSweepCache`] and `bench perf --sinks`
-//! verifies the identity while timing both.
+//! [`crate::reference::ReferenceSweepCache`], and the unit and property
+//! tests check the sweep against it and against per-reference
+//! delivery.
 
 use sim_mem::{AccessClass, AccessSink, MemRef, RefRun};
 

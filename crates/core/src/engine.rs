@@ -1075,9 +1075,9 @@ impl Experiment {
 
     /// Drives the workload once and returns its run-compressed reference
     /// stream — the exact sequence of [`RefRun`]s every sink shard of
-    /// this run would consume. Component benchmarks and equivalence
-    /// tests use this to replay a realistic stream into a sink directly,
-    /// without paying the workload driver on every repetition.
+    /// this run would consume. `trace-tool record` stores it, and
+    /// equivalence tests use it to replay a realistic stream into a sink
+    /// directly.
     ///
     /// # Errors
     ///

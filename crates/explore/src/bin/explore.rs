@@ -179,11 +179,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The committed benchmark artifact (`BENCH_explore.json`). Lanes merge
-/// into one file: the shared-vs-naive section from `--bench`, the
-/// cold-vs-warm section from `--warm`, the refinement section from
-/// `--adaptive`. Every field defaults so artifacts written by older
-/// lanes (or truncated ones) still merge.
+/// The benchmark artifact `--bench-out` names (`BENCH_explore.json` by
+/// default). Lanes merge into one file: the shared-vs-naive section
+/// from `--bench`, the cold-vs-warm section from `--warm`, the
+/// refinement section from `--adaptive`. Every field defaults so
+/// artifacts written by older lanes (or truncated ones) still merge.
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct BenchReport {
     #[serde(default)]

@@ -152,17 +152,28 @@ fn sweep_engine_matches_per_cache_bit_for_bit() {
 
 #[test]
 fn captured_stream_replays_into_components_identically() {
-    // The oracle for the engine's sinks, and what the perf harness and
-    // trace-tool lean on: a stream captured once with capture_runs,
-    // replayed directly into each component — the per-cache bank, the
-    // single-pass sweep when the geometry allows it, the pager, and the
-    // extension analyzers — reproduces a normal engine run bit for bit.
-    // The inputs cover both cache paths the engine picks between (a
-    // sweepable geometry and one with a 2-way member) and the full
-    // shard set over the paper sweep, with fragmentation sampling on.
+    // The oracle for the engine's sinks, and what trace-tool leans on:
+    // a stream captured once with capture_runs, replayed directly into
+    // each component — the per-cache bank, the single-pass sweep when
+    // the geometry allows it, the pager, and the extension analyzers —
+    // reproduces a normal engine run bit for bit. Each component is fed
+    // the stream twice: as runs, and one reference at a time, which no
+    // run-length fast path sees. The inputs cover both cache paths the
+    // engine picks between (a sweepable geometry and one with a 2-way
+    // member) and the full shard set over the paper sweep, with
+    // fragmentation sampling on; espresso/FirstFit is also where the
+    // sweep and the bank must agree with each other.
     use cache_sim::{CacheBank, SweepCache, ThreeCAnalyzer, TwoLevelCache, VictimCache};
-    use sim_mem::{AccessSink, CountingSink};
+    use sim_mem::stream::expand_runs;
+    use sim_mem::{AccessSink, CountingSink, MemRef};
     use vm_sim::StackSim;
+
+    fn one_at_a_time<S: AccessSink>(mut sink: S, refs: &[MemRef]) -> S {
+        for &r in refs {
+            sink.record(r);
+        }
+        sink
+    }
 
     let full = SimOptions {
         cache_configs: CacheConfig::paper_sweep(),
@@ -189,6 +200,11 @@ fn captured_stream_replays_into_components_identically() {
         let engine = exp.run().expect("engine run");
         let runs = exp.capture_runs().expect("capture");
         let label = format!("{program}/{kind}");
+        let refs = expand_runs(&runs);
+        assert!(
+            runs.iter().any(|run| run.count > 1 && !run.r.single_block(32)),
+            "{label}: no repeated run spans blocks, so no span fast path runs"
+        );
 
         let mut counting = CountingSink::new();
         counting.record_runs(&runs);
@@ -198,6 +214,8 @@ fn captured_stream_replays_into_components_identically() {
         let mut bank = CacheBank::new(configs.iter().copied());
         bank.record_runs(&runs);
         assert_eq!(bank.results(), engine.cache, "{label}: per-cache bank");
+        let bank = one_at_a_time(CacheBank::new(configs.iter().copied()), &refs);
+        assert_eq!(bank.results(), engine.cache, "{label}: per-cache bank, one at a time");
 
         let sweepable = configs.iter().all(|c| c.assoc == 1);
         match SweepCache::try_new(configs.iter().copied()) {
@@ -205,6 +223,11 @@ fn captured_stream_replays_into_components_identically() {
                 assert!(sweepable, "{label}: the sweep must reject a 2-way member");
                 sweep.record_runs(&runs);
                 assert_eq!(sweep.results(), engine.cache, "{label}: single-pass sweep");
+                let sweep = one_at_a_time(
+                    SweepCache::try_new(configs.iter().copied()).expect("sweepable"),
+                    &refs,
+                );
+                assert_eq!(sweep.results(), engine.cache, "{label}: sweep, one at a time");
             }
             None => assert!(!sweepable, "{label}: the sweep must accept direct-mapped caches"),
         }
@@ -212,18 +235,30 @@ fn captured_stream_replays_into_components_identically() {
         let mut pager = StackSim::paper();
         pager.record_runs(&runs);
         assert_eq!(Some(pager.curve()), engine.fault_curve, "{label}: pager");
+        let pager = one_at_a_time(StackSim::paper(), &refs);
+        assert_eq!(Some(pager.curve()), engine.fault_curve, "{label}: pager, one at a time");
 
         if every_shard {
             let first = configs[0];
             let mut victim = VictimCache::new(first, 8);
             victim.record_runs(&runs);
             assert_eq!(Some(*victim.stats()), engine.victim, "{label}: victim buffer");
+            let victim = one_at_a_time(VictimCache::new(first, 8), &refs);
+            assert_eq!(Some(*victim.stats()), engine.victim, "{label}: victim, one at a time");
             let mut three_c = ThreeCAnalyzer::new(first);
             three_c.record_runs(&runs);
             assert_eq!(Some(three_c.classify()), engine.three_c, "{label}: three-C");
+            let three_c = one_at_a_time(ThreeCAnalyzer::new(first), &refs);
+            assert_eq!(Some(three_c.classify()), engine.three_c, "{label}: three-C, one at a time");
             let mut two_level = TwoLevelCache::paper_default();
             two_level.record_runs(&runs);
             assert_eq!(Some(two_level.stats()), engine.two_level, "{label}: two-level");
+            let two_level = one_at_a_time(TwoLevelCache::paper_default(), &refs);
+            assert_eq!(
+                Some(two_level.stats()),
+                engine.two_level,
+                "{label}: two-level, one at a time"
+            );
             assert!(!engine.frag_curve.is_empty(), "{label}: fragmentation was sampled");
         } else {
             assert_eq!((engine.victim, engine.three_c, engine.two_level), (None, None, None));

@@ -50,25 +50,35 @@ fn sole_cache_file(dir: &std::path::Path) -> std::path::PathBuf {
 
 #[test]
 fn warm_replay_is_bit_identical_in_both_pipeline_modes() {
+    // Every cell of the paper's 5x5 matrix, under the paper's cache
+    // sweep and the pager.
     let dir = cache_dir("identity");
-    let exp = Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::FirstFit))
-        .options(opts(&dir));
+    let opts = SimOptions { cache_configs: CacheConfig::paper_sweep(), ..opts(&dir) };
+    for program in Program::FIVE {
+        for kind in AllocatorKind::ALL {
+            let label = format!("{program}/{kind}");
+            let exp = Experiment::new(program, AllocChoice::Paper(kind)).options(opts.clone());
 
-    let cold = exp.report().expect("cold run");
-    assert!(sole_cache_file(&dir).exists());
-    let warm = exp.report().expect("warm run");
+            let cold = exp.report().expect("cold run");
+            let warm = exp.report().expect("warm run");
+            assert_eq!(warm.result, cold.result, "{label}: replayed RunResult diverged");
+            assert_eq!(
+                warm.to_jsonl_line(),
+                cold.to_jsonl_line(),
+                "{label}: replayed report line is not byte-identical"
+            );
+            warm.validate().expect("replayed report validates");
 
-    assert_eq!(warm.result, cold.result, "replayed RunResult diverged");
-    assert_eq!(
-        warm.to_jsonl_line(),
-        cold.to_jsonl_line(),
-        "replayed report line is not byte-identical"
-    );
-    warm.validate().expect("replayed report validates");
-
-    // The uninstrumented entry point replays to the same result too.
-    let plain = exp.run().expect("plain run");
-    assert_eq!(plain, cold.result, "run() after populate diverged");
+            // The uninstrumented entry point replays to the same result too.
+            let plain = exp.run().expect("plain run");
+            assert_eq!(plain, cold.result, "{label}: run() after populate diverged");
+        }
+    }
+    let stored = std::fs::read_dir(&dir)
+        .expect("cache dir exists after populating runs")
+        .filter(|e| e.as_ref().expect("dir entry").path().extension().is_some_and(|e| e == "alsc"))
+        .count();
+    assert_eq!(stored, 25, "one stream file per cell");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
