@@ -4,8 +4,7 @@
 //! sequential-fit methods, such as first-fit, best-fit, etc, have poor
 //! reference locality". FIRSTFIT is measured directly; `BestFit` is
 //! provided so the claim can be checked for the rest of the family and
-//! so the ablation benches can compare placement policies under
-//! identical block layout.
+//! so placement policies can be compared under identical block layout.
 //!
 //! The implementation shares [`crate::FirstFit`]'s machinery — one
 //! doubly-linked freelist, boundary tags, splitting, coalescing — but

@@ -28,7 +28,7 @@ use crate::{AllocError, AllocStats, Allocator};
 /// as configured by the paper's FIRSTFIT).
 pub const DEFAULT_SPLIT_THRESHOLD: u32 = 24;
 
-/// Configuration knobs, exposed for the ablation benchmarks.
+/// Configuration knobs, swept by `explore` grids (the ablations).
 #[derive(Debug, Clone, Copy)]
 pub struct FirstFitConfig {
     /// Minimum remainder payload for a split to happen.

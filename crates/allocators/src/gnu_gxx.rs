@@ -31,7 +31,7 @@ pub const MAX_SHIFT: u32 = 27;
 /// Number of size-segregated bins.
 pub const NBINS: usize = (MAX_SHIFT - MIN_SHIFT + 1) as usize;
 
-/// Configuration knobs, exposed for the ablation benchmarks.
+/// Configuration knobs, swept by `explore` grids (the ablations).
 #[derive(Debug, Clone, Copy)]
 pub struct GnuGxxConfig {
     /// Minimum remainder payload for a split to happen.

@@ -56,20 +56,8 @@ impl AccessSink for CacheBank {
         }
     }
 
-    /// Inverts the loop nest: each cache consumes the whole batch before
-    /// the next starts, so one cache's tag arrays and statistics stay hot
-    /// for thousands of references instead of being evicted by its
-    /// siblings' on every single reference.
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        for cache in &mut self.caches {
-            for &r in batch {
-                cache.access(r);
-            }
-        }
-    }
-
-    /// Run-compressed batches keep the members *inner*, per run — the
-    /// opposite nesting from [`CacheBank::record_batch`]. A replayed
+    /// Run-compressed batches keep the members *inner*, per run: each
+    /// run reaches every member before the next is read. A replayed
     /// stream can be tens of millions of runs (hundreds of megabytes);
     /// letting each member consume the whole slice would stream that
     /// from memory once *per member*, while the members' tag arrays

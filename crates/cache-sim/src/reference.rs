@@ -160,12 +160,6 @@ impl AccessSink for ReferenceSweepCache {
         self.access(r);
     }
 
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        for &r in batch {
-            self.access(r);
-        }
-    }
-
     /// The original run path: single-block repeats are absorbed, every
     /// multi-block repeat re-walks `access()` from scratch.
     fn record_runs(&mut self, runs: &[RefRun]) {

@@ -340,12 +340,6 @@ impl AccessSink for SweepCache {
         self.access(r);
     }
 
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        for &r in batch {
-            self.access(r);
-        }
-    }
-
     /// Run fast path: the block span is decomposed once per run. After
     /// the first occurrence's walk, a span no wider than the smallest
     /// member leaves every spanned block resident in every member, so

@@ -118,18 +118,6 @@ impl AccessSink for ThreeCAnalyzer {
         self.access(r);
     }
 
-    /// The target and shadow caches are independent, so each can consume
-    /// the whole batch in turn, keeping its state hot (classification
-    /// only compares their totals at the end).
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        for &r in batch {
-            self.target.access(r);
-        }
-        for &r in batch {
-            self.shadow.access(r);
-        }
-    }
-
     /// Runs go to each cache's closed form (see `Cache::record_runs`),
     /// which leaves its statistics exactly where per-reference delivery
     /// would: a repeat count costs at most two walks.

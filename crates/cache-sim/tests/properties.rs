@@ -156,29 +156,6 @@ proptest! {
         prop_assert_eq!(per_record.stats(), batched.stats());
     }
 
-    /// The bank's loop-inverted `record_batch` agrees with per-record
-    /// delivery for every member.
-    #[test]
-    fn bank_batching_is_invisible(refs in refs_strategy(), cut in 0usize..=500) {
-        let cfg_a = CacheConfig::direct_mapped(16 * 1024, 32);
-        let cfg_b = CacheConfig::set_associative(32 * 1024, 32, 4);
-        let stream: Vec<MemRef> =
-            refs.iter().map(|&(a, l)| MemRef::app_write(Address::new(a), l)).collect();
-
-        let mut per_record = CacheBank::new([cfg_a, cfg_b]);
-        for &r in &stream {
-            per_record.record(r);
-        }
-
-        let mut batched = CacheBank::new([cfg_a, cfg_b]);
-        let split = cut % (stream.len() + 1);
-        batched.record_batch(&stream[..split]);
-        batched.record_batch(&stream[split..]);
-
-        prop_assert_eq!(per_record.stats_for(cfg_a), batched.stats_for(cfg_a));
-        prop_assert_eq!(per_record.stats_for(cfg_b), batched.stats_for(cfg_b));
-    }
-
     /// The single-pass sweep agrees with independent caches on any
     /// stream of raw references over the paper's configurations.
     #[test]

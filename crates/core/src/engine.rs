@@ -489,17 +489,6 @@ impl AccessSink for SinkShard {
         }
     }
 
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        match self {
-            SinkShard::Sweep(s) => s.record_batch(batch),
-            SinkShard::Cache(s) => s.record_batch(batch),
-            SinkShard::Pager(s) => s.record_batch(batch),
-            SinkShard::Victim(s) => s.record_batch(batch),
-            SinkShard::ThreeC(s) => s.record_batch(batch),
-            SinkShard::TwoLevel(s) => s.record_batch(batch),
-        }
-    }
-
     fn record_runs(&mut self, runs: &[RefRun]) {
         match self {
             SinkShard::Sweep(s) => s.record_runs(runs),
@@ -581,13 +570,6 @@ impl AccessSink for InlineSink {
         }
     }
 
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        self.counting.record_batch(batch);
-        for shard in &mut self.set.shards {
-            shard.record_batch(batch);
-        }
-    }
-
     fn record_runs(&mut self, runs: &[RefRun]) {
         self.counting.record_runs(runs);
         self.set.deliver(runs);
@@ -606,10 +588,6 @@ impl AccessSink for RunCollector {
         self.runs.push(RefRun::once(r));
     }
 
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        self.runs.extend(batch.iter().map(|&r| RefRun::once(r)));
-    }
-
     fn record_runs(&mut self, runs: &[RefRun]) {
         self.runs.extend_from_slice(runs);
     }
@@ -626,11 +604,6 @@ impl AccessSink for CaptureSink {
     fn record(&mut self, r: MemRef) {
         self.counting.record(r);
         self.runs.push(RefRun::once(r));
-    }
-
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        self.counting.record_batch(batch);
-        self.runs.extend(batch.iter().map(|&r| RefRun::once(r)));
     }
 
     fn record_runs(&mut self, runs: &[RefRun]) {

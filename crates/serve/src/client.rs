@@ -1,9 +1,10 @@
 //! A blocking, connection-per-request client for the daemon.
 //!
-//! Used by the integration tests and the `loadgen` harness. Each call
-//! opens a fresh `TcpStream`, writes one request, and reads one
-//! `Connection: close` response — matching the server's one-request
-//! connection model exactly, with no connection pooling to reason about.
+//! Used by the integration tests and the benchmark's serve-mixed
+//! workload (`benchmark/src/serving.rs`). Each call opens a fresh
+//! `TcpStream`, writes one request, and reads one `Connection: close`
+//! response — matching the server's one-request connection model
+//! exactly, with no connection pooling to reason about.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

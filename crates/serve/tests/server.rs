@@ -199,6 +199,59 @@ fn duplicate_specs_hit_the_cache_and_serve_identical_bytes() {
 }
 
 #[test]
+fn concurrent_duplicates_share_one_job_and_its_bytes() {
+    let cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
+    let (server, client) = start(cfg);
+    let specs = [quick_spec("make", "BSD"), quick_spec("gawk", "BSD"), quick_spec("ptc", "BSD")];
+    // Four clients submit the same three specs, each in its own order,
+    // released together so duplicates race the first submission while
+    // it is queued, running or done.
+    let orders = [[0, 1, 2], [2, 1, 0], [1, 2, 0], [0, 2, 1]];
+    let start_line = std::sync::Barrier::new(orders.len());
+    let answers: Vec<(String, String)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = orders
+            .iter()
+            .map(|order| {
+                let client = Client::new(server.addr());
+                let (specs, start_line) = (&specs, &start_line);
+                scope.spawn(move || {
+                    start_line.wait();
+                    let ids: Vec<String> =
+                        order.iter().map(|&i| client.submit(&specs[i]).unwrap().id).collect();
+                    ids.into_iter()
+                        .map(|id| {
+                            client.wait_done(&id, WAIT).unwrap();
+                            let line = client.fetch_report(&id).unwrap();
+                            (id, line)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect()
+    });
+
+    let mut first_answer = std::collections::BTreeMap::new();
+    for (id, line) in answers {
+        let first = first_answer.entry(id.clone()).or_insert_with(|| line.clone());
+        assert_eq!(*first, line, "job {id} served different bytes to different clients");
+    }
+    let mut ids: Vec<String> = specs.iter().map(JobSpec::job_id).collect();
+    ids.sort();
+    assert!(first_answer.keys().eq(&ids), "answered ids {:?}", first_answer.keys());
+
+    // `submit` holds the state lock from its lookup to its enqueue, so
+    // whatever the interleaving each spec runs once: 3 of the 12
+    // submissions are fresh and the other 9 are hits.
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.jobs_submitted, 3);
+    assert_eq!(metrics.jobs_completed, 3);
+    assert_eq!(metrics.jobs_failed, 0);
+    assert_eq!(metrics.cache_hits, 9);
+    drop(server);
+}
+
+#[test]
 fn served_reports_validate_and_match_a_direct_engine_run() {
     let (server, client) = start(ServerConfig::default());
     let spec = quick_spec("espresso", "GNU local");
@@ -535,6 +588,7 @@ fn served_sweeps_match_the_offline_executor_byte_for_byte() {
 
     // Resubmitting is a cache hit: same id, nothing fresh.
     let again = client.submit_sweep(&spec).unwrap();
+    assert_eq!(again.id, submitted.id);
     assert!(again.cached);
     assert_eq!(again.fresh, 0);
     assert_eq!(again.status, "done");

@@ -300,41 +300,6 @@ impl AccessSink for CountingSink {
     }
 }
 
-/// Forwards every reference to a pair of sinks.
-///
-/// Larger fan-outs are built by nesting: `FanoutSink(a, FanoutSink(b, c))`.
-#[derive(Debug, Default)]
-pub struct FanoutSink<A, B> {
-    /// First downstream sink.
-    pub first: A,
-    /// Second downstream sink.
-    pub second: B,
-}
-
-impl<A: AccessSink, B: AccessSink> FanoutSink<A, B> {
-    /// Creates a fan-out over two sinks.
-    pub fn new(first: A, second: B) -> Self {
-        FanoutSink { first, second }
-    }
-}
-
-impl<A: AccessSink, B: AccessSink> AccessSink for FanoutSink<A, B> {
-    fn record(&mut self, r: MemRef) {
-        self.first.record(r);
-        self.second.record(r);
-    }
-
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        self.first.record_batch(batch);
-        self.second.record_batch(batch);
-    }
-
-    fn record_runs(&mut self, runs: &[RefRun]) {
-        self.first.record_runs(runs);
-        self.second.record_runs(runs);
-    }
-}
-
 impl<S: AccessSink + ?Sized> AccessSink for &mut S {
     fn record(&mut self, r: MemRef) {
         (**self).record(r);
@@ -394,14 +359,6 @@ mod tests {
         assert_eq!(t.total_refs(), 5);
         assert_eq!(t.app_refs(), 2);
         assert_eq!(t.meta_refs(), 3);
-    }
-
-    #[test]
-    fn fanout_reaches_both_sinks() {
-        let mut f = FanoutSink::new(CountingSink::new(), VecSink::new());
-        f.record(MemRef::meta_write(Address::new(4), 4));
-        assert_eq!(f.first.stats().meta_writes, 1);
-        assert_eq!(f.second.refs.len(), 1);
     }
 
     #[test]

@@ -47,8 +47,7 @@ pub mod stream;
 pub mod varint;
 
 pub use access::{
-    AccessClass, AccessKind, CountingSink, FanoutSink, MemRef, NullSink, RefRun, TraceStats,
-    VecSink,
+    AccessClass, AccessKind, CountingSink, MemRef, NullSink, RefRun, TraceStats, VecSink,
 };
 pub use addr::{Address, WORD};
 pub use cost::{InstrCounter, Phase};
@@ -75,8 +74,10 @@ pub trait AccessSink {
     /// dispatch: any sink must produce *identical* state whether a stream
     /// arrives reference-by-reference or chopped into batches at
     /// arbitrary boundaries. Implementations may override this to hoist
-    /// per-call work out of the loop (see `cache_sim::CacheBank`), but
-    /// must preserve that equivalence.
+    /// per-call work out of the loop, but must preserve that
+    /// equivalence. [`MemCtx`] delivers through
+    /// [`AccessSink::record_runs`], which reaches this method only through
+    /// its default expansion.
     fn record_batch(&mut self, batch: &[MemRef]) {
         for &r in batch {
             self.record(r);

@@ -22,10 +22,6 @@ impl AccessSink for RunSink {
         self.runs.push(RefRun::once(r));
     }
 
-    fn record_batch(&mut self, batch: &[MemRef]) {
-        self.runs.extend(batch.iter().map(|&r| RefRun::once(r)));
-    }
-
     fn record_runs(&mut self, runs: &[RefRun]) {
         self.runs.extend_from_slice(runs);
         self.flushes += 1;
