@@ -39,7 +39,7 @@ use std::process::ExitCode;
 
 use alloc_locality::{AllocChoice, Experiment};
 use allocators::AllocatorKind;
-use cache_sim::{CacheBank, CacheConfig, ThreeCAnalyzer, VictimCache};
+use cache_sim::{CacheConfig, SweepCache, ThreeCAnalyzer, VictimCache};
 use sim_mem::{encode_stream, open_stream, AccessSink, CountingSink, RefRun};
 use vm_sim::StackSim;
 use workloads::{Program, Scale};
@@ -191,13 +191,15 @@ fn replay(args: &[String]) -> Result<(), String> {
             _ => return Err(format!("--cache-kb {kb}: not a power-of-two size in KB")),
         }
     }
-    let mut bank = CacheBank::new(configs.iter().copied());
+    // The engine's cache path: one single-pass sweep over the list.
+    let mut sweep = SweepCache::try_new(configs.iter().copied())
+        .expect("a non-empty list of one block size is a sweep");
     let mut counting = CountingSink::new();
     let mut pager = paging.then(StackSim::paper);
     let mut analyzer = three_c.then(|| ThreeCAnalyzer::new(configs[0]));
     let mut vcache = victim.map(|entries| VictimCache::new(configs[0], entries));
     read_recording(path, |chunk| {
-        bank.record_runs(chunk);
+        sweep.record_runs(chunk);
         counting.record_runs(chunk);
         if let Some(pager) = &mut pager {
             pager.record_runs(chunk);
@@ -210,7 +212,7 @@ fn replay(args: &[String]) -> Result<(), String> {
         }
     })?;
     println!("replayed {} references from {path}", counting.stats().total_refs());
-    for (cfg, stats) in bank.results() {
+    for (cfg, stats) in sweep.results() {
         println!(
             "  {cfg}: {:.3}% miss rate ({} misses, {} cold)",
             stats.miss_rate() * 100.0,

@@ -11,13 +11,19 @@
 //!   capacity/conflict-miss classification.
 //! * [`CacheBank`] — many arbitrary configurations fed by one replay of
 //!   the reference stream (each member still decomposes every reference
-//!   itself).
-//! * [`SweepCache`] — the paper's sweep shape (direct-mapped, common
-//!   block size) simulated in a genuine single pass: one block
-//!   decomposition, one last-block short-circuit, and one cold-miss
-//!   membership set shared by all members, bit-identical to a bank of
-//!   independent caches. This is how the miss-rate-vs-cache-size curves
-//!   of Figures 6–8 are produced.
+//!   itself): the per-cache oracle the sweep is tested against.
+//! * [`SweepCache`] — any set of configurations sharing one block size,
+//!   direct-mapped or LRU set-associative, simulated in a genuine single
+//!   pass: one block decomposition, one last-block short-circuit, and
+//!   one cold-miss membership set shared by all members, bit-identical
+//!   to a bank of independent caches. Because set counts are powers of
+//!   two, a block that is most recently used in its set of the member
+//!   with the fewest sets is most recently used in every member, so one
+//!   compare skips most touches (the proof is in [`sweep`]). An
+//!   all-direct-mapped sweep keeps a flag-free member loop, which
+//!   measured faster than the LRU walk on such members. This is how the
+//!   miss-rate-vs-cache-size curves of Figures 6–8 are produced, and
+//!   how the engine simulates every geometry: one sweep per block size.
 //!
 //! References of any byte size are decomposed into blocks; statistics are
 //! kept separately for application and allocator-metadata references so

@@ -6,11 +6,12 @@
 //! *inside* the member loop, and a `record_runs` that falls back to a
 //! full per-occurrence re-walk for repeated multi-block references.
 //!
-//! The sweep's unit tests and the crate's property tests feed the same
-//! streams to both implementations and require their
-//! [`results`](ReferenceSweepCache::results) to match field for field,
-//! so the old code it is compared against is compiled code, not a
-//! remembered number.
+//! It predates associative sweep members and accepts direct-mapped
+//! members only. The sweep's unit tests and the crate's property tests
+//! feed the same direct-mapped streams to both implementations and
+//! require their [`results`](ReferenceSweepCache::results) to match
+//! field for field, so the old code it is compared against is compiled
+//! code, not a remembered number.
 //!
 //! Nothing here should be "improved"; it is a museum piece. Fixes belong
 //! in [`crate::sweep`].
@@ -55,9 +56,10 @@ pub struct ReferenceSweepCache {
 }
 
 impl ReferenceSweepCache {
-    /// Builds a single-pass sweep over `configs`, or `None` if they do
-    /// not share the sweep structure (same acceptance rule as
-    /// [`crate::SweepCache::try_new`]).
+    /// Builds a single-pass sweep over `configs`, or `None` unless they
+    /// are at least one member, all direct-mapped, all with the same
+    /// block size ([`crate::SweepCache::try_new`] accepts any
+    /// associativity; this original does not).
     pub fn try_new(configs: impl IntoIterator<Item = CacheConfig>) -> Option<Self> {
         let configs: Vec<CacheConfig> = configs.into_iter().collect();
         let block = configs.first()?.block;

@@ -45,6 +45,15 @@ fn high_references_miss_cold_once_then_hit() {
         (st.misses(), st.cold_misses)
     });
 
+    let four_way = CacheConfig::set_associative(64 * 1024, 32, 4);
+    let mut sweep = SweepCache::try_new([two_way, four_way]).expect("associative members");
+    touches(&mut sweep, |sweep| {
+        let (a, b) =
+            (sweep.stats_for(two_way).expect("2-way"), sweep.stats_for(four_way).expect("4-way"));
+        assert_eq!(a, b, "both members see the same misses");
+        (a.misses(), a.cold_misses)
+    });
+
     let mut bank = CacheBank::new([k16(), two_way]);
     touches(&mut bank, |bank| {
         let (a, b) =

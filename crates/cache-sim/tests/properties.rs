@@ -44,6 +44,52 @@ fn straddling_runs_strategy() -> impl Strategy<Value = Vec<RefRun>> {
         .prop_map(to_runs)
 }
 
+/// Random sweep geometries of one block size (16, 32 or 64 bytes): one
+/// to four members mixing 1, 2, 4 and 8 ways over 4 to 128 sets, then
+/// maybe a fully associative member (one set of 8 to 64 ways) and maybe
+/// a duplicate of the first member.
+fn geometry_strategy() -> impl Strategy<Value = Vec<CacheConfig>> {
+    let member = (prop_oneof![Just(1u32), Just(2), Just(4), Just(8)], 2u32..=7);
+    let block = prop_oneof![Just(16u32), Just(32), Just(64)];
+    let full = prop_oneof![Just(None), (3u32..=6).prop_map(Some)];
+    let members = proptest::collection::vec(member, 1..=4);
+    (block, members, full, any::<bool>()).prop_map(|(block, members, full, duplicate)| {
+        let mut configs: Vec<CacheConfig> = members
+            .iter()
+            .map(|&(ways, log_sets)| {
+                CacheConfig::set_associative((ways * block) << log_sets, block, ways)
+            })
+            .collect();
+        if let Some(log_ways) = full {
+            configs.push(CacheConfig::set_associative(block << log_ways, block, 1 << log_ways));
+        }
+        if duplicate {
+            configs.push(configs[0]);
+        }
+        configs
+    })
+}
+
+/// A random geometry and a run-compressed stream for it: mixed classes,
+/// repeats, and references that either fit in two blocks or span
+/// within two blocks of the smallest member's line count, on both
+/// sides, so the sweep's run fast path and its wide-span re-walk both
+/// run. Addresses cover a few times the largest member.
+fn geometry_and_runs() -> impl Strategy<Value = (Vec<CacheConfig>, Vec<RefRun>)> {
+    geometry_strategy().prop_flat_map(|configs| {
+        let block = configs[0].block;
+        let lines = configs.iter().map(CacheConfig::lines).min().expect("a member");
+        let largest = configs.iter().map(|c| u64::from(c.size)).max().expect("a member");
+        let len = prop_oneof![
+            3 => 1u32..=2 * block,
+            1 => (lines - 2) * block..=(lines + 2) * block,
+        ];
+        let runs = proptest::collection::vec((0u64..4 * largest, len, 1u32..8, 0u8..4), 1..40)
+            .prop_map(to_runs);
+        (Just(configs), runs)
+    })
+}
+
 /// Expands a run-compressed stream back into raw references.
 fn expand(runs: &[RefRun]) -> Vec<MemRef> {
     let mut refs = Vec::new();
@@ -157,11 +203,10 @@ proptest! {
     }
 
     /// The single-pass sweep agrees with independent caches on any
-    /// stream of raw references over the paper's configurations.
+    /// stream of raw references, over any geometry of one block size.
     #[test]
-    fn sweep_equals_independent_caches(runs in runs_strategy()) {
-        let configs = CacheConfig::paper_sweep();
-        let mut sweep = SweepCache::try_new(configs.clone()).expect("paper sweep is sweepable");
+    fn sweep_equals_independent_caches((configs, runs) in geometry_and_runs()) {
+        let mut sweep = SweepCache::try_new(configs.clone()).expect("one block size");
         let mut solos: Vec<Cache> = configs.iter().map(|&c| Cache::new(c)).collect();
         for r in expand(&runs) {
             sweep.access(r);
@@ -169,22 +214,22 @@ proptest! {
                 c.access(r);
             }
         }
+        let results = sweep.results();
         for (i, c) in solos.iter().enumerate() {
-            prop_assert_eq!(&sweep.results()[i].1, c.stats(), "member {} diverged", i);
+            prop_assert_eq!(results[i], (c.config(), *c.stats()), "member {} diverged", i);
         }
     }
 
     /// Run-compressed delivery into the sweep — chopped into calls at
     /// arbitrary boundaries, so runs straddle batch edges — agrees with
     /// per-record delivery into independent caches, including repeats of
-    /// multi-block references.
+    /// multi-block references, over any geometry of one block size.
     #[test]
     fn sweep_run_delivery_equals_expansion(
-        runs in runs_strategy(),
+        (configs, runs) in geometry_and_runs(),
         cuts in proptest::collection::vec(0usize..=200, 0..8),
     ) {
-        let configs = CacheConfig::paper_sweep();
-        let mut sweep = SweepCache::try_new(configs.clone()).expect("paper sweep is sweepable");
+        let mut sweep = SweepCache::try_new(configs.clone()).expect("one block size");
         let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (runs.len() + 1)).collect();
         bounds.sort_unstable();
         let mut prev = 0;
@@ -200,8 +245,9 @@ proptest! {
                 c.access(r);
             }
         }
+        let results = sweep.results();
         for (i, c) in solos.iter().enumerate() {
-            prop_assert_eq!(&sweep.results()[i].1, c.stats(), "member {} diverged", i);
+            prop_assert_eq!(results[i], (c.config(), *c.stats()), "member {} diverged", i);
         }
     }
 

@@ -12,8 +12,8 @@ use allocators::{
     SizeProfile,
 };
 use cache_sim::{
-    Cache, CacheConfig, CacheStats, SweepCache, ThreeC, ThreeCAnalyzer, TwoLevelCache,
-    TwoLevelStats, VictimCache, VictimStats,
+    CacheConfig, CacheStats, SweepCache, ThreeC, ThreeCAnalyzer, TwoLevelCache, TwoLevelStats,
+    VictimCache, VictimStats,
 };
 use obs::{MemoryRecorder, Recorder, Stopwatch};
 use std::sync::Mutex;
@@ -41,11 +41,11 @@ pub const PROFILE_SAMPLES: u64 = 20_000;
 /// Simulation options for one run.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// Cache configurations simulated in one pass (empty to skip). When
-    /// they share the sweep structure (all direct-mapped, one block size
-    /// — the paper's setup) one [`SweepCache`] simulates them all in a
-    /// single walk; otherwise each gets its own [`Cache`]. Both paths
-    /// produce bit-identical statistics.
+    /// Cache configurations simulated in one pass (empty to skip). One
+    /// [`SweepCache`] per distinct block size simulates its members in
+    /// a single walk, whatever their associativity, bit-identical to
+    /// one [`cache_sim::Cache`] per configuration; results come back in
+    /// this order, duplicates included.
     pub cache_configs: Vec<CacheConfig>,
     /// Whether to run the LRU stack-distance pager.
     pub paging: bool,
@@ -234,9 +234,10 @@ pub type FragSample = (u64, u64, u64);
 /// Everything measured by one (program, allocator) run.
 ///
 /// `PartialEq` is part of the contract: the engine's delivery paths
-/// (sweep or per-cache simulation, generated or replayed streams,
-/// metrics on/off) are equivalence-tested by comparing whole results
-/// for bit-identity.
+/// (generated or replayed streams, metrics on/off) are
+/// equivalence-tested by comparing whole results for bit-identity, and
+/// its sweeps' cache results against one independent cache per
+/// configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
     /// Program label ("espresso", "GS", ...).
@@ -436,13 +437,13 @@ impl StackWalker {
 ///
 /// Every measurement the engine takes is a fold over the stream that
 /// shares no state with its peers. Shards are kept in a canonical order
-/// (caches in configuration order, then pager, victim, three-C,
-/// two-level), the order results are reassembled in.
+/// (sweeps in the order their block sizes first appear among the cache
+/// configurations, then pager, victim, three-C, two-level); results are
+/// reassembled in configuration order.
 enum SinkShard {
-    /// All cache configurations in one single-pass sweep (one shard).
+    /// The cache configurations of one block size in one single-pass
+    /// sweep.
     Sweep(SweepCache),
-    /// One cache configuration simulated independently.
-    Cache(Cache),
     Pager(Box<StackSim>),
     Victim(VictimCache),
     ThreeC(ThreeCAnalyzer),
@@ -451,12 +452,11 @@ enum SinkShard {
 
 impl SinkShard {
     /// Stable metric label for this shard kind; per-shard consume time
-    /// is accumulated under `span:<label>` (so the sweep path and the
-    /// per-cache path are directly comparable per run).
+    /// is accumulated under `span:<label>` (one span per sweep, so a
+    /// geometry with two block sizes records `sink.sweep` twice).
     fn label(&self) -> &'static str {
         match self {
             SinkShard::Sweep(_) => "sink.sweep",
-            SinkShard::Cache(_) => "sink.cache",
             SinkShard::Pager(_) => "sink.pager",
             SinkShard::Victim(_) => "sink.victim",
             SinkShard::ThreeC(_) => "sink.three_c",
@@ -470,7 +470,6 @@ impl SinkShard {
     fn fastpath_refs(&self) -> Option<(&'static str, u64)> {
         match self {
             SinkShard::Sweep(s) => Some(("sink.sweep.fastpath_refs", s.fastpath_refs())),
-            SinkShard::Cache(c) => Some(("sink.cache.fastpath_refs", c.fastpath_refs())),
             SinkShard::Pager(p) => Some(("sink.pager.fastpath_refs", p.fastpath_refs())),
             _ => None,
         }
@@ -481,7 +480,6 @@ impl AccessSink for SinkShard {
     fn record(&mut self, r: MemRef) {
         match self {
             SinkShard::Sweep(s) => s.record(r),
-            SinkShard::Cache(s) => s.record(r),
             SinkShard::Pager(s) => s.record(r),
             SinkShard::Victim(s) => s.record(r),
             SinkShard::ThreeC(s) => s.record(r),
@@ -492,7 +490,6 @@ impl AccessSink for SinkShard {
     fn record_runs(&mut self, runs: &[RefRun]) {
         match self {
             SinkShard::Sweep(s) => s.record_runs(runs),
-            SinkShard::Cache(s) => s.record_runs(runs),
             SinkShard::Pager(s) => s.record_runs(runs),
             SinkShard::Victim(s) => s.record_runs(runs),
             SinkShard::ThreeC(s) => s.record_runs(runs),
@@ -712,8 +709,11 @@ struct FinalizedShards {
     two_level: Option<TwoLevelStats>,
 }
 
-/// Drains every shard into its result slot.
-fn finalize_shards(shards: Vec<SinkShard>) -> FinalizedShards {
+/// Drains every shard into its result slot. Each sweep holds one block
+/// size's members in configuration order, so walking `configs` and
+/// taking the next member of the sweep with that block size restores
+/// configuration order, duplicates included.
+fn finalize_shards(shards: Vec<SinkShard>, configs: &[CacheConfig]) -> FinalizedShards {
     let mut out = FinalizedShards {
         cache: Vec::new(),
         fault_curve: None,
@@ -721,16 +721,25 @@ fn finalize_shards(shards: Vec<SinkShard>) -> FinalizedShards {
         three_c: None,
         two_level: None,
     };
+    let mut sweeps = Vec::new();
     for shard in shards {
         match shard {
-            SinkShard::Sweep(s) => out.cache.extend(s.results()),
-            SinkShard::Cache(c) => out.cache.push((c.config(), *c.stats())),
+            SinkShard::Sweep(s) => sweeps.push(s.results().into_iter().peekable()),
             SinkShard::Pager(p) => out.fault_curve = Some(p.curve()),
             SinkShard::Victim(v) => out.victim = Some(*v.stats()),
             SinkShard::ThreeC(a) => out.three_c = Some(a.classify()),
             SinkShard::TwoLevel(t) => out.two_level = Some(t.stats()),
         }
     }
+    out.cache = configs
+        .iter()
+        .map(|c| {
+            sweeps
+                .iter_mut()
+                .find_map(|sweep| sweep.next_if(|(member, _)| member.block == c.block))
+                .expect("every configuration is a member of its block size's sweep")
+        })
+        .collect();
     out
 }
 
@@ -910,17 +919,18 @@ impl Experiment {
     }
 
     /// Builds the run's sinks in canonical order (see [`SinkShard`]):
-    /// caches first — one sweep shard when [`SweepCache::try_new`]
-    /// accepts the geometry, per-cache shards in configuration order
-    /// otherwise — then pager (when `pager` is set), victim, three-C,
-    /// two-level.
+    /// caches first — one sweep shard per distinct block size, holding
+    /// that block size's configurations in order — then pager (when
+    /// `pager` is set), victim, three-C, two-level.
     fn build_shards(&self, pager: bool) -> Vec<SinkShard> {
+        let configs = &self.opts.cache_configs;
         let mut shards: Vec<SinkShard> = Vec::new();
-        match SweepCache::try_new(self.opts.cache_configs.iter().copied()) {
-            Some(sweep) => shards.push(SinkShard::Sweep(sweep)),
-            None => shards.extend(
-                self.opts.cache_configs.iter().map(|&cfg| SinkShard::Cache(Cache::new(cfg))),
-            ),
+        for (i, first) in configs.iter().enumerate() {
+            if configs[..i].iter().all(|c| c.block != first.block) {
+                let members = configs[i..].iter().filter(|c| c.block == first.block).copied();
+                let sweep = SweepCache::try_new(members).expect("one block size, one member");
+                shards.push(SinkShard::Sweep(sweep));
+            }
         }
         if pager {
             shards.push(SinkShard::Pager(Box::new(StackSim::paper())));
@@ -1339,7 +1349,7 @@ impl Experiment {
             rec.span_enter("engine.finalize");
         }
         let finalize_sw = Stopwatch::start();
-        let parts = finalize_shards(set.shards);
+        let parts = finalize_shards(set.shards, &self.opts.cache_configs);
         if let Some(rec) = recorder.as_deref_mut() {
             rec.span_ns("engine.finalize", finalize_sw.elapsed_ns());
             rec.span_exit();
@@ -1399,7 +1409,7 @@ impl Experiment {
         tee.span_exit();
         tee.span_enter("engine.finalize");
         let finalize_sw = Stopwatch::start();
-        let parts = finalize_shards(set.shards);
+        let parts = finalize_shards(set.shards, &self.opts.cache_configs);
         tee.span_ns("engine.finalize", finalize_sw.elapsed_ns());
         tee.span_exit();
         // Counts the store *attempt*, and does so before the snapshot is
@@ -1466,7 +1476,7 @@ impl Experiment {
 
         let finalize_sw = Stopwatch::start();
         let InlineSink { counting, set } = sink;
-        let parts = finalize_shards(set.shards);
+        let parts = finalize_shards(set.shards, &self.opts.cache_configs);
         if let Some(rec) = recorder {
             rec.span_ns("engine.finalize", finalize_sw.elapsed_ns());
             rec.span_exit();
@@ -1650,6 +1660,26 @@ mod tests {
         assert!(cache.accesses() >= r.trace.total_refs());
         assert!(cache.accesses() <= r.data_refs());
         assert!(r.fault_curve.is_some());
+    }
+
+    #[test]
+    fn interleaved_block_sizes_come_back_in_configuration_order() {
+        // Two sweeps (32- and 64-byte blocks) whose members interleave,
+        // associative ones and a duplicate among them: each result must
+        // sit at its configuration's index, as one cache per
+        // configuration fed the same stream reports it.
+        let configs = vec![
+            CacheConfig::direct_mapped(16 * 1024, 32),
+            CacheConfig::set_associative(64 * 1024, 64, 2),
+            CacheConfig::direct_mapped(16 * 1024, 32),
+            CacheConfig::set_associative(32 * 1024, 32, 4),
+            CacheConfig::direct_mapped(32 * 1024, 64),
+        ];
+        let exp = Experiment::new(Program::Make, AllocChoice::Paper(AllocatorKind::Bsd))
+            .options(SimOptions { cache_configs: configs.clone(), ..quick_opts() });
+        let mut bank = cache_sim::CacheBank::new(configs);
+        bank.record_runs(&exp.capture_runs().unwrap());
+        assert_eq!(exp.run().unwrap().cache, bank.results());
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! | `GET /healthz`         | liveness + queue gauges                       |
 //! | `GET /metrics`         | server counters + merged simulation metrics   |
 //! | `GET /metrics?format=prometheus` | the same, as Prometheus text        |
-//! | `POST /shutdown`       | stop accepting, drain the queue, exit         |
+//! | `POST /shutdown`       | stop accepting, drain the queue, exit; answers `/healthz`'s body with `draining: true` |
 
 pub mod client;
 pub mod http;
@@ -313,7 +313,8 @@ pub struct SweepStatusResponse {
     pub failed: u64,
 }
 
-/// Body of `GET /healthz`.
+/// Body of `GET /healthz`, and of `POST /shutdown` (with `draining`
+/// set).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthResponse {
     /// Always `ok` while the listener answers.
@@ -835,16 +836,7 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Reply {
         ("POST", "/shutdown") => {
             shared.shutdown.store(true, Ordering::SeqCst);
             shared.queue_cv.notify_all();
-            Reply::json(
-                200,
-                json_body(&StatusResponse {
-                    id: String::new(),
-                    status: "shutting_down".into(),
-                    error: None,
-                    queue_wait_ns: None,
-                    execute_ns: None,
-                }),
-            )
+            healthz(shared)
         }
         ("GET", _) if path.starts_with("/jobs/") => {
             let rest = &path["/jobs/".len()..];

@@ -37,6 +37,23 @@ fn malformed_json_is_a_400_with_a_structured_body() {
 }
 
 #[test]
+fn deeply_nested_bodies_are_a_400_and_the_daemon_lives() {
+    // 10,000 levels once ran the recursive JSON parser off the
+    // connection thread's stack, which aborts the whole process.
+    let (server, client) = start(ServerConfig::default());
+    let nested = "[".repeat(10_000);
+    for route in ["/jobs", "/sweeps"] {
+        let response = client.request("POST", route, Some(&nested)).unwrap();
+        assert_eq!(response.status, 400, "{route}");
+        let err: serve::ErrorResponse = response.json().unwrap();
+        assert_eq!(err.error, "malformed", "{route}");
+        assert!(err.detail.contains("recursion limit"), "{route}: {}", err.detail);
+    }
+    assert_eq!(client.healthz().unwrap().status, "ok");
+    drop(server);
+}
+
+#[test]
 fn unknown_labels_are_a_400_naming_the_field() {
     let (server, client) = start(ServerConfig::default());
     let bad_program = serde_json::to_string(&JobSpec::cell("tetris", "BSD", 0.002)).unwrap();
@@ -294,6 +311,9 @@ fn submissions_during_drain_are_refused_with_503() {
     // /shutdown does exactly that.
     let response = client.request("POST", "/shutdown", None).unwrap();
     assert_eq!(response.status, 200);
+    let health: serve::HealthResponse = response.json().unwrap();
+    assert!(health.draining, "the shutdown reply is the health body, draining");
+    assert_eq!((health.queued, health.workers), (1, 0));
     // The accept loop may take a poll cycle to exit; a submission that
     // does get through must be refused.
     if let Ok(response) = client.request(

@@ -2,8 +2,8 @@
 //!
 //! 1. **Recording observes, it never participates.** Attaching any
 //!    recorder must leave the [`RunResult`] bit-identical to a
-//!    recorder-free run, on both cache paths (the single-pass sweep and
-//!    one cache per configuration).
+//!    recorder-free run, on every cache geometry shape (direct-mapped,
+//!    associative, several block sizes).
 //! 2. **The JSONL report schema is stable.** A [`RunReport`] emitted by
 //!    an instrumented run round-trips through its JSONL encoding and
 //!    passes its own validation.
@@ -15,19 +15,29 @@ use cache_sim::CacheConfig;
 use obs::NullRecorder;
 use workloads::{Program, Scale};
 
-/// The two cache paths the engine picks between, each with the consume
-/// span it records: the paper sweep, which one single-pass `SweepCache`
-/// simulates, and a geometry with a 2-way member, which the sweep
-/// rejects, so each configuration gets its own `Cache`.
-fn geometries() -> [(Vec<CacheConfig>, &'static str); 2] {
+/// Geometry shapes the engine simulates, each with a label and the
+/// number of single-pass sweeps it builds (one per block size, each
+/// recording one `sink.sweep` consume span): the paper sweep, a
+/// geometry with a 2-way member, and one mixing two block sizes.
+fn geometries() -> [(Vec<CacheConfig>, &'static str, u64); 3] {
     [
-        (CacheConfig::paper_sweep(), "sink.sweep"),
+        (CacheConfig::paper_sweep(), "the paper sweep", 1),
         (
             vec![
                 CacheConfig::direct_mapped(16 * 1024, 32),
                 CacheConfig::set_associative(64 * 1024, 32, 2),
             ],
-            "sink.cache",
+            "a 2-way geometry",
+            1,
+        ),
+        (
+            vec![
+                CacheConfig::direct_mapped(16 * 1024, 32),
+                CacheConfig::set_associative(64 * 1024, 64, 2),
+                CacheConfig::direct_mapped(32 * 1024, 32),
+            ],
+            "a mixed-block geometry",
+            2,
         ),
     ]
 }
@@ -55,24 +65,27 @@ fn experiment(caches: Vec<CacheConfig>) -> Experiment {
 
 #[test]
 fn recording_is_invisible_in_every_engine_and_pipeline_mode() {
-    for (caches, path) in geometries() {
+    for (caches, shape, sweeps) in geometries() {
         let exp = experiment(caches);
         let plain = exp.run().expect("plain run");
 
         let mut null = NullRecorder;
         let with_null = exp.run_with_recorder(&mut null).expect("null-recorder run");
-        assert_eq!(with_null, plain, "NullRecorder perturbed the result on {path}");
+        assert_eq!(with_null, plain, "NullRecorder perturbed the result on {shape}");
 
         let report = exp.report().expect("instrumented run");
         let metrics = &report.metrics;
-        assert_eq!(report.result, plain, "MemoryRecorder perturbed the result on {path}");
+        assert_eq!(report.result, plain, "MemoryRecorder perturbed the result on {shape}");
 
-        // The run it did not perturb, it did observe.
-        assert!(metrics.span(path).is_some(), "the geometry picked the {path} path");
+        // The run it did not perturb, it did observe: one consume span
+        // per block size, and no per-cache path.
+        let sweep = metrics.span("sink.sweep").expect("sweep consume span");
+        assert_eq!(sweep.count, sweeps, "one sink.sweep span per block size on {shape}");
+        assert!(metrics.span("sink.cache").is_none(), "no per-cache shard on {shape}");
         let search = metrics.histogram("alloc.search_len").expect("search lengths");
         assert_eq!(
             search.count, plain.alloc_stats.mallocs,
-            "one search-length sample per malloc on {path}"
+            "one search-length sample per malloc on {shape}"
         );
         let coalesce = metrics.histogram("alloc.coalesce_per_free").expect("coalesce counts");
         assert_eq!(coalesce.count, plain.alloc_stats.frees);
@@ -160,7 +173,7 @@ fn tracing_is_invisible_in_every_engine_and_pipeline_mode() {
     // inherits contract 1: a traced run must produce bit-identical
     // results — and, since the tracer embeds a MemoryRecorder, the same
     // flat metrics an instrumented run yields.
-    for (caches, path) in geometries() {
+    for (caches, shape, _) in geometries() {
         let exp = experiment(caches);
         let plain = exp.run().expect("plain run");
         let plain_metrics = exp.report().expect("instrumented run").metrics;
@@ -168,25 +181,25 @@ fn tracing_is_invisible_in_every_engine_and_pipeline_mode() {
         let mut tracer = obs::Tracer::new();
         let (traced, metrics) = exp.run_traced_with(&mut tracer).expect("traced run");
         let (_, trace) = tracer.finish("espresso/FirstFit".to_string());
-        assert_eq!(traced, plain, "Tracer perturbed the result on {path}");
+        assert_eq!(traced, plain, "Tracer perturbed the result on {shape}");
         // Span *timings* are wall-clock and differ run to run; the
         // deterministic metric content must not differ.
         assert_eq!(
             metrics.counters, plain_metrics.counters,
-            "span structure leaked into counters on {path}"
+            "span structure leaked into counters on {shape}"
         );
         assert_eq!(
             metrics.histograms, plain_metrics.histograms,
-            "span structure leaked into histograms on {path}"
+            "span structure leaked into histograms on {shape}"
         );
         assert_eq!(
             metrics.spans.keys().collect::<Vec<_>>(),
             plain_metrics.spans.keys().collect::<Vec<_>>(),
-            "tracing changed which flat span timers exist on {path}"
+            "tracing changed which flat span timers exist on {shape}"
         );
 
         // The span tree is a valid v1 artifact...
-        trace.validate().unwrap_or_else(|e| panic!("{path}: invalid trace: {e}"));
+        trace.validate().unwrap_or_else(|e| panic!("{shape}: invalid trace: {e}"));
         assert_eq!(trace.schema, obs::TRACE_SCHEMA);
         assert_eq!(trace.version, obs::TRACE_VERSION);
         assert_eq!(trace.dropped_spans, 0, "this workload is far under the span cap");
@@ -195,7 +208,7 @@ fn tracing_is_invisible_in_every_engine_and_pipeline_mode() {
         // alloc_build and events are children of the drive phase.
         let drive = trace.span("engine.drive").expect("drive span");
         for child in ["engine.alloc_build", "engine.events"] {
-            let span = trace.span(child).unwrap_or_else(|| panic!("{path}: missing span {child}"));
+            let span = trace.span(child).unwrap_or_else(|| panic!("{shape}: missing span {child}"));
             assert_eq!(span.parent, Some(drive.id), "{child} must nest under engine.drive");
         }
         assert!(trace.span("engine.finalize").is_some(), "finalize phase was traced");

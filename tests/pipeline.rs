@@ -111,12 +111,12 @@ fn full_pipeline_is_deterministic() {
 
 #[test]
 fn sweep_engine_matches_per_cache_bit_for_bit() {
-    // The geometry picks the engine's cache path: the paper's five
-    // direct-mapped configurations go through one single-pass sweep,
-    // while appending a 2-way member makes the engine build one cache
-    // per configuration. The five shared configurations must come out
-    // bit-identical either way, with every other shard kind attached
-    // and unaffected.
+    // The engine builds one single-pass sweep per block size: the
+    // paper's five direct-mapped configurations share one, and
+    // appending a 64-byte-block member makes the engine build a second
+    // sweep beside it. The five shared configurations must come out
+    // bit-identical either way, in configuration order, with every
+    // other shard kind attached and unaffected.
     let run = |cache_configs: Vec<CacheConfig>| {
         let opts = SimOptions {
             cache_configs,
@@ -133,36 +133,37 @@ fn sweep_engine_matches_per_cache_bit_for_bit() {
     };
 
     let sweep = run(CacheConfig::paper_sweep());
-    let mut per_cache_configs = CacheConfig::paper_sweep();
-    per_cache_configs.push(CacheConfig::set_associative(64 * 1024, 32, 2));
-    let per_cache = run(per_cache_configs);
+    let mut two_sweep_configs = CacheConfig::paper_sweep();
+    let wide_block = CacheConfig::direct_mapped(64 * 1024, 64);
+    two_sweep_configs.push(wide_block);
+    let two_sweeps = run(two_sweep_configs);
     assert_eq!(sweep.cache.len(), 5);
-    assert_eq!(per_cache.cache.len(), 6);
-    assert_eq!(sweep.cache[..], per_cache.cache[..5], "cache stats diverged");
-    assert_eq!(sweep.instrs, per_cache.instrs);
-    assert_eq!(sweep.trace, per_cache.trace);
-    assert_eq!(sweep.fault_curve, per_cache.fault_curve);
-    assert_eq!(sweep.victim, per_cache.victim);
-    assert_eq!(sweep.three_c, per_cache.three_c);
-    assert_eq!(sweep.two_level, per_cache.two_level);
-    assert_eq!(sweep.frag_curve, per_cache.frag_curve);
-    assert_eq!(sweep.heap_high_water, per_cache.heap_high_water);
-    assert_eq!(sweep.alloc_stats, per_cache.alloc_stats);
+    assert_eq!(two_sweeps.cache.len(), 6);
+    assert_eq!(sweep.cache[..], two_sweeps.cache[..5], "cache stats diverged");
+    assert_eq!(two_sweeps.cache[5].0, wide_block, "results come back in configuration order");
+    assert_eq!(sweep.instrs, two_sweeps.instrs);
+    assert_eq!(sweep.trace, two_sweeps.trace);
+    assert_eq!(sweep.fault_curve, two_sweeps.fault_curve);
+    assert_eq!(sweep.victim, two_sweeps.victim);
+    assert_eq!(sweep.three_c, two_sweeps.three_c);
+    assert_eq!(sweep.two_level, two_sweeps.two_level);
+    assert_eq!(sweep.frag_curve, two_sweeps.frag_curve);
+    assert_eq!(sweep.heap_high_water, two_sweeps.heap_high_water);
+    assert_eq!(sweep.alloc_stats, two_sweeps.alloc_stats);
 }
 
 #[test]
 fn captured_stream_replays_into_components_identically() {
     // The oracle for the engine's sinks, and what trace-tool leans on:
     // a stream captured once with capture_runs, replayed directly into
-    // each component — the per-cache bank, the single-pass sweep when
-    // the geometry allows it, the pager, and the extension analyzers —
-    // reproduces a normal engine run bit for bit. Each component is fed
-    // the stream twice: as runs, and one reference at a time, which no
-    // run-length fast path sees. The inputs cover both cache paths the
-    // engine picks between (a sweepable geometry and one with a 2-way
-    // member) and the full shard set over the paper sweep, with
-    // fragmentation sampling on; espresso/FirstFit is also where the
-    // sweep and the bank must agree with each other.
+    // each component — the per-cache bank, the single-pass sweep, the
+    // pager, and the extension analyzers — reproduces a normal engine
+    // run bit for bit. Each component is fed the stream twice: as runs,
+    // and one reference at a time, which no run-length fast path sees. The inputs cover a direct-mapped
+    // geometry, one with a 2-way member (which the sweep simulates with
+    // its LRU pass) and the full shard set over the paper sweep, with
+    // fragmentation sampling on; the sweep and the bank must agree with
+    // each other and with the engine on every one.
     use cache_sim::{CacheBank, SweepCache, ThreeCAnalyzer, TwoLevelCache, VictimCache};
     use sim_mem::stream::expand_runs;
     use sim_mem::{AccessSink, CountingSink, MemRef};
@@ -217,20 +218,15 @@ fn captured_stream_replays_into_components_identically() {
         let bank = one_at_a_time(CacheBank::new(configs.iter().copied()), &refs);
         assert_eq!(bank.results(), engine.cache, "{label}: per-cache bank, one at a time");
 
-        let sweepable = configs.iter().all(|c| c.assoc == 1);
-        match SweepCache::try_new(configs.iter().copied()) {
-            Some(mut sweep) => {
-                assert!(sweepable, "{label}: the sweep must reject a 2-way member");
-                sweep.record_runs(&runs);
-                assert_eq!(sweep.results(), engine.cache, "{label}: single-pass sweep");
-                let sweep = one_at_a_time(
-                    SweepCache::try_new(configs.iter().copied()).expect("sweepable"),
-                    &refs,
-                );
-                assert_eq!(sweep.results(), engine.cache, "{label}: sweep, one at a time");
-            }
-            None => assert!(!sweepable, "{label}: the sweep must accept direct-mapped caches"),
-        }
+        let sweep = || {
+            SweepCache::try_new(configs.iter().copied())
+                .unwrap_or_else(|| panic!("{label}: the sweep accepts one block size, any ways"))
+        };
+        let mut runs_sweep = sweep();
+        runs_sweep.record_runs(&runs);
+        assert_eq!(runs_sweep.results(), engine.cache, "{label}: single-pass sweep");
+        let refs_sweep = one_at_a_time(sweep(), &refs);
+        assert_eq!(refs_sweep.results(), engine.cache, "{label}: sweep, one at a time");
 
         let mut pager = StackSim::paper();
         pager.record_runs(&runs);
