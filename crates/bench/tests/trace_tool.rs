@@ -2,8 +2,10 @@
 //! stream as an ALSC file, `info` and `replay` read it back with the
 //! counts and miss rates the engine measures for the same run, and an
 //! unwritable, truncated or bit-flipped file, an impossible cache
-//! geometry or an invalid scale is a one-line error with exit code 1 —
-//! never a panic or a hang, and never a replay of the wrong stream.
+//! geometry, an invalid scale or a trace line nested past the JSON
+//! parser's depth limit is a one-line error with exit code 1 — never a
+//! panic, a stack overflow or a hang, and never a replay of the wrong
+//! stream.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -300,5 +302,18 @@ fn a_cyclic_sweep_the_shadow_misses_more_still_classifies() {
     assert!(replay.contains(&format!("  {k16}: ")), "{replay}");
     assert!(replay.contains("(779 misses, 601 cold)"), "{replay}");
     assert!(replay.contains("compulsory 601 / capacity 178 / conflict 0"), "{replay}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_trace_line_nested_past_the_depth_limit_exits_1_with_one_line() {
+    let dir = scratch("nested");
+    let (trace, out) = (dir.join("nested.jsonl"), dir.join("chrome.json"));
+    let line = format!("{}{}\n", "[".repeat(10_000), "]".repeat(10_000));
+    std::fs::write(&trace, line).expect("write the trace");
+    let run = trace_tool(&["chrome", utf8(&trace), utf8(&out)]);
+    assert_fails_in_one_line(&run, "chrome on a nested line");
+    assert!(text(&run.stderr).contains("recursion limit exceeded"), "{}", text(&run.stderr));
+    assert!(!out.exists(), "no trace is written");
     let _ = std::fs::remove_dir_all(&dir);
 }

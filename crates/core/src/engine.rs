@@ -19,10 +19,12 @@ use obs::{MemoryRecorder, Recorder, Stopwatch};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
-use sim_mem::stream::{fnv1a, open_stream, Fnv64, StreamCache, StreamView, STREAM_FORMAT_VERSION};
+use sim_mem::stream::{
+    fnv1a, open_stream, Fnv64, StreamCache, StreamEncoder, StreamView, STREAM_FORMAT_VERSION,
+};
 use sim_mem::{
     AccessSink, Address, CountingSink, HeapImage, InstrCounter, MemCtx, MemRef, Phase, RefRun,
-    TraceStats, BATCH_CAPACITY,
+    TraceStats,
 };
 use vm_sim::{FaultCurve, StackSim};
 use workloads::{AppEvent, Program, Scale, WorkloadSpec};
@@ -499,10 +501,10 @@ impl AccessSink for SinkShard {
 }
 
 /// The run's shards behind the one delivery routine every path shares:
-/// generated runs deliver `MemCtx`'s flushed batches, populating runs
-/// their captured stream and warm replays their decoded stream, both in
-/// chunks of at most [`BATCH_CAPACITY`] runs. Each delivery goes to every
-/// shard, in canonical order, before the next one arrives.
+/// cold runs deliver `MemCtx`'s flushed batches, warm replays their
+/// decoded stream in chunks of at most [`sim_mem::BATCH_CAPACITY`] runs.
+/// Each delivery goes to every shard, in canonical order, before the
+/// next one arrives.
 struct ShardSet {
     shards: Vec<SinkShard>,
     /// Per-shard consume time in nanoseconds, aligned with `shards` and
@@ -552,24 +554,26 @@ impl ShardSet {
     }
 }
 
-/// A generated run's sink set: the counting sink and every shard consume
-/// each batch in turn on the driving thread.
-struct InlineSink {
+/// A cold run's sink set: the counting sink and every shard consume each
+/// batch in turn on the driving thread, and a populating run's stream
+/// encoder takes it last.
+struct InlineSink<'e> {
     counting: CountingSink,
     set: ShardSet,
+    encoder: Option<&'e mut StreamEncoder>,
 }
 
-impl AccessSink for InlineSink {
+impl AccessSink for InlineSink<'_> {
     fn record(&mut self, r: MemRef) {
-        self.counting.record(r);
-        for shard in &mut self.set.shards {
-            shard.record(r);
-        }
+        self.record_runs(&[RefRun::once(r)]);
     }
 
     fn record_runs(&mut self, runs: &[RefRun]) {
         self.counting.record_runs(runs);
         self.set.deliver(runs);
+        if let Some(encoder) = &mut self.encoder {
+            encoder.push(runs);
+        }
     }
 }
 
@@ -586,25 +590,6 @@ impl AccessSink for RunCollector {
     }
 
     fn record_runs(&mut self, runs: &[RefRun]) {
-        self.runs.extend_from_slice(runs);
-    }
-}
-
-/// The producer side of a cache-populating run: folds the counting
-/// statistics while collecting the run-compressed stream for storage.
-struct CaptureSink {
-    counting: CountingSink,
-    runs: Vec<RefRun>,
-}
-
-impl AccessSink for CaptureSink {
-    fn record(&mut self, r: MemRef) {
-        self.counting.record(r);
-        self.runs.push(RefRun::once(r));
-    }
-
-    fn record_runs(&mut self, runs: &[RefRun]) {
-        self.counting.record_runs(runs);
         self.runs.extend_from_slice(runs);
     }
 }
@@ -967,9 +952,9 @@ impl Experiment {
     }
 
     /// The workload loop: builds the allocator, replays every event
-    /// through a batching [`MemCtx`] over `sink`, and flushes. Generated
-    /// runs, populating runs and [`Experiment::capture_runs`] share
-    /// this; only `sink` differs.
+    /// through a batching [`MemCtx`] over `sink`, and flushes. Cold runs,
+    /// populating or not, and [`Experiment::capture_runs`] share this;
+    /// only `sink` differs.
     fn drive(
         &self,
         heap: &mut HeapImage,
@@ -1161,7 +1146,7 @@ impl Experiment {
         need_metrics: bool,
     ) -> Result<RunOutcome, EngineError> {
         let Some(key) = self.stream_key() else {
-            let result = self.run_generated(Self::reborrow(&mut recorder))?;
+            let result = self.run_generated(Self::reborrow(&mut recorder), None)?;
             return Ok(RunOutcome { result, replay_metrics: None });
         };
         let cache =
@@ -1229,6 +1214,8 @@ impl Experiment {
         if let Some(rec) = Self::reborrow(&mut recorder) {
             rec.span_exit();
         }
+        // The file did not answer: free it before the cold run.
+        drop(bytes);
         self.run_and_populate(&cache, key, lookup_counter, recorder)
     }
 
@@ -1372,13 +1359,13 @@ impl Experiment {
         Some(RunOutcome { result, replay_metrics: need_metrics.then_some(sidecar.metrics) })
     }
 
-    /// A cold run that also captures its stream and stores it (with the
-    /// sidecar holding everything a replay cannot reconstruct) under
-    /// `key`. The stream is captured once and then delivered to the
-    /// shards in chunks through the same routine a warm replay uses, so
-    /// the two paths cannot drift. `lookup_counter` records why the cache
-    /// did not answer. A failed store is a missed optimization, never a
-    /// failed run.
+    /// A cold run that also stores its stream under `key`, with the
+    /// sidecar holding everything a replay cannot reconstruct: the one
+    /// cold path, [`Experiment::run_generated`], with a stream encoder on
+    /// its sinks, so the stream is encoded as it is generated and never
+    /// held whole. `lookup_counter` records why the cache did not
+    /// answer. A failed store is a missed optimization, never a failed
+    /// run.
     fn run_and_populate(
         &self,
         cache: &StreamCache,
@@ -1388,78 +1375,48 @@ impl Experiment {
     ) -> Result<RunOutcome, EngineError> {
         let mut tee = TeeRecorder { mem: MemoryRecorder::new(), user };
         tee.add(lookup_counter, 1);
-        let mut heap = HeapImage::with_limit(self.opts.heap_limit);
-        let mut instrs = InstrCounter::new();
-        let mut capture = CaptureSink { counting: CountingSink::new(), runs: Vec::new() };
-        tee.span_enter("engine.drive");
-        let drive_sw = Stopwatch::start();
-        let (frag_curve, alloc_stats) =
-            self.drive(&mut heap, &mut instrs, &mut capture, Some(&mut tee))?;
-        tee.span_ns("engine.drive", drive_sw.elapsed_ns());
-        tee.span_exit();
-
-        tee.span_enter("engine.replay");
-        let replay_sw = Stopwatch::start();
-        let mut set = ShardSet::new(self.build_shards(self.opts.paging), true);
-        for chunk in capture.runs.chunks(BATCH_CAPACITY) {
-            set.deliver(chunk);
-        }
-        set.record(&mut tee);
-        tee.span_ns("engine.replay", replay_sw.elapsed_ns());
-        tee.span_exit();
-        tee.span_enter("engine.finalize");
-        let finalize_sw = Stopwatch::start();
-        let parts = finalize_shards(set.shards, &self.opts.cache_configs);
-        tee.span_ns("engine.finalize", finalize_sw.elapsed_ns());
-        tee.span_exit();
+        let mut encoder = StreamEncoder::new();
+        let result = self.run_generated(Some(&mut tee), Some(&mut encoder))?;
         // Counts the store *attempt*, and does so before the snapshot is
         // frozen so the stored metrics equal what the caller's recorder
         // observed on this run.
         tee.add("stream_cache.store", 1);
-
-        let trace = capture.counting.stats();
-        let heap_high_water = heap.high_water();
-        let result = RunResult {
-            program: self.program_label.clone(),
-            allocator: self.choice.label(),
-            scale: self.opts.scale.0,
-            instrs,
-            trace,
-            cache: parts.cache,
-            fault_curve: parts.fault_curve,
-            victim: parts.victim,
-            three_c: parts.three_c,
-            two_level: parts.two_level,
-            frag_curve,
-            heap_high_water,
-            alloc_stats,
-        };
         let sidecar = StreamSidecar {
             options_fp: self.options_fingerprint(),
-            instrs,
-            trace,
+            instrs: result.instrs,
+            trace: result.trace,
             frag_curve: result.frag_curve.clone(),
-            heap_high_water,
-            alloc_stats,
+            heap_high_water: result.heap_high_water,
+            alloc_stats: result.alloc_stats,
             metrics: tee.mem.snapshot(),
             result: Some(result.clone()),
         };
         let sidecar_json = serde_json::to_string(&sidecar).expect("sidecar serializes");
-        let _ = cache.store(key, sidecar_json.as_bytes(), &capture.runs);
+        let _ = cache.write(key, &encoder.finish(key, sidecar_json.as_bytes()));
         Ok(RunOutcome { result, replay_metrics: None })
     }
 
-    /// The plain generated run: drive the workload straight into the
-    /// sinks (the original engine path, untouched by the stream cache).
+    /// The one cold path: drives the workload once, handing each flushed
+    /// batch to the counting sink and every shard and, on a populating
+    /// run, to `encoder`.
+    ///
+    /// A populating run also records a flat `engine.replay` span (no
+    /// trace node) holding the shards' summed consume time: served
+    /// report lines pin their flat metric set, which for a populating
+    /// run is a no-cache run's plus `stream_cache.miss` (or why the cache
+    /// did not answer), `stream_cache.store` and `engine.replay`, each
+    /// once.
     fn run_generated(
         &self,
         mut recorder: Option<&mut dyn Recorder>,
+        encoder: Option<&mut StreamEncoder>,
     ) -> Result<RunResult, EngineError> {
         let mut heap = HeapImage::with_limit(self.opts.heap_limit);
         let mut instrs = InstrCounter::new();
         let mut sink = InlineSink {
             counting: CountingSink::new(),
             set: ShardSet::new(self.build_shards(self.opts.paging), recorder.is_some()),
+            encoder,
         };
         if let Some(rec) = recorder.as_deref_mut() {
             rec.span_enter("engine.drive");
@@ -1469,13 +1426,17 @@ impl Experiment {
             self.drive(&mut heap, &mut instrs, &mut sink, Self::reborrow(&mut recorder))?;
         if let Some(rec) = recorder.as_deref_mut() {
             sink.set.record(rec);
+            if sink.encoder.is_some() {
+                let consumed = sink.set.timings.iter().flatten().sum();
+                rec.span_ns("engine.replay", consumed);
+            }
             rec.span_ns("engine.drive", drive_sw.elapsed_ns());
             rec.span_exit();
             rec.span_enter("engine.finalize");
         }
 
         let finalize_sw = Stopwatch::start();
-        let InlineSink { counting, set } = sink;
+        let InlineSink { counting, set, .. } = sink;
         let parts = finalize_shards(set.shards, &self.opts.cache_configs);
         if let Some(rec) = recorder {
             rec.span_ns("engine.finalize", finalize_sw.elapsed_ns());

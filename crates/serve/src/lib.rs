@@ -62,6 +62,7 @@ use alloc_locality::{JobSpec, RunReport};
 use explore::{SweepExec, SweepReport, SweepSpec};
 use obs::{Hist, HistSnapshot, MetricsSnapshot, Recorder as _, Tracer};
 use serde::{Deserialize, Serialize};
+use sim_mem::stream::{evict_oldest, write_atomic};
 
 use http::{read_by, read_request, write_response_with_headers, RecvError, Request};
 
@@ -675,43 +676,13 @@ impl State {
     }
 }
 
-/// Writes `line` to `<dir>/<id>.json` atomically, then evicts
-/// oldest-modified report files until the directory fits the size bound.
-/// Best-effort throughout: persistence failures never fail the job.
+/// Writes `line` to `<dir>/<id>.json` with [`write_atomic`], then evicts
+/// oldest-modified report files until the directory fits the size bound
+/// ([`evict_oldest`]). Best-effort throughout: persistence failures
+/// never fail the job.
 fn persist_report(dir: &std::path::Path, max_bytes: u64, id: &str, line: &str) {
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{id}.json"));
-    let tmp = dir.join(format!(".{id}.tmp"));
-    if std::fs::write(&tmp, line).is_err() {
-        return;
-    }
-    if std::fs::rename(&tmp, &path).is_err() {
-        let _ = std::fs::remove_file(&tmp);
-        return;
-    }
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    let mut files: Vec<(std::time::SystemTime, u64, std::path::PathBuf)> = entries
-        .flatten()
-        .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-        .filter_map(|e| {
-            let meta = e.metadata().ok()?;
-            Some((meta.modified().ok()?, meta.len(), e.path()))
-        })
-        .collect();
-    let mut total: u64 = files.iter().map(|(_, size, _)| size).sum();
-    files.sort_by_key(|entry| entry.0);
-    for (_, size, candidate) in files {
-        if total <= max_bytes {
-            break;
-        }
-        if candidate == path {
-            continue; // never evict the report just written
-        }
-        if std::fs::remove_file(&candidate).is_ok() {
-            total = total.saturating_sub(size);
-        }
+    if let Ok(path) = write_atomic(dir, &format!("{id}.json"), line.as_bytes()) {
+        evict_oldest(dir, "json", &path, max_bytes);
     }
 }
 

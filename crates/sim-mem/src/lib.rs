@@ -55,7 +55,8 @@ pub use ctx::{MemCtx, BATCH_CAPACITY};
 pub use heap::{HeapImage, OomError};
 pub use stream::{
     checksum, decode_sidecar, decode_stream, encode_stream, open_stream, CacheStats, DecodedStream,
-    Fnv64, StreamCache, StreamError, StreamView, STREAM_FORMAT_VERSION, STREAM_MAGIC,
+    Fnv64, StreamCache, StreamEncoder, StreamError, StreamView, STREAM_FORMAT_VERSION,
+    STREAM_MAGIC,
 };
 
 /// The trait implemented by every consumer of the simulated reference

@@ -5,10 +5,11 @@
 //! (program, allocator) reference stream against many measurement
 //! configurations, yet regenerating that stream — workload model plus
 //! allocator simulation — dominates a run's wall-clock cost. This
-//! module serializes a captured [`RefRun`] stream to a compact binary
-//! file so a later run with the same *driver identity* pays only
-//! read + checksum + decode + sink cost — or, when the stored sidecar
-//! already answers the run, only the read + checksum.
+//! module serializes a [`RefRun`] stream to a compact binary file as
+//! the stream is generated, so a later run with the same *driver
+//! identity* pays only read + checksum + decode + sink cost — or, when
+//! the stored sidecar already answers the run, only the read +
+//! checksum.
 //!
 //! # File layout (`ALSC` version 3)
 //!
@@ -44,6 +45,14 @@
 //! encode time (run boundaries are not semantic: [`crate::AccessSink`]
 //! implementations are bit-identical for any boundary placement, and
 //! the expanded reference sequence is unchanged).
+//!
+//! # Writing
+//!
+//! [`StreamEncoder`] encodes a stream as it is produced: pushed in
+//! pieces of any size, it holds only the encoded records, and its bytes
+//! do not depend on where the stream was split. [`encode_stream`] is one
+//! push of a whole stream. [`StreamCache`] stores files through
+//! [`write_atomic`] and bounds its directory with [`evict_oldest`].
 //!
 //! # Reading
 //!
@@ -86,6 +95,9 @@ pub const STREAM_MAGIC: [u8; 4] = *b"ALSC";
 /// result alongside its metrics); version 3 replaced the byte-serial
 /// FNV-1a file checksum with the four-lane word [`checksum`].
 pub const STREAM_FORMAT_VERSION: u8 = 3;
+
+/// File extension of a [`StreamCache`] entry.
+const STREAM_EXTENSION: &str = "alsc";
 
 /// Offset where the checksummed region (everything after the fixed
 /// header) begins.
@@ -248,100 +260,119 @@ const FLAG_KNOWN: u8 = FLAG_WRITE | FLAG_META | FLAG_SIZED | FLAG_REPEATED;
 /// reference wraps, and every sink's block arithmetic assumes none does.
 const WRAPS: &str = "reference wraps past the end of the address space";
 
-/// Serializes a stream to the ALSC byte format.
+/// Serializes a stream to the ALSC byte format: one
+/// [`StreamEncoder::push`] of the whole stream, then
+/// [`StreamEncoder::finish`].
 ///
 /// `content_key` identifies what generated the stream (the caller
 /// hashes the driver identity); `sidecar` is stored verbatim and handed
 /// back on decode. Adjacent identical runs are merged.
 pub fn encode_stream(content_key: u64, sidecar: &[u8], runs: &[RefRun]) -> Vec<u8> {
-    // Pre-size: header + counts + sidecar + ~3 bytes per run + trailer.
-    let mut out = Vec::with_capacity(HEADER_LEN + 24 + sidecar.len() + runs.len() * 3 + 8);
-    out.extend_from_slice(&STREAM_MAGIC);
-    out.push(STREAM_FORMAT_VERSION);
-    out.extend_from_slice(&[0u8; 3]);
-    out.extend_from_slice(&content_key.to_le_bytes());
+    let mut encoder = StreamEncoder::new();
+    encoder.push(runs);
+    encoder.finish(content_key, sidecar)
+}
 
-    let (merged_runs, ref_count) = merged_counts(runs);
-    varint::write_u64(&mut out, merged_runs).expect("vec write");
-    varint::write_u64(&mut out, ref_count).expect("vec write");
-    varint::write_u64(&mut out, sidecar.len() as u64).expect("vec write");
-    out.extend_from_slice(sidecar);
+/// Encodes a stream as it is produced, holding only the encoded
+/// records, never the runs.
+///
+/// [`StreamEncoder::push`] takes the stream in pieces of any size — a
+/// generating run's flushed batches, typically — and merges adjacent
+/// identical runs across pieces, so where the stream was split never
+/// shows: any split yields exactly [`encode_stream`]'s bytes.
+/// [`StreamEncoder::finish`] frames the records as an ALSC file.
+#[derive(Debug, Default)]
+pub struct StreamEncoder {
+    /// The run records written so far.
+    records: Vec<u8>,
+    /// The run being merged, not yet written: its reference and its
+    /// count so far, which may pass `u32::MAX`.
+    pending: Option<(MemRef, u64)>,
+    /// Address of the last record written, the base of the next delta.
+    prev_addr: u64,
+    /// Records written (a merged count above `u32::MAX` writes several).
+    record_count: u64,
+    /// Expanded references pushed.
+    ref_count: u64,
+}
 
-    let mut prev_addr = 0u64;
-    let mut pending: Option<(MemRef, u64)> = None;
-    for run in runs {
-        debug_assert!(run.count >= 1);
-        match &mut pending {
-            Some((r, count)) if *r == run.r => *count += u64::from(run.count),
-            _ => {
-                if let Some((r, count)) = pending.take() {
-                    write_run(&mut out, r, count, &mut prev_addr);
+impl StreamEncoder {
+    /// An encoder with nothing pushed.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends `runs` to the stream.
+    pub fn push(&mut self, runs: &[RefRun]) {
+        for run in runs {
+            debug_assert!(run.count >= 1);
+            self.ref_count += u64::from(run.count);
+            match &mut self.pending {
+                Some((r, count)) if *r == run.r => *count += u64::from(run.count),
+                _ => {
+                    if let Some((r, count)) = self.pending.replace((run.r, u64::from(run.count))) {
+                        self.write_run(r, count);
+                    }
                 }
-                pending = Some((run.r, u64::from(run.count)));
             }
         }
     }
-    if let Some((r, count)) = pending {
-        write_run(&mut out, r, count, &mut prev_addr);
+
+    /// Frames the stream as an ALSC file under `content_key`, with
+    /// `sidecar` stored verbatim (see [`encode_stream`]).
+    pub fn finish(mut self, content_key: u64, sidecar: &[u8]) -> Vec<u8> {
+        if let Some((r, count)) = self.pending.take() {
+            self.write_run(r, count);
+        }
+        let mut head = Vec::with_capacity(HEADER_LEN + 30 + sidecar.len());
+        head.extend_from_slice(&STREAM_MAGIC);
+        head.push(STREAM_FORMAT_VERSION);
+        head.extend_from_slice(&[0u8; 3]);
+        head.extend_from_slice(&content_key.to_le_bytes());
+        varint::write_u64(&mut head, self.record_count).expect("vec write");
+        varint::write_u64(&mut head, self.ref_count).expect("vec write");
+        varint::write_u64(&mut head, sidecar.len() as u64).expect("vec write");
+        head.extend_from_slice(sidecar);
+        // The records become the file in place: the head is spliced in
+        // front of them, so the body is never copied into a second buffer.
+        let mut out = self.records;
+        out.reserve_exact(head.len() + 8);
+        out.splice(0..0, head);
+        let sum = checksum(&out[HEADER_LEN..]);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
     }
 
-    let sum = checksum(&out[HEADER_LEN..]);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
-}
-
-/// Counts the records and expanded references `encode_stream` will
-/// write after merging adjacent identical runs (merged counts above
-/// `u32::MAX` split into saturated records).
-fn merged_counts(runs: &[RefRun]) -> (u64, u64) {
-    let mut records = 0u64;
-    let mut refs = 0u64;
-    let mut pending: Option<(MemRef, u64)> = None;
-    for run in runs {
-        refs += u64::from(run.count);
-        match &mut pending {
-            Some((r, count)) if *r == run.r => *count += u64::from(run.count),
-            _ => {
-                if let Some((_, count)) = pending.take() {
-                    records += count.div_ceil(u64::from(u32::MAX));
-                }
-                pending = Some((run.r, u64::from(run.count)));
+    /// Writes one merged run, splitting counts that exceed `u32::MAX`.
+    fn write_run(&mut self, r: MemRef, mut count: u64) {
+        let out = &mut self.records;
+        while count > 0 {
+            let chunk = count.min(u64::from(u32::MAX)) as u32;
+            count -= u64::from(chunk);
+            self.record_count += 1;
+            let mut flags = 0u8;
+            if r.kind == AccessKind::Write {
+                flags |= FLAG_WRITE;
             }
-        }
-    }
-    if let Some((_, count)) = pending {
-        records += count.div_ceil(u64::from(u32::MAX));
-    }
-    (records, refs)
-}
-
-/// Writes one merged run, splitting counts that exceed `u32::MAX`.
-fn write_run(out: &mut Vec<u8>, r: MemRef, mut count: u64, prev_addr: &mut u64) {
-    while count > 0 {
-        let chunk = count.min(u64::from(u32::MAX)) as u32;
-        count -= u64::from(chunk);
-        let mut flags = 0u8;
-        if r.kind == AccessKind::Write {
-            flags |= FLAG_WRITE;
-        }
-        if r.class == AccessClass::AllocatorMeta {
-            flags |= FLAG_META;
-        }
-        if r.size != 4 {
-            flags |= FLAG_SIZED;
-        }
-        if chunk > 1 {
-            flags |= FLAG_REPEATED;
-        }
-        out.push(flags);
-        let delta = r.addr.raw().wrapping_sub(*prev_addr) as i64;
-        varint::write_i64(out, delta).expect("vec write");
-        *prev_addr = r.addr.raw();
-        if flags & FLAG_SIZED != 0 {
-            varint::write_u64(out, u64::from(r.size)).expect("vec write");
-        }
-        if flags & FLAG_REPEATED != 0 {
-            varint::write_u64(out, u64::from(chunk - 1)).expect("vec write");
+            if r.class == AccessClass::AllocatorMeta {
+                flags |= FLAG_META;
+            }
+            if r.size != 4 {
+                flags |= FLAG_SIZED;
+            }
+            if chunk > 1 {
+                flags |= FLAG_REPEATED;
+            }
+            out.push(flags);
+            let delta = r.addr.raw().wrapping_sub(self.prev_addr) as i64;
+            varint::write_i64(out, delta).expect("vec write");
+            self.prev_addr = r.addr.raw();
+            if flags & FLAG_SIZED != 0 {
+                varint::write_u64(out, u64::from(r.size)).expect("vec write");
+            }
+            if flags & FLAG_REPEATED != 0 {
+                varint::write_u64(out, u64::from(chunk - 1)).expect("vec write");
+            }
         }
     }
 }
@@ -557,12 +588,11 @@ pub struct CacheStats {
 
 /// A directory of ALSC stream files, one per content key.
 ///
-/// Files are named `<key as 16 hex digits>.alsc`. Stores write to a
-/// temporary sibling and rename into place, so concurrent readers see
-/// either the old file or the complete new one, never a torn write.
-/// The temporary name embeds the process id *and* a process-wide
-/// counter, so concurrent writers — across processes or threads — never
-/// share a scratch file even when racing on the same key.
+/// Files are named `<key as 16 hex digits>.alsc`. Stores go through
+/// [`write_atomic`], so concurrent readers see either the old file or
+/// the complete new one, never a torn write, and concurrent writers —
+/// across processes or threads — never share a scratch file even when
+/// racing on the same key.
 #[derive(Debug, Clone)]
 pub struct StreamCache {
     dir: PathBuf,
@@ -579,8 +609,8 @@ impl StreamCache {
 
     /// Bounds the total size of the cache's stream files. After each
     /// store, the oldest-written entries are evicted (best-effort) until
-    /// the directory's `.alsc` files fit in `max_bytes` — the same
-    /// write-time-ordered eviction the on-disk report cache uses. The
+    /// the directory's `.alsc` files fit in `max_bytes` ([`evict_oldest`],
+    /// which the serve daemon's report cache uses too). The
     /// just-written entry is never evicted, so a single oversized stream
     /// still caches; `None` restores unbounded growth.
     pub fn with_max_bytes(mut self, max_bytes: Option<u64>) -> Self {
@@ -595,7 +625,7 @@ impl StreamCache {
 
     /// The file path a content key maps to.
     pub fn path_for(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.alsc"))
+        self.dir.join(format!("{key:016x}.{STREAM_EXTENSION}"))
     }
 
     /// Whether a stream file exists for `key` — a metadata-only probe,
@@ -619,7 +649,7 @@ impl StreamCache {
         };
         for entry in entries.flatten() {
             let path = entry.path();
-            if path.extension().is_some_and(|e| e == "alsc") {
+            if path.extension().is_some_and(|e| e == STREAM_EXTENSION) {
                 if let Ok(meta) = entry.metadata() {
                     stats.entries += 1;
                     stats.bytes += meta.len();
@@ -644,60 +674,92 @@ impl StreamCache {
         }
     }
 
-    /// Encodes and atomically stores a stream under `key`.
+    /// Encodes and atomically stores a stream under `key`: a thin
+    /// wrapper over [`encode_stream`] and [`StreamCache::write`].
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error; callers treat a failed store as
     /// a missed optimization, not a failed run.
     pub fn store(&self, key: u64, sidecar: &[u8], runs: &[RefRun]) -> std::io::Result<()> {
-        // Distinct scratch file per writer: two threads of one process
-        // racing on the same key must not interleave writes into a
-        // shared tmp (the pid alone cannot distinguish them).
-        static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        std::fs::create_dir_all(&self.dir)?;
-        let bytes = encode_stream(key, sidecar, runs);
-        let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = self.dir.join(format!("{key:016x}.alsc.tmp.{}.{seq}", std::process::id()));
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-        drop(file);
-        let result = std::fs::rename(&tmp, self.path_for(key));
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        } else if let Some(max_bytes) = self.max_bytes {
-            self.evict_to_bound(&self.path_for(key), max_bytes);
-        }
-        result
+        self.write(key, &encode_stream(key, sidecar, runs))
     }
 
-    /// Deletes the oldest-written `.alsc` files until the directory fits
-    /// in `max_bytes`, sparing `keep` (the entry just stored).
-    /// Best-effort throughout: eviction races and I/O errors cost bytes,
-    /// never correctness.
-    fn evict_to_bound(&self, keep: &Path, max_bytes: u64) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return };
-        let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = entries
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|ext| ext == "alsc"))
-            .filter_map(|e| {
-                let meta = e.metadata().ok()?;
-                Some((meta.modified().ok()?, meta.len(), e.path()))
-            })
-            .collect();
-        let mut total: u64 = files.iter().map(|(_, size, _)| size).sum();
-        files.sort_by_key(|entry| entry.0);
-        for (_, size, candidate) in files {
-            if total <= max_bytes {
-                break;
-            }
-            if candidate == keep {
-                continue;
-            }
-            if std::fs::remove_file(&candidate).is_ok() {
-                total = total.saturating_sub(size);
-            }
+    /// Atomically stores an encoded stream file under `key` (see
+    /// [`write_atomic`]), then, under a size bound, evicts the
+    /// oldest-written entries but this one (see [`evict_oldest`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error; callers treat a failed store as
+    /// a missed optimization, not a failed run.
+    pub fn write(&self, key: u64, bytes: &[u8]) -> std::io::Result<()> {
+        let path = write_atomic(&self.dir, &format!("{key:016x}.{STREAM_EXTENSION}"), bytes)?;
+        if let Some(max_bytes) = self.max_bytes {
+            evict_oldest(&self.dir, STREAM_EXTENSION, &path, max_bytes);
+        }
+        Ok(())
+    }
+}
+
+/// Writes `bytes` to `dir/name` atomically and returns the file's path.
+/// The bytes go to a scratch sibling, are synced to disk, and the
+/// scratch file is renamed into place, so concurrent readers see either
+/// the old file or the complete new one, never a torn write. The scratch
+/// name embeds the process id *and* a process-wide counter, so
+/// concurrent writers — across processes or threads, even racing on one
+/// name — never share a scratch file; it ends in that counter, so no
+/// extension filter counts it. Creates `dir` when missing.
+///
+/// # Errors
+///
+/// Returns the underlying I/O error, after removing the scratch file.
+pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<PathBuf> {
+    static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    std::fs::create_dir_all(dir)?;
+    let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let tmp = dir.join(format!("{name}.tmp.{}.{seq}", std::process::id()));
+    let path = dir.join(name);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, &path));
+    match written {
+        Ok(()) => Ok(path),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
+}
+
+/// Deletes the oldest-modified files with extension `extension` in `dir`
+/// until they fit in `max_bytes`, sparing `keep` (the file just written,
+/// so a single oversized entry still stays). Best-effort throughout:
+/// eviction races and I/O errors cost bytes, never correctness.
+pub fn evict_oldest(dir: &Path, extension: &str, keep: &Path, max_bytes: u64) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = entries
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|ext| ext == extension))
+        .filter_map(|e| {
+            let meta = e.metadata().ok()?;
+            Some((meta.modified().ok()?, meta.len(), e.path()))
+        })
+        .collect();
+    let mut total: u64 = files.iter().map(|(_, size, _)| size).sum();
+    files.sort_by_key(|entry| entry.0);
+    for (_, size, candidate) in files {
+        if total <= max_bytes {
+            break;
+        }
+        if candidate == keep {
+            continue;
+        }
+        if std::fs::remove_file(&candidate).is_ok() {
+            total = total.saturating_sub(size);
         }
     }
 }
@@ -1031,5 +1093,42 @@ mod tests {
         for run in &decoded.runs {
             assert_eq!(run.r, r);
         }
+    }
+
+    #[test]
+    fn encoder_bytes_do_not_depend_on_where_the_stream_is_split() {
+        // Among the boundaries: one between two identical runs, and ones
+        // inside a merge whose count passes u32::MAX.
+        let r = MemRef::app_read(Address::new(8), 4);
+        let mut runs = sample_runs();
+        runs.extend([
+            RefRun { r, count: 2 },
+            RefRun { r, count: 5 },
+            RefRun { r, count: u32::MAX },
+            RefRun { r, count: 3 },
+            RefRun { r: MemRef::meta_write(Address::new(0x0ff8), 8), count: 1 },
+        ]);
+        let whole = encode_stream(11, b"sidecar", &runs);
+        let decoded = decode_stream(&whole, 11).expect("decode");
+        assert_eq!(decoded.runs.len(), sample_runs().len() + 3, "the merge splits in two records");
+        assert_eq!(expand_count(&decoded.runs), expand_count(&runs));
+
+        for at in 0..=runs.len() {
+            let mut encoder = StreamEncoder::new();
+            encoder.push(&runs[..at]);
+            encoder.push(&[]);
+            encoder.push(&runs[at..]);
+            assert_eq!(encoder.finish(11, b"sidecar"), whole, "split at {at}");
+        }
+        let mut encoder = StreamEncoder::new();
+        for run in &runs {
+            encoder.push(std::slice::from_ref(run));
+        }
+        assert_eq!(encoder.finish(11, b"sidecar"), whole, "split at every boundary");
+        assert_eq!(StreamEncoder::new().finish(11, b""), encode_stream(11, b"", &[]));
+    }
+
+    fn expand_count(runs: &[RefRun]) -> u64 {
+        runs.iter().map(|run| u64::from(run.count)).sum()
     }
 }

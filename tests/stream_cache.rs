@@ -8,6 +8,9 @@
 //!    cache file — or a corrupt record behind a valid checksum, found
 //!    mid-replay — demotes the run to cold generation, recorded as
 //!    `stream_cache.invalid`, and the file is rewritten for next time.
+//! 3. **Populating is the cold run with an encoder.** A populating run
+//!    stores exactly the encoding of the stream the run generates, and
+//!    its flat metrics are a no-cache run's plus the store's own.
 
 use alloc_locality_repro::engine::{AllocChoice, Experiment, SimOptions};
 use allocators::AllocatorKind;
@@ -346,5 +349,107 @@ fn a_version_2_file_at_a_version_3_path_falls_back_cold() {
     assert_eq!(rec.counter("stream_cache.hit"), 0);
     assert_eq!(result, cold);
     assert_eq!(std::fs::read(&path).expect("read rewritten file")[4], 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_populating_run_stores_the_encoding_of_its_generated_stream() {
+    // The stream is encoded batch by batch as the run generates it; the
+    // file must be byte for byte the one-shot encoding of the stream
+    // `capture_runs` returns, under the file's key and sidecar.
+    let dir = cache_dir("bytes");
+    for (program, kind) in [
+        (Program::Espresso, AllocatorKind::FirstFit),
+        (Program::GsLarge, AllocatorKind::GnuLocal),
+        (Program::Ptc, AllocatorKind::QuickFit),
+        (Program::Make, AllocatorKind::Bsd),
+    ] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let exp = Experiment::new(program, AllocChoice::Paper(kind)).options(opts(&dir));
+        exp.run().expect("populating run");
+        let bytes = std::fs::read(sole_cache_file(&dir)).expect("read stream file");
+        let key = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte key"));
+        let sidecar = sim_mem::open_stream(&bytes, key).expect("valid file").sidecar();
+        let runs = exp.capture_runs().expect("capture");
+        assert!(runs.len() > sim_mem::BATCH_CAPACITY, "{program}/{kind}: one batch only");
+        let encoded = sim_mem::encode_stream(key, sidecar, &runs);
+        assert!(bytes == encoded, "{program}/{kind}: the stored file is not encode_stream's");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flat snapshot with its span times zeroed: the part of it that
+/// does not depend on the clock.
+fn untimed(metrics: &obs::MetricsSnapshot) -> obs::MetricsSnapshot {
+    let mut metrics = metrics.clone();
+    for span in metrics.spans.values_mut() {
+        span.total_ns = 0;
+    }
+    metrics
+}
+
+#[test]
+fn a_populating_runs_flat_metrics_are_a_no_cache_runs_plus_the_stores() {
+    // Served report lines pin their flat metric set, so populating the
+    // cache may add exactly the lookup's miss, the store, and the one
+    // `engine.replay` span; the trace tree has no `engine.replay` node.
+    let dir = cache_dir("shape");
+    let cell = |opts: SimOptions| {
+        Experiment::new(Program::Gawk, AllocChoice::Paper(AllocatorKind::GnuGxx)).options(opts)
+    };
+    let plain =
+        cell(SimOptions { stream_cache: None, ..opts(&dir) }).report().expect("no-cache run");
+    let mut tracer = obs::Tracer::new();
+    let (result, metrics) = cell(opts(&dir)).run_traced_with(&mut tracer).expect("populating run");
+    assert_eq!(result, plain.result);
+
+    let mut expected = untimed(&plain.metrics);
+    for counter in ["stream_cache.miss", "stream_cache.store"] {
+        assert_eq!(expected.counters.insert(counter.to_string(), 1), None, "{counter}");
+    }
+    let once = obs::SpanSnapshot { count: 1, total_ns: 0 };
+    assert_eq!(expected.spans.insert("engine.replay".to_string(), once), None);
+    assert_eq!(untimed(&metrics), expected);
+
+    let (_, trace) = tracer.finish("populating");
+    assert!(trace.span("engine.drive").is_some());
+    assert!(trace.span("engine.replay").is_none(), "a populating run delivers while it drives");
+
+    // The stored sidecar froze the same metrics: the warm report hands
+    // them back.
+    let warm = cell(opts(&dir)).report().expect("warm run");
+    assert_eq!(warm.metrics, metrics);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_sidecar_nested_past_the_parser_limit_runs_cold() {
+    let dir = cache_dir("nested");
+    let exp = Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::QuickFit))
+        .options(opts(&dir));
+    let cold = exp.run().expect("populating run");
+
+    // Re-encode the records under a sidecar of 10,000 nested arrays,
+    // past serde_json's recursion limit: the checksum is valid, the
+    // sidecar unparseable.
+    let path = sole_cache_file(&dir);
+    let bytes = std::fs::read(&path).expect("read stream file");
+    let key = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte key"));
+    let stream = sim_mem::decode_stream(&bytes, key).expect("decode");
+    let nested = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+    let damaged = sim_mem::encode_stream(key, nested.as_bytes(), &stream.runs);
+    assert!(sim_mem::open_stream(&damaged, key).is_ok(), "the file itself is valid");
+    std::fs::write(&path, &damaged).expect("write nested sidecar");
+
+    let mut rec = MemoryRecorder::new();
+    let result = exp.run_with_recorder(&mut rec).expect("a nested sidecar must not break the run");
+    assert_eq!(rec.counter("stream_cache.sidecar_mismatch"), 1);
+    assert_eq!(rec.counter("stream_cache.hit"), 0);
+    assert_eq!(rec.counter("stream_cache.store"), 1, "the file must be rewritten");
+    assert_eq!(result, cold, "the cold fallback must reproduce the result");
+    let rewritten = std::fs::read(&path).expect("read rewritten file");
+    let restored = sim_mem::decode_stream(&rewritten, key).expect("the rewrite must decode");
+    assert_eq!(restored.runs, stream.runs);
+    assert!(restored.sidecar.starts_with(b"{"), "the rewrite carries a real sidecar");
     let _ = std::fs::remove_dir_all(&dir);
 }
