@@ -16,13 +16,16 @@
 //! (size-bounded, oldest evicted) so a restarted server answers
 //! duplicates instantly, and a [`ServerConfig::stream_cache`] directory
 //! lets the engine replay captured reference streams instead of
-//! regenerating workloads. The in-memory result table itself is bounded
-//! by [`ServerConfig::result_cache_entries`] with LRU eviction.
+//! regenerating workloads. The in-memory result table and the table of
+//! registered sweeps are each bounded by
+//! [`ServerConfig::result_cache_entries`] with LRU eviction.
 //!
-//! Everything is built on `std`: `TcpListener` for transport,
-//! `Mutex`/`Condvar` for the queue, `AtomicBool` for shutdown. The HTTP
-//! subset lives in [`http`]; a blocking client for tests and the load
-//! harness lives in [`client`].
+//! Everything is built on `std`: a blocking `TcpListener` whose accept
+//! thread hands each connection to a fixed pool of [`HANDLERS`] threads
+//! through a queue of [`PENDING_CONNECTIONS`] (a connection beyond both
+//! is answered 503 `busy`), `Mutex`/`Condvar` for the job queue,
+//! `AtomicBool` for shutdown. The HTTP subset lives in [`http`]; a
+//! blocking client for tests and the benchmark lives in [`client`].
 //!
 //! Every job is traced end to end: submission opens an [`obs::Tracer`]
 //! whose span tree covers cache lookup, queue wait, engine execution
@@ -53,18 +56,30 @@ pub mod client;
 pub mod http;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read as _;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use alloc_locality::{JobSpec, RunReport};
 use explore::{SweepExec, SweepReport, SweepSpec};
 use obs::{Hist, HistSnapshot, MetricsSnapshot, Recorder as _, Tracer};
 use serde::{Deserialize, Serialize};
-use sim_mem::stream::{evict_oldest, write_atomic};
+use sim_mem::stream::write_bounded;
 
-use http::{read_by, read_request, write_response_with_headers, RecvError, Request};
+use http::{
+    read_by, read_request, write_response, write_response_with_headers, RecvError, Request,
+};
+
+/// Connection-handler threads. Each serves one connection, start to
+/// finish, then takes the next from the pending queue.
+pub const HANDLERS: usize = 4;
+
+/// Accepted connections waiting for a free handler. A connection that
+/// finds the queue full is answered 503 `busy` by the accept thread.
+pub const PENDING_CONNECTIONS: usize = 16;
 
 /// How the daemon is shaped. `Default` suits tests: an OS-assigned port,
 /// two workers, and small-but-real limits.
@@ -81,21 +96,27 @@ pub struct ServerConfig {
     /// Largest request body accepted; beyond it the server answers 413.
     pub max_body_bytes: usize,
     /// Deadline for reading one request, head and body together,
-    /// counted from when its connection's handler starts. A client that
-    /// has not sent a whole request by then is disconnected, however
+    /// counted from when a handler takes its connection (time spent
+    /// waiting for a free handler does not count). A client that has
+    /// not sent a whole request by then is disconnected, however
     /// steadily its bytes keep arriving. Also each response write's
     /// timeout.
     pub read_timeout_ms: u64,
     /// Bound on finished results kept in memory. Beyond it the
     /// least-recently-used `done` entry is dropped; resubmitting its spec
-    /// recomputes (or answers from the on-disk report cache).
+    /// recomputes (or answers from the on-disk report cache). Also the
+    /// bound on registered sweeps: beyond it the least-recently-used
+    /// sweep whose points have all finished is dropped, and
+    /// resubmitting it registers it again.
     pub result_cache_entries: usize,
     /// Directory finished report lines persist to (one `<job-id>.json`
     /// per job), so a restarted server answers duplicate submissions
     /// instantly. `None` disables persistence.
     pub report_cache: Option<std::path::PathBuf>,
     /// Total-size bound on the on-disk report cache; oldest files are
-    /// evicted once the directory exceeds it.
+    /// evicted once the directory exceeds it
+    /// ([`sim_mem::stream::write_bounded`], which lists the directory
+    /// only when its running total passes the bound).
     pub report_cache_max_bytes: u64,
     /// Stream-cache directory handed to every experiment
     /// ([`Experiment::stream_cache`]), so a job whose reference stream was
@@ -181,8 +202,9 @@ impl Job {
 /// in expansion order (the order [`SweepReport::assemble`] expects).
 /// Points are ordinary content-addressed jobs — shared with direct
 /// submissions and with other sweeps — so a sweep adds no execution
-/// machinery, only bookkeeping. Entries are a spec and an id list, tiny
-/// next to the reports themselves, so the map is unbounded.
+/// machinery, only bookkeeping. An entry also memoizes its assembled
+/// report, as large as its points' reports together, so the table is
+/// bounded like the result table (see [`State::remember_sweep`]).
 struct Sweep {
     spec: SweepSpec,
     point_ids: Vec<String>,
@@ -204,8 +226,13 @@ struct State {
     /// Every live job, keyed by content address. Finished entries beyond
     /// [`ServerConfig::result_cache_entries`] are evicted LRU-first.
     jobs: HashMap<String, Job>,
-    /// Registered sweeps, keyed by sweep content address.
+    /// Registered sweeps, keyed by sweep content address. Beyond
+    /// [`ServerConfig::result_cache_entries`], finished sweeps are
+    /// evicted LRU-first.
     sweeps: HashMap<String, Sweep>,
+    /// Registered sweep ids, least recently used first: a submission,
+    /// status poll or report fetch moves the id to the back.
+    sweep_order: VecDeque<String>,
     /// `done` job ids, least recently used first. A cache hit moves the
     /// id to the back; eviction pops the front.
     done_order: VecDeque<String>,
@@ -237,13 +264,29 @@ struct Shared {
     state: Mutex<State>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
+    /// Where a connection reaches the listener: its bound address, with
+    /// an unspecified IP replaced by loopback. Shutdown connects here to
+    /// wake the accept thread out of its blocking `accept()`.
+    wake_addr: SocketAddr,
     /// Monotone per-request sequence backing the `X-Trace-Id` response
     /// header, so client logs and server traces can be correlated.
     request_seq: AtomicU64,
-    /// Makes the next connection-handler spawn fail without starting a
-    /// thread, as an exhausted process would.
-    #[cfg(test)]
-    fail_next_spawn: AtomicBool,
+    /// Connections answered 503 `busy`: every handler was busy and the
+    /// pending queue full.
+    refused: AtomicU64,
+}
+
+impl Shared {
+    /// Flips the shutdown flag, wakes idle workers, and wakes the accept
+    /// thread with a connection of its own; it sees the flag and stops.
+    /// A failed wake-up connect is harmless when the listener is already
+    /// closed, and otherwise only delays the stop until the next
+    /// connection arrives.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.queue_cv.notify_all();
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
 }
 
 /// Body of a successful `POST /jobs`.
@@ -358,6 +401,11 @@ pub struct MetricsResponse {
     pub rejected_backpressure: u64,
     /// Submissions refused with 4xx (bad spec or body).
     pub rejected_invalid: u64,
+    /// Connections answered 503 `busy` before their request was read:
+    /// all [`HANDLERS`] were busy and [`PENDING_CONNECTIONS`] more
+    /// waited.
+    #[serde(default)]
+    pub connections_refused: u64,
     /// Jobs whose run panicked. The worker survives; each such job
     /// failed with the panic message and counts in `jobs_failed` too.
     #[serde(default)]
@@ -373,8 +421,8 @@ pub struct MetricsResponse {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ErrorResponse {
     /// Machine-readable kind: `malformed`, `invalid_spec`, `too_large`,
-    /// `queue_full`, `not_found`, `not_done`, `shutting_down`,
-    /// `method_not_allowed`.
+    /// `queue_full`, `not_found`, `not_done`, `failed`, `shutting_down`,
+    /// `busy`, `method_not_allowed`, `internal`.
     pub error: String,
     /// Human-readable detail.
     pub detail: String,
@@ -398,12 +446,13 @@ pub struct ShutdownSummary {
     pub drained: u64,
 }
 
-/// A running daemon: the listener thread, the worker pool, and the
-/// shared state they communicate through.
+/// A running daemon: the accept thread, the connection handlers, the
+/// worker pool, and the shared state they communicate through.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
+    handlers: Vec<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -420,33 +469,43 @@ impl Server {
 
     fn start_with(cfg: ServerConfig, runner: JobRunner) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let mut wake_addr = addr;
+        if addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shared = Arc::new(Shared {
             cfg,
             runner,
             state: Mutex::new(State::default()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            wake_addr,
             request_seq: AtomicU64::new(0),
-            #[cfg(test)]
-            fail_next_spawn: AtomicBool::new(false),
+            refused: AtomicU64::new(0),
         });
         let workers = (0..shared.cfg.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
+                spawn_named(format!("serve-worker-{i}"), move || worker_loop(&shared))
+            })
+            .collect();
+        let (pending, taken) = std::sync::mpsc::sync_channel(PENDING_CONNECTIONS);
+        let taken = Arc::new(Mutex::new(taken));
+        let handlers = (0..HANDLERS)
+            .map(|i| {
+                let (taken, shared) = (Arc::clone(&taken), Arc::clone(&shared));
+                spawn_named(format!("serve-conn-{i}"), move || handler_loop(&taken, &shared))
             })
             .collect();
         let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name("serve-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawn accept loop");
-        Ok(Server { addr, shared, accept_handle: Some(accept_handle), workers })
+        let accept_handle = spawn_named("serve-accept".into(), move || {
+            accept_loop(&listener, &pending, &accept_shared);
+        });
+        Ok(Server { addr, shared, accept_handle: Some(accept_handle), handlers, workers })
     }
 
     /// The bound address (useful with port 0).
@@ -454,11 +513,12 @@ impl Server {
         self.addr
     }
 
-    /// Flips the shutdown flag: the listener stops accepting and workers
-    /// exit once the queue is drained. Returns immediately.
+    /// Flips the shutdown flag: the listener stops accepting, the
+    /// handlers exit once the connections already accepted are served,
+    /// and workers exit once the queue is drained. Returns without
+    /// waiting for any of them.
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.begin_shutdown();
     }
 
     /// Requests shutdown and blocks until the queue is drained and every
@@ -478,7 +538,7 @@ impl Server {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
+        for h in self.handlers.drain(..).chain(self.workers.drain(..)) {
             let _ = h.join();
         }
         let state = self.shared.state.lock().expect("state lock");
@@ -497,47 +557,74 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                handlers.retain(|h| !h.is_finished());
-                match spawn_handler(stream, shared) {
-                    Ok(h) => handlers.push(h),
-                    // Out of threads or memory: drop this one connection
-                    // (its stream closes with the failed closure) and keep
-                    // accepting, so later requests — `POST /shutdown`
-                    // included — are still answered.
-                    Err(e) => eprintln!("serve: dropped a connection: no handler thread: {e}"),
-                }
-            }
-            // Poll finely: this sleep bounds connection-setup latency,
-            // and cached submissions are answered in ~one poll interval.
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => std::thread::sleep(Duration::from_micros(500)),
+fn spawn_named(name: String, body: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new().name(name).spawn(body).expect("spawn server thread")
+}
+
+/// Blocks in `accept()` and queues each connection for the handlers,
+/// answering 503 `busy` when the queue is full. Returns once shutdown
+/// is flagged ([`Shared::begin_shutdown`] connects to wake it); dropping
+/// `pending` then lets the handlers finish the queued connections and
+/// exit.
+fn accept_loop(listener: &TcpListener, pending: &SyncSender<TcpStream>, shared: &Shared) {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
         }
-    }
-    for h in handlers {
-        let _ = h.join();
+        match accepted {
+            Ok((stream, _)) => match pending.try_send(stream) {
+                Ok(()) => {}
+                Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) => {
+                    refuse_busy(stream, shared);
+                }
+            },
+            // Out of file descriptors, say: the connection stays in the
+            // backlog and `accept()` fails again at once, so back off
+            // rather than spin until a handler closes one.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+        }
     }
 }
 
-/// Starts the thread that serves one accepted connection.
-fn spawn_handler(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    #[cfg(test)]
-    if shared.fail_next_spawn.swap(false, Ordering::SeqCst) {
-        return Err(std::io::Error::other("injected spawn failure"));
+/// Answers a connection no handler can take: 503 `busy`, written by the
+/// accept thread on a non-blocking socket, so a peer that reads nothing
+/// cannot stall it (a response that does not fit the socket's send
+/// buffer is cut short). What the peer already sent is read and dropped
+/// before the close, so the close does not reset the connection under a
+/// client that has yet to read the answer.
+fn refuse_busy(mut stream: TcpStream, shared: &Shared) {
+    shared.refused.fetch_add(1, Ordering::Relaxed);
+    if stream.set_nonblocking(true).is_err() {
+        return;
     }
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name("serve-conn".into())
-        .spawn(move || handle_connection(stream, &shared))
+    let body = json_body(&ErrorResponse::new(
+        "busy",
+        format!(
+            "all {HANDLERS} connection handlers are busy and {PENDING_CONNECTIONS} connections \
+             wait; retry later"
+        ),
+    ));
+    let _ = write_response(&mut stream, 503, "application/json", body.as_bytes());
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut buf = [0u8; 4096];
+    for _ in 0..16 {
+        if !matches!(stream.read(&mut buf), Ok(n) if n > 0) {
+            break;
+        }
+    }
+}
+
+/// One connection handler: serves queued connections one at a time
+/// until the accept thread has stopped and the queue is empty. A panic
+/// while serving a connection closes that connection, not the handler.
+fn handler_loop(taken: &Mutex<Receiver<TcpStream>>, shared: &Arc<Shared>) {
+    loop {
+        let next = taken.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(stream) = next else { return };
+        let serve = || handle_connection(stream, shared);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(serve));
+    }
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -667,23 +754,53 @@ impl State {
     /// so a cap of zero still lets the submitting client fetch its
     /// report.
     fn remember_done(&mut self, id: &str, cap: usize) {
-        self.done_order.retain(|existing| existing != id);
-        self.done_order.push_back(id.to_string());
+        touch(&mut self.done_order, id);
         while self.done_order.len() > cap.max(1) {
             let Some(evicted) = self.done_order.pop_front() else { break };
             self.jobs.remove(&evicted);
         }
     }
+
+    /// Marks registered sweep `id` most recently used and, beyond the
+    /// cap, drops the least-recently-used sweeps whose points have all
+    /// finished — never `id` itself, and never a sweep with a queued or
+    /// running point, so the table can stay above the cap while such
+    /// sweeps are in flight. An unregistered `id` changes nothing.
+    fn remember_sweep(&mut self, id: &str, cap: usize) {
+        if !self.sweeps.contains_key(id) {
+            return;
+        }
+        touch(&mut self.sweep_order, id);
+        while self.sweep_order.len() > cap.max(1) {
+            let settled = self.sweep_order.iter().position(|sid| {
+                sid != id
+                    && self.sweeps.get(sid).is_none_or(|sweep| {
+                        let (queued, running, _, _) = sweep_counts(self, sweep);
+                        queued + running == 0
+                    })
+            });
+            let Some(at) = settled else { break };
+            if let Some(evicted) = self.sweep_order.remove(at) {
+                self.sweeps.remove(&evicted);
+            }
+        }
+    }
 }
 
-/// Writes `line` to `<dir>/<id>.json` with [`write_atomic`], then evicts
-/// oldest-modified report files until the directory fits the size bound
-/// ([`evict_oldest`]). Best-effort throughout: persistence failures
-/// never fail the job.
-fn persist_report(dir: &std::path::Path, max_bytes: u64, id: &str, line: &str) {
-    if let Ok(path) = write_atomic(dir, &format!("{id}.json"), line.as_bytes()) {
-        evict_oldest(dir, "json", &path, max_bytes);
+/// Moves `id` to the back (most recently used end) of an LRU order.
+fn touch(order: &mut VecDeque<String>, id: &str) {
+    if let Some(at) = order.iter().position(|existing| existing == id) {
+        order.remove(at);
     }
+    order.push_back(id.to_string());
+}
+
+/// Writes `line` to `<dir>/<id>.json` with [`write_bounded`], which
+/// evicts the oldest-modified report files once the directory passes
+/// the size bound. Best-effort throughout: persistence failures never
+/// fail the job.
+fn persist_report(dir: &std::path::Path, max_bytes: u64, id: &str, line: &str) {
+    let _ = write_bounded(dir, &format!("{id}.json"), line.as_bytes(), max_bytes);
 }
 
 /// Loads a previously persisted report line for `id`, verifying it still
@@ -805,8 +922,7 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Reply {
             }
         }
         ("POST", "/shutdown") => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue_cv.notify_all();
+            shared.begin_shutdown();
             healthz(shared)
         }
         ("GET", _) if path.starts_with("/jobs/") => {
@@ -1067,6 +1183,7 @@ fn submit_sweep(request: &Request, shared: &Arc<Shared>) -> Reply {
             },
         );
     }
+    state.remember_sweep(&id, shared.cfg.result_cache_entries);
     shared.queue_cv.notify_all();
     let sweep = state.sweeps.get(&id).expect("just inserted");
     let (queued, running, done, failed) = sweep_counts(&state, sweep);
@@ -1103,7 +1220,8 @@ fn sweep_counts(state: &State, sweep: &Sweep) -> (u64, u64, u64, u64) {
 }
 
 fn sweep_status(id: &str, shared: &Arc<Shared>) -> Reply {
-    let state = shared.state.lock().expect("state lock");
+    let mut state = shared.state.lock().expect("state lock");
+    state.remember_sweep(id, shared.cfg.result_cache_entries);
     match state.sweeps.get(id) {
         None => {
             Reply::json(404, json_body(&ErrorResponse::new("not_found", format!("no sweep {id}"))))
@@ -1142,7 +1260,8 @@ fn sweep_status(id: &str, shared: &Arc<Shared>) -> Reply {
 /// outside the state lock and the result is memoized on the sweep.
 fn sweep_report(id: &str, shared: &Arc<Shared>) -> Reply {
     let (spec, lines, exec) = {
-        let state = shared.state.lock().expect("state lock");
+        let mut state = shared.state.lock().expect("state lock");
+        state.remember_sweep(id, shared.cfg.result_cache_entries);
         let Some(sweep) = state.sweeps.get(id) else {
             return Reply::json(
                 404,
@@ -1356,6 +1475,7 @@ fn metrics(shared: &Arc<Shared>) -> Reply {
             report_cache_hits: state.report_cache_hits,
             rejected_backpressure: state.rejected_backpressure,
             rejected_invalid: state.rejected_invalid,
+            connections_refused: shared.refused.load(Ordering::Relaxed),
             worker_panics: state.worker_panics,
             endpoints: state
                 .endpoint_latency
@@ -1386,6 +1506,11 @@ fn metrics_prometheus(shared: &Arc<Shared>) -> Reply {
         state.rejected_backpressure,
     );
     obs::prom::push_counter(&mut out, "serve_rejected_invalid_total", state.rejected_invalid);
+    obs::prom::push_counter(
+        &mut out,
+        "serve_connections_refused_total",
+        shared.refused.load(Ordering::Relaxed),
+    );
     obs::prom::push_counter(&mut out, "serve_worker_panics_total", state.worker_panics);
     obs::prom::push_gauge(&mut out, "serve_queue_depth", state.queue.len() as u64);
     obs::prom::push_gauge(&mut out, "serve_jobs_running", state.running);
@@ -1445,20 +1570,6 @@ mod tests {
         let text = client.metrics_prometheus().expect("prometheus");
         assert!(text.contains("serve_worker_panics_total 1"), "{text}");
         drop(server);
-    }
-
-    #[test]
-    fn a_failed_handler_spawn_drops_one_connection_and_keeps_accepting() {
-        let cfg = ServerConfig { workers: 1, ..ServerConfig::default() };
-        let server = Server::start(cfg).expect("bind server");
-        let client = Client::new(server.addr()).timeout(Duration::from_secs(10));
-        server.shared.fail_next_spawn.store(true, Ordering::SeqCst);
-        client.healthz().expect_err("the connection without a handler is dropped");
-        assert!(!server.shared.fail_next_spawn.load(Ordering::SeqCst), "the spawn was attempted");
-        client.healthz().expect("the next connection is served");
-        client.shutdown().expect("POST /shutdown is answered");
-        let summary = server.wait();
-        assert_eq!((summary.completed, summary.failed), (0, 0));
     }
 
     #[test]

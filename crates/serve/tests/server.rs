@@ -452,6 +452,51 @@ fn the_report_cache_is_size_bounded() {
 }
 
 #[test]
+fn a_restart_over_a_report_directory_above_its_bound_evicts_oldest_first() {
+    let report_dir = scratch_dir("over-bound-reports");
+    let cfg = |report_cache_max_bytes| ServerConfig {
+        workers: 1,
+        report_cache: Some(report_dir.clone()),
+        report_cache_max_bytes,
+        ..ServerConfig::default()
+    };
+    // Four jobs of one cell at nudged scales: report lines of nearly one
+    // length.
+    let spec = |i: u32| JobSpec { scale: 0.002 + f64::from(i) * 1e-6, ..quick_spec("make", "BSD") };
+    let (server, client) = start(cfg(1 << 20));
+    let mut files = Vec::new();
+    for i in 0..3 {
+        let job = client.submit(&spec(i)).unwrap();
+        client.wait_done(&job.id, WAIT).unwrap();
+        files.push(report_dir.join(format!("{}.json", job.id)));
+    }
+    drop(server);
+    // Age the files deterministically: the first job's oldest.
+    let mut sizes = Vec::new();
+    for (i, path) in files.iter().enumerate() {
+        let age = Duration::from_secs(3000 - 1000 * i as u64);
+        let file = std::fs::File::options().write(true).open(path).unwrap();
+        file.set_modified(std::time::SystemTime::now() - age).unwrap();
+        sizes.push(file.metadata().unwrap().len());
+    }
+
+    // A daemon whose bound the directory already passes: its first
+    // write evicts the two oldest files, and keeps the third and its own.
+    let bound = sizes[1] + sizes[2] + sizes[0] / 2;
+    assert!(sizes.iter().sum::<u64>() > bound);
+    let (server, client) = start(cfg(bound));
+    let job = client.submit(&spec(3)).unwrap();
+    client.wait_done(&job.id, WAIT).unwrap();
+    let kept = [files[2].clone(), report_dir.join(format!("{}.json", job.id))];
+    for (i, path) in files.iter().enumerate() {
+        assert_eq!(path.exists(), kept.contains(path), "file {i} of {files:?}");
+    }
+    assert!(kept[1].exists(), "the file just written is kept");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&report_dir);
+}
+
+#[test]
 fn stream_cached_jobs_replay_after_eviction() {
     // With a stream cache, recomputing an evicted job replays the
     // captured stream; the served bytes still match the original.
@@ -616,6 +661,66 @@ fn served_sweeps_match_the_offline_executor_byte_for_byte() {
 
     let metrics = client.metrics().unwrap();
     assert_eq!(metrics.sweeps_submitted, 1);
+    drop(server);
+}
+
+/// A one-point sweep of the `quick_spec` cell under QuickFit.
+fn one_point_sweep(fast_max: u32) -> explore::SweepSpec {
+    explore::SweepSpec {
+        grids: vec![explore::GridSpec {
+            fast_max: vec![fast_max],
+            ..explore::GridSpec::baseline("QuickFit")
+        }],
+        ..quick_sweep()
+    }
+}
+
+#[test]
+fn the_sweep_table_is_bounded_by_the_result_cache() {
+    let cfg = ServerConfig { workers: 1, result_cache_entries: 2, ..ServerConfig::default() };
+    let (server, client) = start(cfg);
+    let specs = [one_point_sweep(16), one_point_sweep(48), one_point_sweep(64)];
+    let mut ids = Vec::new();
+    for spec in &specs {
+        let submitted = client.submit_sweep(spec).unwrap();
+        client.wait_sweep_done(&submitted.id, WAIT).unwrap();
+        client.fetch_sweep_report(&submitted.id).unwrap();
+        ids.push(submitted.id);
+    }
+    // Registering the third dropped the least recently used, the first.
+    for path in [format!("/sweeps/{}", ids[0]), format!("/sweeps/{}/report", ids[0])] {
+        let response = client.request("GET", &path, None).unwrap();
+        assert_eq!(response.status, 404, "{path}: {}", response.body);
+        let err: serve::ErrorResponse = response.json().unwrap();
+        assert_eq!(err.error, "not_found");
+    }
+    for id in &ids[1..] {
+        assert_eq!(client.sweep_status(id).unwrap().status, "done");
+    }
+    // Resubmitting registers it again, and it completes.
+    let again = client.submit_sweep(&specs[0]).unwrap();
+    assert_eq!(again.id, ids[0]);
+    assert!(!again.cached, "a dropped sweep is registered anew");
+    client.wait_sweep_done(&again.id, WAIT).unwrap();
+    let report = client.fetch_sweep_report(&again.id).unwrap();
+    explore::SweepReport::parse(&report).unwrap().validate().expect("resubmitted sweep validates");
+    assert_eq!(client.metrics().unwrap().sweeps_submitted, 4);
+    drop(server);
+}
+
+#[test]
+fn a_sweep_with_a_queued_point_is_never_dropped() {
+    // No workers: every point stays queued, so no sweep may go, however
+    // far registrations pass the bound.
+    let cfg = ServerConfig { workers: 0, result_cache_entries: 1, ..ServerConfig::default() };
+    let (server, client) = start(cfg);
+    let ids: Vec<String> = [16, 48, 64]
+        .map(|fast_max| client.submit_sweep(&one_point_sweep(fast_max)).unwrap().id)
+        .into();
+    for id in &ids {
+        let status = client.sweep_status(id).unwrap();
+        assert_eq!((status.status.as_str(), status.queued), ("running", 1), "{id}");
+    }
     drop(server);
 }
 

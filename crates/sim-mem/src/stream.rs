@@ -38,8 +38,11 @@
 //! count  varint  count - 1, present iff repeated
 //! ```
 //!
-//! Word-sized reads of application data at small forward deltas — the
-//! overwhelming majority of real streams — cost two bytes.
+//! A word-sized reference at a one-byte delta costs two bytes, but such
+//! records are the minority: over the paper's 25 cells at scale 0.005
+//! (9,284,511 records) they are 12.2%. The most common record, 43.0%,
+//! is a sized reference (size ≠ 4) at a one-byte delta, three bytes;
+//! records average 3.54 bytes.
 //!
 //! Adjacent records carrying the identical reference are merged at
 //! encode time (run boundaries are not semantic: [`crate::AccessSink`]
@@ -52,7 +55,7 @@
 //! pieces of any size, it holds only the encoded records, and its bytes
 //! do not depend on where the stream was split. [`encode_stream`] is one
 //! push of a whole stream. [`StreamCache`] stores files through
-//! [`write_atomic`] and bounds its directory with [`evict_oldest`].
+//! [`write_atomic`], or [`write_bounded`] under a size bound.
 //!
 //! # Reading
 //!
@@ -80,8 +83,10 @@
 //! or the sidecar contract change; old files then read as
 //! [`StreamError::BadVersion`] and are regenerated.
 
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 use crate::varint;
 use crate::{AccessClass, AccessKind, Address, MemRef, RefRun, BATCH_CAPACITY};
@@ -329,9 +334,9 @@ impl StreamEncoder {
         head.push(STREAM_FORMAT_VERSION);
         head.extend_from_slice(&[0u8; 3]);
         head.extend_from_slice(&content_key.to_le_bytes());
-        varint::write_u64(&mut head, self.record_count).expect("vec write");
-        varint::write_u64(&mut head, self.ref_count).expect("vec write");
-        varint::write_u64(&mut head, sidecar.len() as u64).expect("vec write");
+        varint::write_u64(&mut head, self.record_count);
+        varint::write_u64(&mut head, self.ref_count);
+        varint::write_u64(&mut head, sidecar.len() as u64);
         head.extend_from_slice(sidecar);
         // The records become the file in place: the head is spliced in
         // front of them, so the body is never copied into a second buffer.
@@ -365,13 +370,13 @@ impl StreamEncoder {
             }
             out.push(flags);
             let delta = r.addr.raw().wrapping_sub(self.prev_addr) as i64;
-            varint::write_i64(out, delta).expect("vec write");
+            varint::write_i64(out, delta);
             self.prev_addr = r.addr.raw();
             if flags & FLAG_SIZED != 0 {
-                varint::write_u64(out, u64::from(r.size)).expect("vec write");
+                varint::write_u64(out, u64::from(r.size));
             }
             if flags & FLAG_REPEATED != 0 {
-                varint::write_u64(out, u64::from(chunk - 1)).expect("vec write");
+                varint::write_u64(out, u64::from(chunk - 1));
             }
         }
     }
@@ -487,8 +492,9 @@ impl<'a> StreamView<'a> {
                 AccessClass::AppData
             };
             // Fast path: a single word-sized reference whose address delta
-            // fits one varint byte — the overwhelmingly common record — is
-            // exactly two bytes, decoded without the general varint loop.
+            // fits one varint byte is exactly two bytes, decoded without
+            // the general varint loop (12.2% of the paper cells' records;
+            // see the module docs for the mix).
             if flags & (FLAG_SIZED | FLAG_REPEATED) == 0 {
                 if let Some(&b) = body.get(pos) {
                     if b < 0x80 {
@@ -607,12 +613,12 @@ impl StreamCache {
         StreamCache { dir: dir.into(), max_bytes: None }
     }
 
-    /// Bounds the total size of the cache's stream files. After each
-    /// store, the oldest-written entries are evicted (best-effort) until
-    /// the directory's `.alsc` files fit in `max_bytes` ([`evict_oldest`],
-    /// which the serve daemon's report cache uses too). The
-    /// just-written entry is never evicted, so a single oversized stream
-    /// still caches; `None` restores unbounded growth.
+    /// Bounds the total size of the cache's stream files. Stores go
+    /// through [`write_bounded`] (which the serve daemon's report cache
+    /// uses too): once the directory's `.alsc` files pass `max_bytes`,
+    /// the oldest-written entries are evicted (best-effort) until they
+    /// fit. The just-written entry is never evicted, so a single
+    /// oversized stream still caches; `None` restores unbounded growth.
     pub fn with_max_bytes(mut self, max_bytes: Option<u64>) -> Self {
         self.max_bytes = max_bytes;
         self
@@ -686,19 +692,21 @@ impl StreamCache {
     }
 
     /// Atomically stores an encoded stream file under `key` (see
-    /// [`write_atomic`]), then, under a size bound, evicts the
-    /// oldest-written entries but this one (see [`evict_oldest`]).
+    /// [`write_atomic`]); under a size bound, through [`write_bounded`],
+    /// which evicts the oldest-written entries but this one once the
+    /// directory passes the bound.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error; callers treat a failed store as
     /// a missed optimization, not a failed run.
     pub fn write(&self, key: u64, bytes: &[u8]) -> std::io::Result<()> {
-        let path = write_atomic(&self.dir, &format!("{key:016x}.{STREAM_EXTENSION}"), bytes)?;
-        if let Some(max_bytes) = self.max_bytes {
-            evict_oldest(&self.dir, STREAM_EXTENSION, &path, max_bytes);
+        let name = format!("{key:016x}.{STREAM_EXTENSION}");
+        match self.max_bytes {
+            Some(max_bytes) => write_bounded(&self.dir, &name, bytes, max_bytes),
+            None => write_atomic(&self.dir, &name, bytes),
         }
-        Ok(())
+        .map(drop)
     }
 }
 
@@ -735,12 +743,70 @@ pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<Pat
     }
 }
 
+/// Running byte totals of the directories this process writes under a
+/// size bound, keyed by directory and file extension (see
+/// [`write_bounded`]).
+static BOUNDED_TOTALS: Mutex<BTreeMap<(PathBuf, String), u64>> = Mutex::new(BTreeMap::new());
+
+/// [`write_atomic`], then keeps the directory's files of `name`'s
+/// extension within `max_bytes`: once they pass it, the oldest-modified
+/// are deleted until they fit, sparing the file just written (so a
+/// single oversized entry still stays). Returns the file's path.
+///
+/// The process keeps a running byte total per directory and extension,
+/// so a write that stays within the bound lists no directory. The first
+/// bounded write to a directory in this process sets the total with one
+/// scan (evicting if the directory is already over); each later write
+/// adds its length; a write that takes the total past the bound scans
+/// and evicts, and what is left sets the total afresh. A rename over an
+/// existing file counts twice, which only brings the next scan forward.
+/// Files written by other processes or by unbounded writers are seen at
+/// the next scan, and a directory named by two different paths keeps
+/// two totals. A cache that stays at its bound scans on every write.
+/// Eviction is best-effort throughout: races and I/O errors cost bytes,
+/// never correctness.
+///
+/// # Errors
+///
+/// Returns [`write_atomic`]'s error; nothing is evicted then.
+pub fn write_bounded(
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+    max_bytes: u64,
+) -> std::io::Result<PathBuf> {
+    let path = write_atomic(dir, name, bytes)?;
+    let extension = Path::new(name).extension().and_then(|e| e.to_str()).unwrap_or("");
+    let key = (dir.to_path_buf(), extension.to_string());
+    let mut totals = BOUNDED_TOTALS.lock().unwrap_or_else(PoisonError::into_inner);
+    let within = totals.get_mut(&key).is_some_and(|total| {
+        *total = total.saturating_add(bytes.len() as u64);
+        *total <= max_bytes
+    });
+    if !within {
+        match evict_oldest(dir, extension, &path, max_bytes) {
+            Some(left) => totals.insert(key, left),
+            // Unlisted: no total, so the next write scans again.
+            None => totals.remove(&key),
+        };
+    }
+    Ok(path)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Directory scans [`evict_oldest`] started on this thread.
+    static SCANS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Deletes the oldest-modified files with extension `extension` in `dir`
-/// until they fit in `max_bytes`, sparing `keep` (the file just written,
-/// so a single oversized entry still stays). Best-effort throughout:
-/// eviction races and I/O errors cost bytes, never correctness.
-pub fn evict_oldest(dir: &Path, extension: &str, keep: &Path, max_bytes: u64) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
+/// until they fit in `max_bytes`, sparing `keep`, and returns the total
+/// size of those left; `None`, evicting nothing, when `dir` cannot be
+/// listed.
+fn evict_oldest(dir: &Path, extension: &str, keep: &Path, max_bytes: u64) -> Option<u64> {
+    #[cfg(test)]
+    SCANS.set(SCANS.get() + 1);
+    let entries = std::fs::read_dir(dir).ok()?;
     let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = entries
         .flatten()
         .filter(|e| e.path().extension().is_some_and(|ext| ext == extension))
@@ -762,6 +828,7 @@ pub fn evict_oldest(dir: &Path, extension: &str, keep: &Path, max_bytes: u64) {
             total = total.saturating_sub(size);
         }
     }
+    Some(total)
 }
 
 /// Expands a run-compressed stream into its raw reference sequence
@@ -1015,6 +1082,61 @@ mod tests {
             assert!(!tiny.path_for(key).exists(), "entry {key} should be evicted");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bounded_writes_scan_once_until_the_total_passes_the_bound() {
+        let dir = std::env::temp_dir().join(format!("alsc-total-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runs = sample_runs();
+        let entry_size = encode_stream(0, b"", &runs).len() as u64;
+        let cache = StreamCache::new(&dir).with_max_bytes(Some(4 * entry_size));
+        let scans = || SCANS.get();
+        let before = scans();
+
+        // Four entries fit: the first write scans to set the total, the
+        // other three only add to it.
+        for key in 20u64..24 {
+            cache.store(key, b"", &runs).expect("store");
+        }
+        assert_eq!(scans() - before, 1, "writes under the bound list the directory once");
+        // Age the entries deterministically: 20 oldest, 23 newest.
+        for key in 20u64..24 {
+            let age = std::time::Duration::from_secs(5000 - 1000 * (key - 20));
+            std::fs::File::options()
+                .write(true)
+                .open(cache.path_for(key))
+                .expect("open")
+                .set_modified(std::time::SystemTime::now() - age)
+                .expect("set mtime");
+        }
+
+        // A fifth passes the bound: one scan evicts the oldest.
+        cache.store(24, b"", &runs).expect("store");
+        assert_eq!(scans() - before, 2, "crossing the bound scans");
+        assert!(!cache.path_for(20).exists(), "oldest entry must be evicted");
+        for key in 21u64..25 {
+            assert!(cache.path_for(key).exists(), "entry {key} wrongly evicted");
+        }
+        // The scan reset the total to the four entries left, so a larger
+        // bound in the same process adds without scanning again.
+        let roomy = StreamCache::new(&dir).with_max_bytes(Some(6 * entry_size));
+        roomy.store(25, b"", &runs).expect("store");
+        assert_eq!(scans() - before, 2, "the running total survives across caches");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_directory_that_cannot_be_listed_evicts_nothing_and_never_panics() {
+        let file = std::env::temp_dir().join(format!("alsc-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"a regular file").expect("write");
+        // A path under a regular file can be neither created nor listed,
+        // even by root.
+        let dir = file.join("cache");
+        assert_eq!(evict_oldest(&dir, STREAM_EXTENSION, &dir.join("x.alsc"), 0), None);
+        assert!(write_bounded(&dir, "x.alsc", b"bytes", 0).is_err());
+        assert!(StreamCache::new(&dir).with_max_bytes(Some(0)).store(1, b"", &[]).is_err());
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

@@ -1,25 +1,17 @@
 //! LEB128 variable-length integers and zig-zag signed encoding, as the
-//! ALSC stream format ([`crate::stream`]) stores them. Writers append to
-//! any `io::Write`; the decoders ([`take_u64`], [`take_i64`]) are
-//! slice-based, for hot decode loops that already hold the whole file in
-//! memory and cannot afford a `Read` round-trip per byte.
+//! ALSC stream format ([`crate::stream`]) stores them. Writers push
+//! straight onto a byte vector, the encoder's buffer; the decoders
+//! ([`take_u64`], [`take_i64`]) are slice-based, for hot decode loops
+//! that already hold the whole file in memory and cannot afford a
+//! `Read` round-trip per byte.
 
-use std::io::{self, Write};
-
-/// Writes an unsigned LEB128 integer.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_u64<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7f) as u8;
+/// Appends an unsigned LEB128 integer to `out`.
+pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v & 0x7f) as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
     }
+    out.push(v as u8);
 }
 
 /// Decodes an unsigned LEB128 integer from `buf` starting at `*pos`,
@@ -57,13 +49,9 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Writes a zig-zag LEB128 signed integer.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_i64<W: Write>(w: &mut W, v: i64) -> io::Result<()> {
-    write_u64(w, zigzag(v))
+/// Appends a zig-zag LEB128 signed integer to `out`.
+pub fn write_i64(out: &mut Vec<u8>, v: i64) {
+    write_u64(out, zigzag(v));
 }
 
 #[cfg(test)]
@@ -74,7 +62,7 @@ mod tests {
     fn unsigned_round_trips() {
         for v in [0u64, 1, 127, 128, 300, 1 << 20, u64::MAX] {
             let mut buf = Vec::new();
-            write_u64(&mut buf, v).unwrap();
+            write_u64(&mut buf, v);
             let mut pos = 0;
             assert_eq!(take_u64(&buf, &mut pos), Some(v), "value {v}");
             assert_eq!(pos, buf.len());
@@ -85,7 +73,7 @@ mod tests {
     fn signed_round_trips() {
         for v in [0i64, 1, -1, 63, -64, 1 << 40, -(1 << 40), i64::MAX, i64::MIN] {
             let mut buf = Vec::new();
-            write_i64(&mut buf, v).unwrap();
+            write_i64(&mut buf, v);
             let mut pos = 0;
             assert_eq!(take_i64(&buf, &mut pos), Some(v), "value {v}");
         }
@@ -103,7 +91,7 @@ mod tests {
     #[test]
     fn truncation_is_an_error() {
         let mut buf = Vec::new();
-        write_u64(&mut buf, 1 << 30).unwrap();
+        write_u64(&mut buf, 1 << 30);
         buf.pop();
         let mut pos = 0;
         assert_eq!(take_u64(&buf, &mut pos), None);
@@ -113,7 +101,7 @@ mod tests {
     fn small_values_take_one_byte() {
         for v in 0..128u64 {
             let mut buf = Vec::new();
-            write_u64(&mut buf, v).unwrap();
+            write_u64(&mut buf, v);
             assert_eq!(buf.len(), 1);
         }
     }

@@ -398,7 +398,7 @@ mod alsc {
 
     pub fn varint(v: u64) -> Vec<u8> {
         let mut out = Vec::new();
-        write_u64(&mut out, v).expect("vec write");
+        write_u64(&mut out, v);
         out
     }
 
