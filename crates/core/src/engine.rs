@@ -176,7 +176,7 @@ impl AllocChoice {
             AllocChoice::Paper(k) => k.build(ctx)?,
             AllocChoice::Custom => {
                 let profile = match source {
-                    WorkloadSource::Spec(spec) => sample_profile(spec, PROFILE_SAMPLES),
+                    WorkloadSource::Spec { spec, .. } => sample_profile(spec, PROFILE_SAMPLES),
                     WorkloadSource::Events(events) => {
                         profile_from_events(events.iter().copied(), PROFILE_SAMPLES)
                     }
@@ -742,8 +742,16 @@ struct RunOutcome {
 /// fixed stream (e.g. imported with [`workloads::import::parse_trace`]).
 #[derive(Debug, Clone)]
 pub enum WorkloadSource {
-    /// Generate events from a workload model, honouring the run's scale.
-    Spec(WorkloadSpec),
+    /// Events of a workload model at the run's scale: generated as the
+    /// run goes, or generated beforehand and held in `events`
+    /// ([`Experiment::shared_events`]). Either way the model is the
+    /// run's identity: its stream-cache key and Custom's size profile.
+    Spec {
+        /// The workload model.
+        spec: WorkloadSpec,
+        /// `spec`'s events at the run's scale, generated beforehand.
+        events: Option<std::sync::Arc<Vec<AppEvent>>>,
+    },
     /// Replay this exact stream (the scale option is ignored).
     Events(std::sync::Arc<Vec<AppEvent>>),
 }
@@ -772,34 +780,24 @@ pub struct Experiment {
     program_label: String,
     choice: AllocChoice,
     opts: SimOptions,
-    /// Stream-cache provenance for a fixed event stream: the workload
-    /// spec the events were generated from, when the caller knows it
-    /// (see [`Experiment::stream_source`]). `None` for spec-sourced runs
-    /// (the source itself is the provenance) and for imported traces.
-    provenance: Option<WorkloadSpec>,
 }
 
 impl Experiment {
     /// An experiment on one of the paper's programs.
     pub fn new(program: Program, choice: AllocChoice) -> Self {
         Experiment {
-            source: WorkloadSource::Spec(program.spec()),
             program_label: program.label().to_string(),
-            choice,
-            opts: SimOptions::default(),
-            provenance: None,
+            ..Experiment::with_spec(program.spec(), choice)
         }
     }
 
     /// An experiment on a custom workload specification.
     pub fn with_spec(spec: WorkloadSpec, choice: AllocChoice) -> Self {
-        let label = spec.name.clone();
         Experiment {
-            source: WorkloadSource::Spec(spec),
-            program_label: label,
+            program_label: spec.name.clone(),
+            source: WorkloadSource::Spec { spec, events: None },
             choice,
             opts: SimOptions::default(),
-            provenance: None,
         }
     }
 
@@ -821,46 +819,23 @@ impl Experiment {
             program_label: label.into(),
             choice,
             opts: SimOptions::default(),
-            provenance: None,
         }
     }
 
-    /// An experiment replaying a shared, already-captured event stream
-    /// without copying it — the design-space sweep path: the workload's
-    /// event sequence is generated once and every sweep point drives the
-    /// same `Arc` through its own allocator. The scale option is ignored
-    /// for event generation (the stream is fixed) but still recorded in
-    /// the result; set it via [`Experiment::scale`] to the scale the
-    /// events were generated at so the run is bit-identical to the same
-    /// experiment built from the program spec directly. The stream must
-    /// follow the id contract of [`Experiment::with_events`]; generated
-    /// streams do.
-    pub fn with_shared_events(
-        label: impl Into<String>,
-        events: std::sync::Arc<Vec<AppEvent>>,
-        choice: AllocChoice,
-    ) -> Self {
-        Experiment {
-            source: WorkloadSource::Events(events),
-            program_label: label.into(),
-            choice,
-            opts: SimOptions::default(),
-            provenance: None,
+    /// Drives the run off `events`, already generated, instead of
+    /// generating them: a sweep generates each workload cell's events
+    /// once and shares them among its points. `events` must be the
+    /// workload model's events at the run's scale (the sweep executor's
+    /// invariant); the run's identity stays the model's, so its report
+    /// is byte-identical to the generating run's, and it keys, populates
+    /// and replays the stream cache as that run does. A warm replay
+    /// never reads `events`. On a fixed event stream
+    /// ([`Experiment::with_events`]) this does nothing: that run already
+    /// has its events.
+    pub fn shared_events(mut self, events: std::sync::Arc<Vec<AppEvent>>) -> Self {
+        if let WorkloadSource::Spec { events: shared, .. } = &mut self.source {
+            *shared = Some(events);
         }
-    }
-
-    /// Declares the workload spec a fixed event stream was generated
-    /// from, giving the run the *same* stream-cache identity as a
-    /// spec-built run of that workload. Only meaningful together with
-    /// [`Experiment::stream_cache`] on an
-    /// [`Experiment::with_shared_events`] run whose events really are
-    /// `spec.events(scale)` — the shared-trace executors' invariant —
-    /// in which case a populating run stores a stream that later
-    /// spec-built (or provenance-declared) runs replay, and a warm run
-    /// replays without touching the shared events at all. Ignored for
-    /// spec-sourced runs.
-    pub fn stream_source(mut self, spec: WorkloadSpec) -> Self {
-        self.provenance = Some(spec);
         self
     }
 
@@ -984,8 +959,10 @@ impl Experiment {
         // through a small hot window, as real call stacks do.
         let mut stack = StackWalker::new();
         let events: Box<dyn Iterator<Item = AppEvent>> = match &self.source {
-            WorkloadSource::Spec(spec) => Box::new(spec.events(self.opts.scale)),
-            WorkloadSource::Events(events) => Box::new(events.iter().copied()),
+            WorkloadSource::Spec { spec, events: None } => Box::new(spec.events(self.opts.scale)),
+            WorkloadSource::Spec { events: Some(events), .. } | WorkloadSource::Events(events) => {
+                Box::new(events.iter().copied())
+            }
         };
         ctx.obs_span_enter("engine.events");
         for (n, event) in events.enumerate() {
@@ -1226,18 +1203,14 @@ impl Experiment {
     /// scale, heap limit, fragmentation sampling — plus the format
     /// version, so a format bump cold-starts the cache. `None` when no
     /// cache directory is configured or the workload is a fixed event
-    /// stream of unknown provenance (an imported trace: nothing to skip
-    /// regenerating is known about it, so it is never cached). A fixed
-    /// stream *with* declared provenance ([`Experiment::stream_source`])
-    /// keys exactly as the spec-built run would, so shared-trace sweep
+    /// stream (an imported trace: nothing to skip regenerating is known
+    /// about it, so it is never cached). Shared events
+    /// ([`Experiment::shared_events`]) leave the key alone, so sweep
     /// points populate — and replay — the same cache entries as direct
     /// runs.
     fn stream_key(&self) -> Option<u64> {
         self.opts.stream_cache.as_ref()?;
-        let spec = match &self.source {
-            WorkloadSource::Spec(spec) => spec,
-            WorkloadSource::Events(_) => self.provenance.as_ref()?,
-        };
+        let WorkloadSource::Spec { spec, .. } = &self.source else { return None };
         let spec_json = serde_json::to_string(spec).expect("workload spec serializes");
         let mut h = Fnv64::new();
         h.write_u64(u64::from(STREAM_FORMAT_VERSION));
@@ -1255,7 +1228,7 @@ impl Experiment {
 
     /// Predicts whether this run would find its stream in the cache:
     /// `None` when the stream cache does not apply to it at all (no
-    /// directory configured, or a fixed stream without provenance),
+    /// directory configured, or a fixed event stream),
     /// otherwise whether the keyed stream file exists right now. A
     /// metadata-only probe — nothing is read, decoded, or validated —
     /// so the answer is telemetry (sweep-level hit/miss counts), not a

@@ -56,7 +56,7 @@ pub fn check_scale(scale: f64) -> Result<(), SpecError> {
 /// [`DEFAULT_SCALE`], an empty `cache_kb` means the 16K–256K sweep,
 /// `block` 0 means 32-byte lines, `paging` omitted means on, and
 /// `alloc_config` omitted means the paper's allocator parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Program label as the paper prints it ("espresso", "GS", "ptc",
     /// "gawk", "make", "GS-Small", "GS-Medium").
@@ -66,18 +66,23 @@ pub struct JobSpec {
     /// "Buddy", "Custom", "Predictive").
     pub allocator: String,
     /// Workload scale in (0, 1]; 0/omitted selects [`DEFAULT_SCALE`].
+    #[serde(default)]
     pub scale: f64,
     /// Direct-mapped cache sizes to sweep, in KB; empty/omitted selects
     /// the paper's 16K–256K sweep.
+    #[serde(default)]
     pub cache_kb: Vec<u32>,
     /// Cache block size in bytes; 0/omitted selects the paper's 32.
+    #[serde(default)]
     pub block: u32,
     /// Whether to run the LRU stack-distance pager; omitted means true.
+    #[serde(default)]
     pub paging: Option<bool>,
     /// Allocator tuning knobs; omitted means the paper's parameters for
-    /// the chosen allocator. Serialized only when present, so every
-    /// spec that predates the field keeps its exact canonical line and
-    /// therefore its [`JobSpec::job_id`].
+    /// the chosen allocator. Serialized only when present: a permanent
+    /// `"alloc_config":null` would change the canonical line, and so
+    /// the [`JobSpec::job_id`], of every spec that predates the field.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub alloc_config: Option<AllocConfig>,
 }
 
@@ -95,19 +100,28 @@ pub struct JobSpec {
 /// | `fast_max` | QuickFit |
 /// | `min_shift` | BSD |
 /// | `short_age` | Predictive |
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///
+/// Only set knobs are serialized, so a config names exactly the knobs
+/// it changes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AllocConfig {
     /// Minimum remainder payload for a split (FirstFit, GNU G++).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub split_threshold: Option<u32>,
     /// Whether `free` coalesces adjacent blocks (FirstFit, GNU G++).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub coalesce: Option<bool>,
     /// Whether the search pointer roves (FirstFit).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub roving: Option<bool>,
     /// Largest payload served from the exact-size fast lists (QuickFit).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fast_max: Option<u32>,
     /// log2 of the smallest rounding class (BSD).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub min_shift: Option<u32>,
     /// Working-set clock: frees younger than this are "short" (Predictive).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub short_age: Option<u32>,
 }
 
@@ -249,105 +263,6 @@ impl AllocConfig {
     }
 }
 
-// `JobSpec` and `AllocConfig` serialize by hand rather than by derive:
-// the derive emits every field, and a permanent `"alloc_config":null`
-// in the canonical line would silently renumber every pre-existing job
-// id (cold-starting persisted report caches). Omitting the field when
-// `None` keeps old specs byte-stable.
-impl Serialize for JobSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("program".to_string(), self.program.to_value()),
-            ("allocator".to_string(), self.allocator.to_value()),
-            ("scale".to_string(), self.scale.to_value()),
-            ("cache_kb".to_string(), self.cache_kb.to_value()),
-            ("block".to_string(), self.block.to_value()),
-            ("paging".to_string(), self.paging.to_value()),
-        ];
-        if let Some(cfg) = &self.alloc_config {
-            fields.push(("alloc_config".to_string(), cfg.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for JobSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let fields =
-            v.as_object().ok_or_else(|| serde::Error::custom("JobSpec: expected an object"))?;
-        fn required<T: Deserialize>(
-            fields: &[(String, serde::Value)],
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            match serde::__find_field(fields, name) {
-                Some(v) => T::from_value(v),
-                None => Err(serde::Error::custom(format!("JobSpec: missing field `{name}`"))),
-            }
-        }
-        fn defaulted<T: Deserialize + Default>(
-            fields: &[(String, serde::Value)],
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            match serde::__find_field(fields, name) {
-                Some(v) => T::from_value(v),
-                None => Ok(T::default()),
-            }
-        }
-        Ok(JobSpec {
-            program: required(fields, "program")?,
-            allocator: required(fields, "allocator")?,
-            scale: defaulted(fields, "scale")?,
-            cache_kb: defaulted(fields, "cache_kb")?,
-            block: defaulted(fields, "block")?,
-            paging: defaulted(fields, "paging")?,
-            alloc_config: defaulted(fields, "alloc_config")?,
-        })
-    }
-}
-
-impl Serialize for AllocConfig {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = Vec::new();
-        let mut push = |name: &str, v: Option<serde::Value>| {
-            if let Some(v) = v {
-                fields.push((name.to_string(), v));
-            }
-        };
-        push("split_threshold", self.split_threshold.map(|v| v.to_value()));
-        push("coalesce", self.coalesce.map(|v| v.to_value()));
-        push("roving", self.roving.map(|v| v.to_value()));
-        push("fast_max", self.fast_max.map(|v| v.to_value()));
-        push("min_shift", self.min_shift.map(|v| v.to_value()));
-        push("short_age", self.short_age.map(|v| v.to_value()));
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for AllocConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("alloc_config: expected an object"))?;
-        fn knob<T: Deserialize>(
-            fields: &[(String, serde::Value)],
-            name: &str,
-        ) -> Result<Option<T>, serde::Error> {
-            match serde::__find_field(fields, name) {
-                Some(v) => Option::<T>::from_value(v),
-                None => Ok(None),
-            }
-        }
-        Ok(AllocConfig {
-            split_threshold: knob(fields, "split_threshold")?,
-            coalesce: knob(fields, "coalesce")?,
-            roving: knob(fields, "roving")?,
-            fast_max: knob(fields, "fast_max")?,
-            min_shift: knob(fields, "min_shift")?,
-            short_age: knob(fields, "short_age")?,
-        })
-    }
-}
-
 /// Why a [`JobSpec`] was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError(String);
@@ -450,47 +365,51 @@ impl JobSpec {
     ///
     /// Returns a [`SpecError`] naming the first rejected field.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let n = self.normalized();
-        if program_by_label(&n.program).is_none() {
+        self.normalized().validate_normalized()
+    }
+
+    /// [`JobSpec::validate`]'s checks on a spec already normalized.
+    fn validate_normalized(&self) -> Result<(), SpecError> {
+        if program_by_label(&self.program).is_none() {
             return Err(SpecError::new(format!(
                 "unknown program {:?}; expected one of {}",
-                n.program,
+                self.program,
                 SERVABLE_PROGRAMS.map(Program::label).join(", ")
             )));
         }
-        if allocator_by_label(&n.allocator).is_none() {
+        if allocator_by_label(&self.allocator).is_none() {
             return Err(SpecError::new(format!(
                 "unknown allocator {:?}; expected one of {}",
-                n.allocator,
+                self.allocator,
                 SERVABLE_ALLOCATORS.join(", ")
             )));
         }
-        if let Some(cfg) = &n.alloc_config {
-            cfg.validate_for(&n.allocator)?;
+        if let Some(cfg) = &self.alloc_config {
+            cfg.validate_for(&self.allocator)?;
         }
-        check_scale(n.scale)?;
-        if n.cache_kb.len() > MAX_CACHE_CONFIGS {
+        check_scale(self.scale)?;
+        if self.cache_kb.len() > MAX_CACHE_CONFIGS {
             return Err(SpecError::new(format!(
                 "{} cache configurations exceed the limit of {MAX_CACHE_CONFIGS}",
-                n.cache_kb.len()
+                self.cache_kb.len()
             )));
         }
-        if !n.block.is_power_of_two() || !(8..=256).contains(&n.block) {
+        if !self.block.is_power_of_two() || !(8..=256).contains(&self.block) {
             return Err(SpecError::new(format!(
                 "block size {} is not a power of two in 8..=256",
-                n.block
+                self.block
             )));
         }
-        for &kb in &n.cache_kb {
+        for &kb in &self.cache_kb {
             if kb == 0 || kb > MAX_CACHE_KB || !kb.is_power_of_two() {
                 return Err(SpecError::new(format!(
                     "cache size {kb}K is not a power of two in 1..={MAX_CACHE_KB}"
                 )));
             }
-            if kb * 1024 < n.block {
+            if kb * 1024 < self.block {
                 return Err(SpecError::new(format!(
                     "cache size {kb}K is smaller than one {}-byte block",
-                    n.block
+                    self.block
                 )));
             }
         }
@@ -515,31 +434,23 @@ impl JobSpec {
         format!("{:016x}", fnv1a(self.canonical_line().as_bytes()))
     }
 
-    /// The allocator (tuned when `alloc_config` is set) this spec selects.
+    /// Builds the experiment this spec describes: the allocator (tuned
+    /// when `alloc_config` is set), workload and cache geometry of the
+    /// normalized spec. Every run of a spec, served, swept or direct,
+    /// is built here.
     ///
     /// # Errors
     ///
     /// Returns the same [`SpecError`] as [`JobSpec::validate`].
-    pub fn to_choice(&self) -> Result<AllocChoice, SpecError> {
-        self.validate()?;
+    pub fn to_experiment(&self) -> Result<Experiment, SpecError> {
         let n = self.normalized();
-        Ok(match &n.alloc_config {
-            Some(cfg) => cfg.to_choice(&n.allocator).expect("validated"),
-            None => allocator_by_label(&n.allocator).expect("validated"),
-        })
-    }
-
-    /// The simulation options this spec selects. Shared by
-    /// [`JobSpec::to_experiment`] and the sweep executor's shared-trace
-    /// path, so both construct structurally identical runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`SpecError`] as [`JobSpec::validate`].
-    pub fn to_options(&self) -> Result<SimOptions, SpecError> {
-        self.validate()?;
-        let n = self.normalized();
-        Ok(SimOptions {
+        n.validate_normalized()?;
+        let choice = match &n.alloc_config {
+            Some(cfg) => cfg.to_choice(&n.allocator),
+            None => allocator_by_label(&n.allocator),
+        };
+        let program = program_by_label(&n.program).expect("validated");
+        let opts = SimOptions {
             cache_configs: n
                 .cache_kb
                 .iter()
@@ -548,19 +459,8 @@ impl JobSpec {
             paging: n.paging.unwrap_or(true),
             scale: Scale(n.scale),
             ..SimOptions::default()
-        })
-    }
-
-    /// Builds the experiment this spec describes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`SpecError`] as [`JobSpec::validate`].
-    pub fn to_experiment(&self) -> Result<Experiment, SpecError> {
-        let choice = self.to_choice()?;
-        let opts = self.to_options()?;
-        let program = program_by_label(&self.normalized().program).expect("validated");
-        Ok(Experiment::new(program, choice).options(opts))
+        };
+        Ok(Experiment::new(program, choice.expect("validated")).options(opts))
     }
 }
 

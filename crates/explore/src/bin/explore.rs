@@ -3,7 +3,7 @@
 //! ```text
 //! explore --spec SWEEP.json [--out REPORT.jsonl] [--threads N] [--quiet]
 //!         [--stream-cache DIR [--stream-cache-bytes N]]
-//!         [--bench [--bench-out BENCH_explore.json] [--gate F]]
+//!         [--bench [--gate F]]
 //!         [--warm [--warm-out REPORT.jsonl] [--warm-gate F]]
 //!         [--adaptive [--budget N] [--iterations N]
 //!                     [--check-front REPORT.jsonl] [--max-fraction F]]
@@ -33,8 +33,8 @@
 //! front against a previously-written exhaustive report's and
 //! `--max-fraction` gates the evaluated-points fraction.
 //!
-//! All benchmark lanes merge their sections into one `--bench-out` JSON
-//! artifact, so CI can accumulate `BENCH_explore.json` across lanes.
+//! Each lane ends with one summary line on stderr, printed even under
+//! `--quiet`; the warm lane's names the resolved thread count.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -44,11 +44,10 @@ use explore::{
     run_adaptive, run_sweep_naive, run_sweep_with, AdaptiveOptions, ExecOptions, SweepReport,
     SweepSpec,
 };
-use serde::{Deserialize, Serialize};
 
 const USAGE: &str = "usage: explore --spec SWEEP.json [--out REPORT.jsonl] [--threads N] \
                      [--quiet] [--stream-cache DIR [--stream-cache-bytes N]] \
-                     [--bench [--bench-out FILE] [--gate F]] \
+                     [--bench [--gate F]] \
                      [--warm [--warm-out FILE] [--warm-gate F]] \
                      [--adaptive [--budget N] [--iterations N] [--check-front FILE] \
                      [--max-fraction F]]";
@@ -61,7 +60,6 @@ struct Args {
     stream_cache: Option<PathBuf>,
     stream_cache_bytes: Option<u64>,
     bench: bool,
-    bench_out: PathBuf,
     gate: Option<f64>,
     warm: bool,
     warm_out: Option<PathBuf>,
@@ -82,7 +80,6 @@ fn parse_args() -> Result<Args, String> {
         stream_cache: None,
         stream_cache_bytes: None,
         bench: false,
-        bench_out: PathBuf::from("BENCH_explore.json"),
         gate: None,
         warm: false,
         warm_out: None,
@@ -122,9 +119,6 @@ fn parse_args() -> Result<Args, String> {
                 args.stream_cache_bytes = Some(n);
             }
             "--bench" => args.bench = true,
-            "--bench-out" => {
-                args.bench_out = PathBuf::from(argv.next().ok_or("--bench-out needs a path")?);
-            }
             "--gate" => {
                 args.gate =
                     Some(positive_ratio(argv.next().ok_or("--gate needs a ratio")?, "gate")?)
@@ -177,121 +171,6 @@ fn parse_args() -> Result<Args, String> {
             .into());
     }
     Ok(args)
-}
-
-/// The benchmark artifact `--bench-out` names (`BENCH_explore.json` by
-/// default). Lanes merge into one file: the shared-vs-naive section
-/// from `--bench`, the cold-vs-warm section from `--warm`, the
-/// refinement section from `--adaptive`. Every field defaults so
-/// artifacts written by older lanes (or truncated ones) still merge.
-#[derive(Debug, Default, Serialize, Deserialize)]
-struct BenchReport {
-    #[serde(default)]
-    program: String,
-    #[serde(default)]
-    scale: f64,
-    /// Allocator families the sweep's grids cover.
-    #[serde(default)]
-    families: Vec<String>,
-    /// Expanded, deduplicated sweep points.
-    #[serde(default)]
-    points: u64,
-    /// Resolved worker count (`--threads 0` records the auto-detected
-    /// value, not the 0).
-    #[serde(default)]
-    threads: u64,
-    /// One event-generation pass per workload cell, shared by its points.
-    #[serde(default)]
-    shared_secs: f64,
-    /// Every point regenerating its own event stream.
-    #[serde(default)]
-    naive_secs: f64,
-    /// `naive_secs / shared_secs` — the event-trace-reuse saving.
-    #[serde(default)]
-    speedup: f64,
-    /// Finished points per second through the shared-trace executor.
-    #[serde(default)]
-    points_per_sec: f64,
-    /// Whether the two executors emitted byte-identical sweep reports.
-    #[serde(default)]
-    identical_results: bool,
-    /// The `--warm` lane: cold populate vs warm replay.
-    #[serde(default)]
-    warm: Option<WarmBench>,
-    /// The `--adaptive` lane: refinement vs exhaustive expansion.
-    #[serde(default)]
-    adaptive: Option<AdaptiveBench>,
-}
-
-/// Cold-populate vs warm-replay timings for the same sweep.
-#[derive(Debug, Default, Serialize, Deserialize)]
-struct WarmBench {
-    /// Cold run: generate, simulate, and store every point's stream.
-    #[serde(default)]
-    cold_secs: f64,
-    /// Warm rerun: replay every stream from the cache.
-    #[serde(default)]
-    warm_secs: f64,
-    /// `cold_secs / warm_secs` — the replay saving.
-    #[serde(default)]
-    speedup: f64,
-    #[serde(default)]
-    cold_hits: u64,
-    #[serde(default)]
-    cold_misses: u64,
-    #[serde(default)]
-    warm_hits: u64,
-    #[serde(default)]
-    warm_misses: u64,
-    /// Stream files in the cache directory after the warm run.
-    #[serde(default)]
-    cache_entries: u64,
-    /// Their total size in bytes.
-    #[serde(default)]
-    cache_bytes: u64,
-    /// Whether every warm point row was byte-identical to its cold
-    /// counterpart.
-    #[serde(default)]
-    identical_points: bool,
-}
-
-/// Adaptive refinement vs the exhaustive grid.
-#[derive(Debug, Default, Serialize, Deserialize)]
-struct AdaptiveBench {
-    /// Points the refinement evaluated.
-    #[serde(default)]
-    evaluated: u64,
-    /// Points the exhaustive grid expands to.
-    #[serde(default)]
-    exhaustive: u64,
-    /// `evaluated / exhaustive`.
-    #[serde(default)]
-    fraction: f64,
-    #[serde(default)]
-    iterations: u64,
-    #[serde(default)]
-    budget: u64,
-    #[serde(default)]
-    secs: f64,
-    /// Size of the refined Pareto front.
-    #[serde(default)]
-    front_points: u64,
-    /// Whether the refined front equals the exhaustive report's
-    /// (`--check-front`); absent when no reference was given.
-    #[serde(default)]
-    front_matches: Option<bool>,
-}
-
-/// Reads the existing artifact (if any) so lanes merge instead of
-/// clobbering each other, applies `update`, and writes it back.
-fn merge_bench(path: &PathBuf, update: impl FnOnce(&mut BenchReport)) -> Result<(), String> {
-    let mut bench = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<BenchReport>(&text).ok())
-        .unwrap_or_default();
-    update(&mut bench);
-    let json = serde_json::to_string_pretty(&bench).expect("serialize bench report");
-    std::fs::write(path, json + "\n").map_err(|e| format!("write {}: {e}", path.display()))
 }
 
 fn progress_printer(
@@ -348,14 +227,6 @@ fn write_report(jsonl: &str, out: &Option<PathBuf>) -> Result<(), String> {
     }
 }
 
-/// Stamps the sweep's identity fields into the merged bench artifact.
-fn stamp(bench: &mut BenchReport, report: &SweepReport, threads: usize) {
-    bench.program = report.header.program.clone();
-    bench.scale = report.header.scale;
-    bench.families = report.header.families.clone();
-    bench.threads = threads as u64;
-}
-
 fn run_adaptive_mode(args: &Args, spec: &SweepSpec, exec: &ExecOptions) -> Result<(), String> {
     let exhaustive = spec.points().len();
     let adaptive = AdaptiveOptions { budget: args.budget, iterations: args.iterations };
@@ -377,41 +248,18 @@ fn run_adaptive_mode(args: &Args, spec: &SweepSpec, exec: &ExecOptions) -> Resul
         h.adaptive_iterations,
         secs
     );
-    let front_matches = match &args.check_front {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("read {}: {e}", path.display()))?;
-            let exhaustive_report =
-                SweepReport::parse(&text).map_err(|e| format!("{}: parse: {e}", path.display()))?;
-            let matches = report.front.front == exhaustive_report.front.front;
-            if !matches {
-                eprintln!(
-                    "adaptive front {:?} != exhaustive front {:?}",
-                    report.front.front, exhaustive_report.front.front
-                );
-            }
-            Some(matches)
+    if let Some(path) = &args.check_front {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let exhaustive_report =
+            SweepReport::parse(&text).map_err(|e| format!("{}: parse: {e}", path.display()))?;
+        if report.front.front != exhaustive_report.front.front {
+            eprintln!(
+                "adaptive front {:?} != exhaustive front {:?}",
+                report.front.front, exhaustive_report.front.front
+            );
+            return Err("adaptive front diverged from the exhaustive front".into());
         }
-        None => None,
-    };
-    let meta = AdaptiveBench {
-        evaluated: h.adaptive_evaluated,
-        exhaustive: h.adaptive_exhaustive,
-        fraction,
-        iterations: h.adaptive_iterations,
-        budget: h.adaptive_budget,
-        secs,
-        front_points: report.front.front.len() as u64,
-        front_matches,
-    };
-    let threads = exec.resolved_threads();
-    merge_bench(&args.bench_out, |bench| {
-        stamp(bench, &report, threads);
-        bench.points = exhaustive as u64;
-        bench.adaptive = Some(meta);
-    })?;
-    if front_matches == Some(false) {
-        return Err("adaptive front diverged from the exhaustive front".into());
     }
     if let Some(max) = args.max_fraction {
         if fraction > max {
@@ -480,35 +328,18 @@ fn run() -> Result<(), String> {
             args.stream_cache.as_ref().expect("--warm implies --stream-cache"),
         )
         .stats();
-        let meta = WarmBench {
-            cold_secs: shared_secs,
-            warm_secs,
-            speedup: shared_secs / warm_secs,
-            cold_hits: report.header.stream_hits,
-            cold_misses: report.header.stream_misses,
-            warm_hits: warm.header.stream_hits,
-            warm_misses: warm.header.stream_misses,
-            cache_entries: stats.entries,
-            cache_bytes: stats.bytes,
-            identical_points: identical,
-        };
+        let speedup = shared_secs / warm_secs;
         eprintln!(
             "warm: cold {shared_secs:.2}s ({} hits/{} misses), warm {warm_secs:.2}s \
-             ({} hits/{} misses), speedup {:.2}x, cache {} entries/{} bytes",
-            meta.cold_hits,
-            meta.cold_misses,
-            meta.warm_hits,
-            meta.warm_misses,
-            meta.speedup,
-            meta.cache_entries,
-            meta.cache_bytes
+             ({} hits/{} misses), speedup {speedup:.2}x, cache {} entries/{} bytes, \
+             {threads} threads",
+            report.header.stream_hits,
+            report.header.stream_misses,
+            warm.header.stream_hits,
+            warm.header.stream_misses,
+            stats.entries,
+            stats.bytes
         );
-        let speedup = meta.speedup;
-        merge_bench(&args.bench_out, |bench| {
-            stamp(bench, &report, threads);
-            bench.points = total as u64;
-            bench.warm = Some(meta);
-        })?;
         if let Some(gate) = args.warm_gate {
             if speedup < gate {
                 return Err(format!("warm replay speedup {speedup:.2}x below the {gate:.2}x gate"));
@@ -524,25 +355,14 @@ fn run() -> Result<(), String> {
         let naive = run_sweep_naive(&spec, threads, progress_printer(total, args.quiet))
             .map_err(|e| e.to_string())?;
         let naive_secs = started.elapsed().as_secs_f64();
-        let identical = naive.to_jsonl() == jsonl;
-        if !identical {
+        if naive.to_jsonl() != jsonl {
             return Err("naive executor diverged from the shared-trace report".into());
         }
         let speedup = naive_secs / shared_secs;
-        merge_bench(&args.bench_out, |bench| {
-            stamp(bench, &report, threads);
-            bench.points = total as u64;
-            bench.shared_secs = shared_secs;
-            bench.naive_secs = naive_secs;
-            bench.speedup = speedup;
-            bench.points_per_sec = total as f64 / shared_secs;
-            bench.identical_results = identical;
-        })?;
         eprintln!(
             "bench: shared {shared_secs:.2}s, naive {naive_secs:.2}s, speedup {speedup:.2}x, \
-             {:.1} points/s -> {}",
-            total as f64 / shared_secs,
-            args.bench_out.display()
+             {:.1} points/s",
+            total as f64 / shared_secs
         );
         if let Some(gate) = args.gate {
             if speedup < gate {

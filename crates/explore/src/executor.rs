@@ -15,10 +15,10 @@
 //! skips generation *and* allocator simulation — the engine replays the
 //! recorded reference stream straight into the sinks and reports the
 //! sidecar's frozen metrics. Points that miss populate the cache from
-//! the shared trace (the engine keys them by their workload provenance,
-//! [`alloc_locality::Experiment::stream_source`]), so re-running a
-//! sweep — or any overlapping one — is near-free and cells whose every
-//! point is cached never synthesize a trace at all.
+//! the shared trace ([`alloc_locality::Experiment::shared_events`]
+//! leaves a point's stream key its spec's), so re-running a sweep — or
+//! any overlapping one — is near-free and cells whose every point is
+//! cached never synthesize a trace at all.
 //!
 //! Replayed streams are bit-identical to generated ones (the generator
 //! is deterministic and the engine's drive loop is source-agnostic), so
@@ -114,48 +114,35 @@ pub(crate) struct JobSet {
     pub(crate) stream_misses: u64,
 }
 
-/// Builds one experiment per point: a cache-replay run for every point
-/// whose stream is already stored, a shared-trace run (populating when a
-/// cache is configured) for the rest. Traces are synthesized lazily per
+/// Builds one experiment per point, as a direct run of its spec is
+/// built: a cache-replay run for every point whose stream is already
+/// stored, a run off its cell's shared trace (populating when a cache is
+/// configured) for the rest. Traces are synthesized lazily per
 /// (program, scale) cell, so a fully-cached cell generates nothing.
 pub(crate) fn build_jobs(points: &[JobSpec], opts: &ExecOptions) -> JobSet {
     let mut pool: HashMap<(String, u64), Arc<Vec<AppEvent>>> = HashMap::new();
     let mut set =
         JobSet { jobs: Vec::with_capacity(points.len()), stream_hits: 0, stream_misses: 0 };
-    let attach = |exp: Experiment| match &opts.stream_cache {
-        Some(dir) => exp.stream_cache(dir).stream_cache_bytes(opts.stream_cache_bytes),
-        None => exp,
-    };
     for point in points {
-        let program = program_by_label(&point.program).expect("validated");
-        if opts.stream_cache.is_some() {
-            let probe = attach(point.to_experiment().expect("validated"));
-            if probe.stream_cached() == Some(true) {
+        let mut exp = point.to_experiment().expect("validated");
+        if let Some(dir) = &opts.stream_cache {
+            exp = exp.stream_cache(dir).stream_cache_bytes(opts.stream_cache_bytes);
+            if exp.stream_cached() == Some(true) {
                 // Warm: the engine replays the stored stream; the shared
                 // trace is never consulted (nor generated, if every
                 // point of its cell is warm).
                 set.stream_hits += 1;
-                set.jobs.push(probe);
+                set.jobs.push(exp);
                 continue;
             }
             set.stream_misses += 1;
         }
-        let events = pool
-            .entry((point.program.clone(), point.scale.to_bits()))
-            .or_insert_with(|| Arc::new(program.spec().events(Scale(point.scale)).collect()));
-        let mut exp = Experiment::with_shared_events(
-            program.label(),
-            Arc::clone(events),
-            point.to_choice().expect("validated"),
-        )
-        .options(point.to_options().expect("validated"));
-        if opts.stream_cache.is_some() {
-            // Declaring the trace's provenance keys the populating run
-            // identically to a direct spec-built run, so whatever this
-            // sweep stores, later sweeps (and `repro`) replay.
-            exp = attach(exp.stream_source(program.spec()));
-        }
-        set.jobs.push(exp);
+        let events =
+            pool.entry((point.program.clone(), point.scale.to_bits())).or_insert_with(|| {
+                let program = program_by_label(&point.program).expect("validated");
+                Arc::new(program.spec().events(Scale(point.scale)).collect())
+            });
+        set.jobs.push(exp.shared_events(Arc::clone(events)));
     }
     set
 }

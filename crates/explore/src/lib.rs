@@ -90,8 +90,10 @@ mod tests {
         // trace emits exactly the bytes a direct spec-built run does —
         // after normalize_report zeroes both runs' span wall-times, the
         // one field that is execution telemetry rather than simulation
-        // output.
-        let spec = tiny_sweep();
+        // output. Custom takes its size profile from the spec on both
+        // paths.
+        let mut spec = tiny_sweep();
+        spec.grids.push(GridSpec::baseline("Custom"));
         let report = run_sweep(&spec, 2, |_, _| {}).expect("sweep runs");
         for row in &report.points {
             let mut direct =

@@ -135,89 +135,37 @@ impl GridSpec {
 /// A parameter sweep over allocator configurations: a workload cell —
 /// optionally crossed with program and scale axes — plus per-family
 /// knob grids.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Program label, as [`JobSpec::program`].
     pub program: String,
     /// Workload scale; 0/omitted means the engine default.
+    #[serde(default)]
     pub scale: f64,
     /// Program axis: when non-empty, the sweep crosses its grids over
     /// *these* programs and [`SweepSpec::program`] is ignored (it
     /// normalizes to the axis's first value). Empty means the single
-    /// scalar program.
+    /// scalar program. Serialized only when non-empty, as is `scales`:
+    /// permanent empty axes would change the canonical line, and so the
+    /// [`SweepSpec::sweep_id`], of every sweep that predates them.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub programs: Vec<String>,
     /// Scale axis: when non-empty, the sweep crosses its grids over
     /// these scales and [`SweepSpec::scale`] is ignored (it normalizes
     /// to the axis's first value). Empty means the single scalar scale.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub scales: Vec<f64>,
     /// Cache sizes in KB; empty/omitted means the paper's sweep.
+    #[serde(default)]
     pub cache_kb: Vec<u32>,
     /// Cache block size in bytes; 0/omitted means the paper's 32.
+    #[serde(default)]
     pub block: u32,
     /// Whether to simulate paging; omitted means on.
+    #[serde(default)]
     pub paging: Option<bool>,
     /// One grid per allocator family to explore.
     pub grids: Vec<GridSpec>,
-}
-
-// `SweepSpec` serializes by hand for the same reason `JobSpec` does:
-// the derive emits every field, and permanent `"programs":[]` /
-// `"scales":[]` entries in the canonical line would silently renumber
-// every pre-existing sweep id. Omitting the axes when empty keeps
-// axis-free sweeps byte-stable across this addition.
-impl Serialize for SweepSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("program".to_string(), self.program.to_value()),
-            ("scale".to_string(), self.scale.to_value()),
-        ];
-        if !self.programs.is_empty() {
-            fields.push(("programs".to_string(), self.programs.to_value()));
-        }
-        if !self.scales.is_empty() {
-            fields.push(("scales".to_string(), self.scales.to_value()));
-        }
-        fields.push(("cache_kb".to_string(), self.cache_kb.to_value()));
-        fields.push(("block".to_string(), self.block.to_value()));
-        fields.push(("paging".to_string(), self.paging.to_value()));
-        fields.push(("grids".to_string(), self.grids.to_value()));
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for SweepSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let fields =
-            v.as_object().ok_or_else(|| serde::Error::custom("SweepSpec: expected an object"))?;
-        fn required<T: Deserialize>(
-            fields: &[(String, serde::Value)],
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            match serde::__find_field(fields, name) {
-                Some(v) => T::from_value(v),
-                None => Err(serde::Error::custom(format!("SweepSpec: missing field `{name}`"))),
-            }
-        }
-        fn defaulted<T: Deserialize + Default>(
-            fields: &[(String, serde::Value)],
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            match serde::__find_field(fields, name) {
-                Some(v) => T::from_value(v),
-                None => Ok(T::default()),
-            }
-        }
-        Ok(SweepSpec {
-            program: required(fields, "program")?,
-            scale: defaulted(fields, "scale")?,
-            programs: defaulted(fields, "programs")?,
-            scales: defaulted(fields, "scales")?,
-            cache_kb: defaulted(fields, "cache_kb")?,
-            block: defaulted(fields, "block")?,
-            paging: defaulted(fields, "paging")?,
-            grids: required(fields, "grids")?,
-        })
-    }
 }
 
 impl SweepSpec {
@@ -363,15 +311,6 @@ impl SweepSpec {
                     grid.allocator
                 )));
             }
-            // Custom profiles itself on the workload *source*, which
-            // differs between spec-generated and replayed streams, so it
-            // cannot keep the sweep's bit-identity contract.
-            if grid.allocator == "Custom" {
-                return Err(SpecError::new(
-                    "allocator \"Custom\" cannot be swept: its size profile depends on \
-                     the workload source",
-                ));
-            }
             total = total.saturating_add(grid.point_count().saturating_mul(cells));
             if total > MAX_SWEEP_POINTS {
                 return Err(SpecError::new(format!(
@@ -509,11 +448,20 @@ mod tests {
         assert!(bad(|s| s.grids.clear()).contains("no grids"));
         assert!(bad(|s| s.program = "tetris".into()).contains("unknown program"));
         assert!(bad(|s| s.grids[0].allocator = "jemalloc".into()).contains("unknown allocator"));
-        assert!(bad(|s| s.grids[0].allocator = "Custom".into()).contains("Custom"));
+        assert!(bad(|s| s.grids[0].allocator = "Custom".into()).contains("does not apply"));
         assert!(bad(|s| s.grids[1].fast_max = vec![30]).contains("multiple of 4"));
         assert!(bad(|s| s.grids[0].fast_max = vec![32]).contains("does not apply"));
         assert!(bad(|s| s.grids[2].min_shift = (0..5000).map(|i| i % 10 + 3).collect())
             .contains("points"));
+    }
+
+    #[test]
+    fn custom_baselines_can_be_swept() {
+        // Custom's size profile comes from the workload model, whether
+        // the point runs off a shared trace or generates its own.
+        let spec = SweepSpec { grids: vec![GridSpec::baseline("Custom")], ..demo() };
+        spec.validate().expect("a Custom baseline is a valid sweep");
+        assert_eq!(spec.points().len(), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use alloc_locality::job_spec::program_by_label;
-use alloc_locality::{Experiment, JobSpec};
+use alloc_locality::JobSpec;
 use explore::report::normalize_report;
 use explore::{
     pareto_front, run_adaptive, run_sweep, AdaptiveOptions, ExecOptions, GridSpec, Objectives,
@@ -94,14 +94,12 @@ fn shared_trace_points_match_direct_runs() {
 
     let mut direct =
         spec.to_experiment().expect("direct experiment builds").report().expect("direct run");
-    let mut shared = Experiment::with_shared_events(
-        program.label(),
-        Arc::clone(&events),
-        spec.to_choice().expect("choice builds"),
-    )
-    .options(spec.to_options().expect("options build"))
-    .report()
-    .expect("shared-trace run");
+    let mut shared = spec
+        .to_experiment()
+        .expect("experiment builds")
+        .shared_events(Arc::clone(&events))
+        .report()
+        .expect("shared-trace run");
     normalize_report(&mut direct);
     normalize_report(&mut shared);
     assert_eq!(
@@ -142,14 +140,12 @@ fn axis_keyed_shared_traces_match_per_point_regeneration() {
         let events = pool
             .entry((point.program.clone(), point.scale.to_bits()))
             .or_insert_with(|| Arc::new(program.spec().events(Scale(point.scale)).collect()));
-        let mut shared = Experiment::with_shared_events(
-            program.label(),
-            Arc::clone(events),
-            point.to_choice().expect("choice builds"),
-        )
-        .options(point.to_options().expect("options build"))
-        .report()
-        .expect("shared-trace run");
+        let mut shared = point
+            .to_experiment()
+            .expect("experiment builds")
+            .shared_events(Arc::clone(events))
+            .report()
+            .expect("shared-trace run");
         let mut direct =
             point.to_experiment().expect("direct experiment builds").report().expect("direct run");
         normalize_report(&mut shared);

@@ -27,10 +27,11 @@
 //! `AtomicBool` for shutdown. The HTTP subset lives in [`http`]; a
 //! blocking client for tests and the benchmark lives in [`client`].
 //!
-//! Every job is traced end to end: submission opens an [`obs::Tracer`]
-//! whose span tree covers cache lookup, queue wait, engine execution
-//! (with the engine's own drive/replay/finalize spans nested inside),
-//! and response serialization. The finished tree is served as a
+//! Every job is traced end to end: admission opens an [`obs::Tracer`]
+//! whose span tree covers queue wait, engine execution (with the
+//! engine's own drive/replay/finalize spans nested inside), and
+//! response serialization; an empty `serve.cache_lookup` span keeps the
+//! tree's shape. The finished tree is served as a
 //! versioned `alloc-locality.trace` v1 artifact — a *separate* artifact,
 //! so the run-report schema is untouched — and per-endpoint request
 //! latency accumulates into rolling [`obs::Hist`] histograms exposed
@@ -181,9 +182,9 @@ impl JobStatus {
 struct Job {
     spec: JobSpec,
     status: JobStatus,
-    /// The job's in-flight tracer: opened by `submit` (cache-lookup and
-    /// queue-wait spans already recorded), taken by the worker that
-    /// executes the job, absent once the job finishes.
+    /// The job's in-flight tracer: opened by `admit` (`serve.queue_wait`
+    /// left open), taken by the worker that executes the job, absent
+    /// once the job finishes.
     tracer: Option<Box<Tracer>>,
     /// Nanoseconds between submission and a worker picking the job up,
     /// scraped from the finished trace.
@@ -656,9 +657,9 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         let Some((id, spec, tracer)) = picked else { return };
-        // The submit path opened `serve.queue_wait`; close it now that a
-        // worker owns the job. A missing tracer (never happens on the
-        // submit path) degrades to an empty trace, not a crash.
+        // Admission opened `serve.queue_wait`; close it now that a
+        // worker owns the job. A missing tracer (admission always sets
+        // one) degrades to an empty trace, not a crash.
         let mut tracer = tracer.unwrap_or_default();
         tracer.span_exit();
         tracer.span_enter("serve.execute");
@@ -911,8 +912,8 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Reply {
         None => (request.path.as_str(), ""),
     };
     match (request.method.as_str(), path) {
-        ("POST", "/jobs") => submit(request, shared),
-        ("POST", "/sweeps") => submit_sweep(request, shared),
+        ("POST", "/jobs") => submit(request, shared).unwrap_or_else(|refused| refused),
+        ("POST", "/sweeps") => submit_sweep(request, shared).unwrap_or_else(|refused| refused),
         ("GET", "/healthz") => healthz(shared),
         ("GET", "/metrics") => {
             if query.split('&').any(|kv| kv == "format=prometheus") {
@@ -957,127 +958,125 @@ fn not_found(path: &str) -> Reply {
     Reply::json(404, json_body(&ErrorResponse::new("not_found", format!("no route for {path}"))))
 }
 
-fn submit(request: &Request, shared: &Arc<Shared>) -> Reply {
-    let reject = |state: &mut State, status: u16, err: ErrorResponse| {
-        state.rejected_invalid += 1;
-        Reply::json(status, json_body(&err))
-    };
-    let parsed: Result<JobSpec, String> = std::str::from_utf8(&request.body)
+/// Reads a submission body: UTF-8 JSON that parses as a `noun` spec and
+/// passes `validate`. A refusal is a 400, `malformed` or
+/// `invalid_spec`, and counts in `rejected_invalid`.
+fn parse_spec<T: Deserialize>(
+    request: &Request,
+    shared: &Shared,
+    noun: &str,
+    validate: fn(&T) -> Result<(), alloc_locality::SpecError>,
+) -> Result<T, Reply> {
+    let parsed: Result<T, String> = std::str::from_utf8(&request.body)
         .map_err(|_| "body is not UTF-8".to_string())
         .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()));
-    let spec = match parsed {
-        Ok(spec) => spec,
+    let refusal = match parsed.map(|spec| validate(&spec).map(|()| spec)) {
+        Ok(Ok(spec)) => return Ok(spec),
+        Ok(Err(e)) => ErrorResponse::new("invalid_spec", e.to_string()),
         Err(detail) => {
-            let mut state = shared.state.lock().expect("state lock");
-            return reject(
-                &mut state,
-                400,
-                ErrorResponse::new("malformed", format!("body is not a job spec: {detail}")),
-            );
+            ErrorResponse::new("malformed", format!("body is not a {noun} spec: {detail}"))
         }
     };
-    if let Err(e) = spec.validate() {
-        let mut state = shared.state.lock().expect("state lock");
-        return reject(&mut state, 400, ErrorResponse::new("invalid_spec", e.to_string()));
-    }
-    let id = spec.job_id();
-    // The job's trace starts here: the `serve.job` root opens at
-    // submission so queue wait is attributed to the job itself. A cache
-    // hit abandons the tracer — the stored job already has its trace.
-    let mut tracer = Box::<Tracer>::default();
-    tracer.span_enter("serve.job");
-    tracer.span_enter("serve.cache_lookup");
-    let mut state = shared.state.lock().expect("state lock");
-    if let Some(job) = state.jobs.get(&id) {
-        let status = job.status.label().to_string();
-        let done = matches!(job.status, JobStatus::Done { .. });
-        state.cache_hits += 1;
-        if done {
-            state.remember_done(&id, shared.cfg.result_cache_entries);
+    shared.state.lock().expect("state lock").rejected_invalid += 1;
+    Err(Reply::json(400, json_body(&refusal)))
+}
+
+/// Admits a batch of normalized points, a job being a batch of one.
+/// Each point is answered from the result table, restored from the
+/// report cache, or fresh. Fresh points are refused all or none: 503
+/// while draining, 429 when they do not all fit the queue. Only an
+/// admitted batch counts its cache hits (a refused one is retried and
+/// would count them again) and refreshes the LRU positions of its done
+/// points. Returns how many points were enqueued. `noun` names the
+/// submission in the 429 detail.
+fn admit(shared: &Shared, state: &mut State, points: &[JobSpec], noun: &str) -> Result<u64, Reply> {
+    let cap = shared.cfg.result_cache_entries;
+    let mut hits: Vec<String> = Vec::new();
+    let mut restored: Vec<(String, JobSpec, String)> = Vec::new();
+    let mut fresh: Vec<(String, JobSpec)> = Vec::new();
+    for point in points {
+        let pid = point.job_id();
+        if state.jobs.contains_key(&pid) {
+            hits.push(pid);
+            continue;
         }
-        return Reply::json(200, json_body(&SubmitResponse { id, status, cached: true }));
+        match shared.cfg.report_cache.as_deref().and_then(|dir| load_persisted_report(dir, &pid)) {
+            Some(line) => restored.push((pid, point.clone(), line)),
+            None => fresh.push((pid, point.clone())),
+        }
     }
-    // Not in memory — an earlier life of this server (or an evicted
-    // entry) may have persisted the report.
-    if let Some(line) =
-        shared.cfg.report_cache.as_deref().and_then(|dir| load_persisted_report(dir, &id))
-    {
-        state.cache_hits += 1;
-        state.report_cache_hits += 1;
-        state.jobs.insert(
-            id.clone(),
-            Job::new(
-                spec.normalized(),
-                JobStatus::Done { line: Arc::new(line), trace: None },
-                None,
-            ),
-        );
-        state.remember_done(&id, shared.cfg.result_cache_entries);
-        return Reply::json(
-            200,
-            json_body(&SubmitResponse { id, status: "done".into(), cached: true }),
-        );
-    }
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Reply::json(
+    if !fresh.is_empty() && shared.shutdown.load(Ordering::SeqCst) {
+        return Err(Reply::json(
             503,
             json_body(&ErrorResponse::new("shutting_down", "server is draining; try again later")),
-        );
+        ));
     }
-    if state.queue.len() >= shared.cfg.queue_depth {
+    let depth = shared.cfg.queue_depth;
+    if state.queue.len() + fresh.len() > depth {
         state.rejected_backpressure += 1;
-        return Reply::json(
+        return Err(Reply::json(
             429,
             json_body(&ErrorResponse::new(
                 "queue_full",
-                format!("queue holds {} jobs; retry later", state.queue.len()),
+                format!(
+                    "{noun} needs {} queue slots but {} of {depth} are free; retry later",
+                    fresh.len(),
+                    depth - state.queue.len().min(depth),
+                ),
             )),
-        );
+        ));
     }
-    state.submitted += 1;
-    // The lookup missed: close its span and leave `serve.queue_wait`
-    // open for the worker that picks the job up.
-    tracer.span_exit();
-    tracer.span_enter("serve.queue_wait");
-    state.jobs.insert(id.clone(), Job::new(spec.normalized(), JobStatus::Queued, Some(tracer)));
-    state.queue.push_back(id.clone());
-    shared.queue_cv.notify_one();
-    Reply::json(202, json_body(&SubmitResponse { id, status: "queued".into(), cached: false }))
+    state.cache_hits += (hits.len() + restored.len()) as u64;
+    state.report_cache_hits += restored.len() as u64;
+    for pid in hits {
+        if matches!(state.jobs.get(&pid).map(|job| &job.status), Some(JobStatus::Done { .. })) {
+            state.remember_done(&pid, cap);
+        }
+    }
+    for (pid, point, line) in restored {
+        let done = JobStatus::Done { line: Arc::new(line), trace: None };
+        state.jobs.insert(pid.clone(), Job::new(point, done, None));
+        state.remember_done(&pid, cap);
+    }
+    let enqueued = fresh.len() as u64;
+    for (pid, point) in fresh {
+        state.submitted += 1;
+        // The `serve.job` root opens at admission, so queue wait is
+        // attributed to the job itself; `serve.queue_wait` stays open
+        // for the worker that picks the job up.
+        let mut tracer = Box::<Tracer>::default();
+        tracer.span_enter("serve.job");
+        tracer.span_enter("serve.cache_lookup");
+        tracer.span_exit();
+        tracer.span_enter("serve.queue_wait");
+        state.jobs.insert(pid.clone(), Job::new(point, JobStatus::Queued, Some(tracer)));
+        state.queue.push_back(pid);
+        shared.queue_cv.notify_one();
+    }
+    Ok(enqueued)
 }
 
-/// `POST /sweeps`: registers a [`SweepSpec`] and fans its points into
-/// the job queue as ordinary content-addressed jobs. Points already in
-/// the result table (from direct submissions, earlier sweeps, or the
-/// persisted report cache) are reused; only genuinely fresh points take
-/// queue slots, and the whole batch is refused with 429 when they do
-/// not all fit — nothing is partially enqueued. A sweep whose fresh
-/// points exceed the queue bound can still be driven to completion by
-/// resubmitting it after earlier points drain: finished points count as
-/// cached on the next attempt.
-fn submit_sweep(request: &Request, shared: &Arc<Shared>) -> Reply {
-    let reject = |state: &mut State, status: u16, err: ErrorResponse| {
-        state.rejected_invalid += 1;
-        Reply::json(status, json_body(&err))
-    };
-    let parsed: Result<SweepSpec, String> = std::str::from_utf8(&request.body)
-        .map_err(|_| "body is not UTF-8".to_string())
-        .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()));
-    let spec = match parsed {
-        Ok(spec) => spec,
-        Err(detail) => {
-            let mut state = shared.state.lock().expect("state lock");
-            return reject(
-                &mut state,
-                400,
-                ErrorResponse::new("malformed", format!("body is not a sweep spec: {detail}")),
-            );
-        }
-    };
-    if let Err(e) = spec.validate() {
-        let mut state = shared.state.lock().expect("state lock");
-        return reject(&mut state, 400, ErrorResponse::new("invalid_spec", e.to_string()));
-    }
-    let n = spec.normalized();
+/// `POST /jobs`: admits the spec as a one-point batch. 202 when it was
+/// enqueued, 200 (`cached`) when an earlier submission or the report
+/// cache answers it.
+fn submit(request: &Request, shared: &Shared) -> Result<Reply, Reply> {
+    let spec = parse_spec(request, shared, "job", JobSpec::validate)?.normalized();
+    let id = spec.job_id();
+    let mut state = shared.state.lock().expect("state lock");
+    let fresh = admit(shared, &mut state, &[spec], "job")?;
+    let status = state.jobs.get(&id).map_or("done", |job| job.status.label()).to_string();
+    let code = if fresh == 0 { 200 } else { 202 };
+    Ok(Reply::json(code, json_body(&SubmitResponse { id, status, cached: fresh == 0 })))
+}
+
+/// `POST /sweeps`: registers a [`SweepSpec`] and admits its points as
+/// one batch of ordinary content-addressed jobs, shared with direct
+/// submissions and other sweeps. A sweep whose fresh points exceed the
+/// queue bound can still be driven to completion by resubmitting it
+/// after earlier points drain: finished points count as cached on the
+/// next attempt.
+fn submit_sweep(request: &Request, shared: &Shared) -> Result<Reply, Reply> {
+    let n = parse_spec(request, shared, "sweep", SweepSpec::validate)?.normalized();
     let id = n.sweep_id();
     let points = n.points();
     // Stream-cache telemetry for the v2 sweep header: how many points'
@@ -1104,72 +1103,7 @@ fn submit_sweep(request: &Request, shared: &Arc<Shared>) -> Reply {
     };
     let mut state = shared.state.lock().expect("state lock");
     let cached = state.sweeps.contains_key(&id);
-    // Classify every point: already in the result table, restorable from
-    // the persisted report cache, or genuinely fresh.
-    let mut fresh: Vec<(String, JobSpec)> = Vec::new();
-    let mut restored: Vec<(String, JobSpec, String)> = Vec::new();
-    let mut table_hits = 0;
-    for point in &points {
-        let pid = point.job_id();
-        if state.jobs.contains_key(&pid) {
-            table_hits += 1;
-            continue;
-        }
-        match shared.cfg.report_cache.as_deref().and_then(|dir| load_persisted_report(dir, &pid)) {
-            Some(line) => restored.push((pid, point.clone(), line)),
-            None => fresh.push((pid, point.clone())),
-        }
-    }
-    if !fresh.is_empty() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Reply::json(
-                503,
-                json_body(&ErrorResponse::new(
-                    "shutting_down",
-                    "server is draining; try again later",
-                )),
-            );
-        }
-        if state.queue.len() + fresh.len() > shared.cfg.queue_depth {
-            state.rejected_backpressure += 1;
-            return Reply::json(
-                429,
-                json_body(&ErrorResponse::new(
-                    "queue_full",
-                    format!(
-                        "sweep needs {} queue slots but {} of {} are free; retry later",
-                        fresh.len(),
-                        shared.cfg.queue_depth - state.queue.len().min(shared.cfg.queue_depth),
-                        shared.cfg.queue_depth
-                    ),
-                )),
-            );
-        }
-    }
-    // Only an accepted sweep answers from the caches; a refused one is
-    // retried and would count its hits again.
-    state.cache_hits += table_hits + restored.len() as u64;
-    state.report_cache_hits += restored.len() as u64;
-    let fresh_count = fresh.len() as u64;
-    for (pid, point, line) in restored {
-        state.jobs.insert(
-            pid.clone(),
-            Job::new(point, JobStatus::Done { line: Arc::new(line), trace: None }, None),
-        );
-        state.remember_done(&pid, shared.cfg.result_cache_entries);
-    }
-    for (pid, point) in fresh {
-        state.submitted += 1;
-        // Same span structure as a direct submission, so every point's
-        // trace and queue-wait telemetry read identically.
-        let mut tracer = Box::<Tracer>::default();
-        tracer.span_enter("serve.job");
-        tracer.span_enter("serve.cache_lookup");
-        tracer.span_exit();
-        tracer.span_enter("serve.queue_wait");
-        state.jobs.insert(pid.clone(), Job::new(point, JobStatus::Queued, Some(tracer)));
-        state.queue.push_back(pid);
-    }
+    let fresh = admit(shared, &mut state, &points, "sweep")?;
     if !cached {
         state.sweeps_submitted += 1;
         state.sweeps.insert(
@@ -1184,21 +1118,20 @@ fn submit_sweep(request: &Request, shared: &Arc<Shared>) -> Reply {
         );
     }
     state.remember_sweep(&id, shared.cfg.result_cache_entries);
-    shared.queue_cv.notify_all();
     let sweep = state.sweeps.get(&id).expect("just inserted");
     let (queued, running, done, failed) = sweep_counts(&state, sweep);
     let all_done = done == sweep.point_ids.len() as u64 && queued + running + failed == 0;
     let (status, label) = if all_done { (200, "done") } else { (202, "queued") };
-    Reply::json(
+    Ok(Reply::json(
         status,
         json_body(&SweepSubmitResponse {
             id,
             status: label.into(),
             points: points.len() as u64,
-            fresh: fresh_count,
+            fresh,
             cached,
         }),
-    )
+    ))
 }
 
 /// Per-point progress of one sweep. A point missing from the job table
@@ -1462,70 +1395,69 @@ fn healthz(shared: &Arc<Shared>) -> Reply {
     )
 }
 
-fn metrics(shared: &Arc<Shared>) -> Reply {
-    let state = shared.state.lock().expect("state lock");
-    Reply::json(
-        200,
-        json_body(&MetricsResponse {
-            jobs_submitted: state.submitted,
-            sweeps_submitted: state.sweeps_submitted,
-            jobs_completed: state.completed,
-            jobs_failed: state.failed,
-            cache_hits: state.cache_hits,
-            report_cache_hits: state.report_cache_hits,
-            rejected_backpressure: state.rejected_backpressure,
-            rejected_invalid: state.rejected_invalid,
-            connections_refused: shared.refused.load(Ordering::Relaxed),
-            worker_panics: state.worker_panics,
-            endpoints: state
-                .endpoint_latency
-                .iter()
-                .map(|(label, hist)| (label.to_string(), hist.snapshot()))
-                .collect(),
-            simulation: state.sim_metrics.clone(),
-        }),
-    )
+/// The `/metrics` body: every server counter, the per-endpoint latency
+/// histograms and the merged simulation metrics. Both formats render it.
+fn metrics_body(shared: &Shared, state: &State) -> MetricsResponse {
+    MetricsResponse {
+        jobs_submitted: state.submitted,
+        sweeps_submitted: state.sweeps_submitted,
+        jobs_completed: state.completed,
+        jobs_failed: state.failed,
+        cache_hits: state.cache_hits,
+        report_cache_hits: state.report_cache_hits,
+        rejected_backpressure: state.rejected_backpressure,
+        rejected_invalid: state.rejected_invalid,
+        connections_refused: shared.refused.load(Ordering::Relaxed),
+        worker_panics: state.worker_panics,
+        endpoints: state
+            .endpoint_latency
+            .iter()
+            .map(|(label, hist)| (label.to_string(), hist.snapshot()))
+            .collect(),
+        simulation: state.sim_metrics.clone(),
+    }
 }
 
-/// `GET /metrics?format=prometheus`: the same counters, gauges, and
-/// histograms as the JSON body, rendered as Prometheus text exposition
-/// (server metrics under `serve_`, merged simulation metrics under
-/// `sim_`).
-fn metrics_prometheus(shared: &Arc<Shared>) -> Reply {
+fn metrics(shared: &Arc<Shared>) -> Reply {
     let state = shared.state.lock().expect("state lock");
+    Reply::json(200, json_body(&metrics_body(shared, &state)))
+}
+
+/// `GET /metrics?format=prometheus`: the JSON body's counters,
+/// histograms and simulation metrics, plus three gauges, rendered as
+/// Prometheus text exposition (server metrics under `serve_`, merged
+/// simulation metrics under `sim_`).
+fn metrics_prometheus(shared: &Arc<Shared>) -> Reply {
+    let (m, queued, running) = {
+        let state = shared.state.lock().expect("state lock");
+        (metrics_body(shared, &state), state.queue.len() as u64, state.running)
+    };
     let mut out = String::new();
-    obs::prom::push_counter(&mut out, "serve_jobs_submitted_total", state.submitted);
-    obs::prom::push_counter(&mut out, "serve_sweeps_submitted_total", state.sweeps_submitted);
-    obs::prom::push_counter(&mut out, "serve_jobs_completed_total", state.completed);
-    obs::prom::push_counter(&mut out, "serve_jobs_failed_total", state.failed);
-    obs::prom::push_counter(&mut out, "serve_cache_hits_total", state.cache_hits);
-    obs::prom::push_counter(&mut out, "serve_report_cache_hits_total", state.report_cache_hits);
-    obs::prom::push_counter(
-        &mut out,
-        "serve_rejected_backpressure_total",
-        state.rejected_backpressure,
-    );
-    obs::prom::push_counter(&mut out, "serve_rejected_invalid_total", state.rejected_invalid);
-    obs::prom::push_counter(
-        &mut out,
-        "serve_connections_refused_total",
-        shared.refused.load(Ordering::Relaxed),
-    );
-    obs::prom::push_counter(&mut out, "serve_worker_panics_total", state.worker_panics);
-    obs::prom::push_gauge(&mut out, "serve_queue_depth", state.queue.len() as u64);
-    obs::prom::push_gauge(&mut out, "serve_jobs_running", state.running);
+    for (name, value) in [
+        ("serve_jobs_submitted_total", m.jobs_submitted),
+        ("serve_sweeps_submitted_total", m.sweeps_submitted),
+        ("serve_jobs_completed_total", m.jobs_completed),
+        ("serve_jobs_failed_total", m.jobs_failed),
+        ("serve_cache_hits_total", m.cache_hits),
+        ("serve_report_cache_hits_total", m.report_cache_hits),
+        ("serve_rejected_backpressure_total", m.rejected_backpressure),
+        ("serve_rejected_invalid_total", m.rejected_invalid),
+        ("serve_connections_refused_total", m.connections_refused),
+        ("serve_worker_panics_total", m.worker_panics),
+    ] {
+        obs::prom::push_counter(&mut out, name, value);
+    }
+    obs::prom::push_gauge(&mut out, "serve_queue_depth", queued);
+    obs::prom::push_gauge(&mut out, "serve_jobs_running", running);
     obs::prom::push_gauge(&mut out, "serve_workers", shared.cfg.workers as u64);
-    let labelled: Vec<([(&str, &str); 1], HistSnapshot)> = state
-        .endpoint_latency
-        .iter()
-        .map(|(label, hist)| ([("endpoint", *label)], hist.snapshot()))
-        .collect();
+    let labelled: Vec<[(&str, &str); 1]> =
+        m.endpoints.keys().map(|label| [("endpoint", label.as_str())]).collect();
     let series: Vec<(&[(&str, &str)], HistSnapshot)> =
-        labelled.iter().map(|(labels, snap)| (&labels[..], snap.clone())).collect();
+        labelled.iter().zip(m.endpoints.values()).map(|(l, snap)| (&l[..], snap.clone())).collect();
     if !series.is_empty() {
         obs::prom::push_histogram(&mut out, "serve_request_duration_us", &series);
     }
-    obs::prom::push_snapshot(&mut out, "sim", &state.sim_metrics);
+    obs::prom::push_snapshot(&mut out, "sim", &m.simulation);
     Reply { status: 200, content_type: "text/plain; version=0.0.4", body: out }
 }
 

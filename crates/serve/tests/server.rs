@@ -625,42 +625,50 @@ fn quick_sweep() -> explore::SweepSpec {
 #[test]
 fn served_sweeps_match_the_offline_executor_byte_for_byte() {
     let (server, client) = start(ServerConfig::default());
-    let spec = quick_sweep();
-    let submitted = client.submit_sweep(&spec).unwrap();
-    assert_eq!(submitted.id, spec.sweep_id());
-    assert_eq!(submitted.points, 4);
-    assert_eq!(submitted.fresh, 4);
-    assert!(!submitted.cached);
+    // Custom's size profile comes from the spec on every path, so a
+    // Custom point is an ordinary job too.
+    let custom = explore::SweepSpec {
+        grids: vec![explore::GridSpec::baseline("Custom"), explore::GridSpec::baseline("BSD")],
+        ..quick_sweep()
+    };
+    for (spec, points) in [(quick_sweep(), 4), (custom, 2)] {
+        let submitted = client.submit_sweep(&spec).unwrap();
+        assert_eq!(submitted.id, spec.sweep_id());
+        assert_eq!(submitted.points, points);
+        assert_eq!(submitted.fresh, points);
+        assert!(!submitted.cached);
 
-    let status = client.wait_sweep_done(&submitted.id, WAIT).unwrap();
-    assert_eq!((status.done, status.failed), (4, 0));
+        let status = client.wait_sweep_done(&submitted.id, WAIT).unwrap();
+        assert_eq!((status.done, status.failed), (points, 0));
 
-    // The daemon's assembled artifact is exactly what the offline
-    // shared-trace executor emits for the same spec.
-    let served = client.fetch_sweep_report(&submitted.id).unwrap();
-    let offline = explore::run_sweep(&spec, 2, |_, _| {}).expect("offline sweep");
-    assert_eq!(served, offline.to_jsonl(), "served sweep diverged from the offline executor");
-    let parsed = explore::SweepReport::parse(&served).expect("served sweep parses");
-    parsed.validate().expect("served sweep validates");
+        // The daemon's assembled artifact is exactly what the offline
+        // shared-trace executor emits for the same spec.
+        let served = client.fetch_sweep_report(&submitted.id).unwrap();
+        let offline = explore::run_sweep(&spec, 2, |_, _| {}).expect("offline sweep");
+        assert_eq!(served, offline.to_jsonl(), "served sweep diverged from the offline executor");
+        let parsed = explore::SweepReport::parse(&served).expect("served sweep parses");
+        parsed.validate().expect("served sweep validates");
 
-    // Each point is an ordinary job whose report the sweep embeds
-    // verbatim, modulo the zeroed span wall-times.
-    let point = &parsed.points[0];
-    let direct = client.fetch_report(&point.point_id).unwrap();
-    let mut direct = RunReport::parse(&direct).expect("point report parses");
-    explore::report::normalize_report(&mut direct);
-    assert_eq!(point.report.to_jsonl_line(), direct.to_jsonl_line());
+        // Each point is an ordinary job whose report the sweep embeds
+        // verbatim, modulo the zeroed span wall-times.
+        for point in &parsed.points {
+            let direct = client.fetch_report(&point.point_id).unwrap();
+            let mut direct = RunReport::parse(&direct).expect("point report parses");
+            explore::report::normalize_report(&mut direct);
+            assert_eq!(point.report.to_jsonl_line(), direct.to_jsonl_line(), "{}", point.allocator);
+        }
 
-    // Resubmitting is a cache hit: same id, nothing fresh.
-    let again = client.submit_sweep(&spec).unwrap();
-    assert_eq!(again.id, submitted.id);
-    assert!(again.cached);
-    assert_eq!(again.fresh, 0);
-    assert_eq!(again.status, "done");
-    assert_eq!(client.fetch_sweep_report(&again.id).unwrap(), served);
+        // Resubmitting is a cache hit: same id, nothing fresh.
+        let again = client.submit_sweep(&spec).unwrap();
+        assert_eq!(again.id, submitted.id);
+        assert!(again.cached);
+        assert_eq!(again.fresh, 0);
+        assert_eq!(again.status, "done");
+        assert_eq!(client.fetch_sweep_report(&again.id).unwrap(), served);
+    }
 
     let metrics = client.metrics().unwrap();
-    assert_eq!(metrics.sweeps_submitted, 1);
+    assert_eq!(metrics.sweeps_submitted, 2);
     drop(server);
 }
 
@@ -807,6 +815,37 @@ fn sweep_points_are_shared_with_direct_jobs() {
     client.wait_sweep_done(&submitted.id, WAIT).unwrap();
     let report = client.fetch_sweep_report(&submitted.id).unwrap();
     explore::SweepReport::parse(&report).unwrap().validate().expect("shared-point sweep validates");
+    drop(server);
+}
+
+#[test]
+fn a_resubmitted_sweep_keeps_its_finished_points() {
+    // Three entries: the sweep's two points and one direct job.
+    let cfg = ServerConfig { workers: 1, result_cache_entries: 3, ..ServerConfig::default() };
+    let (server, client) = start(cfg);
+    let sweep = explore::SweepSpec {
+        grids: vec![explore::GridSpec {
+            fast_max: vec![16, 64],
+            ..explore::GridSpec::baseline("QuickFit")
+        }],
+        ..quick_sweep()
+    };
+    let submitted = client.submit_sweep(&sweep).unwrap();
+    client.wait_sweep_done(&submitted.id, WAIT).unwrap();
+    let direct = client.submit(&quick_spec("make", "BSD")).unwrap();
+    client.wait_done(&direct.id, WAIT).unwrap();
+
+    // Resubmitting answers both points from the table and makes them
+    // the most recently used, so the next job evicts the direct one.
+    let again = client.submit_sweep(&sweep).unwrap();
+    assert_eq!((again.status.as_str(), again.fresh, again.cached), ("done", 0, true));
+    let next = client.submit(&quick_spec("gawk", "BSD")).unwrap();
+    client.wait_done(&next.id, WAIT).unwrap();
+    let response =
+        client.request("GET", &format!("/sweeps/{}/report", submitted.id), None).unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    let response = client.request("GET", &format!("/jobs/{}", direct.id), None).unwrap();
+    assert_eq!(response.status, 404, "the least recently used entry went");
     drop(server);
 }
 
