@@ -25,13 +25,13 @@
 //! PIXIE-trace-file workflow the paper's execution-driven setup
 //! replaced); `replay` drives any simulator configuration from the
 //! frozen stream, so allocator runs can be archived and re-analyzed
-//! without re-simulating the allocator. `info` and `replay` validate the
-//! whole file first and then decode its records in bounded chunks
-//! straight into the sinks, so a large recording replays in the memory
-//! of its file. A file that fails to write or to decode — wrong magic or
-//! key, truncation, a checksum mismatch, a reference whose bytes run
-//! past 2^64 — is reported in one line and exits 1, before anything is
-//! printed.
+//! without re-simulating the allocator. `info` and `replay` open a file
+//! by its header, footer and trailer, then read its records in
+//! fixed-size chunks, checksumming and decoding them straight into the
+//! sinks, so their memory does not grow with the recording. A file that
+//! fails to write or to decode — wrong magic or key, truncation, a
+//! checksum mismatch, a reference whose bytes run past 2^64 — is
+//! reported in one line and exits 1, before anything is printed.
 
 use std::fs::File;
 use std::io::BufReader;
@@ -40,7 +40,7 @@ use std::process::ExitCode;
 use alloc_locality::{AllocChoice, Experiment};
 use allocators::AllocatorKind;
 use cache_sim::{CacheConfig, SweepCache, ThreeCAnalyzer, VictimCache};
-use sim_mem::{encode_stream, open_stream, AccessSink, CountingSink, RefRun};
+use sim_mem::{encode_stream, AccessSink, CountingSink, RefRun, StreamReader};
 use vm_sim::StackSim;
 use workloads::{Program, Scale};
 
@@ -108,18 +108,21 @@ fn record(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads a `record`ed file, validates it, and decodes its records into
-/// `sink` chunk by chunk; returns the file's size and its run count.
+/// Opens a `record`ed file and decodes its records into `sink` chunk by
+/// chunk, verifying them as it goes; returns the file's size and its run
+/// count.
 fn read_recording(path: &str, mut sink: impl FnMut(&[RefRun])) -> Result<(u64, u64), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let view = open_stream(&bytes, RECORDING_KEY).map_err(|e| format!("{path}: {e}"))?;
+    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let bytes = file.metadata().map_err(|e| format!("{path}: {e}"))?.len();
+    let mut reader = StreamReader::open(file, RECORDING_KEY).map_err(|e| format!("{path}: {e}"))?;
     let mut runs = 0u64;
-    view.decode_chunks(|chunk| {
-        runs += chunk.len() as u64;
-        sink(chunk);
-    })
-    .map_err(|e| format!("{path}: {e}"))?;
-    Ok((bytes.len() as u64, runs))
+    reader
+        .decode_chunks(|chunk| {
+            runs += chunk.len() as u64;
+            sink(chunk);
+        })
+        .map_err(|e| format!("{path}: {e}"))?;
+    Ok((bytes, runs))
 }
 
 fn info(args: &[String]) -> Result<(), String> {

@@ -20,7 +20,7 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 use sim_mem::stream::{
-    fnv1a, open_stream, Fnv64, StreamCache, StreamEncoder, StreamView, STREAM_FORMAT_VERSION,
+    fnv1a, AtomicFile, Fnv64, StreamCache, StreamEncoder, StreamReader, STREAM_FORMAT_VERSION,
 };
 use sim_mem::{
     AccessSink, Address, CountingSink, HeapImage, InstrCounter, MemCtx, MemRef, Phase, RefRun,
@@ -560,7 +560,7 @@ impl ShardSet {
 struct InlineSink<'e> {
     counting: CountingSink,
     set: ShardSet,
-    encoder: Option<&'e mut StreamEncoder>,
+    encoder: Option<&'e mut StreamEncoder<AtomicFile>>,
 }
 
 impl AccessSink for InlineSink<'_> {
@@ -1110,13 +1110,13 @@ impl Experiment {
     /// is configured). `need_metrics` marks an instrumented run whose
     /// metrics must be byte-reusable (see [`RunOutcome`]).
     ///
-    /// A warm run reads its stream file once, validates and checksums it
-    /// once ([`open_stream`]) and parses its sidecar once. Then, in order:
-    /// a stored result under a matching options fingerprint answers the
-    /// run; an instrumented run under another fingerprint regenerates
-    /// without decoding a record; otherwise the records stream into the
-    /// shards, and the stored result's fault curve, when there is one,
-    /// stands in for the pager.
+    /// A warm run opens its stream file by reading only its header,
+    /// footer and trailer ([`StreamReader::open`]) and parses its sidecar
+    /// once. Then, in order: a stored result under a matching options
+    /// fingerprint answers the run; an instrumented run under another
+    /// fingerprint regenerates without reading a record; otherwise the
+    /// records stream into the shards in bounded chunks, and the stored
+    /// result's fault curve, when there is one, stands in for the pager.
     fn run_inner(
         &self,
         mut recorder: Option<&mut dyn Recorder>,
@@ -1132,25 +1132,21 @@ impl Experiment {
         if let Some(rec) = Self::reborrow(&mut recorder) {
             rec.span_enter("stream_cache.probe");
         }
-        let bytes = cache.read(key);
-        let opened = match &bytes {
-            Ok(Some(bytes)) => {
-                open_stream(bytes, key).map_err(|_| "stream_cache.invalid").and_then(|view| {
-                    // A sidecar of a foreign shape cannot answer or
-                    // complete the run.
-                    let sidecar: StreamSidecar = std::str::from_utf8(view.sidecar())
-                        .ok()
-                        .and_then(|text| serde_json::from_str(text).ok())
-                        .ok_or("stream_cache.sidecar_mismatch")?;
-                    Ok((view, sidecar))
-                })
+        let opened = match cache.open(key) {
+            Ok(Some(reader)) => {
+                // A sidecar of a foreign shape cannot answer or complete
+                // the run.
+                let sidecar: Option<StreamSidecar> = std::str::from_utf8(reader.sidecar())
+                    .ok()
+                    .and_then(|text| serde_json::from_str(text).ok());
+                sidecar.map(|sidecar| (reader, sidecar)).ok_or("stream_cache.sidecar_mismatch")
             }
             Ok(None) => Err("stream_cache.miss"),
             Err(_) => Err("stream_cache.invalid"),
         };
         let lookup_counter = match opened {
             Err(counter) => counter,
-            Ok((view, mut sidecar)) => {
+            Ok((reader, mut sidecar)) => {
                 let same_sinks = sidecar.options_fp == self.options_fingerprint();
                 match sidecar.result.take() {
                     // Stored-result fast path: the sidecar alone answers
@@ -1175,11 +1171,11 @@ impl Experiment {
                         }
                         let curve = stored.and_then(|result| result.fault_curve);
                         let replayed =
-                            self.replay(view, sidecar, curve, &mut recorder, need_metrics);
+                            self.replay(reader, sidecar, curve, &mut recorder, need_metrics);
                         return match replayed {
                             Some(outcome) => Ok(outcome),
-                            // A corrupt record behind a valid checksum:
-                            // the partly fed shards are gone; run cold.
+                            // Damaged records, found while decoding: the
+                            // partly fed shards are gone; run cold.
                             None => {
                                 self.run_and_populate(&cache, key, "stream_cache.invalid", recorder)
                             }
@@ -1191,8 +1187,6 @@ impl Experiment {
         if let Some(rec) = Self::reborrow(&mut recorder) {
             rec.span_exit();
         }
-        // The file did not answer: free it before the cold run.
-        drop(bytes);
         self.run_and_populate(&cache, key, lookup_counter, recorder)
     }
 
@@ -1264,13 +1258,14 @@ impl Experiment {
         fnv1a(desc.as_bytes())
     }
 
-    /// Streams a validated file's records into fresh shards, chunk by
+    /// Streams an opened file's records into fresh shards, chunk by
     /// chunk through [`ShardSet::deliver`], and assembles the result
     /// around what the sidecar stored of the populating run. `None` when
-    /// a record is corrupt: the partly fed shards are dropped and nothing
-    /// flat was recorded — no `stream_cache.hit`, no `sink.*` or
-    /// `engine.replay` span — so the cold run that follows reports as if
-    /// the replay had never started.
+    /// the records are damaged — a malformed record, or a records
+    /// checksum that fails at the end: the partly fed shards are dropped
+    /// and nothing flat was recorded — no `stream_cache.hit`, no `sink.*`
+    /// or `engine.replay` span — so the cold run that follows reports as
+    /// if the replay had never started.
     ///
     /// `stored_curve` is the fault curve of the populating run's stored
     /// result, if it paged. The curve is a function of the stream alone
@@ -1279,7 +1274,7 @@ impl Experiment {
     /// pager shard, counting `stream_cache.stored_fault_curve`.
     fn replay(
         &self,
-        view: StreamView<'_>,
+        mut reader: StreamReader<std::fs::File>,
         sidecar: StreamSidecar,
         stored_curve: Option<FaultCurve>,
         recorder: &mut Option<&mut dyn Recorder>,
@@ -1292,7 +1287,7 @@ impl Experiment {
         let stored_curve = stored_curve.filter(|_| self.opts.paging);
         let pager = self.opts.paging && stored_curve.is_none();
         let mut set = ShardSet::new(self.build_shards(pager), recorder.is_some());
-        let decoded = view.decode_chunks(|chunk| set.deliver(chunk));
+        let decoded = reader.decode_chunks(|chunk| set.deliver(chunk));
         if let Some(rec) = recorder.as_deref_mut() {
             if decoded.is_ok() {
                 set.record(rec);
@@ -1335,10 +1330,11 @@ impl Experiment {
     /// A cold run that also stores its stream under `key`, with the
     /// sidecar holding everything a replay cannot reconstruct: the one
     /// cold path, [`Experiment::run_generated`], with a stream encoder on
-    /// its sinks, so the stream is encoded as it is generated and never
-    /// held whole. `lookup_counter` records why the cache did not
-    /// answer. A failed store is a missed optimization, never a failed
-    /// run.
+    /// its sinks, so the stream is written to a scratch file in the cache
+    /// directory as it is generated and never held whole. A failed run
+    /// drops the encoder, which removes the scratch file.
+    /// `lookup_counter` records why the cache did not answer. A failed
+    /// store is a missed optimization, never a failed run.
     fn run_and_populate(
         &self,
         cache: &StreamCache,
@@ -1348,7 +1344,7 @@ impl Experiment {
     ) -> Result<RunOutcome, EngineError> {
         let mut tee = TeeRecorder { mem: MemoryRecorder::new(), user };
         tee.add(lookup_counter, 1);
-        let mut encoder = StreamEncoder::new();
+        let mut encoder = cache.encoder(key);
         let result = self.run_generated(Some(&mut tee), Some(&mut encoder))?;
         // Counts the store *attempt*, and does so before the snapshot is
         // frozen so the stored metrics equal what the caller's recorder
@@ -1365,7 +1361,7 @@ impl Experiment {
             result: Some(result.clone()),
         };
         let sidecar_json = serde_json::to_string(&sidecar).expect("sidecar serializes");
-        let _ = cache.write(key, &encoder.finish(key, sidecar_json.as_bytes()));
+        let _ = cache.commit(encoder, sidecar_json.as_bytes());
         Ok(RunOutcome { result, replay_metrics: None })
     }
 
@@ -1382,7 +1378,7 @@ impl Experiment {
     fn run_generated(
         &self,
         mut recorder: Option<&mut dyn Recorder>,
-        encoder: Option<&mut StreamEncoder>,
+        encoder: Option<&mut StreamEncoder<AtomicFile>>,
     ) -> Result<RunResult, EngineError> {
         let mut heap = HeapImage::with_limit(self.opts.heap_limit);
         let mut instrs = InstrCounter::new();

@@ -54,9 +54,9 @@ pub use cost::{InstrCounter, Phase};
 pub use ctx::{MemCtx, BATCH_CAPACITY};
 pub use heap::{HeapImage, OomError};
 pub use stream::{
-    checksum, decode_sidecar, decode_stream, encode_stream, open_stream, CacheStats, DecodedStream,
-    Fnv64, StreamCache, StreamEncoder, StreamError, StreamView, STREAM_FORMAT_VERSION,
-    STREAM_MAGIC,
+    checksum, decode_sidecar, decode_stream, encode_stream, AtomicFile, CacheStats, Checksum,
+    DecodedStream, Fnv64, StreamCache, StreamEncoder, StreamError, StreamReader,
+    STREAM_FORMAT_VERSION, STREAM_MAGIC,
 };
 
 /// The trait implemented by every consumer of the simulated reference

@@ -8,24 +8,28 @@
 //! module serializes a [`RefRun`] stream to a compact binary file as
 //! the stream is generated, so a later run with the same *driver
 //! identity* pays only read + checksum + decode + sink cost — or, when
-//! the stored sidecar already answers the run, only the read +
-//! checksum.
+//! the stored sidecar already answers the run, only a read of the
+//! file's last few kilobytes.
 //!
-//! # File layout (`ALSC` version 3)
+//! # File layout (`ALSC` version 4)
 //!
 //! ```text
-//! magic       4 bytes   "ALSC"
-//! version     u8        STREAM_FORMAT_VERSION
-//! reserved    3 bytes   zero
-//! content key u64 LE    caller-computed FNV-1a over the driver identity
-//! -- checksummed region starts here --
-//! run count   varint
-//! ref count   varint    sum of run counts (expanded references)
-//! sidecar     varint length + opaque bytes (the engine stores driver-
-//!                       side results and metrics here as JSON)
-//! runs        run records, see below
-//! -- checksummed region ends here --
-//! checksum    u64 LE    `checksum` of the checksummed region
+//! -- header (16 bytes) --
+//! magic        4 bytes   "ALSC"
+//! version      u8        STREAM_FORMAT_VERSION
+//! reserved     3 bytes   zero
+//! content key  u64 LE    caller-computed FNV-1a over the driver identity
+//! -- records --
+//! runs         run records, see below, in stream order
+//! -- trailer --
+//! run count    varint
+//! ref count    varint    sum of run counts (expanded references)
+//! sidecar      varint length + opaque bytes (the engine stores driver-
+//!                        side results and metrics here as JSON)
+//! -- footer (24 bytes) --
+//! trailer at   u64 LE    byte offset of the trailer (16 + records length)
+//! records sum  u64 LE    `checksum` of the records
+//! trailer sum  u64 LE    `checksum` of the trailer
 //! ```
 //!
 //! One run record is:
@@ -52,39 +56,48 @@
 //! # Writing
 //!
 //! [`StreamEncoder`] encodes a stream as it is produced: pushed in
-//! pieces of any size, it holds only the encoded records, and its bytes
-//! do not depend on where the stream was split. [`encode_stream`] is one
-//! push of a whole stream. [`StreamCache`] stores files through
-//! [`write_atomic`], or [`write_bounded`] under a size bound.
+//! pieces of any size, it writes the records through a buffer of
+//! [`WRITE_BUFFER`] bytes, checksumming them as they go, and its bytes
+//! do not depend on where the stream was split. [`StreamEncoder::finish`]
+//! appends the trailer and the footer. [`StreamCache`] points an encoder
+//! at an [`AtomicFile`], a scratch file in the cache directory that
+//! commit fsyncs and renames into place; [`write_bounded`] writes a
+//! whole byte string through the same two phases. [`encode_stream`] is
+//! one push of a whole stream into memory.
 //!
 //! # Reading
 //!
-//! [`open_stream`] validates a file once — header, content key, and the
-//! [`checksum`] of the whole checksummed region — and locates its
-//! sidecar. Only a validated [`StreamView`] decodes records:
-//! [`StreamView::decode_chunks`] hands them on in chunks of at most
-//! [`BATCH_CAPACITY`] runs through one reused buffer, so no consumer sees
-//! an unverified record and no whole-stream vector need exist.
-//! [`decode_stream`] and [`decode_sidecar`] are thin wrappers over the
-//! same two steps.
+//! [`StreamReader::open`] reads only the header, the footer and the
+//! trailer, over any `Read + Seek`: it checks magic, version, reserved
+//! bytes and content key, checksums the trailer and parses the counts
+//! and the sidecar. No record is read, so a sidecar answer costs the
+//! trailer, not the file. [`StreamReader::decode_chunks`], the one
+//! record decoder, reads the records in chunks of [`READ_CHUNK`] bytes,
+//! checksums them as it decodes, and hands the runs on in chunks of at
+//! most [`BATCH_CAPACITY`] through one reused buffer; the last chunk
+//! follows only the end-of-stream checks, the records checksum among
+//! them. [`decode_stream`] and [`decode_sidecar`] are thin wrappers over
+//! the same two steps for a file held in memory.
 //!
 //! # Invalidation
 //!
 //! Decoding is total: any malformed input — wrong magic, unknown
-//! version, mismatched content key, truncation, checksum failure, or a
-//! corrupt record — yields a [`StreamError`], never a panic, so a
+//! version, mismatched content key, truncation, a checksum failure, or
+//! a corrupt record — yields a [`StreamError`], never a panic, so a
 //! damaged cache file demotes a warm run to a cold one. A record whose
 //! bytes would run past 2^64 (`addr + size - 1` overflows) is corrupt
-//! too, so every decoded reference has a well-defined last byte. A
-//! corrupt record behind a valid checksum is found mid-stream, after
-//! the chunks before it were delivered; a consumer that must not act on
-//! a partial stream discards what it fed. The version byte must be
-//! bumped whenever the record layout, the flag meanings, the checksum,
-//! or the sidecar contract change; old files then read as
+//! too, so every decoded reference has a well-defined last byte. Damage
+//! to the records is found while they are decoded — a malformed record
+//! where it sits, any other change by the records checksum at the end —
+//! after the chunks before it were delivered; a consumer that must not
+//! act on a partial stream discards what it fed. The version byte must
+//! be bumped whenever the layout, the record format, the flag meanings,
+//! the checksum, or the sidecar contract change; old files then read as
 //! [`StreamError::BadVersion`] and are regenerated.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
@@ -98,15 +111,31 @@ pub const STREAM_MAGIC: [u8; 4] = *b"ALSC";
 /// change; readers reject other versions. Version 2 extended the
 /// sidecar contract (the engine stores the populating run's finalized
 /// result alongside its metrics); version 3 replaced the byte-serial
-/// FNV-1a file checksum with the four-lane word [`checksum`].
-pub const STREAM_FORMAT_VERSION: u8 = 3;
+/// FNV-1a file checksum with the four-lane word [`checksum`]; version 4
+/// moved the counts and the sidecar behind the records, into a trailer
+/// that a footer locates, with separate checksums, so a file is written
+/// as its stream is generated and its sidecar read without its records.
+pub const STREAM_FORMAT_VERSION: u8 = 4;
 
 /// File extension of a [`StreamCache`] entry.
 const STREAM_EXTENSION: &str = "alsc";
 
-/// Offset where the checksummed region (everything after the fixed
-/// header) begins.
+/// Length of the fixed header; the records begin here.
 const HEADER_LEN: usize = 16;
+
+/// Length of the fixed footer that ends every file.
+const FOOTER_LEN: usize = 24;
+
+/// Bytes of encoded records a [`StreamEncoder`] holds before it writes
+/// them out.
+pub const WRITE_BUFFER: usize = 64 << 10;
+
+/// Bytes of records [`StreamReader::decode_chunks`] reads at a time.
+pub const READ_CHUNK: usize = 64 << 10;
+
+/// The most bytes one record can take, or the decoder read before it
+/// fails: a flags byte and three varints of at most ten bytes each.
+const MAX_RECORD_LEN: usize = 31;
 
 /// FNV-1a offset basis and prime.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -170,7 +199,7 @@ fn fold(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FOLD_K).rotate_left(29)
 }
 
-/// The ALSC file checksum.
+/// The ALSC checksum of one byte string: [`Checksum`] fed it whole.
 ///
 /// Each 32-byte block is four little-endian `u64` words, folded into
 /// four independent lanes, one word per lane — four multiply chains the
@@ -182,27 +211,86 @@ fn fold(h: u64, w: u64) -> u64 {
 /// hence one lane or the tail state, hence the result: every single-bit
 /// flip is detected, not merely most.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let word = |block: &[u8], i: usize| {
-        u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8-byte word"))
-    };
-    let [mut a, mut b, mut c, mut d] = LANE_SEEDS;
-    let mut blocks = bytes.chunks_exact(32);
-    for block in &mut blocks {
-        a = fold(a, word(block, 0));
-        b = fold(b, word(block, 1));
-        c = fold(c, word(block, 2));
-        d = fold(d, word(block, 3));
+    let mut sum = Checksum::new();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// [`checksum`] computed incrementally: after any sequence of
+/// [`Checksum::update`]s, [`Checksum::finish`] is the checksum of their
+/// concatenation, wherever it was split.
+#[derive(Debug, Clone)]
+pub struct Checksum {
+    lanes: [u64; 4],
+    /// The start of a block still missing bytes.
+    partial: [u8; 32],
+    partial_len: usize,
+    len: u64,
+}
+
+impl Default for Checksum {
+    fn default() -> Self {
+        Checksum { lanes: LANE_SEEDS, partial: [0; 32], partial_len: 0, len: 0 }
     }
-    let mut h = [a, b, c, d].into_iter().fold(0, fold);
-    h = fold(h, bytes.len() as u64);
-    for tail in blocks.remainder().chunks(8) {
-        let mut padded = [0u8; 8];
-        padded[..tail.len()].copy_from_slice(tail);
-        h = fold(h, u64::from_le_bytes(padded));
+}
+
+impl Checksum {
+    /// The checksum state of the empty string.
+    pub fn new() -> Self {
+        Self::default()
     }
-    h ^= h >> 32;
-    h = h.wrapping_mul(FOLD_K);
-    h ^ (h >> 29)
+
+    /// Appends `bytes` to the checksummed string.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.partial_len > 0 {
+            let take = bytes.len().min(32 - self.partial_len);
+            self.partial[self.partial_len..self.partial_len + take].copy_from_slice(&bytes[..take]);
+            self.partial_len += take;
+            bytes = &bytes[take..];
+            if self.partial_len < 32 {
+                return;
+            }
+            let block = self.partial;
+            self.fold_blocks(&block);
+            self.partial_len = 0;
+        }
+        let whole = bytes.len() - bytes.len() % 32;
+        self.fold_blocks(&bytes[..whole]);
+        let tail = &bytes[whole..];
+        self.partial[..tail.len()].copy_from_slice(tail);
+        self.partial_len = tail.len();
+    }
+
+    /// Folds whole 32-byte blocks into the lanes.
+    #[inline(always)]
+    fn fold_blocks(&mut self, blocks: &[u8]) {
+        let word = |block: &[u8], i: usize| {
+            u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("8-byte word"))
+        };
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for block in blocks.chunks_exact(32) {
+            a = fold(a, word(block, 0));
+            b = fold(b, word(block, 1));
+            c = fold(c, word(block, 2));
+            d = fold(d, word(block, 3));
+        }
+        self.lanes = [a, b, c, d];
+    }
+
+    /// The checksum of everything appended so far.
+    pub fn finish(&self) -> u64 {
+        let mut h = self.lanes.into_iter().fold(0, fold);
+        h = fold(h, self.len);
+        for tail in self.partial[..self.partial_len].chunks(8) {
+            let mut padded = [0u8; 8];
+            padded[..tail.len()].copy_from_slice(tail);
+            h = fold(h, u64::from_le_bytes(padded));
+        }
+        h ^= h >> 32;
+        h = h.wrapping_mul(FOLD_K);
+        h ^ (h >> 29)
+    }
 }
 
 /// Why a stream file failed to decode.
@@ -222,8 +310,11 @@ pub enum StreamError {
     },
     /// The file ends before the declared content does.
     Truncated,
-    /// The checksum failed or a record is malformed.
+    /// A checksum failed or a record, the trailer or the footer is
+    /// malformed.
     Corrupt(&'static str),
+    /// Reading the file failed.
+    Io(io::ErrorKind),
 }
 
 impl std::fmt::Display for StreamError {
@@ -238,11 +329,21 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::Truncated => write!(f, "stream file is truncated"),
             StreamError::Corrupt(what) => write!(f, "stream file is corrupt: {what}"),
+            StreamError::Io(kind) => write!(f, "stream file could not be read: {kind}"),
         }
     }
 }
 
 impl std::error::Error for StreamError {}
+
+impl From<io::Error> for StreamError {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::UnexpectedEof => StreamError::Truncated,
+            kind => StreamError::Io(kind),
+        }
+    }
+}
 
 /// A successfully decoded stream file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,31 +366,53 @@ const FLAG_KNOWN: u8 = FLAG_WRITE | FLAG_META | FLAG_SIZED | FLAG_REPEATED;
 /// reference wraps, and every sink's block arithmetic assumes none does.
 const WRAPS: &str = "reference wraps past the end of the address space";
 
-/// Serializes a stream to the ALSC byte format: one
-/// [`StreamEncoder::push`] of the whole stream, then
+/// Serializes a stream to the ALSC byte format in memory: one
+/// [`StreamEncoder::push`] of the whole stream into a byte vector, then
 /// [`StreamEncoder::finish`].
 ///
 /// `content_key` identifies what generated the stream (the caller
 /// hashes the driver identity); `sidecar` is stored verbatim and handed
 /// back on decode. Adjacent identical runs are merged.
 pub fn encode_stream(content_key: u64, sidecar: &[u8], runs: &[RefRun]) -> Vec<u8> {
-    let mut encoder = StreamEncoder::new();
+    let mut encoder = StreamEncoder::new(Vec::new(), content_key);
     encoder.push(runs);
-    encoder.finish(content_key, sidecar)
+    encoder.finish(sidecar).expect("a byte vector takes every write")
 }
 
-/// Encodes a stream as it is produced, holding only the encoded
-/// records, never the runs.
+/// Writes `bytes` to `out`, unless an earlier write failed; the first
+/// failure replaces the writer with its error, dropping the writer.
+fn write_out<W: Write>(out: &mut io::Result<W>, bytes: &[u8]) {
+    if let Ok(w) = out {
+        if let Err(e) = w.write_all(bytes) {
+            *out = Err(e);
+        }
+    }
+}
+
+/// Encodes a stream into an ALSC file as it is produced, holding at
+/// most [`WRITE_BUFFER`] bytes of records, never the runs.
 ///
-/// [`StreamEncoder::push`] takes the stream in pieces of any size — a
-/// generating run's flushed batches, typically — and merges adjacent
-/// identical runs across pieces, so where the stream was split never
-/// shows: any split yields exactly [`encode_stream`]'s bytes.
-/// [`StreamEncoder::finish`] frames the records as an ALSC file.
-#[derive(Debug, Default)]
-pub struct StreamEncoder {
-    /// The run records written so far.
-    records: Vec<u8>,
+/// [`StreamEncoder::new`] writes the header; [`StreamEncoder::push`]
+/// takes the stream in pieces of any size — a generating run's flushed
+/// batches, typically — and merges adjacent identical runs across
+/// pieces, so where the stream was split never shows: any split yields
+/// exactly [`encode_stream`]'s bytes. [`StreamEncoder::finish`] appends
+/// the trailer and the footer and hands the writer back.
+///
+/// A failed write does not stop the encoder: it drops the writer (an
+/// [`AtomicFile`] removes its scratch file then), writes nothing more,
+/// and [`StreamEncoder::finish`] returns the error. A stream that cannot
+/// be stored therefore costs its run nothing but the file.
+#[derive(Debug)]
+pub struct StreamEncoder<W: Write> {
+    /// Where the file goes, or the error that ended writing.
+    out: io::Result<W>,
+    /// Encoded records not yet written out.
+    buf: Vec<u8>,
+    /// Checksum of the records written out so far.
+    sum: Checksum,
+    /// Length of the records written out so far.
+    records_len: u64,
     /// The run being merged, not yet written: its reference and its
     /// count so far, which may pass `u32::MAX`.
     pending: Option<(MemRef, u64)>,
@@ -301,10 +424,31 @@ pub struct StreamEncoder {
     ref_count: u64,
 }
 
-impl StreamEncoder {
-    /// An encoder with nothing pushed.
-    pub fn new() -> Self {
-        Self::default()
+impl<W: Write> StreamEncoder<W> {
+    /// An encoder with nothing pushed that writes a file under
+    /// `content_key` to `out`, starting with its header.
+    pub fn new(out: W, content_key: u64) -> Self {
+        Self::over(Ok(out), content_key)
+    }
+
+    /// [`StreamEncoder::new`] over a writer that may have failed to
+    /// open: an `Err` is kept, and returned by [`StreamEncoder::finish`].
+    fn over(mut out: io::Result<W>, content_key: u64) -> Self {
+        let mut header = [0u8; HEADER_LEN];
+        header[..4].copy_from_slice(&STREAM_MAGIC);
+        header[4] = STREAM_FORMAT_VERSION;
+        header[8..].copy_from_slice(&content_key.to_le_bytes());
+        write_out(&mut out, &header);
+        StreamEncoder {
+            out,
+            buf: Vec::with_capacity(WRITE_BUFFER),
+            sum: Checksum::new(),
+            records_len: 0,
+            pending: None,
+            prev_addr: 0,
+            record_count: 0,
+            ref_count: 0,
+        }
     }
 
     /// Appends `runs` to the stream.
@@ -323,35 +467,49 @@ impl StreamEncoder {
         }
     }
 
-    /// Frames the stream as an ALSC file under `content_key`, with
-    /// `sidecar` stored verbatim (see [`encode_stream`]).
-    pub fn finish(mut self, content_key: u64, sidecar: &[u8]) -> Vec<u8> {
+    /// Writes the last run, the trailer — the counts and `sidecar`,
+    /// stored verbatim (see [`encode_stream`]) — and the footer, and
+    /// hands back the writer, flushed.
+    ///
+    /// # Errors
+    ///
+    /// The first write error of the whole file.
+    pub fn finish(mut self, sidecar: &[u8]) -> io::Result<W> {
         if let Some((r, count)) = self.pending.take() {
             self.write_run(r, count);
         }
-        let mut head = Vec::with_capacity(HEADER_LEN + 30 + sidecar.len());
-        head.extend_from_slice(&STREAM_MAGIC);
-        head.push(STREAM_FORMAT_VERSION);
-        head.extend_from_slice(&[0u8; 3]);
-        head.extend_from_slice(&content_key.to_le_bytes());
-        varint::write_u64(&mut head, self.record_count);
-        varint::write_u64(&mut head, self.ref_count);
-        varint::write_u64(&mut head, sidecar.len() as u64);
-        head.extend_from_slice(sidecar);
-        // The records become the file in place: the head is spliced in
-        // front of them, so the body is never copied into a second buffer.
-        let mut out = self.records;
-        out.reserve_exact(head.len() + 8);
-        out.splice(0..0, head);
-        let sum = checksum(&out[HEADER_LEN..]);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        self.flush_records();
+        let mut trailer = Vec::with_capacity(30 + sidecar.len());
+        varint::write_u64(&mut trailer, self.record_count);
+        varint::write_u64(&mut trailer, self.ref_count);
+        varint::write_u64(&mut trailer, sidecar.len() as u64);
+        trailer.extend_from_slice(sidecar);
+        let mut footer = [0u8; FOOTER_LEN];
+        footer[..8].copy_from_slice(&(HEADER_LEN as u64 + self.records_len).to_le_bytes());
+        footer[8..16].copy_from_slice(&self.sum.finish().to_le_bytes());
+        footer[16..].copy_from_slice(&checksum(&trailer).to_le_bytes());
+        write_out(&mut self.out, &trailer);
+        write_out(&mut self.out, &footer);
+        let mut out = self.out?;
+        out.flush()?;
+        Ok(out)
+    }
+
+    /// Checksums and writes out the buffered records.
+    fn flush_records(&mut self) {
+        self.sum.update(&self.buf);
+        self.records_len += self.buf.len() as u64;
+        write_out(&mut self.out, &self.buf);
+        self.buf.clear();
     }
 
     /// Writes one merged run, splitting counts that exceed `u32::MAX`.
     fn write_run(&mut self, r: MemRef, mut count: u64) {
-        let out = &mut self.records;
         while count > 0 {
+            if self.buf.len() + MAX_RECORD_LEN > WRITE_BUFFER {
+                self.flush_records();
+            }
+            let out = &mut self.buf;
             let chunk = count.min(u64::from(u32::MAX)) as u32;
             count -= u64::from(chunk);
             self.record_count += 1;
@@ -382,165 +540,175 @@ impl StreamEncoder {
     }
 }
 
-/// A stream file that passed [`open_stream`]: magic, version, reserved
-/// bytes, content key and checksum verified, counts read, sidecar
-/// located. Only [`open_stream`] builds one, so holding a view means the
-/// bytes behind it were checksummed; the run records are decoded on
-/// demand by [`StreamView::decode_chunks`].
-#[derive(Debug, Clone, Copy)]
-pub struct StreamView<'a> {
+/// Reads into `buf` until it is full or `src` ends; returns the bytes
+/// read.
+fn read_full(src: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match src.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
+/// An ALSC file whose header, footer and trailer passed
+/// [`StreamReader::open`]: magic, version, reserved bytes and content
+/// key checked, the trailer checksummed, its counts and sidecar read.
+/// The records are read and verified on demand by
+/// [`StreamReader::decode_chunks`].
+#[derive(Debug)]
+pub struct StreamReader<R> {
+    inner: R,
     run_count: u64,
     ref_count: u64,
-    sidecar: &'a [u8],
-    records: &'a [u8],
+    sidecar: Vec<u8>,
+    records_len: u64,
+    records_sum: u64,
 }
 
-/// Validates an ALSC byte string — magic, version, reserved bytes and
-/// content key, then one [`checksum`] pass over the checksummed region —
-/// and locates its sidecar and run records. No record is decoded.
-///
-/// # Errors
-///
-/// Returns the first [`StreamError`] in the header, the checksum, the
-/// counts or the sidecar. Damage confined to the run records behind a
-/// valid checksum surfaces from [`StreamView::decode_chunks`].
-pub fn open_stream(bytes: &[u8], expected_key: u64) -> Result<StreamView<'_>, StreamError> {
-    if bytes.len() < HEADER_LEN + 8 {
-        return Err(if bytes.len() >= 4 && bytes[..4] != STREAM_MAGIC {
-            StreamError::BadMagic
-        } else {
-            StreamError::Truncated
-        });
+impl<R: Read + Seek> StreamReader<R> {
+    /// Reads and validates the header, the footer and the trailer of the
+    /// file `inner` holds — a few kilobytes, whatever the file's length.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`StreamError`] in the header, the footer or
+    /// the trailer. Damage to the records surfaces from
+    /// [`StreamReader::decode_chunks`].
+    pub fn open(mut inner: R, expected_key: u64) -> Result<Self, StreamError> {
+        let len = inner.seek(SeekFrom::End(0))?;
+        inner.seek(SeekFrom::Start(0))?;
+        let mut header = [0u8; HEADER_LEN];
+        let got = read_full(&mut inner, &mut header)?;
+        if got >= 4 && header[..4] != STREAM_MAGIC {
+            return Err(StreamError::BadMagic);
+        }
+        if got < HEADER_LEN || len < (HEADER_LEN + FOOTER_LEN) as u64 {
+            return Err(StreamError::Truncated);
+        }
+        if header[4] != STREAM_FORMAT_VERSION {
+            return Err(StreamError::BadVersion(header[4]));
+        }
+        if header[5..8] != [0, 0, 0] {
+            return Err(StreamError::Corrupt("nonzero reserved header bytes"));
+        }
+        let found = u64::from_le_bytes(header[8..].try_into().expect("8 bytes"));
+        if found != expected_key {
+            return Err(StreamError::KeyMismatch { expected: expected_key, found });
+        }
+        let trailer_end = len - FOOTER_LEN as u64;
+        let mut footer = [0u8; FOOTER_LEN];
+        inner.seek(SeekFrom::Start(trailer_end))?;
+        inner.read_exact(&mut footer)?;
+        let word = |i: usize| u64::from_le_bytes(footer[8 * i..8 * i + 8].try_into().expect("8"));
+        let (trailer_at, records_sum, trailer_sum) = (word(0), word(1), word(2));
+        if !(HEADER_LEN as u64..=trailer_end).contains(&trailer_at) {
+            return Err(StreamError::Corrupt("trailer offset out of range"));
+        }
+        let trailer_len = usize::try_from(trailer_end - trailer_at)
+            .map_err(|_| StreamError::Corrupt("trailer length"))?;
+        let mut trailer = vec![0u8; trailer_len];
+        inner.seek(SeekFrom::Start(trailer_at))?;
+        inner.read_exact(&mut trailer)?;
+        if checksum(&trailer) != trailer_sum {
+            return Err(StreamError::Corrupt("trailer checksum mismatch"));
+        }
+        let mut pos = 0usize;
+        let run_count = varint::take_u64(&trailer, &mut pos).ok_or(StreamError::Truncated)?;
+        let ref_count = varint::take_u64(&trailer, &mut pos).ok_or(StreamError::Truncated)?;
+        let sidecar_len = varint::take_u64(&trailer, &mut pos).ok_or(StreamError::Truncated)?;
+        let left = (trailer.len() - pos) as u64;
+        if left < sidecar_len {
+            return Err(StreamError::Truncated);
+        }
+        if left > sidecar_len {
+            return Err(StreamError::Corrupt("trailing bytes after the sidecar"));
+        }
+        trailer.drain(..pos);
+        Ok(StreamReader {
+            inner,
+            run_count,
+            ref_count,
+            sidecar: trailer,
+            records_len: trailer_at - HEADER_LEN as u64,
+            records_sum,
+        })
     }
-    if bytes[..4] != STREAM_MAGIC {
-        return Err(StreamError::BadMagic);
-    }
-    if bytes[4] != STREAM_FORMAT_VERSION {
-        return Err(StreamError::BadVersion(bytes[4]));
-    }
-    if bytes[5..8] != [0, 0, 0] {
-        return Err(StreamError::Corrupt("nonzero reserved header bytes"));
-    }
-    let found = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    if found != expected_key {
-        return Err(StreamError::KeyMismatch { expected: expected_key, found });
-    }
-    let body = &bytes[HEADER_LEN..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-    if checksum(body) != stored {
-        return Err(StreamError::Corrupt("checksum mismatch"));
-    }
-    let mut pos = 0usize;
-    let run_count = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
-    let ref_count = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
-    let sidecar_len = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)? as usize;
-    if body.len() - pos < sidecar_len {
-        return Err(StreamError::Truncated);
-    }
-    let (sidecar, records) = body[pos..].split_at(sidecar_len);
-    Ok(StreamView { run_count, ref_count, sidecar, records })
-}
 
-impl<'a> StreamView<'a> {
     /// The opaque sidecar blob stored alongside the stream.
-    pub fn sidecar(&self) -> &'a [u8] {
-        self.sidecar
+    pub fn sidecar(&self) -> &[u8] {
+        &self.sidecar
     }
 
-    /// Decodes the run records in stream order and hands them to
-    /// `deliver` in chunks of at most [`BATCH_CAPACITY`] runs, reusing
-    /// one buffer: memory stays bounded however long the stream is. The
-    /// last chunk is delivered only after the end-of-stream checks
-    /// (trailing bytes, reference count) pass.
+    /// Reads the run records in chunks of [`READ_CHUNK`] bytes,
+    /// checksumming them as it goes, decodes them in stream order and
+    /// hands them to `deliver` in chunks of at most [`BATCH_CAPACITY`]
+    /// runs, reusing one buffer: memory stays bounded however long the
+    /// stream is. The last chunk is delivered only after the end-of-stream
+    /// checks (the records checksum, trailing bytes, reference count)
+    /// pass.
     ///
     /// # Errors
     ///
     /// Returns the first malformed record or count as a [`StreamError`]:
     /// unknown flag bits, a truncated or overlong varint, a zero or
     /// oversized reference, a reference wrapping past 2^64, a run length
-    /// beyond `u32::MAX`, trailing bytes, or a reference count that
-    /// disagrees with the records. The chunks before the error were
-    /// already delivered; a caller that must not act on a partial stream
-    /// discards what it fed.
-    pub fn decode_chunks(&self, mut deliver: impl FnMut(&[RefRun])) -> Result<(), StreamError> {
-        let body = self.records;
-        let run_count =
-            usize::try_from(self.run_count).map_err(|_| StreamError::Corrupt("run count"))?;
+    /// beyond `u32::MAX`, a records checksum mismatch, trailing bytes, or
+    /// a reference count that disagrees with the records; or a read
+    /// error. The chunks before the error were already delivered; a
+    /// caller that must not act on a partial stream discards what it fed.
+    pub fn decode_chunks(&mut self, mut deliver: impl FnMut(&[RefRun])) -> Result<(), StreamError> {
         // A record is at least two bytes; a declared count beyond that
         // bound is damage, caught before the allocation rather than after.
-        if run_count > body.len() / 2 {
+        if self.run_count > self.records_len / 2 {
             return Err(StreamError::Corrupt("run count exceeds payload"));
         }
-        let mut chunk = Vec::with_capacity(run_count.min(BATCH_CAPACITY));
+        self.inner.seek(SeekFrom::Start(HEADER_LEN as u64))?;
+        let mut src = Records {
+            inner: &mut self.inner,
+            buf: vec![0u8; READ_CHUNK],
+            end: 0,
+            left: self.records_len,
+            sum: Checksum::new(),
+        };
+        // The decode state lives in locals, not in `src`, so the hot loop
+        // keeps it in registers.
         let mut pos = 0usize;
+        let mut chunk = Vec::with_capacity(BATCH_CAPACITY.min(self.run_count as usize));
         let mut prev_addr = 0u64;
         let mut refs = 0u64;
-        for _ in 0..run_count {
+        let mut remaining = self.run_count;
+        while remaining > 0 {
+            if src.end - pos < MAX_RECORD_LEN && src.left > 0 {
+                pos = src.refill(pos)?;
+            }
             if chunk.len() == BATCH_CAPACITY {
                 deliver(&chunk);
                 chunk.clear();
             }
-            let flags = *body.get(pos).ok_or(StreamError::Truncated)?;
-            pos += 1;
-            if flags & !FLAG_KNOWN != 0 {
-                return Err(StreamError::Corrupt("unknown record flags"));
+            // No record takes more than MAX_RECORD_LEN bytes, so this many
+            // lie whole in the window, unless the records end inside it.
+            let fit = if src.left > 0 { (src.end - pos) / MAX_RECORD_LEN } else { usize::MAX };
+            let batch = fit
+                .min(BATCH_CAPACITY - chunk.len())
+                .min(usize::try_from(remaining).unwrap_or(usize::MAX));
+            let body = &src.buf[..src.end];
+            for _ in 0..batch {
+                let run = decode_record(body, &mut pos, &mut prev_addr)?;
+                refs += u64::from(run.count);
+                chunk.push(run);
             }
-            let kind = if flags & FLAG_WRITE != 0 { AccessKind::Write } else { AccessKind::Read };
-            let class = if flags & FLAG_META != 0 {
-                AccessClass::AllocatorMeta
-            } else {
-                AccessClass::AppData
-            };
-            // Fast path: a single word-sized reference whose address delta
-            // fits one varint byte is exactly two bytes, decoded without
-            // the general varint loop (12.2% of the paper cells' records;
-            // see the module docs for the mix).
-            if flags & (FLAG_SIZED | FLAG_REPEATED) == 0 {
-                if let Some(&b) = body.get(pos) {
-                    if b < 0x80 {
-                        pos += 1;
-                        let addr = prev_addr.wrapping_add(varint::unzigzag(u64::from(b)) as u64);
-                        if addr > u64::MAX - 3 {
-                            return Err(StreamError::Corrupt(WRAPS));
-                        }
-                        prev_addr = addr;
-                        refs += 1;
-                        chunk.push(RefRun {
-                            r: MemRef { addr: Address::new(addr), size: 4, kind, class },
-                            count: 1,
-                        });
-                        continue;
-                    }
-                }
-            }
-            let delta = varint::take_i64(body, &mut pos).ok_or(StreamError::Truncated)?;
-            let addr = prev_addr.wrapping_add(delta as u64);
-            prev_addr = addr;
-            let size = if flags & FLAG_SIZED != 0 {
-                let raw = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
-                u32::try_from(raw).map_err(|_| StreamError::Corrupt("reference size"))?
-            } else {
-                4
-            };
-            if size == 0 {
-                return Err(StreamError::Corrupt("zero-sized reference"));
-            }
-            if addr.checked_add(u64::from(size) - 1).is_none() {
-                return Err(StreamError::Corrupt(WRAPS));
-            }
-            let count = if flags & FLAG_REPEATED != 0 {
-                let raw = varint::take_u64(body, &mut pos).ok_or(StreamError::Truncated)?;
-                u32::try_from(raw)
-                    .ok()
-                    .and_then(|c| c.checked_add(1))
-                    .ok_or(StreamError::Corrupt("run length"))?
-            } else {
-                1
-            };
-            refs += u64::from(count);
-            chunk.push(RefRun { r: MemRef { addr: Address::new(addr), size, kind, class }, count });
+            remaining -= batch as u64;
         }
-        if pos != body.len() {
+        let trailing = src.drain(pos)?;
+        if src.sum.finish() != self.records_sum {
+            return Err(StreamError::Corrupt("records checksum mismatch"));
+        }
+        if trailing != 0 {
             return Err(StreamError::Corrupt("trailing bytes after last record"));
         }
         if refs != self.ref_count {
@@ -553,33 +721,139 @@ impl<'a> StreamView<'a> {
     }
 }
 
-/// Decodes only a stream's sidecar blob: [`open_stream`] alone, so the
-/// whole file is still checksummed (integrity is not negotiable) but no
-/// run record is decoded.
+/// The records of a file, read a window at a time and checksummed as
+/// they are read. The window is `buf[pos..end]`, with `pos` kept by the
+/// decoder.
+struct Records<'r, R> {
+    inner: &'r mut R,
+    buf: Vec<u8>,
+    /// End of the bytes read into `buf`.
+    end: usize,
+    /// Bytes of records not yet read.
+    left: u64,
+    sum: Checksum,
+}
+
+impl<R: Read> Records<'_, R> {
+    /// Moves the window `buf[pos..end]` to the front of the buffer and
+    /// reads until the buffer is full or the records end; returns the
+    /// window's new start.
+    #[cold]
+    fn refill(&mut self, pos: usize) -> Result<usize, StreamError> {
+        self.buf.copy_within(pos..self.end, 0);
+        self.end -= pos;
+        let want =
+            (self.buf.len() - self.end).min(usize::try_from(self.left).unwrap_or(usize::MAX));
+        let got = read_full(self.inner, &mut self.buf[self.end..self.end + want])?;
+        if got < want {
+            return Err(StreamError::Truncated);
+        }
+        self.sum.update(&self.buf[self.end..self.end + got]);
+        self.end += got;
+        self.left -= got as u64;
+        Ok(0)
+    }
+
+    /// Reads and checksums the rest of the records, past the window
+    /// starting at `pos`; returns how many bytes were left undecoded.
+    fn drain(&mut self, pos: usize) -> Result<u64, StreamError> {
+        let undecoded = (self.end - pos) as u64 + self.left;
+        while self.left > 0 {
+            self.refill(self.end)?;
+        }
+        Ok(undecoded)
+    }
+}
+
+/// Decodes the record at `body[*pos..]`, advancing `*pos` past it. Running
+/// off the end of `body` is [`StreamError::Truncated`]: callers hand in
+/// at least [`MAX_RECORD_LEN`] bytes past `*pos` unless the records end
+/// sooner, so that happens only where the records do end.
+#[inline(always)]
+fn decode_record(body: &[u8], pos: &mut usize, prev_addr: &mut u64) -> Result<RefRun, StreamError> {
+    let flags = *body.get(*pos).ok_or(StreamError::Truncated)?;
+    *pos += 1;
+    if flags & !FLAG_KNOWN != 0 {
+        return Err(StreamError::Corrupt("unknown record flags"));
+    }
+    let kind = if flags & FLAG_WRITE != 0 { AccessKind::Write } else { AccessKind::Read };
+    let class =
+        if flags & FLAG_META != 0 { AccessClass::AllocatorMeta } else { AccessClass::AppData };
+    // Fast path: a single word-sized reference whose address delta fits
+    // one varint byte is exactly two bytes, decoded without the general
+    // varint loop (12.2% of the paper cells' records; see the module
+    // docs for the mix).
+    if flags & (FLAG_SIZED | FLAG_REPEATED) == 0 {
+        if let Some(&b) = body.get(*pos) {
+            if b < 0x80 {
+                *pos += 1;
+                let addr = prev_addr.wrapping_add(varint::unzigzag(u64::from(b)) as u64);
+                if addr > u64::MAX - 3 {
+                    return Err(StreamError::Corrupt(WRAPS));
+                }
+                *prev_addr = addr;
+                return Ok(RefRun {
+                    r: MemRef { addr: Address::new(addr), size: 4, kind, class },
+                    count: 1,
+                });
+            }
+        }
+    }
+    let delta = varint::take_i64(body, pos).ok_or(StreamError::Truncated)?;
+    let addr = prev_addr.wrapping_add(delta as u64);
+    *prev_addr = addr;
+    let size = if flags & FLAG_SIZED != 0 {
+        let raw = varint::take_u64(body, pos).ok_or(StreamError::Truncated)?;
+        u32::try_from(raw).map_err(|_| StreamError::Corrupt("reference size"))?
+    } else {
+        4
+    };
+    if size == 0 {
+        return Err(StreamError::Corrupt("zero-sized reference"));
+    }
+    if addr.checked_add(u64::from(size) - 1).is_none() {
+        return Err(StreamError::Corrupt(WRAPS));
+    }
+    let count = if flags & FLAG_REPEATED != 0 {
+        let raw = varint::take_u64(body, pos).ok_or(StreamError::Truncated)?;
+        u32::try_from(raw)
+            .ok()
+            .and_then(|c| c.checked_add(1))
+            .ok_or(StreamError::Corrupt("run length"))?
+    } else {
+        1
+    };
+    Ok(RefRun { r: MemRef { addr: Address::new(addr), size, kind, class }, count })
+}
+
+/// Decodes only a stream's sidecar blob: [`StreamReader::open`] alone,
+/// so the header, the footer and the trailer are verified and no record
+/// is read.
 ///
 /// # Errors
 ///
 /// The same [`StreamError`]s as [`decode_stream`], except damage
 /// confined to the run records, which only a full decode can see.
 pub fn decode_sidecar(bytes: &[u8], expected_key: u64) -> Result<Vec<u8>, StreamError> {
-    open_stream(bytes, expected_key).map(|view| view.sidecar().to_vec())
+    StreamReader::open(io::Cursor::new(bytes), expected_key).map(|reader| reader.sidecar)
 }
 
-/// Decodes an ALSC byte string whole: [`open_stream`], then every chunk
-/// of [`StreamView::decode_chunks`] collected into one vector.
+/// Decodes an ALSC byte string whole: [`StreamReader::open`], then
+/// every chunk of [`StreamReader::decode_chunks`] collected into one
+/// vector.
 ///
 /// # Errors
 ///
 /// Returns the first [`StreamError`] encountered; any byte-level damage
 /// to the file surfaces here rather than as a panic or a wrong stream.
 pub fn decode_stream(bytes: &[u8], expected_key: u64) -> Result<DecodedStream, StreamError> {
-    let view = open_stream(bytes, expected_key)?;
+    let mut reader = StreamReader::open(io::Cursor::new(bytes), expected_key)?;
     // Sized by the declared count, capped by the payload bound the
     // decoder enforces, so a damaged count cannot force a huge allocation.
-    let declared = usize::try_from(view.run_count).unwrap_or(usize::MAX);
-    let mut runs = Vec::with_capacity(declared.min(view.records.len() / 2));
-    view.decode_chunks(|chunk| runs.extend_from_slice(chunk))?;
-    Ok(DecodedStream { sidecar: view.sidecar.to_vec(), runs })
+    let declared = usize::try_from(reader.run_count).unwrap_or(usize::MAX);
+    let mut runs = Vec::with_capacity(declared.min(bytes.len() / 2));
+    reader.decode_chunks(|chunk| runs.extend_from_slice(chunk))?;
+    Ok(DecodedStream { sidecar: reader.sidecar, runs })
 }
 
 /// What a [`StreamCache`] directory holds right now: its `.alsc` file
@@ -594,11 +868,11 @@ pub struct CacheStats {
 
 /// A directory of ALSC stream files, one per content key.
 ///
-/// Files are named `<key as 16 hex digits>.alsc`. Stores go through
-/// [`write_atomic`], so concurrent readers see either the old file or
-/// the complete new one, never a torn write, and concurrent writers —
-/// across processes or threads — never share a scratch file even when
-/// racing on the same key.
+/// Files are named `<key as 16 hex digits>.alsc`. A store writes its
+/// file through an [`AtomicFile`], so concurrent readers see either the
+/// old file or the complete new one, never a torn write, and concurrent
+/// writers — across processes or threads — never share a scratch file
+/// even when racing on the same key.
 #[derive(Debug, Clone)]
 pub struct StreamCache {
     dir: PathBuf,
@@ -613,12 +887,13 @@ impl StreamCache {
         StreamCache { dir: dir.into(), max_bytes: None }
     }
 
-    /// Bounds the total size of the cache's stream files. Stores go
-    /// through [`write_bounded`] (which the serve daemon's report cache
-    /// uses too): once the directory's `.alsc` files pass `max_bytes`,
-    /// the oldest-written entries are evicted (best-effort) until they
-    /// fit. The just-written entry is never evicted, so a single
-    /// oversized stream still caches; `None` restores unbounded growth.
+    /// Bounds the total size of the cache's stream files. Commits then
+    /// keep the directory within the bound as [`write_bounded`] does
+    /// (the serve daemon's report cache too): once the directory's
+    /// `.alsc` files pass `max_bytes`, the oldest-written entries are
+    /// evicted (best-effort) until they fit. The just-written entry is
+    /// never evicted, so a single oversized stream still caches; `None`
+    /// restores unbounded growth.
     pub fn with_max_bytes(mut self, max_bytes: Option<u64>) -> Self {
         self.max_bytes = max_bytes;
         self
@@ -629,17 +904,22 @@ impl StreamCache {
         &self.dir
     }
 
+    /// The file name a content key maps to.
+    fn name_for(key: u64) -> String {
+        format!("{key:016x}.{STREAM_EXTENSION}")
+    }
+
     /// The file path a content key maps to.
     pub fn path_for(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.{STREAM_EXTENSION}"))
+        self.dir.join(Self::name_for(key))
     }
 
     /// Whether a stream file exists for `key` — a metadata-only probe,
     /// no read or decode. A `true` answer is a prediction, not a
     /// promise: a corrupt entry still probes `true` and only
-    /// [`open_stream`] on its [`StreamCache::read`] bytes discovers the
-    /// damage, so callers counting hits from this probe report
-    /// best-effort telemetry, never correctness.
+    /// [`StreamCache::open`] or the decode discovers the damage, so
+    /// callers counting hits from this probe report best-effort
+    /// telemetry, never correctness.
     pub fn contains(&self, key: u64) -> bool {
         self.path_for(key).is_file()
     }
@@ -665,80 +945,140 @@ impl StreamCache {
         stats
     }
 
-    /// Reads the stream file stored under `key`, whole: `Ok(None)` when
-    /// there is none. The bytes are unvalidated; [`open_stream`] checks
-    /// them, so a run reads and checksums its file exactly once.
+    /// Opens the stream file stored under `key` with
+    /// [`StreamReader::open`], reading its header, footer and trailer
+    /// only: `Ok(None)` when there is none.
     ///
     /// # Errors
     ///
-    /// Any I/O error other than a missing file.
-    pub fn read(&self, key: u64) -> std::io::Result<Option<Vec<u8>>> {
-        match std::fs::read(self.path_for(key)) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
+    /// The file's [`StreamError`], or any I/O error other than a missing
+    /// file as [`StreamError::Io`].
+    pub fn open(&self, key: u64) -> Result<Option<StreamReader<File>>, StreamError> {
+        match File::open(self.path_for(key)) {
+            Ok(file) => StreamReader::open(file, key).map(Some),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
         }
+    }
+
+    /// Starts storing a stream under `key`: an encoder writing into a
+    /// scratch file in the cache directory, which
+    /// [`StreamCache::commit`] puts in place. When the scratch file
+    /// cannot be created the encoder still takes the stream, and the
+    /// commit returns the error.
+    pub fn encoder(&self, key: u64) -> StreamEncoder<AtomicFile> {
+        StreamEncoder::over(AtomicFile::create(&self.dir, &Self::name_for(key)), key)
+    }
+
+    /// Finishes `encoder`'s file with `sidecar` and commits it — fsync,
+    /// then rename over the key's file — keeping the directory within
+    /// the cache's size bound.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first I/O error of the whole store; the scratch file
+    /// is gone then. Callers treat a failed store as a missed
+    /// optimization, not a failed run.
+    pub fn commit(&self, encoder: StreamEncoder<AtomicFile>, sidecar: &[u8]) -> io::Result<()> {
+        encoder.finish(sidecar)?.commit(self.max_bytes).map(drop)
     }
 
     /// Encodes and atomically stores a stream under `key`: a thin
-    /// wrapper over [`encode_stream`] and [`StreamCache::write`].
+    /// wrapper over [`StreamCache::encoder`] and [`StreamCache::commit`].
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error; callers treat a failed store as
     /// a missed optimization, not a failed run.
-    pub fn store(&self, key: u64, sidecar: &[u8], runs: &[RefRun]) -> std::io::Result<()> {
-        self.write(key, &encode_stream(key, sidecar, runs))
-    }
-
-    /// Atomically stores an encoded stream file under `key` (see
-    /// [`write_atomic`]); under a size bound, through [`write_bounded`],
-    /// which evicts the oldest-written entries but this one once the
-    /// directory passes the bound.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error; callers treat a failed store as
-    /// a missed optimization, not a failed run.
-    pub fn write(&self, key: u64, bytes: &[u8]) -> std::io::Result<()> {
-        let name = format!("{key:016x}.{STREAM_EXTENSION}");
-        match self.max_bytes {
-            Some(max_bytes) => write_bounded(&self.dir, &name, bytes, max_bytes),
-            None => write_atomic(&self.dir, &name, bytes),
-        }
-        .map(drop)
+    pub fn store(&self, key: u64, sidecar: &[u8], runs: &[RefRun]) -> io::Result<()> {
+        let mut encoder = self.encoder(key);
+        encoder.push(runs);
+        self.commit(encoder, sidecar)
     }
 }
 
-/// Writes `bytes` to `dir/name` atomically and returns the file's path.
-/// The bytes go to a scratch sibling, are synced to disk, and the
-/// scratch file is renamed into place, so concurrent readers see either
-/// the old file or the complete new one, never a torn write. The scratch
-/// name embeds the process id *and* a process-wide counter, so
-/// concurrent writers — across processes or threads, even racing on one
-/// name — never share a scratch file; it ends in that counter, so no
-/// extension filter counts it. Creates `dir` when missing.
+/// A file written in two phases: [`AtomicFile::create`] opens a scratch
+/// file beside its final name, and [`AtomicFile::commit`] syncs it to
+/// disk and renames it into place, so concurrent readers see either the
+/// old file or the complete new one, never a torn write. Every write
+/// this module makes goes through one: [`write_bounded`] and
+/// [`StreamCache::commit`].
 ///
-/// # Errors
-///
-/// Returns the underlying I/O error, after removing the scratch file.
-pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<PathBuf> {
-    static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    std::fs::create_dir_all(dir)?;
-    let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let tmp = dir.join(format!("{name}.tmp.{}.{seq}", std::process::id()));
-    let path = dir.join(name);
-    let written = std::fs::File::create(&tmp)
-        .and_then(|mut file| {
-            file.write_all(bytes)?;
-            file.sync_all()
+/// The scratch name embeds the process id *and* a process-wide counter,
+/// so concurrent writers — across processes or threads, even racing on
+/// one name — never share a scratch file; it ends in that counter, so no
+/// extension filter counts it. A file dropped uncommitted — after an
+/// error, in a panic, or simply unused — removes its scratch file.
+#[derive(Debug)]
+pub struct AtomicFile {
+    file: File,
+    scratch: PathBuf,
+    dir: PathBuf,
+    name: String,
+    /// Bytes written so far.
+    len: u64,
+    committed: bool,
+}
+
+impl AtomicFile {
+    /// Creates `dir` when missing and opens a fresh scratch file in it
+    /// for the file `name`.
+    ///
+    /// # Errors
+    ///
+    /// The error creating the directory or the scratch file.
+    pub fn create(dir: &Path, name: &str) -> io::Result<AtomicFile> {
+        static SCRATCH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        std::fs::create_dir_all(dir)?;
+        let seq = SCRATCH_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let scratch = dir.join(format!("{name}.tmp.{}.{seq}", std::process::id()));
+        let file = File::create(&scratch)?;
+        Ok(AtomicFile {
+            file,
+            scratch,
+            dir: dir.to_path_buf(),
+            name: name.to_string(),
+            len: 0,
+            committed: false,
         })
-        .and_then(|()| std::fs::rename(&tmp, &path));
-    match written {
-        Ok(()) => Ok(path),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
+    }
+
+    /// Syncs the file to disk and renames it into place, then, under a
+    /// `max_bytes` bound, keeps the directory's files of its extension
+    /// within the bound (see [`write_bounded`]). Returns the file's path.
+    ///
+    /// # Errors
+    ///
+    /// The sync or rename error; the scratch file is removed then, and
+    /// nothing is evicted.
+    pub fn commit(mut self, max_bytes: Option<u64>) -> io::Result<PathBuf> {
+        self.file.sync_all()?;
+        let path = self.dir.join(&self.name);
+        std::fs::rename(&self.scratch, &path)?;
+        self.committed = true;
+        if let Some(max_bytes) = max_bytes {
+            keep_within(&self.dir, &self.name, &path, self.len, max_bytes);
+        }
+        Ok(path)
+    }
+}
+
+impl Write for AtomicFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.file.write(buf)?;
+        self.len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl Drop for AtomicFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            let _ = std::fs::remove_file(&self.scratch);
         }
     }
 }
@@ -748,7 +1088,8 @@ pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<Pat
 /// [`write_bounded`]).
 static BOUNDED_TOTALS: Mutex<BTreeMap<(PathBuf, String), u64>> = Mutex::new(BTreeMap::new());
 
-/// [`write_atomic`], then keeps the directory's files of `name`'s
+/// Writes `bytes` to `dir/name` through an [`AtomicFile`] (creating
+/// `dir` when missing), then keeps the directory's files of `name`'s
 /// extension within `max_bytes`: once they pass it, the oldest-modified
 /// are deleted until they fit, sparing the file just written (so a
 /// single oversized entry still stays). Returns the file's path.
@@ -768,29 +1109,31 @@ static BOUNDED_TOTALS: Mutex<BTreeMap<(PathBuf, String), u64>> = Mutex::new(BTre
 ///
 /// # Errors
 ///
-/// Returns [`write_atomic`]'s error; nothing is evicted then.
-pub fn write_bounded(
-    dir: &Path,
-    name: &str,
-    bytes: &[u8],
-    max_bytes: u64,
-) -> std::io::Result<PathBuf> {
-    let path = write_atomic(dir, name, bytes)?;
+/// Returns the underlying I/O error, after removing the scratch file;
+/// nothing is evicted then.
+pub fn write_bounded(dir: &Path, name: &str, bytes: &[u8], max_bytes: u64) -> io::Result<PathBuf> {
+    let mut file = AtomicFile::create(dir, name)?;
+    file.write_all(bytes)?;
+    file.commit(Some(max_bytes))
+}
+
+/// The bookkeeping half of [`write_bounded`], after `path` (`len` bytes,
+/// named `name` in `dir`) was committed.
+fn keep_within(dir: &Path, name: &str, path: &Path, len: u64, max_bytes: u64) {
     let extension = Path::new(name).extension().and_then(|e| e.to_str()).unwrap_or("");
     let key = (dir.to_path_buf(), extension.to_string());
     let mut totals = BOUNDED_TOTALS.lock().unwrap_or_else(PoisonError::into_inner);
     let within = totals.get_mut(&key).is_some_and(|total| {
-        *total = total.saturating_add(bytes.len() as u64);
+        *total = total.saturating_add(len);
         *total <= max_bytes
     });
     if !within {
-        match evict_oldest(dir, extension, &path, max_bytes) {
+        match evict_oldest(dir, extension, path, max_bytes) {
             Some(left) => totals.insert(key, left),
             // Unlisted: no total, so the next write scans again.
             None => totals.remove(&key),
         };
     }
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -856,6 +1199,25 @@ mod tests {
         ]
     }
 
+    /// A scratch directory for one test, emptied on entry.
+    fn test_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("alsc-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Every name in `dir`; none when it does not exist.
+    fn names(dir: &Path) -> Vec<String> {
+        let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
+        entries.flatten().map(|e| e.file_name().to_string_lossy().into_owned()).collect()
+    }
+
+    /// The byte offset of the trailer, from the footer.
+    fn trailer_at(bytes: &[u8]) -> usize {
+        let footer = &bytes[bytes.len() - FOOTER_LEN..];
+        u64::from_le_bytes(footer[..8].try_into().expect("8 bytes")) as usize
+    }
+
     #[test]
     fn encode_decode_round_trips() {
         let runs = sample_runs();
@@ -863,6 +1225,7 @@ mod tests {
         let decoded = decode_stream(&bytes, 42).expect("decode");
         assert_eq!(decoded.sidecar, b"sidecar");
         assert_eq!(decoded.runs, runs);
+        assert_eq!(decode_sidecar(&bytes, 42).expect("sidecar"), b"sidecar");
     }
 
     #[test]
@@ -888,8 +1251,9 @@ mod tests {
             RefRun { r: MemRef::app_read(Address::new(4), 4), count: 1 },
         ];
         let bytes = encode_stream(0, b"", &runs);
-        // header 16 + counts 3 (2 runs, 2 refs, 0 sidecar) + 2*2 records + 8 checksum
-        assert_eq!(bytes.len(), 16 + 3 + 4 + 8);
+        // header 16 + 2*2 records + trailer 3 (2 runs, 2 refs, 0 sidecar) + footer 24
+        assert_eq!(bytes.len(), 16 + 4 + 3 + 24);
+        assert_eq!(trailer_at(&bytes), 16 + 4);
     }
 
     #[test]
@@ -936,9 +1300,9 @@ mod tests {
         }
     }
 
-    /// A file of a few hundred bytes whose checksummed region is not a
-    /// whole number of 32-byte blocks, so damage lands in every lane and
-    /// in the tail.
+    /// A file of a few hundred bytes whose records and trailer are not
+    /// whole numbers of 32-byte blocks, so damage lands in every lane and
+    /// in the tail of both checksums.
     fn lane_test_file() -> Vec<u8> {
         let runs: Vec<RefRun> = (0..70u64)
             .map(|i| RefRun {
@@ -947,23 +1311,32 @@ mod tests {
             })
             .collect();
         let bytes = encode_stream(3, b"driver state", &runs);
-        let checksummed = bytes.len() - HEADER_LEN - 8;
-        assert!(bytes.len() >= 200 && !checksummed.is_multiple_of(32), "{} bytes", bytes.len());
+        let records = trailer_at(&bytes) - HEADER_LEN;
+        let trailer = bytes.len() - FOOTER_LEN - trailer_at(&bytes);
+        assert!(bytes.len() >= 200 && !records.is_multiple_of(32), "{records} B of records");
+        assert!(!trailer.is_multiple_of(32), "{trailer} B of trailer");
         bytes
     }
 
     #[test]
-    fn every_truncation_and_bit_flip_is_rejected_before_decoding() {
+    fn every_truncation_and_bit_flip_is_rejected_by_the_read_that_covers_it() {
         let bytes = lane_test_file();
         assert!(decode_stream(&bytes, 3).is_ok());
+        let open = |bytes: &[u8]| StreamReader::open(io::Cursor::new(bytes), 3).map(drop);
         for len in 0..bytes.len() {
-            assert!(open_stream(&bytes[..len], 3).is_err(), "truncation at {len} accepted");
+            assert!(open(&bytes[..len]).is_err(), "truncation at {len} opened");
         }
+        // Opening verifies everything but the records and their checksum
+        // in the footer; the decode verifies those.
+        let records = HEADER_LEN..trailer_at(&bytes);
+        let records_sum = bytes.len() - 16..bytes.len() - 8;
         for byte in 0..bytes.len() {
+            let decode_only = records.contains(&byte) || records_sum.contains(&byte);
             for bit in 0..8 {
                 let mut bad = bytes.clone();
                 bad[byte] ^= 1 << bit;
-                assert!(open_stream(&bad, 3).is_err(), "bit flip at {byte}.{bit} went unnoticed");
+                assert_eq!(open(&bad).is_ok(), decode_only, "bit flip at {byte}.{bit}");
+                assert!(decode_stream(&bad, 3).is_err(), "bit flip at {byte}.{bit} decoded");
             }
         }
     }
@@ -1004,49 +1377,207 @@ mod tests {
         let runs: Vec<RefRun> =
             (0..2 * BATCH_CAPACITY as u64 + 5).map(|i| RefRun { r: r(i), count: 1 }).collect();
         let bytes = encode_stream(4, b"", &runs);
-        let view = open_stream(&bytes, 4).expect("valid file");
+        let mut reader = StreamReader::open(io::Cursor::new(&bytes), 4).expect("valid file");
         let mut sizes = Vec::new();
         let mut joined = Vec::new();
-        view.decode_chunks(|chunk| {
-            sizes.push(chunk.len());
-            joined.extend_from_slice(chunk);
-        })
-        .expect("decode");
+        reader
+            .decode_chunks(|chunk| {
+                sizes.push(chunk.len());
+                joined.extend_from_slice(chunk);
+            })
+            .expect("decode");
         assert_eq!(sizes, [BATCH_CAPACITY, BATCH_CAPACITY, 5]);
         assert_eq!(joined, runs);
     }
 
+    /// A long stream: two-byte records, sized ones and repeats, about
+    /// 3.5 bytes a record, over several write buffers.
+    fn long_runs() -> Vec<RefRun> {
+        (0..200_000u64)
+            .map(|i| RefRun {
+                r: MemRef::app_read(Address::new(0x1000 + (i % 5000) * 12), 4 + (i % 3) as u32),
+                count: 1 + (i % 7 == 0) as u32,
+            })
+            .collect()
+    }
+
+    /// A writer that remembers its largest write.
+    #[derive(Default)]
+    struct Largest {
+        bytes: Vec<u8>,
+        largest: usize,
+    }
+
+    impl Write for Largest {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reader over bytes that remembers its largest read.
+    struct Watched<'a> {
+        inner: io::Cursor<&'a [u8]>,
+        largest: usize,
+    }
+
+    impl Read for Watched<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    impl Seek for Watched<'_> {
+        fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
+            self.inner.seek(to)
+        }
+    }
+
     #[test]
-    fn cache_store_read_round_trips_and_misses() {
-        let dir = std::env::temp_dir().join(format!("alsc-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn records_are_written_and_read_in_bounded_pieces() {
+        let runs = long_runs();
+        let mut encoder = StreamEncoder::new(Largest::default(), 12);
+        encoder.push(&runs);
+        let written = encoder.finish(b"sidecar").expect("write");
+        assert_eq!(written.bytes, encode_stream(12, b"sidecar", &runs));
+        assert!(written.bytes.len() > 4 * WRITE_BUFFER, "{} bytes", written.bytes.len());
+        assert!(written.largest <= WRITE_BUFFER, "a {}-byte write", written.largest);
+
+        let watched = Watched { inner: io::Cursor::new(&written.bytes), largest: 0 };
+        let mut reader = StreamReader::open(watched, 12).expect("valid file");
+        let mut decoded = Vec::new();
+        reader.decode_chunks(|chunk| decoded.extend_from_slice(chunk)).expect("decode");
+        assert_eq!(expand_runs(&decoded), expand_runs(&runs));
+        assert!(reader.inner.largest <= READ_CHUNK, "a {}-byte read", reader.inner.largest);
+    }
+
+    #[test]
+    fn cache_store_open_round_trips_and_misses() {
+        let dir = test_dir("cache");
         let cache = StreamCache::new(&dir);
-        assert!(matches!(cache.read(1), Ok(None)));
+        assert!(matches!(cache.open(1), Ok(None)));
         let runs = sample_runs();
         cache.store(1, b"meta", &runs).expect("store");
-        let bytes = cache.read(1).expect("read").expect("stored file");
-        let stream = decode_stream(&bytes, 1).expect("decode");
-        assert_eq!(stream.sidecar, b"meta");
-        assert_eq!(stream.runs, runs);
+        let mut reader = cache.open(1).expect("open").expect("stored file");
+        assert_eq!(reader.sidecar(), b"meta");
+        let mut decoded = Vec::new();
+        reader.decode_chunks(|chunk| decoded.extend_from_slice(chunk)).expect("decode");
+        assert_eq!(decoded, runs);
         // Re-storing replaces the file whole.
         cache.store(1, b"meta2", &runs).expect("re-store");
-        let bytes = cache.read(1).expect("read").expect("stored file");
-        assert_eq!(decode_sidecar(&bytes, 1).expect("decode"), b"meta2");
-        // Damage the file on disk: validation fails, nothing panics.
+        assert_eq!(cache.open(1).expect("open").expect("stored file").sidecar(), b"meta2");
+        assert_eq!(names(&dir), ["0000000000000001.alsc"], "no scratch file is left");
+        // Damage the file on disk: the read that covers the damage
+        // fails, nothing panics.
         let path = cache.path_for(1);
-        let mut bytes = std::fs::read(&path).expect("read back");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).expect("rewrite");
-        let bytes = cache.read(1).expect("read").expect("damaged file");
-        assert!(open_stream(&bytes, 1).is_err());
+        let good = std::fs::read(&path).expect("read back");
+        let mut bad = good.clone();
+        bad[HEADER_LEN + 1] ^= 0x40;
+        std::fs::write(&path, &bad).expect("rewrite");
+        let mut reader = cache.open(1).expect("the trailer is intact").expect("file");
+        assert!(reader.decode_chunks(|_| {}).is_err(), "a damaged record decoded");
+        let mut bad = good;
+        let in_trailer = bad.len() - FOOTER_LEN - 2;
+        bad[in_trailer] ^= 0x40;
+        std::fs::write(&path, &bad).expect("rewrite");
+        assert_eq!(cache.open(1).err(), Some(StreamError::Corrupt("trailer checksum mismatch")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A writer that takes `left` more bytes, then fails as a full disk
+    /// (`/dev/full`) does.
+    struct FullAfter<W> {
+        inner: W,
+        left: usize,
+    }
+
+    /// `ENOSPC`, "No space left on device".
+    const ENOSPC: i32 = 28;
+
+    impl<W: Write> Write for FullAfter<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::from_raw_os_error(ENOSPC));
+            }
+            let n = self.inner.write(&buf[..buf.len().min(self.left)])?;
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn a_full_disk_fails_the_store_and_leaves_no_file() {
+        let dir = test_dir("full");
+        let runs = long_runs();
+        let whole = encode_stream(5, b"sidecar", &runs);
+        let records_end = trailer_at(&whole);
+        // Failing in the header, the records (first and later buffers),
+        // the trailer and the footer, and on the last byte.
+        for n in [0, 10, HEADER_LEN, 100, 3 * WRITE_BUFFER + 7, records_end + 1, whole.len() - 1] {
+            let file = AtomicFile::create(&dir, "0000000000000005.alsc").expect("scratch file");
+            let mut encoder = StreamEncoder::new(FullAfter { inner: file, left: n }, 5);
+            for piece in runs.chunks(BATCH_CAPACITY) {
+                encoder.push(piece);
+            }
+            let err = encoder.finish(b"sidecar").err().expect("the disk filled up");
+            assert_eq!(err.raw_os_error(), Some(ENOSPC), "full after {n} bytes");
+            assert_eq!(names(&dir), Vec::<String>::new(), "full after {n} bytes");
+        }
+        // With room for the whole file, the same writer commits it.
+        let file = AtomicFile::create(&dir, "0000000000000005.alsc").expect("scratch file");
+        let mut encoder = StreamEncoder::new(FullAfter { inner: file, left: whole.len() }, 5);
+        encoder.push(&runs);
+        let full = encoder.finish(b"sidecar").expect("the file fits");
+        full.inner.commit(None).expect("commit");
+        assert_eq!(std::fs::read(dir.join("0000000000000005.alsc")).expect("committed"), whole);
+        assert_eq!(names(&dir).len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_abandoned_store_removes_its_scratch_file() {
+        let dir = test_dir("abandoned");
+        let cache = StreamCache::new(&dir);
+        // Dropped unfinished: the scratch file existed while the
+        // encoder did, under a name no `.alsc` filter counts.
+        let mut encoder = cache.encoder(8);
+        encoder.push(&sample_runs());
+        let scratch = names(&dir);
+        assert!(scratch.len() == 1 && !scratch[0].ends_with(".alsc"), "{scratch:?}");
+        drop(encoder);
+        assert_eq!(names(&dir), Vec::<String>::new());
+        // Unwound by a panic.
+        let unwound = std::panic::catch_unwind(|| {
+            let mut encoder = cache.encoder(8);
+            encoder.push(&sample_runs());
+            panic!("the run failed mid-stream");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(names(&dir), Vec::<String>::new());
+        // A scratch file that cannot be created fails the commit, not the
+        // encoder.
+        let file = dir.join("file");
+        std::fs::write(&file, b"a regular file").expect("write");
+        let under_file = StreamCache::new(file.join("cache"));
+        let mut encoder = under_file.encoder(8);
+        encoder.push(&sample_runs());
+        assert!(under_file.commit(encoder, b"").is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn size_bound_evicts_oldest_written_first() {
-        let dir = std::env::temp_dir().join(format!("alsc-evict-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = test_dir("evict");
         let runs = sample_runs();
         let unbounded = StreamCache::new(&dir);
         for key in [10u64, 11, 12] {
@@ -1086,8 +1617,7 @@ mod tests {
 
     #[test]
     fn bounded_writes_scan_once_until_the_total_passes_the_bound() {
-        let dir = std::env::temp_dir().join(format!("alsc-total-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = test_dir("total");
         let runs = sample_runs();
         let entry_size = encode_stream(0, b"", &runs).len() as u64;
         let cache = StreamCache::new(&dir).with_max_bytes(Some(4 * entry_size));
@@ -1141,8 +1671,7 @@ mod tests {
 
     #[test]
     fn concurrent_stores_on_one_key_never_corrupt_or_partially_expose() {
-        let dir = std::env::temp_dir().join(format!("alsc-race-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = test_dir("race");
         let cache = StreamCache::new(&dir);
         let runs_a = sample_runs();
         let mut runs_b = sample_runs();
@@ -1166,11 +1695,13 @@ mod tests {
             // torn mixture, a decode failure, or a vanished file.
             let reader = scope.spawn(|| {
                 for _ in 0..200 {
-                    let bytes = cache.read(key).expect("read").expect("entry vanished mid-race");
-                    let stream = decode_stream(&bytes, key).expect("corrupt entry exposed");
-                    match stream.sidecar.as_slice() {
-                        b"A" => assert_eq!(stream.runs, runs_a, "torn entry for A"),
-                        b"B" => assert_eq!(stream.runs, runs_b, "torn entry for B"),
+                    let mut reader =
+                        cache.open(key).expect("corrupt entry exposed").expect("entry vanished");
+                    let mut runs = Vec::new();
+                    reader.decode_chunks(|c| runs.extend_from_slice(c)).expect("corrupt records");
+                    match reader.sidecar() {
+                        b"A" => assert_eq!(runs, runs_a, "torn entry for A"),
+                        b"B" => assert_eq!(runs, runs_b, "torn entry for B"),
                         other => panic!("unknown sidecar {other:?}"),
                     }
                 }
@@ -1181,14 +1712,9 @@ mod tests {
         });
 
         // Both final states are valid, and no scratch files leaked.
-        let bytes = cache.read(key).expect("read").expect("final entry");
+        let bytes = std::fs::read(cache.path_for(key)).expect("final entry");
         assert!(decode_stream(&bytes, key).is_ok());
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .expect("read dir")
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "scratch files leaked: {leftovers:?}");
+        assert_eq!(names(&dir), [format!("{key:016x}.alsc")], "scratch files leaked");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1235,19 +1761,21 @@ mod tests {
         assert_eq!(decoded.runs.len(), sample_runs().len() + 3, "the merge splits in two records");
         assert_eq!(expand_count(&decoded.runs), expand_count(&runs));
 
+        let finish = |encoder: StreamEncoder<Vec<u8>>| encoder.finish(b"sidecar").expect("vec");
         for at in 0..=runs.len() {
-            let mut encoder = StreamEncoder::new();
+            let mut encoder = StreamEncoder::new(Vec::new(), 11);
             encoder.push(&runs[..at]);
             encoder.push(&[]);
             encoder.push(&runs[at..]);
-            assert_eq!(encoder.finish(11, b"sidecar"), whole, "split at {at}");
+            assert_eq!(finish(encoder), whole, "split at {at}");
         }
-        let mut encoder = StreamEncoder::new();
+        let mut encoder = StreamEncoder::new(Vec::new(), 11);
         for run in &runs {
             encoder.push(std::slice::from_ref(run));
         }
-        assert_eq!(encoder.finish(11, b"sidecar"), whole, "split at every boundary");
-        assert_eq!(StreamEncoder::new().finish(11, b""), encode_stream(11, b"", &[]));
+        assert_eq!(finish(encoder), whole, "split at every boundary");
+        let empty = StreamEncoder::new(Vec::new(), 11).finish(b"").expect("vec");
+        assert_eq!(empty, encode_stream(11, b"", &[]));
     }
 
     fn expand_count(runs: &[RefRun]) -> u64 {

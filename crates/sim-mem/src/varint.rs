@@ -2,8 +2,8 @@
 //! ALSC stream format ([`crate::stream`]) stores them. Writers push
 //! straight onto a byte vector, the encoder's buffer; the decoders
 //! ([`take_u64`], [`take_i64`]) are slice-based, for hot decode loops
-//! that already hold the whole file in memory and cannot afford a
-//! `Read` round-trip per byte.
+//! that hold a window of the file in memory and cannot afford a `Read`
+//! round-trip per byte.
 
 /// Appends an unsigned LEB128 integer to `out`.
 pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {

@@ -385,8 +385,8 @@ proptest! {
 
 /// Hand-built ALSC files for the decoder suite: the same layout
 /// `encode_stream` writes, assembled from parts a test can damage
-/// before [`Alsc::seal`] recomputes the checksum — so the damage gets
-/// past the checksum and reaches the record decoder.
+/// before [`Alsc::seal`] recomputes both checksums — so the damage gets
+/// past them and reaches the record decoder.
 mod alsc {
     use sim_mem::stream::checksum;
     use sim_mem::varint::{write_u64, zigzag};
@@ -460,31 +460,37 @@ mod alsc {
             }
         }
 
-        /// Header, body and a freshly computed checksum.
+        /// Header, records, trailer, and a footer with freshly computed
+        /// checksums.
         pub fn seal(&self) -> Vec<u8> {
-            let mut body = varint(self.run_count);
-            body.extend(varint(self.ref_count));
-            body.extend(varint(self.sidecar.len() as u64));
-            body.extend(&self.sidecar);
+            let mut records = Vec::new();
             for r in &self.records {
-                body.push(r.flags);
-                body.extend(&r.delta);
-                body.extend(&r.size);
-                body.extend(&r.count);
+                records.push(r.flags);
+                records.extend(&r.delta);
+                records.extend(&r.size);
+                records.extend(&r.count);
             }
-            body.extend(&self.trailing);
-            seal_body(&body)
+            records.extend(&self.trailing);
+            let mut trailer = varint(self.run_count);
+            trailer.extend(varint(self.ref_count));
+            trailer.extend(varint(self.sidecar.len() as u64));
+            trailer.extend(&self.sidecar);
+            seal(&records, &trailer)
         }
     }
 
-    /// Wraps an arbitrary body in a valid header and checksum.
-    pub fn seal_body(body: &[u8]) -> Vec<u8> {
+    /// Wraps arbitrary records and an arbitrary trailer in a valid
+    /// header and footer.
+    pub fn seal(records: &[u8], trailer: &[u8]) -> Vec<u8> {
         let mut out = STREAM_MAGIC.to_vec();
         out.push(STREAM_FORMAT_VERSION);
         out.extend([0u8; 3]);
         out.extend(KEY.to_le_bytes());
-        out.extend(body);
-        out.extend(checksum(body).to_le_bytes());
+        out.extend(records);
+        out.extend(trailer);
+        out.extend((16 + records.len() as u64).to_le_bytes());
+        out.extend(checksum(records).to_le_bytes());
+        out.extend(checksum(trailer).to_le_bytes());
         out
     }
 }
@@ -507,6 +513,38 @@ enum Damage {
     UnknownFlags(Index, u8),
     Trailing(Vec<u8>),
     RefCount(bool),
+}
+
+impl Damage {
+    /// Damages one field of `file`, which holds at least one record.
+    fn apply(&self, file: &mut alsc::Alsc) {
+        let n = file.records.len();
+        match self {
+            Damage::RunCount(up) => {
+                file.run_count = if *up { file.run_count + 1 } else { file.run_count - 1 };
+            }
+            Damage::ElevenByteVarint(i) => {
+                let mut eleven = vec![0x80u8; 10];
+                eleven.push(0);
+                file.records[i.index(n)].delta = eleven;
+            }
+            Damage::HugeSize(i, extra) => {
+                let r = &mut file.records[i.index(n)];
+                r.flags |= alsc::FLAG_SIZED;
+                r.size = alsc::varint(u64::from(u32::MAX) + extra);
+            }
+            Damage::MaxRepeat(i) => {
+                let r = &mut file.records[i.index(n)];
+                r.flags |= alsc::FLAG_REPEATED;
+                r.count = alsc::varint(u64::from(u32::MAX));
+            }
+            Damage::UnknownFlags(i, bit) => file.records[i.index(n)].flags |= 1 << bit,
+            Damage::Trailing(bytes) => file.trailing = bytes.clone(),
+            Damage::RefCount(up) => {
+                file.ref_count = if *up { file.ref_count + 1 } else { file.ref_count - 1 };
+            }
+        }
+    }
 }
 
 fn damage_strategy() -> impl Strategy<Value = Damage> {
@@ -551,33 +589,36 @@ fn valid_runs_strategy() -> impl Strategy<Value = Vec<RefRun>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Arbitrary bytes behind a valid header and checksum never make
-    /// either decoder panic, and whatever decodes holds no reference
-    /// that wraps past 2^64.
+    /// Arbitrary bytes behind a valid header and footer, split anywhere
+    /// between the records and the trailer, never make either decoder
+    /// panic, and whatever decodes holds no reference that wraps past
+    /// 2^64.
     #[test]
     fn alsc_decoders_survive_arbitrary_bodies(
         body in proptest::collection::vec(any::<u8>(), 0..400),
+        split in any::<Index>(),
     ) {
-        let bytes = alsc::seal_body(&body);
+        let at = split.index(body.len() + 1);
+        let bytes = alsc::seal(&body[..at], &body[at..]);
         let _ = sim_mem::decode_sidecar(&bytes, alsc::KEY);
         if let Ok(stream) = sim_mem::decode_stream(&bytes, alsc::KEY) {
             prop_assert!(stream.runs.iter().all(well_formed), "{:?}", stream.runs);
         }
     }
 
-    /// The same with plausible counts up front, so the arbitrary bytes
-    /// land in the record decoder instead of failing the count checks.
+    /// The same with plausible counts in the trailer, so the arbitrary
+    /// bytes land in the record decoder instead of failing the count
+    /// checks.
     #[test]
     fn alsc_decoders_survive_arbitrary_records(
         run_count in 0u64..64,
         ref_count in prop_oneof![0u64..64, any::<u64>()],
         records in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
-        let mut body = alsc::varint(run_count);
-        body.extend(alsc::varint(ref_count));
-        body.extend(alsc::varint(0));
-        body.extend(&records);
-        let bytes = alsc::seal_body(&body);
+        let mut trailer = alsc::varint(run_count);
+        trailer.extend(alsc::varint(ref_count));
+        trailer.extend(alsc::varint(0));
+        let bytes = alsc::seal(&records, &trailer);
         prop_assert_eq!(sim_mem::decode_sidecar(&bytes, alsc::KEY), Ok(Vec::new()));
         if let Ok(stream) = sim_mem::decode_stream(&bytes, alsc::KEY) {
             prop_assert!(stream.runs.iter().all(well_formed), "{:?}", stream.runs);
@@ -608,7 +649,7 @@ proptest! {
         }
     }
 
-    /// A valid file damaged in one field, checksum recomputed, is an
+    /// A valid file damaged in one field, checksums recomputed, is an
     /// `Err` from the decoder: never a panic, never a stream.
     #[test]
     fn damaged_alsc_fields_are_rejected(runs in valid_runs_strategy(), damage in damage_strategy()) {
@@ -616,36 +657,36 @@ proptest! {
         let decoded = sim_mem::decode_stream(&file.seal(), alsc::KEY).expect("undamaged file");
         prop_assert_eq!(&decoded.runs, &runs);
 
-        let n = file.records.len();
-        match &damage {
-            Damage::RunCount(up) => {
-                file.run_count = if *up { file.run_count + 1 } else { file.run_count - 1 };
-            }
-            Damage::ElevenByteVarint(i) => {
-                let mut eleven = vec![0x80u8; 10];
-                eleven.push(0);
-                file.records[i.index(n)].delta = eleven;
-            }
-            Damage::HugeSize(i, extra) => {
-                let r = &mut file.records[i.index(n)];
-                r.flags |= alsc::FLAG_SIZED;
-                r.size = alsc::varint(u64::from(u32::MAX) + extra);
-            }
-            Damage::MaxRepeat(i) => {
-                let r = &mut file.records[i.index(n)];
-                r.flags |= alsc::FLAG_REPEATED;
-                r.count = alsc::varint(u64::from(u32::MAX));
-            }
-            Damage::UnknownFlags(i, bit) => file.records[i.index(n)].flags |= 1 << bit,
-            Damage::Trailing(bytes) => file.trailing = bytes.clone(),
-            Damage::RefCount(up) => {
-                file.ref_count = if *up { file.ref_count + 1 } else { file.ref_count - 1 };
-            }
-        }
+        damage.apply(&mut file);
         let bytes = file.seal();
         let verdict = sim_mem::decode_stream(&bytes, alsc::KEY);
         prop_assert!(verdict.is_err(), "{:?} decoded: {:?}", damage, verdict);
         let _ = sim_mem::decode_sidecar(&bytes, alsc::KEY);
+    }
+
+    /// The incremental checksum of a string fed in pieces is the one-shot
+    /// checksum, for every split in two and for a random split into many.
+    #[test]
+    fn the_incremental_checksum_is_the_one_shot_checksum_for_every_split(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        cuts in proptest::collection::vec(any::<Index>(), 0..12),
+    ) {
+        let whole = sim_mem::checksum(&bytes);
+        for at in 0..=bytes.len() {
+            let mut sum = sim_mem::Checksum::new();
+            sum.update(&bytes[..at]);
+            sum.update(&bytes[at..]);
+            prop_assert_eq!(sum.finish(), whole, "split at {}", at);
+        }
+        let mut cuts: Vec<usize> = cuts.iter().map(|i| i.index(bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut sum = sim_mem::Checksum::new();
+        let mut from = 0;
+        for at in cuts.into_iter().chain([bytes.len()]) {
+            sum.update(&bytes[from..at]);
+            from = at;
+        }
+        prop_assert_eq!(sum.finish(), whole);
     }
 }
 
@@ -663,21 +704,48 @@ fn long_stream(pattern: &[RefRun], len: usize, doubled: bool) -> Vec<RefRun> {
     runs
 }
 
-/// Every chunk [`sim_mem::StreamView::decode_chunks`] delivers before it
-/// returns, concatenated, and whether each held at most
-/// [`sim_mem::BATCH_CAPACITY`] runs with only the last one short.
+/// What a chunked decode did: its verdict and every chunk it delivered
+/// before returning, in order.
+type Chunked = (Result<(), sim_mem::StreamError>, Vec<Vec<RefRun>>);
+
+/// Opens `file` and decodes its records chunk by chunk.
+fn chunks_of(file: impl std::io::Read + std::io::Seek) -> Chunked {
+    let mut chunks = Vec::new();
+    let verdict = sim_mem::StreamReader::open(file, alsc::KEY)
+        .and_then(|mut reader| reader.decode_chunks(|chunk| chunks.push(chunk.to_vec())));
+    (verdict, chunks)
+}
+
+/// The chunked decode of a file held whole in memory: its verdict, the
+/// concatenation of what it delivered, and whether each chunk held at
+/// most [`sim_mem::BATCH_CAPACITY`] runs with only the last one short.
 fn chunked(bytes: &[u8]) -> (Result<(), sim_mem::StreamError>, Vec<RefRun>, bool) {
-    let mut joined = Vec::new();
-    let mut sizes = Vec::new();
-    let verdict = sim_mem::open_stream(bytes, alsc::KEY).and_then(|view| {
-        view.decode_chunks(|chunk| {
-            sizes.push(chunk.len());
-            joined.extend_from_slice(chunk);
-        })
-    });
-    let bounded = sizes.iter().all(|&n| (1..=sim_mem::BATCH_CAPACITY).contains(&n))
-        && sizes.iter().rev().skip(1).all(|&n| n == sim_mem::BATCH_CAPACITY);
-    (verdict, joined, bounded)
+    let (verdict, chunks) = chunks_of(std::io::Cursor::new(bytes));
+    let bounded = chunks.iter().all(|c| (1..=sim_mem::BATCH_CAPACITY).contains(&c.len()))
+        && chunks.iter().rev().skip(1).all(|c| c.len() == sim_mem::BATCH_CAPACITY);
+    (verdict, chunks.concat(), bounded)
+}
+
+/// A file that hands out a few bytes per read call, cycling through
+/// `sizes`, as a pipe or a slow disk may.
+struct Trickle<'a> {
+    inner: std::io::Cursor<&'a [u8]>,
+    sizes: Vec<usize>,
+    calls: usize,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.sizes[self.calls % self.sizes.len()].min(buf.len());
+        self.calls += 1;
+        self.inner.read(&mut buf[..n])
+    }
+}
+
+impl std::io::Seek for Trickle<'_> {
+    fn seek(&mut self, to: std::io::SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(to)
+    }
 }
 
 proptest! {
@@ -717,32 +785,7 @@ proptest! {
     ) {
         let runs = long_stream(&pattern, len, false);
         let mut file = alsc::Alsc::of(&runs);
-        let n = file.records.len();
-        match &damage {
-            Damage::RunCount(up) => {
-                file.run_count = if *up { file.run_count + 1 } else { file.run_count - 1 };
-            }
-            Damage::ElevenByteVarint(i) => {
-                let mut eleven = vec![0x80u8; 10];
-                eleven.push(0);
-                file.records[i.index(n)].delta = eleven;
-            }
-            Damage::HugeSize(i, extra) => {
-                let r = &mut file.records[i.index(n)];
-                r.flags |= alsc::FLAG_SIZED;
-                r.size = alsc::varint(u64::from(u32::MAX) + extra);
-            }
-            Damage::MaxRepeat(i) => {
-                let r = &mut file.records[i.index(n)];
-                r.flags |= alsc::FLAG_REPEATED;
-                r.count = alsc::varint(u64::from(u32::MAX));
-            }
-            Damage::UnknownFlags(i, bit) => file.records[i.index(n)].flags |= 1 << bit,
-            Damage::Trailing(bytes) => file.trailing = bytes.clone(),
-            Damage::RefCount(up) => {
-                file.ref_count = if *up { file.ref_count + 1 } else { file.ref_count - 1 };
-            }
-        }
+        damage.apply(&mut file);
         let bytes = file.seal();
         let collected = sim_mem::decode_stream(&bytes, alsc::KEY);
         prop_assert!(collected.is_err(), "{:?} decoded", damage);
@@ -751,5 +794,31 @@ proptest! {
         prop_assert!(bounded);
         prop_assert_eq!(delivered.len() % sim_mem::BATCH_CAPACITY, 0);
         prop_assert_eq!(&delivered[..], &runs[..delivered.len()]);
+    }
+
+    /// A file read 1–7 bytes per call decodes to the same chunks, and
+    /// fails with the same `StreamError` after the same chunks, as the
+    /// file held whole — undamaged, and under every damage of the
+    /// decoder suite.
+    #[test]
+    fn short_reads_decode_like_the_whole_file(
+        pattern in valid_runs_strategy(),
+        len in 0usize..2 * sim_mem::BATCH_CAPACITY,
+        damaged in any::<bool>(),
+        damage in damage_strategy(),
+        sizes in proptest::collection::vec(1usize..8, 1..8),
+    ) {
+        let damage = damaged.then_some(damage);
+        let runs = long_stream(&pattern, len, false);
+        let mut file = alsc::Alsc::of(&runs);
+        if let Some(damage) = &damage {
+            damage.apply(&mut file);
+        }
+        let bytes = file.seal();
+        let whole = chunks_of(std::io::Cursor::new(&bytes[..]));
+        let trickle = Trickle { inner: std::io::Cursor::new(&bytes[..]), sizes, calls: 0 };
+        let trickled = chunks_of(trickle);
+        prop_assert_eq!(whole.0.is_ok(), damage.is_none(), "{:?}", damage);
+        prop_assert_eq!(trickled, whole);
     }
 }

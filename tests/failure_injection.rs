@@ -52,11 +52,17 @@ fn all_allocators_survive_heap_exhaustion() {
 
 #[test]
 fn engine_surfaces_oom_as_typed_error() {
+    // Through the stream cache, which starts writing the stream to a
+    // scratch file as the run generates it: the failed run must leave
+    // neither a stream file nor the scratch file behind.
+    let dir = std::env::temp_dir().join(format!("alsc-oom-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let opts = SimOptions {
         heap_limit: 16 * 1024, // far below GS's multi-megabyte live set
         paging: false,
         cache_configs: vec![],
         scale: Scale(0.01),
+        stream_cache: Some(dir.clone()),
         ..SimOptions::default()
     };
     let err = Experiment::new(Program::GsLarge, AllocChoice::Paper(AllocatorKind::Bsd))
@@ -68,6 +74,13 @@ fn engine_surfaces_oom_as_typed_error() {
     };
     assert!(matches!(source, AllocError::Oom(_)));
     assert!(at_event > 0, "OOM should happen mid-run, not at setup");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("the populating run created the cache directory")
+        .flatten()
+        .map(|e| e.file_name())
+        .collect();
+    assert!(left.is_empty(), "the failed run left {left:?} in the stream cache");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

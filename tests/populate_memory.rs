@@ -1,8 +1,9 @@
-//! A populating run costs the disk its stream takes, not memory that
-//! grows with the stream: the stream is encoded batch by batch as the
-//! run generates it, never held whole. Its peak live heap above the
-//! same run without a stream cache must stay within a small multiple of
-//! the file it writes.
+//! The stream cache costs disk, not memory. A populating run writes its
+//! stream to a scratch file through a fixed buffer as the run generates
+//! it, and a replay reads the records back in fixed-size chunks. So the
+//! peak live heap of a populating run above the same run without a
+//! stream cache, and the peak of a replay above its entry, are bounded
+//! by constants that do not grow with the file.
 //!
 //! The counting allocator sees every thread of the process, so this
 //! binary holds exactly one test.
@@ -12,6 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use alloc_locality_repro::engine::{AllocChoice, Experiment, SimOptions};
 use allocators::AllocatorKind;
+use cache_sim::CacheConfig;
 use workloads::{Program, Scale};
 
 /// Live heap bytes, and their peak since the last reset.
@@ -81,8 +83,13 @@ fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK.load(Ordering::Relaxed) - base)
 }
 
+/// What a populating run may hold above a no-cache run: the encoder's
+/// write buffer, the scratch file and the sidecar, whatever the stream's
+/// length.
+const POPULATING_BOUND: usize = 512 << 10;
+
 #[test]
-fn populating_costs_at_most_a_few_times_the_file_it_writes() {
+fn populating_and_replaying_hold_a_constant_not_the_file() {
     let dir = std::env::temp_dir().join(format!("alsc-memory-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = SimOptions { scale: Scale(0.005), ..SimOptions::default() };
@@ -92,7 +99,7 @@ fn populating_costs_at_most_a_few_times_the_file_it_writes() {
     };
 
     let (plain, plain_peak) = peak_above_entry(|| cell(opts.clone()).run());
-    let populating = cell(SimOptions { stream_cache: Some(dir.clone()), ..opts });
+    let populating = cell(SimOptions { stream_cache: Some(dir.clone()), ..opts.clone() });
     let (stored, stored_peak) = peak_above_entry(|| populating.run());
     assert_eq!(stored.expect("populating run"), plain.expect("no-cache run"));
 
@@ -102,19 +109,44 @@ fn populating_costs_at_most_a_few_times_the_file_it_writes() {
         .map(|e| e.path())
         .find(|p| p.extension().is_some_and(|e| e == "alsc"))
         .expect("the run stored its stream");
-    let file = std::fs::read(path).expect("read stream file");
-    let mut pos = 16;
+    let file = std::fs::read(&path).expect("read stream file");
+    // The record count opens the trailer, which the footer's first word
+    // locates.
+    let footer = file.len() - 24;
+    let mut pos =
+        u64::from_le_bytes(file[footer..footer + 8].try_into().expect("8 bytes")) as usize;
     let records = sim_mem::varint::take_u64(&file, &mut pos).expect("record count");
     assert!(records >= 400_000, "{records} records: too short a stream to show growth");
+    let file_len = file.len();
+    drop(file);
 
     let extra = stored_peak.saturating_sub(plain_peak);
-    let bound = 4 * file.len() + (1 << 20);
     eprintln!(
         "no-cache peak {plain_peak} B, populating peak {stored_peak} B: {extra} B more for a \
-         {} B file ({:.2}x)",
-        file.len(),
-        extra as f64 / file.len() as f64
+         {file_len} B file"
     );
-    assert!(extra < bound, "populating held {extra} B more than a no-cache run, bound {bound} B");
+    assert!(
+        extra < POPULATING_BOUND,
+        "populating held {extra} B more than a no-cache run, bound {POPULATING_BOUND} B"
+    );
+
+    // Another geometry, so the stored result does not answer and the
+    // records decode into the caches.
+    let other = SimOptions {
+        cache_configs: vec![CacheConfig::direct_mapped(16 * 1024, 64)],
+        ..opts.clone()
+    };
+    let cold = cell(other.clone()).run().expect("no-cache run under the other geometry");
+    let identity = std::fs::metadata(&path).and_then(|m| m.modified()).expect("mtime");
+    let replaying = cell(SimOptions { stream_cache: Some(dir.clone()), ..other });
+    let (replayed, replay_peak) = peak_above_entry(|| replaying.run());
+    assert_eq!(replayed.expect("replay"), cold);
+    let after = std::fs::metadata(&path).and_then(|m| m.modified()).expect("mtime");
+    assert_eq!(after, identity, "the run regenerated the stream instead of replaying it");
+    eprintln!("replay peak {replay_peak} B above entry for a {file_len} B file");
+    assert!(
+        replay_peak < file_len / 4,
+        "a replay held {replay_peak} B, a quarter of the {file_len} B file is the bound"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,9 +5,11 @@
 //!    populated the cache, and the instrumented `RunReport` JSONL line
 //!    is *byte*-identical.
 //! 2. **Damage degrades, it never breaks.** A corrupt or truncated
-//!    cache file — or a corrupt record behind a valid checksum, found
-//!    mid-replay — demotes the run to cold generation, recorded as
-//!    `stream_cache.invalid`, and the file is rewritten for next time.
+//!    cache file — damage to the trailer a stored-result answer reads,
+//!    or to the records a replay reads, found by the records checksum or
+//!    as a malformed record mid-replay — demotes the run to cold
+//!    generation, recorded as `stream_cache.invalid`, and the file is
+//!    rewritten for next time.
 //! 3. **Populating is the cold run with an encoder.** A populating run
 //!    stores exactly the encoding of the stream the run generates, and
 //!    its flat metrics are a no-cache run's plus the store's own.
@@ -190,6 +192,12 @@ fn uninstrumented_replay_ignores_the_sink_fingerprint() {
     }
 }
 
+/// Byte offset of a stream file's trailer, from its footer.
+fn trailer_at(file: &[u8]) -> usize {
+    let footer = file.len() - 24;
+    u64::from_le_bytes(file[footer..footer + 8].try_into().expect("8 bytes")) as usize
+}
+
 #[test]
 fn corrupt_cache_files_fall_back_to_cold_generation() {
     let dir = cache_dir("corrupt");
@@ -197,10 +205,11 @@ fn corrupt_cache_files_fall_back_to_cold_generation() {
         .options(opts(&dir));
     let cold = exp.report().expect("populating run");
 
-    // Flip one bit in the middle of the stored stream.
+    // Flip one bit in the middle of the trailer, which the stored-result
+    // answer reads.
     let path = sole_cache_file(&dir);
     let mut bytes = std::fs::read(&path).expect("read stream file");
-    let mid = bytes.len() / 2;
+    let mid = (trailer_at(&bytes) + bytes.len() - 24) / 2;
     bytes[mid] ^= 0x10;
     std::fs::write(&path, &bytes).expect("write damaged file");
 
@@ -210,6 +219,40 @@ fn corrupt_cache_files_fall_back_to_cold_generation() {
     assert_eq!(rec.counter("stream_cache.hit"), 0);
     assert_eq!(rec.counter("stream_cache.store"), 1, "the file must be rewritten");
     assert_eq!(damaged, cold.result, "cold fallback must reproduce the result");
+
+    // Flip one bit in the middle of the records. A stored-result answer
+    // never reads them; a run under other sinks replays them, and the
+    // records checksum (or the record decoder) finds the damage.
+    let mut bytes = std::fs::read(&path).expect("read rewritten file");
+    let mid = (16 + trailer_at(&bytes)) / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&path, &bytes).expect("write damaged file");
+    let mut narrower = opts(&dir);
+    narrower.cache_configs.truncate(1);
+    let replaying = Experiment::new(Program::Make, AllocChoice::Paper(AllocatorKind::GnuGxx))
+        .options(narrower.clone());
+    let mut rec = MemoryRecorder::new();
+    let damaged = replaying.run_with_recorder(&mut rec).expect("damaged records must not break it");
+    assert_eq!(rec.counter("stream_cache.invalid"), 1, "damage must be counted");
+    assert_eq!(rec.counter("stream_cache.hit"), 0);
+    assert_eq!(rec.counter("stream_cache.store"), 1, "the file must be rewritten");
+    let rewritten = std::fs::read(&path).expect("read rewritten file");
+    let key = u64::from_le_bytes(rewritten[8..16].try_into().expect("8-byte key"));
+    assert!(sim_mem::decode_stream(&rewritten, key).is_ok(), "the rewrite must decode");
+    // The abandoned replay left nothing behind: the run reports exactly
+    // what a first cold run does, its miss counted as invalid.
+    let fresh = cache_dir("corrupt-fresh");
+    narrower.stream_cache = Some(fresh.clone());
+    let mut cold_rec = MemoryRecorder::new();
+    let first = Experiment::new(Program::Make, AllocChoice::Paper(AllocatorKind::GnuGxx))
+        .options(narrower)
+        .run_with_recorder(&mut cold_rec)
+        .expect("cold run");
+    assert_eq!(damaged, first, "cold fallback must reproduce the result");
+    let (damaged, first) = (rec.snapshot(), cold_rec.snapshot());
+    assert_eq!(shape(&damaged, "stream_cache.invalid"), shape(&first, "stream_cache.invalid"));
+    assert_eq!(damaged.histograms, first.histograms);
+    let _ = std::fs::remove_dir_all(&fresh);
 
     // Truncation likewise.
     let bytes = std::fs::read(&path).expect("read rewritten file");
@@ -237,14 +280,10 @@ fn corrupt_cache_files_fall_back_to_cold_generation() {
 }
 
 /// Byte offset, within a stream file, of run record `n`: past the
-/// 16-byte header, the three counts and the sidecar, walking the
-/// records before it field by field.
+/// 16-byte header, walking the records before it field by field.
 fn record_offset(file: &[u8], n: usize) -> usize {
     let take = |pos: &mut usize| sim_mem::varint::take_u64(file, pos).expect("varint");
     let mut pos = 16;
-    let _runs = take(&mut pos);
-    let _refs = take(&mut pos);
-    pos += take(&mut pos) as usize;
     for _ in 0..n {
         let flags = file[pos];
         pos += 1;
@@ -258,12 +297,12 @@ fn record_offset(file: &[u8], n: usize) -> usize {
     pos
 }
 
-/// Recomputes a stream file's trailing checksum, so damage inside it
-/// gets past validation and reaches the record decoder.
+/// Recomputes a stream file's records checksum in its footer, so damage
+/// to the records gets past it and reaches the record decoder.
 fn reseal(file: &mut [u8]) {
-    let end = file.len() - 8;
-    let sum = sim_mem::checksum(&file[16..end]);
-    file[end..].copy_from_slice(&sum.to_le_bytes());
+    let sum = sim_mem::checksum(&file[16..trailer_at(file)]);
+    let at = file.len() - 16;
+    file[at..at + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Counters and span counts, with `stream_cache.miss` renamed.
@@ -286,7 +325,7 @@ fn a_corrupt_record_behind_a_valid_checksum_falls_back_cold() {
     exp.run().expect("populating run");
 
     // Damage one record past the first decoded chunk (unknown flag
-    // bits) and reseal: the file validates, the replay starts, and the
+    // bits) and reseal: the checksums pass, the replay starts, and the
     // decoder finds the record after feeding the shards a full chunk.
     let path = sole_cache_file(&dir);
     let mut bytes = std::fs::read(&path).expect("read stream file");
@@ -294,9 +333,10 @@ fn a_corrupt_record_behind_a_valid_checksum_falls_back_cold() {
     let at = record_offset(&bytes, sim_mem::BATCH_CAPACITY + 100);
     bytes[at] |= 0x10;
     reseal(&mut bytes);
-    let view = sim_mem::open_stream(&bytes, key).expect("the damage passes validation");
+    let mut reader = sim_mem::StreamReader::open(std::io::Cursor::new(&bytes), key)
+        .expect("the damage passes validation");
     let mut delivered = 0;
-    assert!(view.decode_chunks(|chunk| delivered += chunk.len()).is_err());
+    assert!(reader.decode_chunks(|chunk| delivered += chunk.len()).is_err());
     assert_eq!(delivered, sim_mem::BATCH_CAPACITY, "one full chunk reaches the sinks first");
     std::fs::write(&path, &bytes).expect("write damaged file");
 
@@ -332,7 +372,7 @@ fn a_corrupt_record_behind_a_valid_checksum_falls_back_cold() {
 }
 
 #[test]
-fn a_version_2_file_at_a_version_3_path_falls_back_cold() {
+fn a_version_3_file_at_a_version_4_path_falls_back_cold() {
     let dir = cache_dir("version");
     let exp = Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::Bsd))
         .options(opts(&dir));
@@ -340,7 +380,7 @@ fn a_version_2_file_at_a_version_3_path_falls_back_cold() {
     let path = sole_cache_file(&dir);
     let mut bytes = std::fs::read(&path).expect("read stream file");
     assert_eq!(bytes[4], sim_mem::STREAM_FORMAT_VERSION);
-    bytes[4] = 2;
+    bytes[4] = 3;
     std::fs::write(&path, &bytes).expect("write stale file");
 
     let mut rec = MemoryRecorder::new();
@@ -348,7 +388,7 @@ fn a_version_2_file_at_a_version_3_path_falls_back_cold() {
     assert_eq!(rec.counter("stream_cache.invalid"), 1);
     assert_eq!(rec.counter("stream_cache.hit"), 0);
     assert_eq!(result, cold);
-    assert_eq!(std::fs::read(&path).expect("read rewritten file")[4], 3);
+    assert_eq!(std::fs::read(&path).expect("read rewritten file")[4], 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -369,10 +409,10 @@ fn a_populating_run_stores_the_encoding_of_its_generated_stream() {
         exp.run().expect("populating run");
         let bytes = std::fs::read(sole_cache_file(&dir)).expect("read stream file");
         let key = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte key"));
-        let sidecar = sim_mem::open_stream(&bytes, key).expect("valid file").sidecar();
+        let sidecar = sim_mem::decode_sidecar(&bytes, key).expect("valid file");
         let runs = exp.capture_runs().expect("capture");
         assert!(runs.len() > sim_mem::BATCH_CAPACITY, "{program}/{kind}: one batch only");
-        let encoded = sim_mem::encode_stream(key, sidecar, &runs);
+        let encoded = sim_mem::encode_stream(key, &sidecar, &runs);
         assert!(bytes == encoded, "{program}/{kind}: the stored file is not encode_stream's");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -438,7 +478,7 @@ fn a_sidecar_nested_past_the_parser_limit_runs_cold() {
     let stream = sim_mem::decode_stream(&bytes, key).expect("decode");
     let nested = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
     let damaged = sim_mem::encode_stream(key, nested.as_bytes(), &stream.runs);
-    assert!(sim_mem::open_stream(&damaged, key).is_ok(), "the file itself is valid");
+    assert!(sim_mem::decode_sidecar(&damaged, key).is_ok(), "the file itself is valid");
     std::fs::write(&path, &damaged).expect("write nested sidecar");
 
     let mut rec = MemoryRecorder::new();
