@@ -25,30 +25,29 @@
 //! PIXIE-trace-file workflow the paper's execution-driven setup
 //! replaced); `replay` drives any simulator configuration from the
 //! frozen stream, so allocator runs can be archived and re-analyzed
-//! without re-simulating the allocator. `info` and `replay` open a file
-//! by its header, footer and trailer, then read its records in
-//! fixed-size chunks, checksumming and decoding them straight into the
-//! sinks, so their memory does not grow with the recording. A file that
-//! fails to write or to decode — wrong magic or key, truncation, a
-//! checksum mismatch, a reference whose bytes run past 2^64 — is
-//! reported in one line and exits 1, before anything is printed.
+//! without re-simulating the allocator. `record` encodes the stream
+//! into a scratch file beside its output as the run generates it and
+//! renames the file into place at the end (see [`bench::record`]);
+//! `info` and `replay` open a file by its header, footer and trailer,
+//! then read its records in fixed-size chunks, checksumming and
+//! decoding them straight into the sinks. So none of the three holds
+//! more memory for a longer recording. A file that fails to write or to
+//! decode — wrong magic or key, truncation, a checksum mismatch, a
+//! reference whose bytes run past 2^64 — is reported in one line and
+//! exits 1, before anything is printed.
 
 use std::fs::File;
 use std::io::BufReader;
+use std::path::Path;
 use std::process::ExitCode;
 
 use alloc_locality::{AllocChoice, Experiment};
 use allocators::AllocatorKind;
+use bench::RECORDING_KEY;
 use cache_sim::{CacheConfig, SweepCache, ThreeCAnalyzer, VictimCache};
-use sim_mem::{encode_stream, AccessSink, CountingSink, RefRun, StreamReader};
+use sim_mem::{AccessSink, CountingSink, RefRun, StreamReader};
 use vm_sim::StackSim;
 use workloads::{Program, Scale};
-
-/// The ALSC content key of every `record`ed file. The engine keys its
-/// stream cache by run identity; a recording is keyed by tool instead,
-/// with an empty sidecar, so `info` and `replay` accept any recording
-/// and nothing else.
-const RECORDING_KEY: u64 = u64::from_le_bytes(*b"trc-tool");
 
 fn parse_program(name: &str) -> Option<Program> {
     match name {
@@ -90,15 +89,7 @@ fn record(args: &[String]) -> Result<(), String> {
     }
     let program = parse_program(program).ok_or(format!("unknown program {program}"))?;
     let choice = parse_allocator(allocator).ok_or(format!("unknown allocator {allocator}"))?;
-    let runs = Experiment::new(program, choice)
-        .scale(Scale(scale))
-        .capture_runs()
-        .map_err(|e| e.to_string())?;
-    std::fs::write(out, encode_stream(RECORDING_KEY, &[], &runs))
-        .map_err(|e| format!("{out}: {e}"))?;
-    let mut counting = CountingSink::new();
-    counting.record_runs(&runs);
-    let s = counting.stats();
+    let s = bench::record(&Experiment::new(program, choice).scale(Scale(scale)), Path::new(out))?;
     eprintln!(
         "recorded {} references ({} app, {} metadata) to {out}",
         s.total_refs(),

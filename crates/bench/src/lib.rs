@@ -2,14 +2,17 @@
 //!
 //! The heavy lifting lives in [`alloc_locality`]; this crate adds the
 //! matrix-caching layer `repro` uses so that one simulation sweep can
-//! serve several tables and figures, and the `--scale` parser every
-//! binary shares.
+//! serve several tables and figures, the `--scale` parser every binary
+//! shares, and `trace-tool record`'s writer.
+
+use std::path::Path;
 
 use alloc_locality::job_spec::check_scale;
 use alloc_locality::{
     default_threads, run_many, AllocChoice, EngineError, Experiment, Matrix, SimOptions,
 };
 use cache_sim::CacheConfig;
+use sim_mem::{AccessSink, AtomicFile, CountingSink, MemRef, RefRun, StreamEncoder, TraceStats};
 use workloads::{Program, Scale};
 
 /// Parses a `--scale` value, rejecting what [`JobSpec::validate`]
@@ -26,6 +29,62 @@ pub fn parse_scale(v: &str) -> Result<f64, String> {
     let scale = v.parse().map_err(|e| format!("bad scale {v}: {e}"))?;
     check_scale(scale).map_err(|e| e.to_string())?;
     Ok(scale)
+}
+
+/// The ALSC content key of every recording. The engine keys its stream
+/// cache by run identity; a recording is keyed by tool instead, with an
+/// empty sidecar, so `trace-tool info` and `replay` accept any
+/// recording and nothing else.
+pub const RECORDING_KEY: u64 = u64::from_le_bytes(*b"trc-tool");
+
+/// Where [`record`] sends each batch of the generated stream: into the
+/// file's encoder, and into the counts it returns.
+struct Recording {
+    encoder: StreamEncoder<AtomicFile>,
+    counting: CountingSink,
+}
+
+impl AccessSink for Recording {
+    fn record(&mut self, r: MemRef) {
+        self.record_runs(&[RefRun::once(r)]);
+    }
+
+    fn record_runs(&mut self, runs: &[RefRun]) {
+        self.encoder.push(runs);
+        self.counting.record_runs(runs);
+    }
+}
+
+/// Records `exp`'s reference stream to the ALSC file `out` under
+/// [`RECORDING_KEY`], with an empty sidecar, as the run generates it:
+/// the encoder writes through a fixed buffer into a scratch file beside
+/// `out`, which is renamed into place at the end. Memory stays bounded
+/// however long the stream, and a run or a write that fails leaves no
+/// file. The bytes are those of [`sim_mem::encode_stream`] over the
+/// whole stream. Returns the stream's reference counts.
+///
+/// # Errors
+///
+/// A one-line message: `out`'s directory is missing or unwritable, the
+/// run fails, or a write fails.
+pub fn record(exp: &Experiment, out: &Path) -> Result<TraceStats, String> {
+    let fail = |e: std::io::Error| format!("{}: {e}", out.display());
+    let name = out
+        .file_name()
+        .and_then(|name| name.to_str())
+        .ok_or_else(|| format!("{}: not a file name", out.display()))?;
+    let dir = out.parent().filter(|dir| !dir.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    // The scratch file would create a missing directory; a recording
+    // goes only into one that exists.
+    std::fs::metadata(dir).map_err(fail)?;
+    let file = AtomicFile::create(dir, name).map_err(fail)?;
+    let mut sink = Recording {
+        encoder: StreamEncoder::new(file, RECORDING_KEY),
+        counting: CountingSink::new(),
+    };
+    exp.drive_into(&mut sink).map_err(|e| e.to_string())?;
+    sink.encoder.finish(&[]).and_then(|file| file.commit(None)).map_err(fail)?;
+    Ok(sink.counting.stats())
 }
 
 /// The matrices the paper's evaluation needs, computed lazily so a

@@ -10,9 +10,10 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use alloc_locality::{AllocChoice, Experiment};
+use alloc_locality::{AllocChoice, Experiment, SimOptions};
 use allocators::AllocatorKind;
 use cache_sim::CacheConfig;
+use sim_mem::{AccessSink, MemRef, RefRun};
 use workloads::{Program, Scale};
 
 /// The recorded workload: make under BSD at this scale.
@@ -22,8 +23,12 @@ fn trace_tool(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_trace-tool")).args(args).output().expect("trace-tool runs")
 }
 
-fn engine_run(caches: Vec<CacheConfig>, paging: bool) -> alloc_locality::RunResult {
+fn make_bsd() -> Experiment {
     Experiment::new(Program::Make, AllocChoice::Paper(AllocatorKind::Bsd))
+}
+
+fn engine_run(caches: Vec<CacheConfig>, paging: bool) -> alloc_locality::RunResult {
+    make_bsd()
         .scale(Scale(SCALE.parse().expect("scale")))
         .caches(caches)
         .paging(paging)
@@ -92,6 +97,57 @@ fn info_reports_the_engine_reference_counts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The stream a run generates, batch for batch.
+#[derive(Default)]
+struct Runs(Vec<RefRun>);
+
+impl AccessSink for Runs {
+    fn record(&mut self, r: MemRef) {
+        self.0.push(RefRun::once(r));
+    }
+
+    fn record_runs(&mut self, runs: &[RefRun]) {
+        self.0.extend_from_slice(runs);
+    }
+}
+
+/// The names of the files in `dir`.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("list scratch dir")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn record_writes_the_whole_streams_encoding_and_nothing_else() {
+    // `record` encodes the stream batch by batch as the run generates
+    // it, into a scratch file it renames at the end: the file must be
+    // byte for byte `encode_stream` over the whole stream, with the
+    // recording key and an empty sidecar, and no scratch file may stay.
+    let dir = scratch("bytes");
+    let path = dir.join("make-bsd.alsc");
+    // Four batches and more.
+    let recorded = trace_tool(&["record", "make", "bsd", utf8(&path), "--scale", "0.005"]);
+    assert!(recorded.status.success(), "record: {}", text(&recorded.stderr));
+    let mut runs = Runs::default();
+    make_bsd().scale(Scale(0.005)).drive_into(&mut runs).expect("run");
+    assert!(runs.0.len() > 4 * sim_mem::BATCH_CAPACITY, "{} runs", runs.0.len());
+    let bytes = std::fs::read(&path).expect("read recording");
+    assert!(bytes == sim_mem::encode_stream(RECORDING_KEY, &[], &runs.0), "not encode_stream's");
+    assert_eq!(listing(&dir), ["make-bsd.alsc"]);
+
+    // A run that fails part way leaves no file at all.
+    let starved = make_bsd().options(SimOptions { heap_limit: 4096, ..SimOptions::default() });
+    let failed = bench::record(&starved, &dir.join("starved.alsc"));
+    assert!(failed.is_err_and(|e| e.starts_with("allocator failed")), "a 4 KiB heap recorded");
+    assert_eq!(listing(&dir), ["make-bsd.alsc"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn replay_prints_the_engine_miss_rate() {
     let dir = scratch("replay");
@@ -128,6 +184,7 @@ fn bad_paths_files_and_flags_fail_in_one_line() {
     let dir = scratch("damage");
     let unwritable = dir.join("no-such-dir").join("t.alsc");
     assert_fails_in_one_line(&record(&unwritable), "record to an unwritable path");
+    assert!(!dir.join("no-such-dir").exists(), "record made its output's directory");
 
     let path = dir.join("t.alsc");
     let recorded = record(&path);

@@ -577,23 +577,6 @@ impl AccessSink for InlineSink<'_> {
     }
 }
 
-/// Collects the run-compressed reference stream exactly as a sink shard
-/// would see it: the concatenation of every flushed batch, preserving
-/// run boundaries (including splits at batch edges).
-struct RunCollector {
-    runs: Vec<RefRun>,
-}
-
-impl AccessSink for RunCollector {
-    fn record(&mut self, r: MemRef) {
-        self.runs.push(RefRun::once(r));
-    }
-
-    fn record_runs(&mut self, runs: &[RefRun]) {
-        self.runs.extend_from_slice(runs);
-    }
-}
-
 /// Tees every metric into an internal [`MemoryRecorder`] — whose frozen
 /// snapshot becomes the stream file's sidecar — and, when the caller
 /// attached one, the caller's recorder too. Both therefore observe
@@ -928,7 +911,7 @@ impl Experiment {
 
     /// The workload loop: builds the allocator, replays every event
     /// through a batching [`MemCtx`] over `sink`, and flushes. Cold runs,
-    /// populating or not, and [`Experiment::capture_runs`] share this;
+    /// populating or not, and [`Experiment::drive_into`] share this;
     /// only `sink` differs.
     fn drive(
         &self,
@@ -1018,23 +1001,23 @@ impl Experiment {
         Ok((frag_curve, *allocator.stats()))
     }
 
-    /// Drives the workload once and returns its run-compressed reference
-    /// stream — the exact sequence of [`RefRun`]s every sink shard of
-    /// this run would consume. `trace-tool record` stores it, and
-    /// equivalence tests use it to replay a realistic stream into a sink
-    /// directly.
+    /// Drives the workload once into `sink` alone: `sink` receives the
+    /// run-compressed reference stream every sink shard of this run
+    /// would consume, batch for batch, and no cache, pager or stream
+    /// cache sees it. `trace-tool record` writes the stream to a file
+    /// this way as it is generated, and equivalence tests feed a
+    /// realistic stream to a component directly.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Alloc`] if the allocator reports an error
     /// (out of simulated memory, invalid free), and [`EngineError::Event`]
-    /// if a fixed event stream breaks the [`AppEvent`] id contract.
-    pub fn capture_runs(&self) -> Result<Vec<RefRun>, EngineError> {
+    /// if a fixed event stream breaks the [`AppEvent`] id contract; the
+    /// batches before the error were delivered.
+    pub fn drive_into(&self, sink: &mut dyn AccessSink) -> Result<(), EngineError> {
         let mut heap = HeapImage::with_limit(self.opts.heap_limit);
         let mut instrs = InstrCounter::new();
-        let mut collector = RunCollector { runs: Vec::new() };
-        self.drive(&mut heap, &mut instrs, &mut collector, None)?;
-        Ok(collector.runs)
+        self.drive(&mut heap, &mut instrs, sink, None).map(drop)
     }
 
     /// Runs the experiment to completion.
@@ -1608,7 +1591,7 @@ mod tests {
         let exp = Experiment::new(Program::Make, AllocChoice::Paper(AllocatorKind::Bsd))
             .options(SimOptions { cache_configs: configs.clone(), ..quick_opts() });
         let mut bank = cache_sim::CacheBank::new(configs);
-        bank.record_runs(&exp.capture_runs().unwrap());
+        exp.drive_into(&mut bank).unwrap();
         assert_eq!(exp.run().unwrap().cache, bank.results());
     }
 

@@ -46,7 +46,9 @@
 //! records are the minority: over the paper's 25 cells at scale 0.005
 //! (9,284,511 records) they are 12.2%. The most common record, 43.0%,
 //! is a sized reference (size ≠ 4) at a one-byte delta, three bytes;
-//! records average 3.54 bytes.
+//! records average 3.54 bytes. Nearly all of them, 98.8%, are *common
+//! records*: no repeat count, a delta of at most six bytes and, when
+//! sized, a one-byte size, eight bytes at most (see Reading).
 //!
 //! Adjacent records carrying the identical reference are merged at
 //! encode time (run boundaries are not semantic: [`crate::AccessSink`]
@@ -78,6 +80,14 @@
 //! follows only the end-of-stream checks, the records checksum among
 //! them. [`decode_stream`] and [`decode_sidecar`] are thin wrappers over
 //! the same two steps for a file held in memory.
+//!
+//! The decoder takes common records in a bulk loop, each from one
+//! unaligned little-endian `u64` load, and hands the first record the
+//! loop declines to a general decoder that walks it byte by byte. The
+//! loop decodes every record it takes as the general decoder would, and
+//! declines every record the general decoder refuses, so the runs and
+//! the errors are the general decoder's alone (a unit test mixes every
+//! record shape to pin this).
 //!
 //! # Invalidation
 //!
@@ -697,10 +707,20 @@ impl<R: Read + Seek> StreamReader<R> {
                 .min(BATCH_CAPACITY - chunk.len())
                 .min(usize::try_from(remaining).unwrap_or(usize::MAX));
             let body = &src.buf[..src.end];
-            for _ in 0..batch {
-                let run = decode_record(body, &mut pos, &mut prev_addr)?;
-                refs += u64::from(run.count);
-                chunk.push(run);
+            // Common records a word at a time; the first record the word
+            // loop declines, byte by byte.
+            let mut done = 0;
+            while done < batch {
+                let common =
+                    decode_common(body, &mut pos, &mut prev_addr, &mut chunk, batch - done);
+                refs += common as u64;
+                done += common;
+                if done < batch {
+                    let run = decode_record(body, &mut pos, &mut prev_addr)?;
+                    refs += u64::from(run.count);
+                    chunk.push(run);
+                    done += 1;
+                }
             }
             remaining -= batch as u64;
         }
@@ -765,6 +785,70 @@ impl<R: Read> Records<'_, R> {
     }
 }
 
+/// The continuation bits of the six bytes after a record's flags byte,
+/// as they sit in its word shifted right by eight: the common record's
+/// delta ends at the first of them that is clear.
+const DELTA_STOPS: u64 = 0x8080_8080_8080;
+
+/// Decodes up to `max` common records from `body[*pos..]` onto `chunk`,
+/// each from one little-endian word load, advancing `*pos` and
+/// `*prev_addr` past them; returns how many it decoded.
+///
+/// A common record has known flags, no repeat, a delta of at most six
+/// bytes and, when sized, a nonzero one-byte size, and its reference
+/// does not wrap past 2^64. The loop stops at the first record that is
+/// not common, or that has fewer than eight bytes left in `body`, and
+/// leaves it to [`decode_record`], which decodes every record this loop
+/// takes to the same run.
+///
+/// The delta's length comes from the first clear stop bit, its value
+/// from folding the bytes up to it, and the size byte is the one after
+/// it, selected without a branch. Every field is computed from the word
+/// before any is checked, so each step wraps rather than overflows on a
+/// record the loop then declines, and the checks fold into one flag.
+/// Outlined, the loop keeps its position and address in registers.
+#[inline(never)]
+fn decode_common(
+    body: &[u8],
+    pos: &mut usize,
+    prev_addr: &mut u64,
+    chunk: &mut Vec<RefRun>,
+    max: usize,
+) -> usize {
+    let (mut at, mut prev) = (*pos, *prev_addr);
+    let (start, end) = (chunk.len(), chunk.len() + max);
+    while chunk.len() < end {
+        let Some(word) = body.get(at..).and_then(<[u8]>::first_chunk::<8>) else { break };
+        let word = u64::from_le_bytes(*word);
+        let flags = word as u8;
+        let stops = !(word >> 8) & DELTA_STOPS;
+        // The delta's bytes: every bit up to its stop bit. With no stop
+        // bit, all of them, on a record that is declined.
+        let delta_bits = (word >> 8) & (stops ^ stops.wrapping_sub(1));
+        let delta_len = (stops.trailing_zeros() + 1) / 8;
+        let addr = prev.wrapping_add(varint::unzigzag(varint::fold_groups(delta_bits)) as u64);
+        let sized = flags & FLAG_SIZED != 0;
+        let size_byte = word.wrapping_shr(8 * (delta_len + 1)) as u8;
+        let size = if sized { u32::from(size_byte) } else { 4 };
+        let common = (flags & !(FLAG_WRITE | FLAG_META | FLAG_SIZED) == 0)
+            & (stops != 0)
+            & (!sized | (size_byte.wrapping_sub(1) < 0x7f))
+            & addr.checked_add(u64::from(size).wrapping_sub(1)).is_some();
+        if !common {
+            break;
+        }
+        let kind = if flags & FLAG_WRITE != 0 { AccessKind::Write } else { AccessKind::Read };
+        let class =
+            if flags & FLAG_META != 0 { AccessClass::AllocatorMeta } else { AccessClass::AppData };
+        chunk.push(RefRun { r: MemRef { addr: Address::new(addr), size, kind, class }, count: 1 });
+        at += 1 + delta_len as usize + usize::from(sized);
+        prev = addr;
+    }
+    *pos = at;
+    *prev_addr = prev;
+    chunk.len() - start
+}
+
 /// Decodes the record at `body[*pos..]`, advancing `*pos` past it. Running
 /// off the end of `body` is [`StreamError::Truncated`]: callers hand in
 /// at least [`MAX_RECORD_LEN`] bytes past `*pos` unless the records end
@@ -779,26 +863,6 @@ fn decode_record(body: &[u8], pos: &mut usize, prev_addr: &mut u64) -> Result<Re
     let kind = if flags & FLAG_WRITE != 0 { AccessKind::Write } else { AccessKind::Read };
     let class =
         if flags & FLAG_META != 0 { AccessClass::AllocatorMeta } else { AccessClass::AppData };
-    // Fast path: a single word-sized reference whose address delta fits
-    // one varint byte is exactly two bytes, decoded without the general
-    // varint loop (12.2% of the paper cells' records; see the module
-    // docs for the mix).
-    if flags & (FLAG_SIZED | FLAG_REPEATED) == 0 {
-        if let Some(&b) = body.get(*pos) {
-            if b < 0x80 {
-                *pos += 1;
-                let addr = prev_addr.wrapping_add(varint::unzigzag(u64::from(b)) as u64);
-                if addr > u64::MAX - 3 {
-                    return Err(StreamError::Corrupt(WRAPS));
-                }
-                *prev_addr = addr;
-                return Ok(RefRun {
-                    r: MemRef { addr: Address::new(addr), size: 4, kind, class },
-                    count: 1,
-                });
-            }
-        }
-    }
     let delta = varint::take_i64(body, pos).ok_or(StreamError::Truncated)?;
     let addr = prev_addr.wrapping_add(delta as u64);
     *prev_addr = addr;
@@ -1298,6 +1362,273 @@ mod tests {
             let bytes = encode_stream(1, b"", &bad);
             assert_eq!(decode_stream(&bytes, 1), Err(StreamError::Corrupt(WRAPS)), "{bad:?}");
         }
+    }
+
+    /// xorshift64*: the seeded source of the record mixes below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn one_in(&mut self, n: u64) -> bool {
+            self.below(n) == 0
+        }
+    }
+
+    fn varint_bytes(v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        varint::write_u64(&mut out, v);
+        out
+    }
+
+    /// A random value whose canonical varint takes `shortest` to
+    /// `longest` bytes (1–10).
+    fn value_of_len(rng: &mut Rng, shortest: u64, longest: u64) -> u64 {
+        match shortest + rng.below(longest - shortest + 1) {
+            1 => rng.below(0x80),
+            10 => rng.next() | 1 << 63,
+            len => {
+                let low = 1u64 << (7 * (len - 1));
+                low + rng.below((low << 7) - low)
+            }
+        }
+    }
+
+    /// What [`mixed_record`] makes: any well-formed record, one at a
+    /// given address, or a malformed one.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        Any,
+        At(u64),
+        UnknownFlags,
+        ZeroSize,
+        HugeSize,
+        RunLength,
+        Wraps,
+    }
+
+    const MALFORMED: [Shape; 5] =
+        [Shape::UnknownFlags, Shape::ZeroSize, Shape::HugeSize, Shape::RunLength, Shape::Wraps];
+
+    /// One record of `shape`: its bytes and its run length. `prev` is the
+    /// previous record's address, and becomes this one's. Well-formed
+    /// records are mostly the common record, with deltas of every length,
+    /// canonical or not, and now and then sizes and repeats of every
+    /// kind.
+    fn mixed_record(rng: &mut Rng, prev: &mut u64, shape: Shape) -> (Vec<u8>, u64) {
+        let mut flags = rng.below(4) as u8;
+        let (size, size_bytes) = match (shape, rng.below(12)) {
+            (Shape::ZeroSize, _) => (0, vec![0x00]),
+            (Shape::HugeSize, _) => (0, varint_bytes(u64::from(u32::MAX) + 1 + rng.below(1 << 40))),
+            (_, 0..=5) => (4, Vec::new()),
+            (Shape::Wraps, _) => {
+                let size = 2 + rng.below(0x7e);
+                (size, vec![size as u8])
+            }
+            (_, 6) => (1, vec![0x01]),
+            (_, 7) => (0x7f, vec![0x7f]),
+            (_, 8) => (4, vec![0x04]),
+            (_, 9) => {
+                let size = 0x80 + rng.below(u64::from(u32::MAX) - 0x7f);
+                (size, varint_bytes(size))
+            }
+            (_, 10) => (5, vec![0x85, 0x00]),
+            _ => {
+                let size = 1 + rng.below(0x7f);
+                (size, vec![size as u8])
+            }
+        };
+        if !size_bytes.is_empty() {
+            flags |= FLAG_SIZED;
+        }
+        let target = match shape {
+            // Past the last byte of memory by exactly one byte.
+            Shape::Wraps => Some(u64::MAX - size + 2),
+            Shape::At(addr) => Some(addr),
+            Shape::ZeroSize if rng.one_in(2) => Some(0),
+            _ => None,
+        };
+        let delta = match (target, rng.below(20)) {
+            (Some(addr), _) => varint_bytes(varint::zigzag(addr.wrapping_sub(*prev) as i64)),
+            (None, 0) if rng.one_in(4) => vec![0x80, 0x00],
+            (None, 0) => {
+                // Non-canonical: a last byte of zero bits.
+                let mut bytes = varint_bytes(value_of_len(rng, 1, 9));
+                *bytes.last_mut().expect("one byte at least") |= 0x80;
+                bytes.push(0);
+                bytes
+            }
+            (None, 1..=9) => varint_bytes(rng.below(0x80)),
+            (None, 10..=16) => varint_bytes(value_of_len(rng, 2, 6)),
+            (None, _) => varint_bytes(value_of_len(rng, 7, 10)),
+        };
+        let mut end = 0;
+        let delta_value = varint::take_i64(&delta, &mut end).expect("a whole varint");
+        *prev = prev.wrapping_add(delta_value as u64);
+        let (count, count_bytes) = match (shape, rng.below(8)) {
+            (Shape::RunLength, _) => (0, varint_bytes(u64::from(u32::MAX) + rng.below(3))),
+            (_, 0) => {
+                let more = match rng.below(4) {
+                    0 => 0,
+                    1 => u64::from(u32::MAX) - 1,
+                    _ => 1 + rng.below(1000),
+                };
+                (more + 1, varint_bytes(more))
+            }
+            _ => (1, Vec::new()),
+        };
+        if !count_bytes.is_empty() {
+            flags |= FLAG_REPEATED;
+        }
+        if shape == Shape::UnknownFlags {
+            flags |= 0x10 << rng.below(4);
+        }
+        let mut record = vec![flags];
+        record.extend(delta);
+        record.extend(size_bytes);
+        record.extend(count_bytes);
+        (record, count)
+    }
+
+    /// An ALSC file under key 0 holding `records` and a trailer that
+    /// declares `run_count` runs and `ref_count` references.
+    fn file_of(records: &[u8], run_count: u64, ref_count: u64) -> Vec<u8> {
+        let mut trailer = varint_bytes(run_count);
+        trailer.extend(varint_bytes(ref_count));
+        trailer.push(0);
+        let mut file = encode_stream(0, b"", &[])[..HEADER_LEN].to_vec();
+        file.extend(records);
+        file.extend(&trailer);
+        file.extend((HEADER_LEN as u64 + records.len() as u64).to_le_bytes());
+        file.extend(checksum(records).to_le_bytes());
+        file.extend(checksum(&trailer).to_le_bytes());
+        file
+    }
+
+    /// What a loop of [`decode_record`] alone makes of `records`, inside
+    /// the count checks of [`StreamReader::decode_chunks`]: the runs it
+    /// decoded, and its verdict.
+    fn decode_by_record(
+        records: &[u8],
+        run_count: u64,
+        ref_count: u64,
+    ) -> (Vec<RefRun>, Result<(), StreamError>) {
+        let mut runs = Vec::new();
+        if run_count > records.len() as u64 / 2 {
+            return (runs, Err(StreamError::Corrupt("run count exceeds payload")));
+        }
+        let (mut pos, mut prev) = (0, 0);
+        while (runs.len() as u64) < run_count {
+            match decode_record(records, &mut pos, &mut prev) {
+                Ok(run) => runs.push(run),
+                Err(e) => return (runs, Err(e)),
+            }
+        }
+        let verdict = if pos != records.len() {
+            Err(StreamError::Corrupt("trailing bytes after last record"))
+        } else if expand_count(&runs) != ref_count {
+            Err(StreamError::Corrupt("reference count mismatch"))
+        } else {
+            Ok(())
+        };
+        (runs, verdict)
+    }
+
+    #[test]
+    fn the_word_loop_decodes_every_record_as_decode_record_does() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let (mut taken, mut walked, mut failed, mut long) = (0, 0, 0, 0);
+        for file in 0..60 {
+            // Short files, and files of two to four read windows.
+            let len = if file % 4 == 0 { 1 + rng.below(300) } else { 20_000 + rng.below(30_000) };
+            // One malformed record (files 0-4 of every ten), or the file
+            // around them damaged (5-8), or neither (9).
+            let fault = MALFORMED.get(file % 10).map(|&shape| (rng.below(len), shape));
+            // Records placed well below the top of memory, and near its
+            // bottom, bring a wrapping or zero-sized record in reach of a
+            // six-byte delta.
+            let below_top = |rng: &mut Rng| Shape::At(u64::MAX - (1 << 34) - rng.below(1 << 20));
+            let (mut records, mut prev, mut refs) = (Vec::new(), 0, 0);
+            for i in 0..len {
+                let shape = match fault {
+                    Some((at, shape)) if at == i => shape,
+                    Some((at, Shape::Wraps)) if at == i + 1 => below_top(&mut rng),
+                    Some((at, Shape::ZeroSize)) if at == i + 1 => Shape::At(rng.below(1 << 20)),
+                    _ if rng.one_in(1000) => below_top(&mut rng),
+                    _ => Shape::Any,
+                };
+                let (record, count) = mixed_record(&mut rng, &mut prev, shape);
+                records.extend(record);
+                refs += count;
+            }
+            let (mut run_count, mut ref_count) = (len, refs);
+            match file % 10 {
+                5 => drop(records.drain(records.len().saturating_sub(1 + rng.below(8) as usize)..)),
+                6 => records.extend((0..1 + rng.below(8)).map(|_| rng.next() as u8)),
+                7 => ref_count += 1,
+                8 => run_count -= 1,
+                _ => {}
+            }
+            long += usize::from(records.len() > 2 * READ_CHUNK);
+
+            // Record by record: the word loop takes exactly the common
+            // records with eight bytes left, each as the run decode_record
+            // makes of it, at the same length, and declines every record
+            // decode_record refuses.
+            let (mut pos, mut prev) = (0, 0);
+            let mut one = Vec::with_capacity(1);
+            loop {
+                let (start, mut at, mut addr) = (pos, pos, prev);
+                one.clear();
+                let took = decode_common(&records, &mut at, &mut addr, &mut one, 1);
+                let Ok(run) = decode_record(&records, &mut pos, &mut prev) else {
+                    assert_eq!(took, 0, "file {file}: a malformed record at {start} taken");
+                    break;
+                };
+                let mut delta_end = start + 1;
+                varint::take_u64(&records, &mut delta_end);
+                let common = records[start] & FLAG_REPEATED == 0
+                    && delta_end - start <= 7
+                    && pos - delta_end == usize::from(records[start] & FLAG_SIZED != 0)
+                    && start + 8 <= records.len();
+                assert_eq!(took == 1, common, "file {file}: record at {start}");
+                if common {
+                    assert_eq!((one[0], at, addr), (run, pos, prev), "file {file} at {start}");
+                }
+                walked += 1;
+                taken += took;
+            }
+
+            // The whole file: the same verdict, after the same runs.
+            let (runs, verdict) = decode_by_record(&records, run_count, ref_count);
+            let bytes = file_of(&records, run_count, ref_count);
+            let mut reader = StreamReader::open(io::Cursor::new(&bytes), 0).expect("trailer");
+            let mut delivered = Vec::new();
+            let chunked = reader.decode_chunks(|chunk| delivered.extend_from_slice(chunk));
+            assert_eq!(chunked, verdict, "file {file}");
+            if verdict.is_ok() {
+                assert_eq!(delivered, runs, "file {file}");
+            } else {
+                failed += 1;
+                assert_eq!(delivered.len() % BATCH_CAPACITY, 0, "file {file}");
+                assert!(runs.len() - delivered.len() <= BATCH_CAPACITY, "file {file}");
+                assert_eq!(delivered, runs[..delivered.len()], "file {file}");
+            }
+        }
+        // The mix reached every path: most records by word, every fault,
+        // files spanning several read windows.
+        assert!(taken * 2 > walked, "the word loop took {taken} of {walked} records");
+        assert!(failed >= 50, "{failed} of 60 files failed");
+        assert!(long >= 30, "{long} files span three read windows");
     }
 
     /// A file of a few hundred bytes whose records and trailer are not

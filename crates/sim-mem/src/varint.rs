@@ -39,6 +39,18 @@ pub fn take_i64(buf: &[u8], pos: &mut usize) -> Option<i64> {
     take_u64(buf, pos).map(unzigzag)
 }
 
+/// The value of an unsigned LEB128 integer of at most eight bytes held
+/// little-endian in `word`, every byte past its last one zeroed: the
+/// continuation bits dropped and the seven-bit groups folded together,
+/// pairs, then quads, then halves.
+#[inline(always)]
+pub(crate) fn fold_groups(word: u64) -> u64 {
+    let x = word & 0x7f7f_7f7f_7f7f_7f7f;
+    let x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
+    (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4)
+}
+
 /// Zig-zag encodes a signed integer so small magnitudes stay small.
 pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -104,6 +116,23 @@ mod tests {
             write_u64(&mut buf, v);
             assert_eq!(buf.len(), 1);
         }
+    }
+
+    #[test]
+    fn folding_a_word_reads_the_varint_it_holds() {
+        // Every length from one byte to eight, at both ends of its range.
+        for bits in 0..56 {
+            for v in [1u64 << bits, (2u64 << bits) - 1] {
+                let mut buf = Vec::new();
+                write_u64(&mut buf, v);
+                let mut word = [0u8; 8];
+                word[..buf.len()].copy_from_slice(&buf);
+                assert_eq!(fold_groups(u64::from_le_bytes(word)), v, "value {v}");
+            }
+        }
+        assert_eq!(fold_groups(0), 0);
+        // A non-canonical zero, continuation bits and all.
+        assert_eq!(fold_groups(0x0080), 0);
     }
 
     #[test]

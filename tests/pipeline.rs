@@ -155,7 +155,7 @@ fn sweep_engine_matches_per_cache_bit_for_bit() {
 #[test]
 fn captured_stream_replays_into_components_identically() {
     // The oracle for the engine's sinks, and what trace-tool leans on:
-    // a stream captured once with capture_runs, replayed directly into
+    // a stream captured once through drive_into, replayed directly into
     // each component — the per-cache bank, the single-pass sweep, the
     // pager, and the extension analyzers — reproduces a normal engine
     // run bit for bit. Each component is fed the stream twice: as runs,
@@ -166,8 +166,22 @@ fn captured_stream_replays_into_components_identically() {
     // each other and with the engine on every one.
     use cache_sim::{CacheBank, SweepCache, ThreeCAnalyzer, TwoLevelCache, VictimCache};
     use sim_mem::stream::expand_runs;
-    use sim_mem::{AccessSink, CountingSink, MemRef};
+    use sim_mem::{AccessSink, CountingSink, MemRef, RefRun};
     use vm_sim::StackSim;
+
+    /// The stream a run generates, batch for batch.
+    #[derive(Default)]
+    struct Runs(Vec<RefRun>);
+
+    impl AccessSink for Runs {
+        fn record(&mut self, r: MemRef) {
+            self.0.push(RefRun::once(r));
+        }
+
+        fn record_runs(&mut self, runs: &[RefRun]) {
+            self.0.extend_from_slice(runs);
+        }
+    }
 
     fn one_at_a_time<S: AccessSink>(mut sink: S, refs: &[MemRef]) -> S {
         for &r in refs {
@@ -199,7 +213,9 @@ fn captured_stream_replays_into_components_identically() {
     for (program, kind, opts, every_shard) in inputs {
         let exp = Experiment::new(program, AllocChoice::Paper(kind)).options(opts);
         let engine = exp.run().expect("engine run");
-        let runs = exp.capture_runs().expect("capture");
+        let mut captured = Runs::default();
+        exp.drive_into(&mut captured).expect("capture");
+        let runs = captured.0;
         let label = format!("{program}/{kind}");
         let refs = expand_runs(&runs);
         assert!(

@@ -3,7 +3,9 @@
 //! it, and a replay reads the records back in fixed-size chunks. So the
 //! peak live heap of a populating run above the same run without a
 //! stream cache, and the peak of a replay above its entry, are bounded
-//! by constants that do not grow with the file.
+//! by constants that do not grow with the file. A recording
+//! (`trace-tool record`) writes the same way, so it holds the same
+//! constant above a run with no sinks.
 //!
 //! The counting allocator sees every thread of the process, so this
 //! binary holds exactly one test.
@@ -83,9 +85,9 @@ fn peak_above_entry<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK.load(Ordering::Relaxed) - base)
 }
 
-/// What a populating run may hold above a no-cache run: the encoder's
-/// write buffer, the scratch file and the sidecar, whatever the stream's
-/// length.
+/// What a populating run may hold above a no-cache run, or a recording
+/// above a run with no sinks: the encoder's write buffer, the scratch
+/// file and the sidecar, whatever the stream's length.
 const POPULATING_BOUND: usize = 512 << 10;
 
 #[test]
@@ -99,9 +101,10 @@ fn populating_and_replaying_hold_a_constant_not_the_file() {
     };
 
     let (plain, plain_peak) = peak_above_entry(|| cell(opts.clone()).run());
+    let plain = plain.expect("no-cache run");
     let populating = cell(SimOptions { stream_cache: Some(dir.clone()), ..opts.clone() });
     let (stored, stored_peak) = peak_above_entry(|| populating.run());
-    assert_eq!(stored.expect("populating run"), plain.expect("no-cache run"));
+    assert_eq!(stored.expect("populating run"), plain);
 
     let path = std::fs::read_dir(&dir)
         .expect("cache dir")
@@ -147,6 +150,24 @@ fn populating_and_replaying_hold_a_constant_not_the_file() {
     assert!(
         replay_peak < file_len / 4,
         "a replay held {replay_peak} B, a quarter of the {file_len} B file is the bound"
+    );
+
+    // A recording of the same stream, against the same run feeding no
+    // cache and no pager.
+    let bare = SimOptions { cache_configs: Vec::new(), paging: false, ..opts };
+    let (_, bare_peak) = peak_above_entry(|| cell(bare.clone()).run());
+    let recording = dir.join("recording.alsc");
+    let (recorded, record_peak) = peak_above_entry(|| bench::record(&cell(bare), &recording));
+    assert_eq!(recorded.expect("recording"), plain.trace);
+    let record_len = std::fs::metadata(&recording).expect("the recording exists").len();
+    let extra = record_peak.saturating_sub(bare_peak);
+    eprintln!(
+        "sinkless peak {bare_peak} B, recording peak {record_peak} B: {extra} B more for a \
+         {record_len} B file"
+    );
+    assert!(
+        extra < POPULATING_BOUND,
+        "recording held {extra} B more than a run with no sinks, bound {POPULATING_BOUND} B"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -392,11 +392,25 @@ fn a_version_3_file_at_a_version_4_path_falls_back_cold() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The stream a run generates, batch for batch.
+#[derive(Default)]
+struct Runs(Vec<sim_mem::RefRun>);
+
+impl sim_mem::AccessSink for Runs {
+    fn record(&mut self, r: sim_mem::MemRef) {
+        self.0.push(sim_mem::RefRun::once(r));
+    }
+
+    fn record_runs(&mut self, runs: &[sim_mem::RefRun]) {
+        self.0.extend_from_slice(runs);
+    }
+}
+
 #[test]
 fn a_populating_run_stores_the_encoding_of_its_generated_stream() {
     // The stream is encoded batch by batch as the run generates it; the
     // file must be byte for byte the one-shot encoding of the stream
-    // `capture_runs` returns, under the file's key and sidecar.
+    // `drive_into` generates, under the file's key and sidecar.
     let dir = cache_dir("bytes");
     for (program, kind) in [
         (Program::Espresso, AllocatorKind::FirstFit),
@@ -410,9 +424,10 @@ fn a_populating_run_stores_the_encoding_of_its_generated_stream() {
         let bytes = std::fs::read(sole_cache_file(&dir)).expect("read stream file");
         let key = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte key"));
         let sidecar = sim_mem::decode_sidecar(&bytes, key).expect("valid file");
-        let runs = exp.capture_runs().expect("capture");
-        assert!(runs.len() > sim_mem::BATCH_CAPACITY, "{program}/{kind}: one batch only");
-        let encoded = sim_mem::encode_stream(key, &sidecar, &runs);
+        let mut runs = Runs::default();
+        exp.drive_into(&mut runs).expect("generate");
+        assert!(runs.0.len() > sim_mem::BATCH_CAPACITY, "{program}/{kind}: one batch only");
+        let encoded = sim_mem::encode_stream(key, &sidecar, &runs.0);
         assert!(bytes == encoded, "{program}/{kind}: the stored file is not encode_stream's");
     }
     let _ = std::fs::remove_dir_all(&dir);
