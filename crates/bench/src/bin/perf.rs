@@ -20,6 +20,8 @@
 //! Every other timing lives in the benchmark (`benchmark/run.py`),
 //! whose traced ledger times each layer of a run; none of its metrics
 //! prices a disabled recorder, so this gate stays here.
+//!
+//! [`RunResult`]: alloc_locality::RunResult
 
 use std::path::PathBuf;
 use std::process::ExitCode;

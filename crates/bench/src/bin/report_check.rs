@@ -12,7 +12,9 @@
 //! its schema validation; `--expect N` additionally requires exactly
 //! `N` reports. On success the tool prints a one-line summary per
 //! report; any failure names the offending line and exits non-zero,
-//! which is what CI's observability job keys on.
+//! which is what CI's observability job keys on. A reader that closes
+//! stdout drops the summaries, never the verdict: the exit code still
+//! says whether the file is valid.
 //!
 //! `--expect-trace TRACE` validates an `alloc-locality.trace` v1 JSONL
 //! file (from `repro --trace` or `GET /jobs/{id}/trace`): schema and
@@ -40,6 +42,7 @@
 //! coalesce — moves whole-cell miss rates past it and fails CI.
 
 use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use alloc_locality::RunReport;
@@ -162,7 +165,8 @@ fn check_sweep(path: &std::path::Path, expect_points: usize) -> Result<(), Strin
         ));
     }
     for row in &report.points {
-        println!(
+        let _ = writeln!(
+            std::io::stdout(),
             "point {:<40} miss {:<8.4} instrs {:<12} peak {:<10} {}",
             row.allocator,
             row.objectives.miss_rate,
@@ -214,7 +218,8 @@ fn check_traces(path: &std::path::Path) -> Result<usize, String> {
         trace
             .validate()
             .map_err(|e| format!("{}:{}: invalid trace: {e}", path.display(), lineno + 1))?;
-        println!(
+        let _ = writeln!(
+            std::io::stdout(),
             "trace {:<40} spans {:<6} roots {:<3} dropped {}",
             trace.trace_id,
             trace.spans.len(),
@@ -337,9 +342,14 @@ fn run() -> Result<(), String> {
             // it when the run actually freed.
             let coalesce =
                 report.metrics.histogram("alloc.coalesce_per_free").map_or(0.0, |h| h.mean);
-            println!(
+            let _ = writeln!(
+                std::io::stdout(),
                 "{:<10} {:<10} mallocs {:<8} mean search {:<6.2} mean coalesce {:.3}",
-                report.program, report.allocator, search.count, search.mean, coalesce
+                report.program,
+                report.allocator,
+                search.count,
+                search.mean,
+                coalesce
             );
             reports.push(report);
         }

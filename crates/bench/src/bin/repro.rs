@@ -26,6 +26,7 @@
 //! bit-identical either way). `--verbose` narrates every sweep to
 //! stderr, one line per completed cell with elapsed wall time.
 
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -250,7 +251,8 @@ fn emit_instrumented(args: &Args) -> Result<(), String> {
 }
 
 fn emit<T: Serialize>(args: &Args, name: &str, text: &str, value: &T) {
-    println!("{text}");
+    // A reader that closed stdout ends the output, not the run.
+    let _ = writeln!(std::io::stdout(), "{text}");
     if let Some(dir) = &args.json_dir {
         std::fs::create_dir_all(dir).expect("create json dir");
         let path = dir.join(format!("{name}.json"));

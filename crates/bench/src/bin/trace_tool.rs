@@ -34,10 +34,12 @@
 //! more memory for a longer recording. A file that fails to write or to
 //! decode — wrong magic or key, truncation, a checksum mismatch, a
 //! reference whose bytes run past 2^64 — is reported in one line and
-//! exits 1, before anything is printed.
+//! exits 1, before anything is printed. A reader that closes stdout
+//! ends the output, not the run: failed writes are dropped, never a
+//! panic.
 
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{self, BufReader, Write as _};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -122,18 +124,22 @@ fn info(args: &[String]) -> Result<(), String> {
     let (bytes, runs) = read_recording(path, |chunk| counting.record_runs(chunk))?;
     let s = counting.stats();
     let n = s.total_refs();
-    println!(
+    let mut out = io::stdout().lock();
+    let _ = writeln!(
+        out,
         "trace {path}: {n} references in {runs} runs, {bytes} bytes ({:.2} B/ref)",
         bytes as f64 / n.max(1) as f64
     );
-    println!(
+    let _ = writeln!(
+        out,
         "  app:  {} refs ({} reads, {} writes), {} words",
         s.app_refs(),
         s.app_reads,
         s.app_writes,
         s.app_words
     );
-    println!(
+    let _ = writeln!(
+        out,
         "  meta: {} refs ({} reads, {} writes), {} words",
         s.meta_refs(),
         s.meta_reads,
@@ -205,9 +211,11 @@ fn replay(args: &[String]) -> Result<(), String> {
             vcache.record_runs(chunk);
         }
     })?;
-    println!("replayed {} references from {path}", counting.stats().total_refs());
+    let mut out = io::stdout().lock();
+    let _ = writeln!(out, "replayed {} references from {path}", counting.stats().total_refs());
     for (cfg, stats) in sweep.results() {
-        println!(
+        let _ = writeln!(
+            out,
             "  {cfg}: {:.3}% miss rate ({} misses, {} cold)",
             stats.miss_rate() * 100.0,
             stats.misses(),
@@ -216,7 +224,8 @@ fn replay(args: &[String]) -> Result<(), String> {
     }
     if let Some(pager) = pager {
         let curve = pager.curve();
-        println!(
+        let _ = writeln!(
+            out,
             "  paging: {} distinct pages; working set {} KB",
             pager.distinct_pages(),
             curve.working_set_frames() * 4
@@ -224,7 +233,8 @@ fn replay(args: &[String]) -> Result<(), String> {
     }
     if let Some(analyzer) = analyzer {
         let c = analyzer.classify();
-        println!(
+        let _ = writeln!(
+            out,
             "  3C @ {}: compulsory {} / capacity {} / conflict {} ({:.0}% of replacement misses are conflicts)",
             configs[0],
             c.compulsory,
@@ -234,7 +244,8 @@ fn replay(args: &[String]) -> Result<(), String> {
         );
     }
     if let (Some(entries), Some(vcache)) = (victim, vcache) {
-        println!(
+        let _ = writeln!(
+            out,
             "  victim({entries}) @ {}: effective miss rate {:.3}%, rescue rate {:.0}%",
             configs[0],
             vcache.stats().miss_rate() * 100.0,
@@ -274,7 +285,9 @@ fn run_app(args: &[String]) -> Result<(), String> {
     let choice = parse_allocator(allocator).ok_or(format!("unknown allocator {allocator}"))?;
     let r =
         Experiment::with_events(path.clone(), events, choice).run().map_err(|e| e.to_string())?;
-    println!(
+    let mut out = io::stdout().lock();
+    let _ = writeln!(
+        out,
         "{}: {} allocs / {} frees, peak heap {} KB, {:.2}% of instructions in malloc/free",
         r.allocator,
         r.alloc_stats.mallocs,
@@ -283,10 +296,10 @@ fn run_app(args: &[String]) -> Result<(), String> {
         r.alloc_fraction() * 100.0
     );
     for (cfg, stats) in &r.cache {
-        println!("  {cfg}: {:.3}% miss rate", stats.miss_rate() * 100.0);
+        let _ = writeln!(out, "  {cfg}: {:.3}% miss rate", stats.miss_rate() * 100.0);
     }
     if let Some(curve) = &r.fault_curve {
-        println!("  working set {} KB", curve.working_set_frames() * 4);
+        let _ = writeln!(out, "  working set {} KB", curve.working_set_frames() * 4);
     }
     Ok(())
 }
@@ -326,7 +339,7 @@ fn promlint(args: &[String]) -> Result<(), String> {
     let [path] = args else { return Err("usage: trace-tool promlint <exposition.txt>".into()) };
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let samples = obs::prom::lint(&text).map_err(|e| format!("{path}: {e}"))?;
-    println!("{path}: ok ({samples} samples)");
+    let _ = writeln!(io::stdout(), "{path}: ok ({samples} samples)");
     Ok(())
 }
 

@@ -22,7 +22,7 @@
 //! * the **last-block short-circuit** — the most recently touched block
 //!   is the same for every member (and, in an LRU set, already at the
 //!   most-recently-used position);
-//! * the **cold-miss [`BlockSet`]** — a block's first-ever touch misses
+//! * the **cold-miss `BlockSet`** — a block's first-ever touch misses
 //!   in *every* member (it cannot be resident anywhere before it has
 //!   ever been referenced), so each member's "seen" set would grow
 //!   identically anyway;
@@ -145,6 +145,8 @@
 //! per-reference delivery, and — for direct-mapped sweeps — against the
 //! pre-restructure implementation preserved verbatim as
 //! [`crate::reference::ReferenceSweepCache`].
+//!
+//! [`Cache`]: crate::Cache
 
 use sim_mem::{AccessClass, AccessSink, MemRef, RefRun};
 

@@ -631,94 +631,39 @@ impl Recorder for TeeRecorder<'_> {
     }
 }
 
-/// Everything a replay cannot reconstruct from the reference stream
-/// alone: the driver-side products of the populating run, serialized as
-/// JSON into the stream file's sidecar.
+/// What a stream file keeps beside its records, serialized as JSON into
+/// its sidecar: the populating run's result and metrics.
 ///
 /// The stream *key* covers every option the driver's outputs depend on
 /// (workload, allocator, scale, heap limit, fragmentation sampling), so
-/// these fields are valid for any run that hits the same key. The
-/// metrics snapshot additionally depends on the *sink* configuration —
-/// which sinks existed — so it carries the populating run's
-/// [`Experiment::options_fingerprint`] and is only reused when the
-/// fingerprints match.
+/// the result's driver half — everything but the sink half below — is
+/// valid for any run that hits the same key. The sink half (caches,
+/// fault curve, victim, three-C, two-level) and the metrics snapshot
+/// also depend on the *sink* configuration — which sinks existed — so
+/// the sidecar carries the populating run's
+/// [`Experiment::options_fingerprint`]. Under a matching fingerprint the
+/// result answers the whole run, with neither the stream body decoded
+/// nor the sinks rebuilt; under another, a replay recomputes the sink
+/// half, keeping only the fault curve, which depends on the stream alone.
 #[derive(Serialize, Deserialize)]
 struct StreamSidecar {
     /// [`Experiment::options_fingerprint`] of the populating run.
     options_fp: u64,
-    /// Instruction counts by phase.
-    instrs: InstrCounter,
-    /// Counting-fold statistics over the stream.
-    trace: TraceStats,
-    /// Fragmentation samples (empty unless sampling was keyed on).
-    frag_curve: Vec<FragSample>,
-    /// Peak bytes obtained from the simulated operating system.
-    heap_high_water: u64,
-    /// The allocator's own statistics.
-    alloc_stats: AllocStats,
     /// The populating run's full frozen metrics.
     metrics: obs::MetricsSnapshot,
-    /// The populating run's complete finalized result. Like `metrics`,
-    /// it depends on the sink configuration, so it is only reused whole
-    /// when `options_fp` matches — and then it answers the whole run
-    /// from the sidecar alone, with neither the stream body decoded nor
-    /// the sinks rebuilt. Its fault curve depends on the stream alone,
-    /// so a paging replay under any other sinks reuses that part.
-    #[serde(default)]
-    result: Option<RunResult>,
+    /// The populating run's complete finalized result.
+    result: RunResult,
 }
 
-/// Sink results reassembled from finalized shards, in canonical order.
-struct FinalizedShards {
-    cache: Vec<(CacheConfig, CacheStats)>,
-    fault_curve: Option<FaultCurve>,
-    victim: Option<VictimStats>,
-    three_c: Option<ThreeC>,
-    two_level: Option<TwoLevelStats>,
-}
-
-/// Drains every shard into its result slot. Each sweep holds one block
-/// size's members in configuration order, so walking `configs` and
-/// taking the next member of the sweep with that block size restores
-/// configuration order, duplicates included.
-fn finalize_shards(shards: Vec<SinkShard>, configs: &[CacheConfig]) -> FinalizedShards {
-    let mut out = FinalizedShards {
-        cache: Vec::new(),
-        fault_curve: None,
-        victim: None,
-        three_c: None,
-        two_level: None,
-    };
-    let mut sweeps = Vec::new();
-    for shard in shards {
-        match shard {
-            SinkShard::Sweep(s) => sweeps.push(s.results().into_iter().peekable()),
-            SinkShard::Pager(p) => out.fault_curve = Some(p.curve()),
-            SinkShard::Victim(v) => out.victim = Some(*v.stats()),
-            SinkShard::ThreeC(a) => out.three_c = Some(a.classify()),
-            SinkShard::TwoLevel(t) => out.two_level = Some(t.stats()),
-        }
-    }
-    out.cache = configs
-        .iter()
-        .map(|c| {
-            sweeps
-                .iter_mut()
-                .find_map(|sweep| sweep.next_if(|(member, _)| member.block == c.block))
-                .expect("every configuration is a member of its block size's sweep")
-        })
-        .collect();
-    out
-}
-
-/// What [`Experiment::run_inner`] hands back: the result, plus — on a
-/// warm instrumented replay — the populating run's frozen metrics,
-/// which [`Experiment::report`] and [`Experiment::run_traced_with`]
-/// return in place of the live recorder's snapshot so replayed reports
-/// are byte-identical to generated ones.
+/// What [`Experiment::run_inner`] hands back: the result, plus — when
+/// the stored result answered an instrumented run — the populating
+/// run's frozen metrics, which [`Experiment::report`] and
+/// [`Experiment::run_traced_with`] return in place of the live
+/// recorder's snapshot so warm reports are byte-identical to generated
+/// ones.
 struct RunOutcome {
     result: RunResult,
-    replay_metrics: Option<obs::MetricsSnapshot>,
+    stored_metrics: Option<obs::MetricsSnapshot>,
 }
 
 /// Where a run's application events come from: a synthetic model, or a
@@ -1051,9 +996,9 @@ impl Experiment {
     /// enclosing spans around the run and finish the trace themselves.
     ///
     /// Result and metrics are **bit-identical** to [`Experiment::report`]:
-    /// span structure lives outside the tracer's flat snapshot, and on a
-    /// warm replay the populating run's sidecar metrics stand in exactly
-    /// as they do there.
+    /// span structure lives outside the tracer's flat snapshot, and when
+    /// the stored result answers, the populating run's sidecar metrics
+    /// stand in exactly as they do there.
     ///
     /// # Errors
     ///
@@ -1065,7 +1010,7 @@ impl Experiment {
         tracer: &mut obs::Tracer,
     ) -> Result<(RunResult, obs::MetricsSnapshot), EngineError> {
         let outcome = self.run_inner(Some(tracer), true)?;
-        let metrics = outcome.replay_metrics.unwrap_or_else(|| tracer.metrics_snapshot());
+        let metrics = outcome.stored_metrics.unwrap_or_else(|| tracer.metrics_snapshot());
         Ok((outcome.result, metrics))
     }
 
@@ -1081,41 +1026,38 @@ impl Experiment {
     pub fn report(&self) -> Result<crate::run_report::RunReport, EngineError> {
         let mut rec = MemoryRecorder::new();
         let outcome = self.run_inner(Some(&mut rec), true)?;
-        // On a warm replay the populating run's frozen snapshot stands
-        // in for the live one, keeping reports byte-identical to the
-        // generated run's; the live recorder saw only replay telemetry.
-        let metrics = outcome.replay_metrics.unwrap_or_else(|| rec.snapshot());
+        // When the stored result answers, the populating run's frozen
+        // snapshot stands in for the live one, keeping reports
+        // byte-identical to the generated run's; the live recorder saw
+        // only the cache probe.
+        let metrics = outcome.stored_metrics.unwrap_or_else(|| rec.snapshot());
         Ok(crate::run_report::RunReport::new(outcome.result, metrics))
     }
 
-    /// Dispatches a run: a warm stream-cache replay when one applies,
+    /// Dispatches a run: a warm stream-cache answer when one applies,
     /// the plain generated run otherwise (populating the cache when one
     /// is configured). `need_metrics` marks an instrumented run whose
     /// metrics must be byte-reusable (see [`RunOutcome`]).
     ///
     /// A warm run opens its stream file by reading only its header,
     /// footer and trailer ([`StreamReader::open`]) and parses its sidecar
-    /// once. Then, in order: a stored result under a matching options
-    /// fingerprint answers the run; an instrumented run under another
-    /// fingerprint regenerates without reading a record; otherwise the
-    /// records stream into the shards in bounded chunks, and the stored
-    /// result's fault curve, when there is one, stands in for the pager.
+    /// once. Then the stored result answers a run under a matching
+    /// options fingerprint; an instrumented run under another fingerprint
+    /// regenerates without reading a record; any other run replays the
+    /// records to recompute the stored result's sink half.
     fn run_inner(
         &self,
         mut recorder: Option<&mut dyn Recorder>,
         need_metrics: bool,
     ) -> Result<RunOutcome, EngineError> {
-        let Some(key) = self.stream_key() else {
-            let result = self.run_generated(Self::reborrow(&mut recorder), None)?;
-            return Ok(RunOutcome { result, replay_metrics: None });
+        let Some((cache, key)) = self.stream_entry() else {
+            let result = self.run_generated(recorder, None)?;
+            return Ok(RunOutcome { result, stored_metrics: None });
         };
-        let cache =
-            StreamCache::new(self.opts.stream_cache.as_ref().expect("key implies directory"))
-                .with_max_bytes(self.opts.stream_cache_bytes);
         if let Some(rec) = Self::reborrow(&mut recorder) {
             rec.span_enter("stream_cache.probe");
         }
-        let opened = match cache.open(key) {
+        let found = match cache.open(key) {
             Ok(Some(reader)) => {
                 // A sidecar of a foreign shape cannot answer or complete
                 // the run.
@@ -1127,66 +1069,53 @@ impl Experiment {
             Ok(None) => Err("stream_cache.miss"),
             Err(_) => Err("stream_cache.invalid"),
         };
-        let lookup_counter = match opened {
-            Err(counter) => counter,
-            Ok((reader, mut sidecar)) => {
-                let same_sinks = sidecar.options_fp == self.options_fingerprint();
-                match sidecar.result.take() {
-                    // Stored-result fast path: the sidecar alone answers
-                    // the run, so no record is decoded and no sink built.
-                    Some(result) if same_sinks => {
-                        if let Some(rec) = Self::reborrow(&mut recorder) {
-                            rec.add("stream_cache.hit", 1);
-                            rec.add("stream_cache.result_fastpath", 1);
-                            rec.span_exit();
-                        }
-                        return Ok(RunOutcome {
-                            result,
-                            replay_metrics: need_metrics.then_some(sidecar.metrics),
-                        });
-                    }
-                    // The stored metrics describe other sinks: regenerate
-                    // and overwrite, last writer wins.
-                    _ if need_metrics && !same_sinks => "stream_cache.sidecar_mismatch",
-                    stored => {
-                        if let Some(rec) = Self::reborrow(&mut recorder) {
-                            rec.span_exit();
-                        }
-                        let curve = stored.and_then(|result| result.fault_curve);
-                        let replayed =
-                            self.replay(reader, sidecar, curve, &mut recorder, need_metrics);
-                        return match replayed {
-                            Some(outcome) => Ok(outcome),
-                            // Damaged records, found while decoding: the
-                            // partly fed shards are gone; run cold.
-                            None => {
-                                self.run_and_populate(&cache, key, "stream_cache.invalid", recorder)
-                            }
-                        };
-                    }
-                }
-            }
-        };
+        let same_sinks =
+            matches!(&found, Ok((_, sidecar)) if sidecar.options_fp == self.options_fingerprint());
         if let Some(rec) = Self::reborrow(&mut recorder) {
+            if same_sinks {
+                rec.add("stream_cache.hit", 1);
+                rec.add("stream_cache.result_fastpath", 1);
+            }
             rec.span_exit();
         }
-        self.run_and_populate(&cache, key, lookup_counter, recorder)
+        match found {
+            Err(lookup_counter) => self.run_and_populate(&cache, key, lookup_counter, recorder),
+            // Stored-result fast path: the sidecar alone answers the run,
+            // so no record is decoded and no sink built.
+            Ok((_, sidecar)) if same_sinks => Ok(RunOutcome {
+                result: sidecar.result,
+                stored_metrics: need_metrics.then_some(sidecar.metrics),
+            }),
+            // The stored metrics describe other sinks: regenerate and
+            // overwrite, last writer wins.
+            Ok(_) if need_metrics => {
+                self.run_and_populate(&cache, key, "stream_cache.sidecar_mismatch", recorder)
+            }
+            Ok((reader, sidecar)) => {
+                match self.replay(reader, sidecar.result, Self::reborrow(&mut recorder)) {
+                    Some(result) => Ok(RunOutcome { result, stored_metrics: None }),
+                    // Damaged records, found while decoding: the partly
+                    // fed shards are gone; run cold.
+                    None => self.run_and_populate(&cache, key, "stream_cache.invalid", recorder),
+                }
+            }
+        }
     }
 
-    /// The stream-cache content key of this run's driver identity, when
-    /// the cache applies: every input the generated reference stream
-    /// (and the driver-side sidecar fields) depends on — workload
-    /// specification (program and seed included), allocator choice,
-    /// scale, heap limit, fragmentation sampling — plus the format
-    /// version, so a format bump cold-starts the cache. `None` when no
-    /// cache directory is configured or the workload is a fixed event
-    /// stream (an imported trace: nothing to skip regenerating is known
-    /// about it, so it is never cached). Shared events
-    /// ([`Experiment::shared_events`]) leave the key alone, so sweep
-    /// points populate — and replay — the same cache entries as direct
-    /// runs.
-    fn stream_key(&self) -> Option<u64> {
-        self.opts.stream_cache.as_ref()?;
+    /// The stream cache this run reads and populates, with the content
+    /// key of its driver identity, when the cache applies. The key covers
+    /// every input the generated reference stream (and the driver half of
+    /// the stored result) depends on — workload specification (program
+    /// and seed included), allocator choice, scale, heap limit,
+    /// fragmentation sampling — plus the format version, so a format bump
+    /// cold-starts the cache. `None` when no cache directory is
+    /// configured or the workload is a fixed event stream (an imported
+    /// trace: nothing to skip regenerating is known about it, so it is
+    /// never cached). Shared events ([`Experiment::shared_events`])
+    /// leave the key alone, so sweep points populate — and replay — the
+    /// same cache entries as direct runs.
+    fn stream_entry(&self) -> Option<(StreamCache, u64)> {
+        let dir = self.opts.stream_cache.as_ref()?;
         let WorkloadSource::Spec { spec, .. } = &self.source else { return None };
         let spec_json = serde_json::to_string(spec).expect("workload spec serializes");
         let mut h = Fnv64::new();
@@ -1200,7 +1129,8 @@ impl Experiment {
         h.write_u64(self.opts.scale.0.to_bits());
         h.write_u64(self.opts.heap_limit);
         h.write_u64(self.opts.frag_sample_every);
-        Some(h.finish())
+        let cache = StreamCache::new(dir).with_max_bytes(self.opts.stream_cache_bytes);
+        Some((cache, h.finish()))
     }
 
     /// Predicts whether this run would find its stream in the cache:
@@ -1212,11 +1142,7 @@ impl Experiment {
     /// replay guarantee: a corrupt or sidecar-mismatched entry still
     /// probes `Some(true)` and the run quietly falls back to generating.
     pub fn stream_cached(&self) -> Option<bool> {
-        let key = self.stream_key()?;
-        let cache =
-            StreamCache::new(self.opts.stream_cache.as_ref().expect("key implies directory"))
-                .with_max_bytes(self.opts.stream_cache_bytes);
-        Some(cache.contains(key))
+        self.stream_entry().map(|(cache, key)| cache.contains(key))
     }
 
     /// Fingerprint of the *sink-side* options: everything a run's
@@ -1242,33 +1168,32 @@ impl Experiment {
     }
 
     /// Streams an opened file's records into fresh shards, chunk by
-    /// chunk through [`ShardSet::deliver`], and assembles the result
-    /// around what the sidecar stored of the populating run. `None` when
+    /// chunk through [`ShardSet::deliver`], and returns the populating
+    /// run's `stored` result with its sink half recomputed. `None` when
     /// the records are damaged — a malformed record, or a records
     /// checksum that fails at the end: the partly fed shards are dropped
     /// and nothing flat was recorded — no `stream_cache.hit`, no `sink.*`
     /// or `engine.replay` span — so the cold run that follows reports as
     /// if the replay had never started.
     ///
-    /// `stored_curve` is the fault curve of the populating run's stored
-    /// result, if it paged. The curve is a function of the stream alone
-    /// (the stream key covers every input of the stream, and the pager
-    /// takes no option), so a paging replay reuses it and builds no
-    /// pager shard, counting `stream_cache.stored_fault_curve`.
+    /// The stored fault curve, when the populating run paged, is a
+    /// function of the stream alone (the stream key covers every input
+    /// of the stream, and the pager takes no option), so a paging replay
+    /// keeps it and builds no pager shard, counting
+    /// `stream_cache.stored_fault_curve`.
     fn replay(
         &self,
         mut reader: StreamReader<std::fs::File>,
-        sidecar: StreamSidecar,
-        stored_curve: Option<FaultCurve>,
-        recorder: &mut Option<&mut dyn Recorder>,
-        need_metrics: bool,
-    ) -> Option<RunOutcome> {
+        stored: RunResult,
+        mut recorder: Option<&mut dyn Recorder>,
+    ) -> Option<RunResult> {
         if let Some(rec) = recorder.as_deref_mut() {
             rec.span_enter("engine.replay");
         }
         let replay_sw = Stopwatch::start();
-        let stored_curve = stored_curve.filter(|_| self.opts.paging);
-        let pager = self.opts.paging && stored_curve.is_none();
+        let stored =
+            RunResult { fault_curve: stored.fault_curve.filter(|_| self.opts.paging), ..stored };
+        let pager = self.opts.paging && stored.fault_curve.is_none();
         let mut set = ShardSet::new(self.build_shards(pager), recorder.is_some());
         let decoded = reader.decode_chunks(|chunk| set.deliver(chunk));
         if let Some(rec) = recorder.as_deref_mut() {
@@ -1281,43 +1206,21 @@ impl Experiment {
         decoded.ok()?;
         if let Some(rec) = recorder.as_deref_mut() {
             rec.add("stream_cache.hit", 1);
-            if stored_curve.is_some() {
+            if stored.fault_curve.is_some() {
                 rec.add("stream_cache.stored_fault_curve", 1);
             }
-            rec.span_enter("engine.finalize");
         }
-        let finalize_sw = Stopwatch::start();
-        let parts = finalize_shards(set.shards, &self.opts.cache_configs);
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.span_ns("engine.finalize", finalize_sw.elapsed_ns());
-            rec.span_exit();
-        }
-        let result = RunResult {
-            program: self.program_label.clone(),
-            allocator: self.choice.label(),
-            scale: self.opts.scale.0,
-            instrs: sidecar.instrs,
-            trace: sidecar.trace,
-            cache: parts.cache,
-            fault_curve: parts.fault_curve.or(stored_curve),
-            victim: parts.victim,
-            three_c: parts.three_c,
-            two_level: parts.two_level,
-            frag_curve: sidecar.frag_curve,
-            heap_high_water: sidecar.heap_high_water,
-            alloc_stats: sidecar.alloc_stats,
-        };
-        Some(RunOutcome { result, replay_metrics: need_metrics.then_some(sidecar.metrics) })
+        Some(self.finalize(set.shards, stored, recorder))
     }
 
     /// A cold run that also stores its stream under `key`, with the
-    /// sidecar holding everything a replay cannot reconstruct: the one
-    /// cold path, [`Experiment::run_generated`], with a stream encoder on
-    /// its sinks, so the stream is written to a scratch file in the cache
-    /// directory as it is generated and never held whole. A failed run
-    /// drops the encoder, which removes the scratch file.
-    /// `lookup_counter` records why the cache did not answer. A failed
-    /// store is a missed optimization, never a failed run.
+    /// sidecar holding the run's result and metrics: the one cold path,
+    /// [`Experiment::run_generated`], with a stream encoder on its sinks,
+    /// so the stream is written to a scratch file in the cache directory
+    /// as it is generated and never held whole. A failed run drops the
+    /// encoder, which removes the scratch file. `lookup_counter` records
+    /// why the cache did not answer. A failed store is a missed
+    /// optimization, never a failed run.
     fn run_and_populate(
         &self,
         cache: &StreamCache,
@@ -1335,17 +1238,12 @@ impl Experiment {
         tee.add("stream_cache.store", 1);
         let sidecar = StreamSidecar {
             options_fp: self.options_fingerprint(),
-            instrs: result.instrs,
-            trace: result.trace,
-            frag_curve: result.frag_curve.clone(),
-            heap_high_water: result.heap_high_water,
-            alloc_stats: result.alloc_stats,
             metrics: tee.mem.snapshot(),
-            result: Some(result.clone()),
+            result,
         };
         let sidecar_json = serde_json::to_string(&sidecar).expect("sidecar serializes");
         let _ = cache.commit(encoder, sidecar_json.as_bytes());
-        Ok(RunOutcome { result, replay_metrics: None })
+        Ok(RunOutcome { result: sidecar.result, stored_metrics: None })
     }
 
     /// The one cold path: drives the workload once, handing each flushed
@@ -1384,32 +1282,69 @@ impl Experiment {
             }
             rec.span_ns("engine.drive", drive_sw.elapsed_ns());
             rec.span_exit();
-            rec.span_enter("engine.finalize");
         }
-
-        let finalize_sw = Stopwatch::start();
-        let InlineSink { counting, set, .. } = sink;
-        let parts = finalize_shards(set.shards, &self.opts.cache_configs);
-        if let Some(rec) = recorder {
-            rec.span_ns("engine.finalize", finalize_sw.elapsed_ns());
-            rec.span_exit();
-        }
-
-        Ok(RunResult {
+        let driver = RunResult {
             program: self.program_label.clone(),
             allocator: self.choice.label(),
             scale: self.opts.scale.0,
             instrs,
-            trace: counting.stats(),
-            cache: parts.cache,
-            fault_curve: parts.fault_curve,
-            victim: parts.victim,
-            three_c: parts.three_c,
-            two_level: parts.two_level,
+            trace: sink.counting.stats(),
+            cache: Vec::new(),
+            fault_curve: None,
+            victim: None,
+            three_c: None,
+            two_level: None,
             frag_curve,
             heap_high_water: heap.high_water(),
             alloc_stats,
-        })
+        };
+        Ok(self.finalize(sink.set.shards, driver, recorder))
+    }
+
+    /// The finalize step both delivery paths end in, timed as the
+    /// `engine.finalize` span: drains every shard into the sink half of
+    /// `result` — caches, victim, three-C, two-level, and the fault curve
+    /// when a pager ran (otherwise `result`'s own stands). Each sweep
+    /// holds one block size's members in configuration order, so walking
+    /// the configurations and taking the next member of the sweep with
+    /// that block size restores configuration order, duplicates included.
+    fn finalize(
+        &self,
+        shards: Vec<SinkShard>,
+        result: RunResult,
+        mut recorder: Option<&mut dyn Recorder>,
+    ) -> RunResult {
+        if let Some(rec) = recorder.as_deref_mut() {
+            rec.span_enter("engine.finalize");
+        }
+        let finalize_sw = Stopwatch::start();
+        let mut result = RunResult { victim: None, three_c: None, two_level: None, ..result };
+        let mut sweeps = Vec::new();
+        for shard in shards {
+            match shard {
+                SinkShard::Sweep(s) => sweeps.push(s.results().into_iter().peekable()),
+                SinkShard::Pager(p) => result.fault_curve = Some(p.curve()),
+                SinkShard::Victim(v) => result.victim = Some(*v.stats()),
+                SinkShard::ThreeC(a) => result.three_c = Some(a.classify()),
+                SinkShard::TwoLevel(t) => result.two_level = Some(t.stats()),
+            }
+        }
+        result.cache = self
+            .opts
+            .cache_configs
+            .iter()
+            .map(|c| {
+                sweeps
+                    .iter_mut()
+                    .find_map(|sweep| sweep.next_if(|(member, _)| member.block == c.block))
+                    .expect("every configuration is a member of its block size's sweep")
+            })
+            .collect();
+        if let Some(rec) = recorder {
+            rec.span_ns("engine.finalize", finalize_sw.elapsed_ns());
+            rec.span_exit();
+        }
+        result
     }
 }
 

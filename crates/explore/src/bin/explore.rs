@@ -39,6 +39,7 @@
 //! Each lane ends with one summary line on stderr, printed even under
 //! `--quiet`; the warm lane's names the resolved thread count.
 
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -229,7 +230,8 @@ fn write_report(jsonl: &str, out: &Option<PathBuf>) -> Result<(), String> {
             std::fs::write(path, jsonl).map_err(|e| format!("write {}: {e}", path.display()))
         }
         None => {
-            print!("{jsonl}");
+            // A reader that closed stdout ends the output, not the run.
+            let _ = std::io::stdout().write_all(jsonl.as_bytes());
             Ok(())
         }
     }

@@ -140,6 +140,8 @@ pub struct SweepFrontRow {
 /// the sweep artifact fully deterministic — the same sweep spec yields
 /// byte-identical sweep-report JSONL from the shared-trace executor,
 /// the naive baseline, and the serve daemon's job queue.
+///
+/// [`RunResult`]: alloc_locality::RunResult
 pub fn normalize_report(report: &mut RunReport) {
     for span in report.metrics.spans.values_mut() {
         span.total_ns = 0;

@@ -1,8 +1,10 @@
 //! The `explore` binary on hostile input: a spec nested far past the
 //! JSON parser's depth limit is a one-line error with exit code 1 —
-//! never a stack overflow, which would abort the process.
+//! never a stack overflow, which would abort the process — and a closed
+//! stdout ends the report, not the run.
 
-use std::process::Command;
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
 
 #[test]
 fn a_spec_nested_past_the_depth_limit_exits_1_with_one_line() {
@@ -25,10 +27,10 @@ fn a_spec_nested_past_the_depth_limit_exits_1_with_one_line() {
     assert!(out.stdout.is_empty(), "nothing is reported before the error");
 }
 
-/// Runs `explore --bench` with `gate` on a two-point sweep; returns its
-/// exit code and stderr.
-fn bench_with_gate(gate: &str) -> (Option<i32>, String) {
-    let dir = std::env::temp_dir().join(format!("explore-bench-{gate}-{}", std::process::id()));
+/// Writes a two-point sweep spec into a fresh scratch directory named
+/// for `test`; returns the directory and the spec's path.
+fn two_point_spec(test: &str) -> (PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("explore-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let spec = dir.join("sweep.json");
     std::fs::write(
@@ -37,6 +39,35 @@ fn bench_with_gate(gate: &str) -> (Option<i32>, String) {
             "grids":[{"allocator":"BSD","min_shift":[3,4]}]}"#,
     )
     .expect("write the spec");
+    (dir, spec)
+}
+
+#[test]
+fn a_closed_stdout_ends_the_report_not_the_run() {
+    // With no `--out`, the report goes to stdout, and a write there must
+    // not panic ("failed printing to stdout", exit 101) once the reader
+    // has gone.
+    let (dir, spec) = two_point_spec("closed");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_explore"))
+        .arg("--spec")
+        .arg(&spec)
+        .args(["--quiet", "--threads", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("explore starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("explore runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Runs `explore --bench` with `gate` on a two-point sweep; returns its
+/// exit code and stderr.
+fn bench_with_gate(gate: &str) -> (Option<i32>, String) {
+    let (dir, spec) = two_point_spec(&format!("bench-{gate}"));
     let out = Command::new(env!("CARGO_BIN_EXE_explore"))
         .arg("--spec")
         .arg(&spec)

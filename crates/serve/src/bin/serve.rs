@@ -9,6 +9,8 @@
 //!       [--stream-cache-bytes N]
 //! ```
 
+use std::io::Write as _;
+
 use serve::{Server, ServerConfig};
 
 fn usage() -> ! {
@@ -76,9 +78,13 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!("serve: listening on http://{} with {workers} workers", server.addr());
+    // Stdout only reports: a reader that closed it ends the report,
+    // never the daemon.
+    let mut out = std::io::stdout();
+    let _ = writeln!(out, "serve: listening on http://{} with {workers} workers", server.addr());
     let summary = server.wait();
-    println!(
+    let _ = writeln!(
+        out,
         "serve: drained and stopped ({} completed, {} failed)",
         summary.completed, summary.failed
     );

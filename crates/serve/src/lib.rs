@@ -52,6 +52,8 @@
 //! | `GET /metrics`         | server counters + merged simulation metrics   |
 //! | `GET /metrics?format=prometheus` | the same, as Prometheus text        |
 //! | `POST /shutdown`       | stop accepting, drain the queue, exit; answers `/healthz`'s body with `draining: true` |
+//!
+//! [`Experiment::report`]: alloc_locality::Experiment::report
 
 pub mod client;
 pub mod http;
@@ -122,6 +124,8 @@ pub struct ServerConfig {
     /// Stream-cache directory handed to every experiment
     /// ([`Experiment::stream_cache`]), so a job whose reference stream was
     /// captured before replays it instead of regenerating the workload.
+    ///
+    /// [`Experiment::stream_cache`]: alloc_locality::Experiment::stream_cache
     pub stream_cache: Option<std::path::PathBuf>,
     /// Total-size bound on the stream-cache directory; after each store
     /// the oldest-written streams are evicted (mirrors

@@ -1,10 +1,12 @@
 //! The daemon under hostile or careless clients: a connection flood, a
-//! body cut off halfway, shutdown under load, and cache directories that
-//! cannot be written. In every case each queued job completes, `running`
+//! body cut off halfway, shutdown under load, cache directories that
+//! cannot be written or hold a directory where a report goes, and a
+//! closed stdout. In every case each queued job completes, `running`
 //! returns to 0 and the daemon stops when asked.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use alloc_locality::{JobSpec, RunReport};
@@ -186,4 +188,72 @@ fn unwritable_cache_directories_degrade_persistence_not_jobs() {
     drop(server);
     drop(plain);
     let _ = std::fs::remove_file(&file);
+}
+
+#[test]
+fn a_report_whose_rename_fails_is_served_and_not_persisted() {
+    // A non-empty directory stands where the job's report file goes:
+    // loading it finds no report, and the write's rename fails. The job
+    // must be computed and served as a daemon without a report cache
+    // serves it, and leave no scratch file behind.
+    let dir = std::env::temp_dir().join(format!("serve-rename-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = quick_spec("make", "BSD");
+    let report_file = format!("{}.json", spec.job_id());
+    std::fs::create_dir_all(dir.join(&report_file)).unwrap();
+    std::fs::write(dir.join(&report_file).join("occupant"), b"keeps it non-empty").unwrap();
+    let cfg =
+        ServerConfig { workers: 1, report_cache: Some(dir.clone()), ..ServerConfig::default() };
+    let (server, client) = start(cfg);
+    let (plain, plain_client) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let job = client.submit(&spec).unwrap();
+    client.wait_done(&job.id, WAIT).expect("the job finishes without persisting");
+    let served = RunReport::parse(&client.fetch_report(&job.id).unwrap()).unwrap();
+    let base = plain_client.submit(&spec).unwrap();
+    plain_client.wait_done(&base.id, WAIT).unwrap();
+    let cacheless = RunReport::parse(&plain_client.fetch_report(&base.id).unwrap()).unwrap();
+    assert_eq!(served.result, cacheless.result);
+    let metrics = client.metrics().unwrap();
+    assert_eq!((metrics.jobs_completed, metrics.jobs_failed), (1, 0));
+    assert_eq!(metrics.report_cache_hits, 0, "a directory is no persisted report");
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, [report_file.as_str()], "the scratch file must not outlive the rename");
+    assert!(dir.join(&report_file).join("occupant").is_file());
+    drop(server);
+    drop(plain);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_daemon_serves_on_after_its_stdout_closes() {
+    // The daemon reports on stdout just after the bind; a reader that
+    // closed it must not take the daemon down: a panic there ends the
+    // main thread, and with it the process.
+    let port = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
+    let addr = format!("127.0.0.1:{port}");
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--addr", &addr, "--workers", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve starts");
+    drop(daemon.stdout.take());
+    let client = Client::new(addr.parse().unwrap());
+    let deadline = Instant::now() + WAIT;
+    while client.healthz().is_err() {
+        assert!(daemon.try_wait().unwrap().is_none(), "the daemon exited");
+        assert!(Instant::now() < deadline, "the daemon never answered");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let job = client.submit(&quick_spec("make", "BSD")).unwrap();
+    client.wait_done(&job.id, WAIT).expect("the daemon runs jobs with its stdout closed");
+    client.shutdown().unwrap();
+    let out = daemon.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -11,7 +11,7 @@
 //! the stored sidecar already answers the run, only a read of the
 //! file's last few kilobytes.
 //!
-//! # File layout (`ALSC` version 4)
+//! # File layout (`ALSC` version 5)
 //!
 //! ```text
 //! -- header (16 bytes) --
@@ -24,8 +24,9 @@
 //! -- trailer --
 //! run count    varint
 //! ref count    varint    sum of run counts (expanded references)
-//! sidecar      varint length + opaque bytes (the engine stores driver-
-//!                        side results and metrics here as JSON)
+//! sidecar      varint length + opaque bytes (the engine stores the
+//!                        populating run's result and metrics here as
+//!                        JSON)
 //! -- footer (24 bytes) --
 //! trailer at   u64 LE    byte offset of the trailer (16 + records length)
 //! records sum  u64 LE    `checksum` of the records
@@ -124,8 +125,11 @@ pub const STREAM_MAGIC: [u8; 4] = *b"ALSC";
 /// FNV-1a file checksum with the four-lane word [`checksum`]; version 4
 /// moved the counts and the sidecar behind the records, into a trailer
 /// that a footer locates, with separate checksums, so a file is written
-/// as its stream is generated and its sidecar read without its records.
-pub const STREAM_FORMAT_VERSION: u8 = 4;
+/// as its stream is generated and its sidecar read without its records;
+/// version 5 cut the engine's sidecar to the options fingerprint, the
+/// metrics and the result, which it now always holds: the copies of the
+/// result's driver-side fields beside it are gone.
+pub const STREAM_FORMAT_VERSION: u8 = 5;
 
 /// File extension of a [`StreamCache`] entry.
 const STREAM_EXTENSION: &str = "alsc";
@@ -989,7 +993,9 @@ impl StreamCache {
     }
 
     /// Counts the cache's stream files and their total size — the
-    /// telemetry the sweep executor surfaces after a warm run. Unreadable
+    /// telemetry the sweep executor surfaces after a warm run. Only
+    /// regular files count, as in [`StreamCache::contains`]: a directory
+    /// that happens to carry the extension is no entry. Unreadable
     /// directories count as empty (the cache is created lazily, so a
     /// missing directory just means nothing was stored yet).
     pub fn stats(&self) -> CacheStats {
@@ -1000,7 +1006,7 @@ impl StreamCache {
         for entry in entries.flatten() {
             let path = entry.path();
             if path.extension().is_some_and(|e| e == STREAM_EXTENSION) {
-                if let Ok(meta) = entry.metadata() {
+                if let Some(meta) = path.metadata().ok().filter(std::fs::Metadata::is_file) {
                     stats.entries += 1;
                     stats.bytes += meta.len();
                 }

@@ -84,6 +84,45 @@ fn engine_surfaces_oom_as_typed_error() {
 }
 
 #[test]
+fn a_stream_whose_rename_fails_is_a_missed_store() {
+    // A non-empty directory stands where the cell's stream file goes:
+    // opening it fails, so the run counts an invalid entry, and so does
+    // the commit's rename, so the store is missed. Neither may change
+    // the result or leave the scratch file behind.
+    let dir = std::env::temp_dir().join(format!("alsc-rename-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = SimOptions {
+        scale: Scale(0.002),
+        stream_cache: Some(dir.clone()),
+        ..SimOptions::default()
+    };
+    let exp = Experiment::new(Program::Make, AllocChoice::Paper(AllocatorKind::Bsd));
+    let plain = exp.clone().options(SimOptions { stream_cache: None, ..opts.clone() }).run();
+    let exp = exp.options(opts);
+    exp.run().expect("populating run");
+    let names = || -> Vec<String> {
+        let entries = std::fs::read_dir(&dir).expect("the cache directory exists");
+        entries.flatten().map(|e| e.file_name().to_string_lossy().into_owned()).collect()
+    };
+    let [name] = names().try_into().expect("one stream file");
+    let stream = dir.join(&name);
+    std::fs::remove_file(&stream).expect("remove the stream file");
+    std::fs::create_dir(&stream).expect("a directory in its place");
+    std::fs::write(stream.join("occupant"), b"keeps the directory non-empty").unwrap();
+
+    let mut rec = obs::MemoryRecorder::new();
+    let result = exp.run_with_recorder(&mut rec);
+    assert_eq!(rec.counter("stream_cache.invalid"), 1);
+    assert_eq!(rec.counter("stream_cache.store"), 1, "the store was attempted");
+    assert_eq!(result, plain, "a missed store must not change the result");
+    assert_eq!(names(), [name], "the scratch file must not outlive the failed rename");
+    assert!(stream.is_dir(), "the rename must not have replaced the directory");
+    let stats = sim_mem::StreamCache::new(&dir).stats();
+    assert_eq!((stats.entries, stats.bytes), (0, 0), "a directory is no stream entry");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn malformed_event_streams_are_typed_errors() {
     // Ids are allocation ordinals and only live objects may be freed or
     // touched; a hand-built stream that breaks either rule is an

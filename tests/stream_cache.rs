@@ -14,7 +14,7 @@
 //!    stores exactly the encoding of the stream the run generates, and
 //!    its flat metrics are a no-cache run's plus the store's own.
 
-use alloc_locality_repro::engine::{AllocChoice, Experiment, SimOptions};
+use alloc_locality_repro::engine::{AllocChoice, Experiment, RunResult, SimOptions};
 use allocators::AllocatorKind;
 use cache_sim::CacheConfig;
 use obs::MemoryRecorder;
@@ -372,7 +372,7 @@ fn a_corrupt_record_behind_a_valid_checksum_falls_back_cold() {
 }
 
 #[test]
-fn a_version_3_file_at_a_version_4_path_falls_back_cold() {
+fn a_file_of_the_previous_version_falls_back_cold() {
     let dir = cache_dir("version");
     let exp = Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::Bsd))
         .options(opts(&dir));
@@ -380,7 +380,7 @@ fn a_version_3_file_at_a_version_4_path_falls_back_cold() {
     let path = sole_cache_file(&dir);
     let mut bytes = std::fs::read(&path).expect("read stream file");
     assert_eq!(bytes[4], sim_mem::STREAM_FORMAT_VERSION);
-    bytes[4] = 3;
+    bytes[4] = sim_mem::STREAM_FORMAT_VERSION - 1;
     std::fs::write(&path, &bytes).expect("write stale file");
 
     let mut rec = MemoryRecorder::new();
@@ -388,7 +388,31 @@ fn a_version_3_file_at_a_version_4_path_falls_back_cold() {
     assert_eq!(rec.counter("stream_cache.invalid"), 1);
     assert_eq!(rec.counter("stream_cache.hit"), 0);
     assert_eq!(result, cold);
-    assert_eq!(std::fs::read(&path).expect("read rewritten file")[4], 4);
+    let rewritten = std::fs::read(&path).expect("read rewritten file");
+    assert_eq!(rewritten[4], sim_mem::STREAM_FORMAT_VERSION);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_sidecar_keeps_the_result_once() {
+    // A stream file's sidecar holds the options fingerprint, the
+    // metrics and the run's result, and nothing beside them: the
+    // result's driver half is not stored a second time.
+    let dir = cache_dir("sidecar-keys");
+    let exp =
+        Experiment::new(Program::Gawk, AllocChoice::Paper(AllocatorKind::Bsd)).options(opts(&dir));
+    let populated = exp.run().expect("populating run");
+    let bytes = std::fs::read(sole_cache_file(&dir)).expect("read stream file");
+    let key = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte key"));
+    let sidecar = sim_mem::decode_sidecar(&bytes, key).expect("valid file");
+    let text = std::str::from_utf8(&sidecar).expect("the sidecar is JSON text");
+    let serde_json::Value::Object(fields) = serde_json::from_str(text).expect("parses") else {
+        panic!("the sidecar is a JSON object: {text}");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(keys, ["options_fp", "metrics", "result"]);
+    let stored: RunResult = serde_json::from_value(&fields[2].1).expect("the stored result parses");
+    assert_eq!(stored, populated);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
